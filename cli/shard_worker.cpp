@@ -18,7 +18,12 @@
 //          [--chunk-size C --claim-dir DIR] [--owner ID] [--lease-ttl S]
 //          [--attempt A]
 //          Execute this worker's share of the jobs and stream the
-//          versioned JSONL to --out.  The stream goes to `FILE.partial`
+//          versioned JSONL to --out: a header line (wire version 2),
+//          then one {"job":J,"result":{...}} record per job, doubles as
+//          hex bit patterns.  Each record is self-contained: its
+//          telemetry names every metric family once in its own help
+//          table, omits zero fields, and carries flight events and
+//          dumps only for job 0.  The stream goes to `FILE.partial`
 //          and is fsync'd + atomically renamed to FILE on success, so a
 //          crash never leaves a half-written file that passes the
 //          header check — torn output stays honestly `.partial` and is
@@ -32,10 +37,11 @@
 //          recovery drills.
 //
 //   gather --spec FILE --out PREFIX [--partial] FILES...
-//          Merge shard JSONL files: validates headers/fingerprints,
-//          demands every job exactly once, aggregates bit-identically
-//          to a serial run, and writes PREFIX.csv (+ PREFIX.prom /
-//          telemetry exports when the spec has telemetry on).  With
+//          Merge shard JSONL files: validates headers/fingerprints
+//          (a file of another wire version exits 3), demands every job
+//          exactly once, aggregates bit-identically to a serial run,
+//          and writes PREFIX.csv (+ PREFIX.prom and job 0's
+//          PREFIX.job0.* exports when the spec has telemetry on).  With
 //          --partial it salvages every complete record from damaged
 //          files, tolerates idempotent duplicates, and — when jobs are
 //          still missing — writes a versioned retry manifest to

@@ -1,8 +1,16 @@
 // Fixed-capacity ring buffer used by the RAPL running-average windows and
 // the controllers' short histories.  Header-only; trivially copyable
 // payloads expected but not required.
+//
+// Storage is allocated as samples arrive, not as declared: capacity() is
+// the window the caller asked for, and at most kEagerSlots of it are
+// allocated up front.  A window a fault decoded to a billion slots then
+// costs memory for the samples actually pushed, while every window up to
+// kEagerSlots (the RAPL defaults included) never allocates after
+// construction.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <vector>
@@ -14,14 +22,19 @@ namespace dufp {
 template <typename T>
 class RingBuffer {
  public:
-  explicit RingBuffer(std::size_t capacity) : buf_(capacity) {
+  /// Slots allocated at construction; covers the 1000-tick default RAPL
+  /// long-term window at 1 ms ticks with room to spare.
+  static constexpr std::size_t kEagerSlots = 4096;
+
+  explicit RingBuffer(std::size_t capacity) : capacity_(capacity) {
     DUFP_EXPECT(capacity > 0);
+    buf_.resize(std::min(capacity, kEagerSlots));
   }
 
-  std::size_t capacity() const { return buf_.size(); }
+  std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  bool full() const { return size_ == buf_.size(); }
+  bool full() const { return size_ == capacity_; }
 
   /// Append, evicting the oldest element when full.  Returns true if an
   /// element was evicted.
@@ -30,7 +43,13 @@ class RingBuffer {
     buf_[head_] = v;
     // Wrap with a branch, not a modulo: this runs once per simulated
     // socket-tick per averaging window and the integer division shows up.
-    if (++head_ == buf_.size()) head_ = 0;
+    if (++head_ == buf_.size()) {
+      if (buf_.size() == capacity_) {
+        head_ = 0;
+      } else {
+        grow();
+      }
+    }
     if (evicting) {
       tail_ = head_;
     } else {
@@ -52,9 +71,9 @@ class RingBuffer {
     return buf_[(tail_ + i) % buf_.size()];
   }
 
-  // head_ and tail_ are always in [0, capacity), so the common accessors
-  // index directly instead of going through the modulo arithmetic of the
-  // general from_*() forms.
+  // head_ and tail_ are always in [0, allocated slots), so the common
+  // accessors index directly instead of going through the modulo
+  // arithmetic of the general from_*() forms.
   const T& newest() const {
     DUFP_EXPECT(size_ > 0);
     return buf_[head_ == 0 ? buf_.size() - 1 : head_ - 1];
@@ -76,7 +95,18 @@ class RingBuffer {
   }
 
  private:
-  std::vector<T> buf_;
+  /// Until the first wrap the elements sit in [0, head_), so reaching
+  /// the allocated end early means "grow", never "wrap".  Out of line
+  /// and cold: push() must stay small enough to inline into the
+  /// engine's calm-tick loop.
+  [[gnu::noinline, gnu::cold]] void grow() {
+    const std::size_t grown = std::min(capacity_, 2 * buf_.size());
+    buf_.reserve(grown);  // exactly: resize alone may overshoot
+    buf_.resize(grown);
+  }
+
+  std::vector<T> buf_;     ///< allocated slots, <= capacity_
+  std::size_t capacity_;  ///< declared window
   std::size_t head_ = 0;  ///< next write slot
   std::size_t tail_ = 0;  ///< oldest element
   std::size_t size_ = 0;

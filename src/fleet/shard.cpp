@@ -76,7 +76,7 @@ FleetGatherReport gather_fleet_report(const FleetSpec& spec,
 json::Value FleetRetryManifest::to_json() const {
   Value o = Value::make_object();
   o.add("format", Value::make_string(kFleetRetryFormat));
-  o.add("version", Value::make_i64(harness::kShardFormatVersion));
+  o.add("version", Value::make_i64(harness::kShardDocumentVersion));
   o.add("spec", spec.to_json());
   o.add("spec_fingerprint",
         Value::make_string(strf("%016llx", static_cast<unsigned long long>(
@@ -97,11 +97,11 @@ FleetRetryManifest FleetRetryManifest::from_json(const json::Value& v) {
                                     std::string(kFleetRetryFormat) +
                                     " document");
   }
-  if (v.at("version").as_i64() != harness::kShardFormatVersion) {
+  if (v.at("version").as_i64() != harness::kShardDocumentVersion) {
     throw harness::ShardFormatError(strf(
         "FleetRetryManifest: unsupported version %lld (this build speaks %d)",
         static_cast<long long>(v.at("version").as_i64()),
-        harness::kShardFormatVersion));
+        harness::kShardDocumentVersion));
   }
   FleetRetryManifest m;
   m.spec = FleetSpec::from_json(v.at("spec"));

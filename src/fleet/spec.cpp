@@ -28,7 +28,7 @@ double FleetSpec::resolved_budget_w() const {
 json::Value FleetSpec::to_json() const {
   Value o = Value::make_object();
   o.add("format", Value::make_string(kFleetSpecFormat));
-  o.add("version", Value::make_i64(harness::kShardFormatVersion));
+  o.add("version", Value::make_i64(harness::kShardDocumentVersion));
   o.add("name", Value::make_string(name));
   o.add("racks", Value::make_i64(topology.racks));
   o.add("nodes_per_rack", Value::make_i64(topology.nodes_per_rack));
@@ -61,11 +61,11 @@ FleetSpec FleetSpec::from_json(const json::Value& v) {
     throw harness::ShardFormatError(
         "FleetSpec: not a " + std::string(kFleetSpecFormat) + " document");
   }
-  if (v.at("version").as_i64() != harness::kShardFormatVersion) {
+  if (v.at("version").as_i64() != harness::kShardDocumentVersion) {
     throw harness::ShardFormatError(
         strf("FleetSpec: unsupported version %lld (this build speaks %d)",
              static_cast<long long>(v.at("version").as_i64()),
-             harness::kShardFormatVersion));
+             harness::kShardDocumentVersion));
   }
   FleetSpec spec;
   spec.name = v.at("name").as_string();

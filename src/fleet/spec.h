@@ -19,8 +19,9 @@
 
 namespace dufp::fleet {
 
-/// Fleet wire format identities; versioned by
-/// harness::kShardFormatVersion alongside the grid formats.
+/// Fleet format identities.  The spec and the retry manifest are
+/// versioned by harness::kShardDocumentVersion, the result stream by
+/// harness::kShardWireVersion, alongside the grid formats.
 inline constexpr const char* kFleetSpecFormat = "dufp-fleet-spec";
 inline constexpr const char* kFleetResultFormat = "dufp-fleet-result";
 inline constexpr const char* kFleetRetryFormat = "dufp-fleet-retry";

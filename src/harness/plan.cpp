@@ -58,6 +58,9 @@ RunConfig ExperimentPlan::job_config(std::size_t i) const {
   const JobRef& job = jobs_.at(i);
   RunConfig cfg = cells_[job.cell].config;
   cfg.seed = job_seed(cfg.seed, job.repetition);
+  // Outputs export flight data for job 0 only (finalize_grid's
+  // job0_telemetry); every other job's snapshot carries metrics alone.
+  if (i != 0) cfg.telemetry.snapshot_flight = false;
   return cfg;
 }
 

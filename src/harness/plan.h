@@ -68,9 +68,11 @@ class ExperimentPlan {
   JobRef job(std::size_t i) const { return jobs_.at(i); }
 
   /// The fully derived config job `i` runs: the cell's config with the
-  /// repetition's job_seed applied.  This is the *only* seed derivation
-  /// in the engine — shard workers call this, so a job's config is a
-  /// pure function of (plan, index), independent of placement.
+  /// repetition's job_seed applied, and telemetry flight data requested
+  /// for job 0 only (see TelemetryConfig::snapshot_flight).  This is the
+  /// *only* seed derivation in the engine — shard workers call this, so
+  /// a job's config is a pure function of (plan, index), independent of
+  /// placement.
   RunConfig job_config(std::size_t i) const;
 
   /// Executes the given jobs (indices into the enumeration) across

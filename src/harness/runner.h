@@ -131,9 +131,10 @@ struct RunResult {
   std::map<std::string, sim::PhaseTotals> phase_totals;
 
   /// Present iff config.telemetry.enabled: every metric series (including
-  /// run-summary gauges registered after the run), each socket's final
-  /// flight-recorder contents, and the watchdog fail-open dumps.  Feed it
-  /// to telemetry::export_run / write_prometheus / write_chrome_trace.
+  /// run-summary gauges registered after the run), plus, when
+  /// config.telemetry.snapshot_flight, each socket's final flight-recorder
+  /// contents and the watchdog fail-open dumps.  Feed it to
+  /// telemetry::export_run / write_prometheus / write_chrome_trace.
   std::optional<telemetry::TelemetrySnapshot> telemetry;
 
   /// How the engine spent its ticks (leap / step / batch split) — lets the

@@ -26,7 +26,7 @@ Value raw_double(double v) { return Value::make_raw_number(strf("%.17g", v)); }
 json::Value GridSpec::to_json() const {
   Value o = Value::make_object();
   o.add("format", Value::make_string(kGridSpecFormat));
-  o.add("version", Value::make_i64(kShardFormatVersion));
+  o.add("version", Value::make_i64(kShardDocumentVersion));
   o.add("name", Value::make_string(name));
   Value app_arr = Value::make_array();
   for (const auto app : apps) {
@@ -63,11 +63,11 @@ GridSpec GridSpec::from_json(const json::Value& v) {
     throw ShardFormatError("GridSpec: not a " + std::string(kGridSpecFormat) +
                            " document");
   }
-  if (v.at("version").as_i64() != kShardFormatVersion) {
+  if (v.at("version").as_i64() != kShardDocumentVersion) {
     throw ShardFormatError(
         strf("GridSpec: unsupported version %lld (this build speaks %d)",
              static_cast<long long>(v.at("version").as_i64()),
-             kShardFormatVersion));
+             kShardDocumentVersion));
   }
   GridSpec spec;
   spec.name = v.at("name").as_string();
@@ -275,7 +275,7 @@ std::vector<RunResult> gather_shards(const GridSpec& spec,
 json::Value RetryManifest::to_json() const {
   Value o = Value::make_object();
   o.add("format", Value::make_string(kRetryManifestFormat));
-  o.add("version", Value::make_i64(kShardFormatVersion));
+  o.add("version", Value::make_i64(kShardDocumentVersion));
   o.add("spec", spec.to_json());
   o.add("spec_fingerprint",
         Value::make_string(strf("%016llx", static_cast<unsigned long long>(
@@ -293,11 +293,11 @@ RetryManifest RetryManifest::from_json(const json::Value& v) {
     throw ShardFormatError("RetryManifest: not a " +
                            std::string(kRetryManifestFormat) + " document");
   }
-  if (v.at("version").as_i64() != kShardFormatVersion) {
+  if (v.at("version").as_i64() != kShardDocumentVersion) {
     throw ShardFormatError(
         strf("RetryManifest: unsupported version %lld (this build speaks %d)",
              static_cast<long long>(v.at("version").as_i64()),
-             kShardFormatVersion));
+             kShardDocumentVersion));
   }
   RetryManifest m;
   m.spec = GridSpec::from_json(v.at("spec"));
@@ -421,7 +421,8 @@ GridOutputs finalize_grid(const GridSpec& spec,
     std::vector<telemetry::MetricSample> merged;
     for (std::size_t j = 0; j < results.size(); ++j) {
       if (!results[j].telemetry.has_value()) continue;
-      for (telemetry::MetricSample m : results[j].telemetry->metrics) {
+      // Moved, not copied: aggregation below reads no telemetry.
+      for (telemetry::MetricSample& m : results[j].telemetry->metrics) {
         m.labels.emplace_back("job", std::to_string(j));
         merged.push_back(std::move(m));
       }

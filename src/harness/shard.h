@@ -46,8 +46,8 @@
 
 namespace dufp::harness {
 
-/// Shard file format identity; bump kShardFormatVersion (wire.h) on any
-/// wire change.
+/// Format identities.  Result streams are versioned by kShardWireVersion,
+/// specs and retry manifests by kShardDocumentVersion (both in wire.h).
 inline constexpr const char* kShardResultFormat = "dufp-shard-result";
 inline constexpr const char* kGridSpecFormat = "dufp-grid-spec";
 inline constexpr const char* kRetryManifestFormat = "dufp-retry-manifest";
@@ -181,8 +181,9 @@ struct GridOutputs {
   /// the spec has telemetry off.
   std::string merged_prometheus;
 
-  /// Job 0's full snapshot for telemetry::export_run (flight events and
-  /// dumps are per-job artifacts; the merge covers metrics).
+  /// Job 0's full snapshot for telemetry::export_run.  Flight events and
+  /// dumps are per-job artifacts that only job 0 carries (see
+  /// ExperimentPlan::job_config); the merge covers every job's metrics.
   std::optional<telemetry::TelemetrySnapshot> job0_telemetry;
 };
 

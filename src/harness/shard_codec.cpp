@@ -1,6 +1,12 @@
 #include "harness/shard_codec.h"
 
+#include <bit>
+#include <map>
 #include <stdexcept>
+#include <string_view>
+#include <tuple>
+
+#include "common/string_util.h"
 
 namespace dufp::harness {
 
@@ -100,56 +106,149 @@ core::AgentStats decode_agent_stats(const Value& v) {
   return a;
 }
 
-Value encode_metric(const telemetry::MetricSample& m) {
-  Value o = Value::make_object();
-  o.add("type", Value::make_i64(static_cast<int>(m.type)));
-  o.add("name", Value::make_string(m.name));
-  o.add("help", Value::make_string(m.help));
-  Value labels = Value::make_array();
-  for (const auto& [k, val] : m.labels) {
-    Value pair = Value::make_array();
-    pair.push_back(Value::make_string(k));
-    pair.push_back(Value::make_string(val));
-    labels.push_back(std::move(pair));
-  }
-  o.add("labels", std::move(labels));
-  o.add("value", hex(m.value));
-  Value bounds = Value::make_array();
-  for (const double b : m.bucket_bounds) bounds.push_back(hex(b));
-  o.add("bucket_bounds", std::move(bounds));
-  Value counts = Value::make_array();
-  for (const std::uint64_t c : m.bucket_counts) {
-    counts.push_back(Value::make_u64(c));
-  }
-  o.add("bucket_counts", std::move(counts));
-  o.add("sum", hex(m.sum));
-  o.add("count", Value::make_u64(m.count));
-  return o;
+// -- telemetry ---------------------------------------------------------------
+//
+// A snapshot crosses as {"help":[...],"metrics":[...],"events":[...],
+// "dumps":[...]}.  "help" interns every metric family once: entry k is
+// [type, name, help], and each sample names its entry by index.  The
+// table lives in the record, not in the file header, so every record
+// still decodes on its own: salvage, duplicate detection and resume all
+// take records one at a time, and the header is written before any job
+// has run.  A sample omits labels and bucket arrays when they are empty
+// and value, sum and count when their bits are zero (-0.0 still
+// crosses).  "events" and "dumps" are omitted when empty, which they are
+// for every job but 0 of a grid (see ExperimentPlan::job_config).
+
+using telemetry::MetricSample;
+using telemetry::MetricType;
+
+[[noreturn]] void malformed(const std::string& what) {
+  throw std::runtime_error("shard_codec: " + what);
 }
 
-telemetry::MetricSample decode_metric(const Value& v) {
-  telemetry::MetricSample m;
-  const auto type = v.at("type").as_i64();
-  if (type < 0 || type > static_cast<int>(telemetry::MetricType::histogram)) {
-    throw std::runtime_error("shard_codec: bad metric type");
+bool zero_bits(double v) { return std::bit_cast<std::uint64_t>(v) == 0; }
+
+double unhex_or_zero(const Value& o, std::string_view key) {
+  const Value* v = o.find(key);
+  return v != nullptr ? unhex(*v) : 0.0;
+}
+
+std::uint16_t decode_u16(const Value& v, const char* what) {
+  const std::uint64_t x = v.as_u64();
+  if (x > 0xffff) {
+    malformed(strf("%s %llu does not fit in 16 bits", what,
+                   static_cast<unsigned long long>(x)));
   }
-  m.type = static_cast<telemetry::MetricType>(type);
-  m.name = v.at("name").as_string();
-  m.help = v.at("help").as_string();
-  for (const Value& pair : v.at("labels").as_array()) {
-    const auto& kv = pair.as_array();
-    if (kv.size() != 2) throw std::runtime_error("shard_codec: bad label");
-    m.labels.emplace_back(kv[0].as_string(), kv[1].as_string());
+  return static_cast<std::uint16_t>(x);
+}
+
+/// One entry of a record's help table.
+struct MetricFamily {
+  MetricType type;
+  std::string name;
+  std::string help;
+};
+
+void encode_metrics(const std::vector<MetricSample>& metrics, Value& out) {
+  using Key = std::tuple<MetricType, std::string_view, std::string_view>;
+  std::map<Key, std::uint64_t> index;
+  Value table = Value::make_array();
+  Value samples = Value::make_array();
+  for (const MetricSample& m : metrics) {
+    const auto [it, fresh] =
+        index.try_emplace(Key{m.type, m.name, m.help}, index.size());
+    if (fresh) {
+      Value entry = Value::make_array();
+      entry.push_back(Value::make_i64(static_cast<int>(m.type)));
+      entry.push_back(Value::make_string(m.name));
+      entry.push_back(Value::make_string(m.help));
+      table.push_back(std::move(entry));
+    }
+    Value o = Value::make_object();
+    o.add("help", Value::make_u64(it->second));
+    if (!m.labels.empty()) {
+      Value labels = Value::make_array();
+      for (const auto& [k, val] : m.labels) {
+        labels.push_back(Value::make_string(k));
+        labels.push_back(Value::make_string(val));
+      }
+      o.add("labels", std::move(labels));
+    }
+    if (!zero_bits(m.value)) o.add("value", hex(m.value));
+    if (!m.bucket_bounds.empty()) {
+      Value bounds = Value::make_array();
+      for (const double b : m.bucket_bounds) bounds.push_back(hex(b));
+      o.add("bucket_bounds", std::move(bounds));
+    }
+    if (!m.bucket_counts.empty()) {
+      Value counts = Value::make_array();
+      for (const std::uint64_t c : m.bucket_counts) {
+        counts.push_back(Value::make_u64(c));
+      }
+      o.add("bucket_counts", std::move(counts));
+    }
+    if (!zero_bits(m.sum)) o.add("sum", hex(m.sum));
+    if (m.count != 0) o.add("count", Value::make_u64(m.count));
+    samples.push_back(std::move(o));
   }
-  m.value = unhex(v.at("value"));
-  for (const Value& b : v.at("bucket_bounds").as_array()) {
-    m.bucket_bounds.push_back(unhex(b));
+  out.add("help", std::move(table));
+  out.add("metrics", std::move(samples));
+}
+
+std::vector<MetricFamily> decode_help(const Value& v) {
+  std::vector<MetricFamily> table;
+  for (const Value& entry : v.as_array()) {
+    const auto& f = entry.as_array();
+    if (f.size() != 3) malformed("help entry is not [type, name, help]");
+    const std::int64_t type = f[0].as_i64();
+    if (type < 0 || type > static_cast<int>(MetricType::histogram)) {
+      malformed(strf("metric type %lld out of range",
+                     static_cast<long long>(type)));
+    }
+    table.push_back({static_cast<MetricType>(type), f[1].as_string(),
+                     f[2].as_string()});
   }
-  for (const Value& c : v.at("bucket_counts").as_array()) {
-    m.bucket_counts.push_back(c.as_u64());
+  return table;
+}
+
+MetricSample decode_metric(const Value& v,
+                           const std::vector<MetricFamily>& table) {
+  const std::uint64_t entry = v.at("help").as_u64();
+  if (entry >= table.size()) {
+    malformed(strf("metric names help entry %llu, the record has %zu",
+                   static_cast<unsigned long long>(entry), table.size()));
   }
-  m.sum = unhex(v.at("sum"));
-  m.count = v.at("count").as_u64();
+  const MetricFamily& family = table[entry];
+  MetricSample m;
+  m.type = family.type;
+  m.name = family.name;
+  m.help = family.help;
+  if (const Value* labels = v.find("labels")) {
+    const auto& kv = labels->as_array();
+    if (kv.size() % 2 != 0) malformed("odd-length label list");
+    for (std::size_t i = 0; i < kv.size(); i += 2) {
+      m.labels.emplace_back(kv[i].as_string(), kv[i + 1].as_string());
+    }
+  }
+  m.value = unhex_or_zero(v, "value");
+  if (const Value* bounds = v.find("bucket_bounds")) {
+    for (const Value& b : bounds->as_array()) {
+      m.bucket_bounds.push_back(unhex(b));
+    }
+  }
+  if (const Value* counts = v.find("bucket_counts")) {
+    for (const Value& c : counts->as_array()) {
+      m.bucket_counts.push_back(c.as_u64());
+    }
+  }
+  // A histogram has one count per bound plus +Inf; other types have none.
+  const bool buckets_ok =
+      m.type == MetricType::histogram
+          ? m.bucket_counts.size() == m.bucket_bounds.size() + 1
+          : m.bucket_counts.empty() && m.bucket_bounds.empty();
+  if (!buckets_ok) malformed("bucket arrays do not fit the metric type");
+  m.sum = unhex_or_zero(v, "sum");
+  if (const Value* count = v.find("count")) m.count = count->as_u64();
   return m;
 }
 
@@ -169,11 +268,11 @@ telemetry::Event decode_event(const Value& v) {
   e.t_us = v.at("t_us").as_i64();
   const auto kind = v.at("kind").as_i64();
   if (kind < 0 || kind >= telemetry::kEventKindCount) {
-    throw std::runtime_error("shard_codec: bad event kind");
+    malformed("bad event kind");
   }
   e.kind = static_cast<telemetry::EventKind>(kind);
-  e.socket = static_cast<std::uint16_t>(v.at("socket").as_u64());
-  e.code = static_cast<std::uint16_t>(v.at("code").as_u64());
+  e.socket = decode_u16(v.at("socket"), "event socket");
+  e.code = decode_u16(v.at("code"), "event code");
   e.a = unhex(v.at("a"));
   e.b = unhex(v.at("b"));
   return e;
@@ -183,50 +282,65 @@ telemetry::Event decode_event(const Value& v) {
 
 json::Value encode_snapshot(const telemetry::TelemetrySnapshot& snap) {
   Value o = Value::make_object();
-  Value metrics = Value::make_array();
-  for (const auto& m : snap.metrics) metrics.push_back(encode_metric(m));
-  o.add("metrics", std::move(metrics));
-  Value events = Value::make_array();
-  for (const auto& per_socket : snap.events) {
-    Value arr = Value::make_array();
-    for (const auto& e : per_socket) arr.push_back(encode_event(e));
-    events.push_back(std::move(arr));
+  encode_metrics(snap.metrics, o);
+  if (!snap.events.empty()) {
+    Value events = Value::make_array();
+    for (const auto& per_socket : snap.events) {
+      Value arr = Value::make_array();
+      for (const auto& e : per_socket) arr.push_back(encode_event(e));
+      events.push_back(std::move(arr));
+    }
+    o.add("events", std::move(events));
   }
-  o.add("events", std::move(events));
-  Value dumps = Value::make_array();
-  for (const auto& d : snap.dumps) {
-    Value dump = Value::make_object();
-    dump.add("socket", Value::make_i64(d.socket));
-    dump.add("at_us", Value::make_i64(d.at_us));
-    Value arr = Value::make_array();
-    for (const auto& e : d.events) arr.push_back(encode_event(e));
-    dump.add("events", std::move(arr));
-    dumps.push_back(std::move(dump));
+  if (!snap.dumps.empty()) {
+    Value dumps = Value::make_array();
+    for (const auto& d : snap.dumps) {
+      Value dump = Value::make_object();
+      dump.add("socket", Value::make_i64(d.socket));
+      dump.add("at_us", Value::make_i64(d.at_us));
+      Value arr = Value::make_array();
+      for (const auto& e : d.events) arr.push_back(encode_event(e));
+      dump.add("events", std::move(arr));
+      dumps.push_back(std::move(dump));
+    }
+    o.add("dumps", std::move(dumps));
   }
-  o.add("dumps", std::move(dumps));
   return o;
 }
 
 telemetry::TelemetrySnapshot decode_snapshot(const json::Value& v) {
   telemetry::TelemetrySnapshot snap;
+  const std::vector<MetricFamily> table = decode_help(v.at("help"));
   for (const Value& m : v.at("metrics").as_array()) {
-    snap.metrics.push_back(decode_metric(m));
+    snap.metrics.push_back(decode_metric(m, table));
   }
-  for (const Value& per_socket : v.at("events").as_array()) {
-    std::vector<telemetry::Event> events;
-    for (const Value& e : per_socket.as_array()) {
-      events.push_back(decode_event(e));
+  if (const Value* events = v.find("events")) {
+    for (const Value& per_socket : events->as_array()) {
+      std::vector<telemetry::Event> socket_events;
+      for (const Value& e : per_socket.as_array()) {
+        socket_events.push_back(decode_event(e));
+      }
+      snap.events.push_back(std::move(socket_events));
     }
-    snap.events.push_back(std::move(events));
   }
-  for (const Value& d : v.at("dumps").as_array()) {
-    telemetry::FlightDump dump;
-    dump.socket = static_cast<int>(d.at("socket").as_i64());
-    dump.at_us = d.at("at_us").as_i64();
-    for (const Value& e : d.at("events").as_array()) {
-      dump.events.push_back(decode_event(e));
+  if (const Value* dumps = v.find("dumps")) {
+    // A run records one event ring per socket, so the rings name the
+    // sockets a dump may come from.
+    for (const Value& d : dumps->as_array()) {
+      telemetry::FlightDump dump;
+      const std::int64_t socket = d.at("socket").as_i64();
+      if (socket < 0 ||
+          socket >= static_cast<std::int64_t>(snap.events.size())) {
+        malformed(strf("dump socket %lld outside the run's %zu sockets",
+                       static_cast<long long>(socket), snap.events.size()));
+      }
+      dump.socket = static_cast<int>(socket);
+      dump.at_us = d.at("at_us").as_i64();
+      for (const Value& e : d.at("events").as_array()) {
+        dump.events.push_back(decode_event(e));
+      }
+      snap.dumps.push_back(std::move(dump));
     }
-    snap.dumps.push_back(std::move(dump));
   }
   return snap;
 }
@@ -297,7 +411,7 @@ RunResult decode_run_result(const json::Value& v) {
     const auto& counts = f.as_array();
     faults::FaultStats fs;
     if (counts.size() != fs.injected.size()) {
-      throw std::runtime_error("shard_codec: fault class count mismatch");
+      malformed("fault class count mismatch");
     }
     for (std::size_t i = 0; i < counts.size(); ++i) {
       fs.injected[i] = counts[i].as_u64();

@@ -7,7 +7,12 @@
 // demands a lossless double transport: every floating-point field
 // travels as its IEEE-754 bit pattern (json::double_to_hex), never as
 // decimal text.  Counters travel as decimal u64, enums as their integer
-// values (with a format version bump required to change any of it).
+// values (with a wire version bump required to change any of it).
+//
+// Telemetry uses wire v2's compact layout (see shard_codec.cpp).  The
+// decoder rejects any value it cannot represent exactly (an out-of-range
+// type, help index, event socket or code, or dump socket; a malformed
+// label list or hex double) with a std::runtime_error, never truncating.
 #pragma once
 
 #include "common/json.h"

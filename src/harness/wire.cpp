@@ -285,7 +285,7 @@ void run_shard_wire(
 
   Value header = Value::make_object();
   header.add("format", Value::make_string(id.format));
-  header.add("version", Value::make_i64(kShardFormatVersion));
+  header.add("version", Value::make_i64(kShardWireVersion));
   header.add("spec_name", Value::make_string(id.spec_name));
   header.add("spec_fingerprint", Value::make_string(id.fingerprint_hex));
   header.add("shard", Value::make_i64(options.shard));
@@ -422,10 +422,12 @@ WireGatherReport gather_wire(
         try {
           if (line.at("format").as_string() != id.format) {
             header_problem = "format is not " + id.format;
-          } else if (line.at("version").as_i64() != kShardFormatVersion) {
+          } else if (line.at("version").as_i64() != kShardWireVersion) {
             header_problem =
-                strf("unsupported shard format version %lld",
-                     static_cast<long long>(line.at("version").as_i64()));
+                strf("unsupported shard wire version %lld (this build "
+                     "reads %d)",
+                     static_cast<long long>(line.at("version").as_i64()),
+                     kShardWireVersion);
           } else if (line.at("spec_fingerprint").as_string() !=
                      id.fingerprint_hex) {
             header_problem =

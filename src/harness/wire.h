@@ -8,10 +8,12 @@
 // guarantees), so operational tooling works on either kind of file.
 //
 // A wire file is:
-//   - one header line: {"format":...,"version":...,"spec_name":...,
+//   - one header line: {"format":...,"version":2,"spec_name":...,
 //     "spec_fingerprint":...,"shard":...,"shards":...,"job_count":...}
 //   - one line per job: {"job":i,"result":{...}} with every double as its
-//     IEEE-754 bit pattern (see harness/shard_codec.h)
+//     IEEE-754 bit pattern (see harness/shard_codec.h for the grid
+//     payload).  Each record is self-contained: a salvaged, resumed or
+//     re-delivered record decodes on its own.
 #pragma once
 
 #include <cstddef>
@@ -29,8 +31,18 @@
 
 namespace dufp::harness {
 
-/// One wire version across every payload kind; bump on any change.
-inline constexpr int kShardFormatVersion = 1;
+/// Version of the result-stream header, one across every payload kind
+/// (grid and fleet wire files); bump on any change to a record's layout.
+/// v2 made grid telemetry compact (a per-record help table, zero fields
+/// omitted) and carries flight-recorder data for job 0 only.
+inline constexpr int kShardWireVersion = 2;
+
+/// Version of the documents that describe work rather than results:
+/// GridSpec, FleetSpec and both retry manifests.  Kept apart from the
+/// wire version because it is part of each spec's canonical text, so a
+/// bump would move every spec fingerprint (the reference grid's
+/// 21edcce3c4c0b5a6 is pinned by a test).
+inline constexpr int kShardDocumentVersion = 1;
 
 /// Wire/format-contract violations: a file or document that is not what
 /// the operation was told it is (wrong format, unsupported version,

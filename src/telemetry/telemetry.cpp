@@ -85,6 +85,7 @@ void Telemetry::add_dump(int socket, SimTime at, std::vector<Event> events) {
 TelemetrySnapshot Telemetry::snapshot() const {
   TelemetrySnapshot snap;
   snap.metrics = registry_.collect();
+  if (!config_.snapshot_flight) return snap;
   snap.events.reserve(sockets_.size());
   for (const auto& s : sockets_) {
     snap.events.push_back(s->recorder().snapshot());

@@ -42,6 +42,13 @@ struct TelemetryConfig {
   /// but dropped (a flapping socket must not hoard memory).
   std::size_t max_dumps = 8;
 
+  /// Whether snapshot() carries the flight data (ring contents and
+  /// dumps).  When false the recorders and dumps still run, so every
+  /// metric (dufp_flight_dumps_total included) is unchanged, but the
+  /// snapshot holds metrics only.  A grid plan asks for flight data for
+  /// job 0 alone, the one job whose events an output exports.
+  bool snapshot_flight = true;
+
   /// Every problem found (empty = valid).
   std::vector<std::string> validate() const;
 };
@@ -129,8 +136,8 @@ class Telemetry {
   std::uint64_t dumps_suppressed() const { return dumps_suppressed_.value(); }
 
   /// Collects everything into plain values (metrics sorted, rings copied
-  /// oldest -> newest).  Call after the run has finished or from the
-  /// producer thread.
+  /// oldest -> newest; metrics only unless config.snapshot_flight).  Call
+  /// after the run has finished or from the producer thread.
   TelemetrySnapshot snapshot() const;
 
  private:

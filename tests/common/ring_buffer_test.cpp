@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace dufp {
@@ -117,6 +118,49 @@ TEST(WindowedMeanTest, LongStreamStaysExact) {
       ASSERT_NEAR(m.mean(), sum / 10.0, 1e-9);
     }
   }
+}
+
+TEST(RingBufferTest, HugeDeclaredCapacityAllocatesAsSamplesArrive) {
+  // 2^33 slots would be 64 GiB up front; storage follows the pushes, so
+  // this costs what 10^4 samples cost and behaves like a small buffer
+  // that never fills.
+  RingBuffer<double> huge(std::size_t{1} << 33);
+  RingBuffer<double> ref(20'000);
+  EXPECT_EQ(huge.capacity(), std::size_t{1} << 33);
+  for (int i = 0; i < 10'000; ++i) {
+    const double v = i * 0.25;
+    EXPECT_EQ(huge.push(v), ref.push(v));
+  }
+  ASSERT_EQ(huge.size(), ref.size());
+  EXPECT_FALSE(huge.full());
+  EXPECT_EQ(huge.oldest(), ref.oldest());
+  EXPECT_EQ(huge.newest(), ref.newest());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(huge.from_oldest(i), ref.from_oldest(i)) << i;
+    ASSERT_EQ(huge.from_newest(i), ref.from_newest(i)) << i;
+  }
+}
+
+TEST(RingBufferTest, GrowsThenWrapsAtTheDeclaredCapacity) {
+  // A capacity past the eager allocation and not a power of two: the
+  // buffer grows twice, then evicts exactly like a fixed ring.
+  const std::size_t cap = 2 * RingBuffer<int>::kEagerSlots + 3;
+  RingBuffer<int> rb(cap);
+  std::vector<int> all;
+  for (int i = 0; i < 3 * static_cast<int>(cap); ++i) {
+    EXPECT_EQ(rb.push(i), all.size() >= cap);
+    all.push_back(i);
+    ASSERT_EQ(rb.size(), std::min(all.size(), cap));
+    ASSERT_EQ(rb.newest(), i);
+    ASSERT_EQ(rb.oldest(), all[all.size() - rb.size()]);
+  }
+  for (std::size_t i = 0; i < cap; ++i) {
+    ASSERT_EQ(rb.from_oldest(i), all[all.size() - cap + i]);
+  }
+  rb.clear();
+  rb.push(7);
+  EXPECT_EQ(rb.oldest(), 7);
+  EXPECT_EQ(rb.newest(), 7);
 }
 
 TEST(WindowedMeanTest, ClearResets) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <ostream>
 
 namespace dufp::core {
 namespace {
@@ -178,6 +179,10 @@ struct OiCase {
   bool highly_memory;
   bool highly_cpu;
 };
+
+// Names each case by its OI.  gtest's default printer dumps the raw
+// bytes, padding included, so the test names would differ between runs.
+void PrintTo(const OiCase& c, std::ostream* os) { *os << "oi=" << c.oi; }
 
 class TrackerOiSweep : public ::testing::TestWithParam<OiCase> {};
 

@@ -298,39 +298,5 @@ TEST_F(ShardGatherErrorTest, OutOfRangeJobRejected) {
   expect_gather_error({write_lines(lines, "range")}, "out of range");
 }
 
-// -- codec -------------------------------------------------------------------
-
-TEST(ShardCodecTest, RunResultRoundTripsBitExactly) {
-  GridSpec spec = storm_spec();
-  const GridPlan gp = build_plan(spec);
-  const auto results = gp.plan.run_jobs({0}, 1);
-  const RunResult& r = results[0];
-  const RunResult back =
-      decode_run_result(json::parse(encode_run_result(r).dump()));
-
-  EXPECT_EQ(back.summary.exec_seconds, r.summary.exec_seconds);
-  EXPECT_EQ(back.summary.pkg_energy_j, r.summary.pkg_energy_j);
-  EXPECT_EQ(back.summary.total_gflop, r.summary.total_gflop);
-  EXPECT_EQ(back.health.faults_injected, r.health.faults_injected);
-  ASSERT_EQ(back.agent_stats.size(), r.agent_stats.size());
-  ASSERT_EQ(back.fault_stats.size(), r.fault_stats.size());
-  for (std::size_t i = 0; i < r.fault_stats.size(); ++i) {
-    EXPECT_EQ(back.fault_stats[i].injected, r.fault_stats[i].injected);
-  }
-  ASSERT_EQ(back.phase_totals.size(), r.phase_totals.size());
-  for (const auto& [name, t] : r.phase_totals) {
-    const auto it = back.phase_totals.find(name);
-    ASSERT_NE(it, back.phase_totals.end());
-    EXPECT_EQ(it->second.wall_seconds, t.wall_seconds);
-    EXPECT_EQ(it->second.pkg_energy_j, t.pkg_energy_j);
-  }
-  ASSERT_EQ(back.telemetry.has_value(), r.telemetry.has_value());
-  if (r.telemetry.has_value()) {
-    // Byte-compare the snapshots through the codec's own serialization.
-    EXPECT_EQ(encode_snapshot(*back.telemetry).dump(),
-              encode_snapshot(*r.telemetry).dump());
-  }
-}
-
 }  // namespace
 }  // namespace dufp::harness

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "hwmodel/socket_model.h"
+#include "msr/registers.h"
 
 namespace dufp::rapl {
 namespace {
@@ -148,6 +152,42 @@ TEST_F(GovernorTest, IdleSocketNeverThrottled) {
   gov_.set_limit(limit(65.0));
   run(1000);
   EXPECT_DOUBLE_EQ(socket_.effective_core_mhz(), 2800.0);
+}
+
+TEST(GovernorWindowTest, FaultSizedLongWindowMatchesASmallReference) {
+  // Two stacked bit flips turn the long-term window's Y field into 30:
+  // 2^30 time units = 2^20 s, about 1.05e9 ticks.  Storage grows with the
+  // samples pushed, so over a few thousand ticks the governor must behave
+  // bit for bit like one whose window is merely longer than the run.
+  hw::SocketConfig cfg;
+  GovernorParams params;
+  hw::SocketModel socket(cfg, 0), ref_socket(cfg, 0);
+  FirmwareGovernor gov(socket, params), ref(ref_socket, params);
+  socket.set_demand(hot_demand());
+  ref_socket.set_demand(hot_demand());
+
+  msr::PowerLimit pl = gov.limit();
+  pl.long_term_w = 90.0;
+  pl.long_term_window_s = msr::decode_time_window(30, msr::RaplUnits{});
+  ASSERT_GT(pl.long_term_window_s / params.tick_s, 1e9);
+  gov.set_limit(pl);
+  pl.long_term_window_s = 5.0;  // 5000 ticks: never fills below
+  ref.set_limit(pl);
+
+  for (int i = 0; i < 4000; ++i) {
+    gov.tick();
+    ref.tick();
+    ASSERT_EQ(gov.current_limit_mhz(), ref.current_limit_mhz()) << i;
+    const double p = socket.evaluate().pkg_power_w;
+    ASSERT_EQ(p, ref_socket.evaluate().pkg_power_w) << i;
+    gov.record_power(p, params.tick_s);
+    ref.record_power(p, params.tick_s);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(gov.long_term_avg_w()),
+              std::bit_cast<std::uint64_t>(ref.long_term_avg_w()))
+        << i;
+  }
+  EXPECT_LT(socket.effective_core_mhz(), cfg.core_max_mhz)
+      << "the 90 W cap should bite, so the decisions were exercised";
 }
 
 }  // namespace

@@ -1,14 +1,23 @@
 #!/usr/bin/env bash
-# The full pre-merge gate: plain tier-1 (Release, -O2 -DNDEBUG — the
-# configuration the tracked benchmark numbers come from), a throughput-
-# bench smoke, then UBSan, then TSan.
+# The full pre-merge gate, in order:
+#   1. plain tier-1 (Release, -O2 -DNDEBUG — the configuration the
+#      tracked benchmark numbers come from);
+#   2. smokes of the sim_throughput and shard_scaling benches;
+#   3. the chaos-recovery and supervise drills (kill -> salvage ->
+#      resume, bytes identical to serial);
+#   4. tournament, fleet and fleet_scaling smokes;
+#   5. the perf-ledger smoke (perfbench/run.py --smoke: pinned digests
+#      of all three workloads through both passes);
+#   6. the sim_throughput perf gate and the grid_throughput gate;
+#   7. tier-1 under UBSan, ASan and TSan.
 #
 #   tools/ci.sh            # everything
 #   tools/ci.sh -j8        # extra args forwarded to every ctest
 #
-# Each stage uses its own build directory (build-ci, build-ubsan,
-# build-tsan) so the three configurations never poison each other's
-# caches.  Fails on the first stage that fails.
+# Each configuration uses its own build directory (build-ci,
+# build-ubsan, build-asan, build-tsan; the ledger builds under
+# build-ci/perfbench) so they never poison each other's caches.  Fails
+# on the first stage that fails.
 #
 # The hot-path regression tests (byte-identity goldens, allocation guard)
 # carry the additional ctest label `perf`; after touching the engine,
@@ -26,8 +35,7 @@ ctest --test-dir "${build_dir}" -L tier1 --output-on-failure "$@"
 echo "== sim_throughput smoke =="
 # DUFP_SMOKE: tiny profile, one repetition.  Validates that the bench
 # runs and emits parseable JSON matching bench/sim_throughput_schema.json
-# (structurally — no performance gate here; thresholds are a ROADMAP
-# item until CI hardware is stable enough to gate on).
+# (structurally; the full run in the perf gate below is what gates).
 smoke_dir="${build_dir}/smoke-out"
 rm -rf "${smoke_dir}"
 DUFP_SMOKE=1 DUFP_OUT_DIR="${smoke_dir}" "${build_dir}/bench/sim_throughput"
@@ -296,6 +304,16 @@ print(f"fleet_scaling smoke: {len(rows)} allocators ranked, bytes"
       " identical, schema OK")
 EOF
 
+echo "== perf ledger smoke =="
+# perfbench's self-test: tiny shapes of paper_grid, policy_storm and
+# fleet_1024, each through the untraced and the traced pass.  Every
+# process must print the pinned digest of its workload, and every
+# traced run must reconcile its layers against the engine's own counts;
+# run.py exits non-zero otherwise.  The ledger builds from ../src as its
+# own CMake package, here under the CI build directory.
+(cd "${repo_root}" &&
+  CARGO_TARGET_DIR="${build_dir}/perfbench" python3 perfbench/run.py --smoke)
+
 echo "== perf gate (sim_throughput, full run) =="
 # A real (non-smoke) run of the tracked throughput bench, gated on the
 # serial speedup over the pre-optimisation seed engine.  The tracked
@@ -391,6 +409,9 @@ echo "perf gate: archived ${history_dir}/${sha}.json and ${sha}.grid_throughput.
 
 echo "== tier-1 under UBSan =="
 "${repo_root}/tools/run_tier1_ubsan.sh" "$@"
+
+echo "== tier-1 under ASan =="
+"${repo_root}/tools/run_tier1_asan.sh" "$@"
 
 echo "== tier-1 under TSan =="
 "${repo_root}/tools/run_tier1_tsan.sh" "$@"
