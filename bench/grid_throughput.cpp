@@ -1,46 +1,39 @@
-// Whole-grid throughput of the batched multi-run lane engine
-// (DESIGN.md §7f): the tournament-shaped grid executed three ways —
+// Whole-grid throughput of the shared cell cache and the plan's
+// ThreadPool (DESIGN.md §7f): the tournament-shaped grid executed four
+// ways, every leg through ExperimentPlan::run_jobs —
 //
-//   sequential    one run_once per job, shared cell cache OFF: the
-//                 pre-lane-engine (PR 9) execution model, the baseline
-//                 every speedup is computed against
-//   batched_cold  run_batch at the configured lane width, shared cache
-//                 ON but cleared first: what a fresh process pays
-//   batched_warm  the same batched grid again without clearing: the
-//                 cross-run amortization claim, measured — repetition 2
-//                 of an identical grid must report ZERO cold cell-edge
-//                 builds
+//   uncached     width 1 (a run_once loop in job order), shared cell
+//                cache OFF: the baseline every ratio is computed against
+//   cached_cold  the same loop with the cache ON but cleared first: what
+//                a fresh process pays
+//   cached_warm  the same loop again without clearing: a repeat of an
+//                identical grid must report ZERO cold cell-edge builds
+//   pooled       width 2 with the cache ON and cleared: how a grid runs
+//                by default on a multi-core host
 //
 // Every leg is finalized through the shard engine's aggregation and the
 // evaluation CSV (plus merged Prometheus when telemetry is on) is
-// byte-compared against the sequential reference — the bench exits
-// non-zero on any drift, so it doubles as a grid-scale identity gate.
+// byte-compared against the uncached reference — the bench exits
+// non-zero on any drift or a non-warm repeat, so it doubles as a
+// grid-scale identity gate.
 //
-// Cell-edge table economics (cold builds, planner probes, shared-cache
-// hits, way evictions) are reported per job and summed per grid, so the
-// shared-cache win is measured, not assumed.
+// Timing: uncached and pooled alternate over kPairs pairs inside the one
+// invocation and pooled_vs_uncached is the median of the per-pair
+// ratios, so co-tenant load drifting over the run hits both legs alike.
+// Cell-edge economics (cold builds, planner probes, shared-cache hits,
+// way evictions) are reported per job and summed per leg; unlike the
+// times they are deterministic, so CI gates on them exactly.
 //
-// On a single-CPU host the lane-group threading row is skipped and
-// recorded as {"skipped_reason": "host_cpus==1"} — same convention as
-// sim_throughput / shard_scaling; gates key on the marker, not on
-// re-deriving the CPU count.
-//
-// Grid shape and what the ratio means: on one CPU the whole batched win
-// is cross-run cell-edge amortization, so the speedup is bounded by the
-// sequential grid's edge-build share — which scales with REPETITIONS
-// (identical configs re-deriving identical tables), the natural axis of
-// a multi-run grid.  Measured on the 1-CPU dev container: the
-// 5-repetition EP smoke grid reaches ~1.8-1.9x cold; a 1-repetition
-// grid only ~1.1-1.4x (nothing to amortize); the all-apps
-// 10-repetition grid ~1.65-1.7x (CG's longer runs dilute the build
-// share).  Both shapes below therefore carry >=5 repetitions; the >=2x
-// regime needs lane-group threading, i.e. a second core.
+// On a single-CPU host the pooled leg is skipped and recorded as
+// {"skipped_reason": "host_cpus==1"} — same convention as shard_scaling;
+// gates key on the marker, not on re-deriving the CPU count.
 //
 // Knobs:
-//   DUFP_SMOKE=1      1 app x 2 tolerances x 5 repetitions: CI smoke +
-//                     the shape the DUFP_CI_MIN_GRID_SPEEDUP gate tracks
-//   DUFP_LANES=K      lane width of the batched legs (default 8)
+//   DUFP_SMOKE=1      1 app x 2 tolerances x 5 repetitions (95 jobs): CI
+//                     smoke + the shape the DUFP_CI_MIN_GRID_SPEEDUP gate
+//                     tracks
 //   DUFP_OUT_DIR=DIR  where BENCH_grid_throughput.json lands (default out)
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -56,25 +49,49 @@
 namespace dufp::bench {
 namespace {
 
+/// Alternating uncached/pooled pairs the pooled ratio is the median of.
+constexpr int kPairs = 5;
+/// Width of the pooled leg: the perf ledger's paper_grid width.
+constexpr int kPoolThreads = 2;
+
 double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
-/// One executed grid leg: the per-job results (kept for economics and
-/// per-job reporting) plus wall clock and the finalized byte surface.
+double median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// One executed grid leg: wall clock, cell-edge economics per job and
+/// summed, and the finalized byte surface.
 struct Leg {
   double wall_seconds = 0.0;
   std::vector<std::uint64_t> job_cold_builds;
   std::vector<std::uint64_t> job_shared_hits;
   rapl::CellStats cells;  ///< summed over every job
-  std::string evaluation_csv;
-  std::string merged_prometheus;
+  std::string bytes;      ///< evaluation CSV + merged Prometheus
 };
 
-void collect(Leg& leg, const harness::GridSpec& spec,
-             std::vector<harness::RunResult> results) {
+/// Runs every job of the plan through run_jobs at `threads`, with the
+/// shared cache on or off; `clear` empties it first.
+Leg run_leg(const harness::GridSpec& spec, const harness::GridPlan& gp,
+            int threads, bool cache, bool clear) {
+  auto& shared = rapl::SharedCellCache::instance();
+  shared.set_enabled(cache);
+  if (clear) shared.clear();
+  std::vector<std::size_t> all(gp.plan.job_count());
+  for (std::size_t j = 0; j < all.size(); ++j) all[j] = j;
+
+  Leg leg;
+  const double t0 = now_seconds();
+  std::vector<harness::RunResult> results = gp.plan.run_jobs(all, threads);
+  leg.wall_seconds = now_seconds() - t0;
+
   leg.job_cold_builds.reserve(results.size());
   leg.job_shared_hits.reserve(results.size());
   for (const auto& res : results) {
@@ -83,35 +100,7 @@ void collect(Leg& leg, const harness::GridSpec& spec,
     leg.cells.add(res.cell_stats);
   }
   const auto outputs = harness::finalize_grid(spec, std::move(results));
-  leg.evaluation_csv = outputs.evaluation_csv;
-  leg.merged_prometheus = outputs.merged_prometheus;
-}
-
-/// The PR 9 execution model: every job through run_once, in job order.
-Leg run_sequential(const harness::GridSpec& spec,
-                   const std::vector<harness::RunConfig>& configs) {
-  Leg leg;
-  std::vector<harness::RunResult> results;
-  results.reserve(configs.size());
-  const double t0 = now_seconds();
-  for (const auto& cfg : configs) results.push_back(harness::run_once(cfg));
-  leg.wall_seconds = now_seconds() - t0;
-  collect(leg, spec, std::move(results));
-  return leg;
-}
-
-/// The lane engine: the whole job list through run_batch.
-Leg run_batched(const harness::GridSpec& spec,
-                const std::vector<harness::RunConfig>& configs, int lanes,
-                int threads) {
-  Leg leg;
-  harness::BatchOptions opts;
-  opts.lanes = lanes;
-  opts.threads = threads;
-  const double t0 = now_seconds();
-  std::vector<harness::RunResult> results = harness::run_batch(configs, opts);
-  leg.wall_seconds = now_seconds() - t0;
-  collect(leg, spec, std::move(results));
+  leg.bytes = outputs.evaluation_csv + outputs.merged_prometheus;
   return leg;
 }
 
@@ -131,16 +120,17 @@ std::string cells_json(const rapl::CellStats& c, const char* indent) {
       static_cast<unsigned long long>(c.way_evictions), indent);
 }
 
+/// `wall_seconds` is the leg's reported time: the median over its pairs
+/// for uncached and pooled, the single run otherwise.
 void append_leg_json(std::string& json, const char* key, const Leg& leg,
-                     std::size_t jobs, bool identical) {
+                     double wall_seconds, std::size_t jobs, bool identical) {
   json += strf(
       "  \"%s\": {\n"
       "    \"wall_seconds\": %.6f,\n"
       "    \"jobs_per_second\": %.3f,\n"
       "    \"identical_bytes\": %s,\n",
-      key, leg.wall_seconds,
-      leg.wall_seconds > 0.0 ? static_cast<double>(jobs) / leg.wall_seconds
-                             : 0.0,
+      key, wall_seconds,
+      wall_seconds > 0.0 ? static_cast<double>(jobs) / wall_seconds : 0.0,
       identical ? "true" : "false");
   json += cells_json(leg.cells, "    ");
   json += "\n  }";
@@ -157,14 +147,16 @@ void append_per_job_json(std::string& json, const char* key, const Leg& leg) {
   json += "]";
 }
 
+double ratio(double base, double t) { return t > 0.0 ? base / t : 0.0; }
+
 int run_main() {
   const auto opts = harness::BenchOptions::from_env();
   const bool smoke = std::getenv("DUFP_SMOKE") != nullptr;
-  const int lanes = opts.resolved_lanes();
   const unsigned host_cpus = std::thread::hardware_concurrency();
 
-  print_banner("grid_throughput: batched lane engine vs sequential runs",
-               "multi-run batching (DESIGN.md §7f), not a paper figure");
+  print_banner("grid_throughput: shared cell cache and pooled runs vs "
+               "uncached sequential runs",
+               "grid execution (DESIGN.md §7f), not a paper figure");
 
   harness::GridSpec spec;
   spec.name = smoke ? "grid-throughput-smoke" : "grid-throughput";
@@ -173,89 +165,82 @@ int run_main() {
                                                     workloads::AppId::cg};
   spec.policies = core::PolicyRegistry::instance().names();
   spec.tolerances = {0.05, 0.10};
-  // Smoke keeps enough repetitions for the amortization claim to be
-  // non-trivial (see the shape note in the header): with 1 repetition
-  // there is nothing for the shared table to amortize across.
+  // Repetitions of one cell re-derive identical cell edges, which is
+  // what the shared cache amortizes; with 1 repetition there is little
+  // to amortize, so smoke keeps 5.
   spec.repetitions = smoke ? 5 : opts.repetitions;
   spec.sockets = opts.sockets;
 
   const auto gp = harness::build_plan(spec);
   const std::size_t jobs = gp.plan.job_count();
-  std::vector<harness::RunConfig> configs;
-  configs.reserve(jobs);
-  for (std::size_t j = 0; j < jobs; ++j) {
-    configs.push_back(gp.plan.job_config(j));
-  }
-  std::printf("grid: %s (%zu jobs across %zu cells), lanes=%d, host_cpus=%u\n",
-              spec.name.c_str(), jobs, gp.plan.cell_count(), lanes, host_cpus);
+  std::printf("grid: %s (%zu jobs across %zu cells), host_cpus=%u\n",
+              spec.name.c_str(), jobs, gp.plan.cell_count(), host_cpus);
 
   auto& shared = rapl::SharedCellCache::instance();
   const bool was_enabled = shared.enabled();
 
-  // Sequential reference = the pre-lane-engine execution model: no
-  // shared cache, one run at a time.
-  shared.set_enabled(false);
-  shared.clear();
-  const Leg sequential = run_sequential(spec, configs);
-  std::printf("sequential (PR 9 model): %7.3f s  (%llu cold edge builds)\n",
-              sequential.wall_seconds,
-              static_cast<unsigned long long>(sequential.cells.cold_builds));
+  // Alternating uncached/pooled pairs.  The first uncached leg is the
+  // byte reference and supplies the uncached economics.
+  const bool pool = host_cpus >= 2;
+  Leg uncached;
+  Leg pooled;
+  bool pooled_identical = true;
+  std::vector<double> uncached_walls;
+  std::vector<double> pooled_walls;
+  std::vector<double> pair_ratios;
+  const int pairs = pool ? kPairs : 1;
+  for (int p = 0; p < pairs; ++p) {
+    Leg u = run_leg(spec, gp, /*threads=*/1, /*cache=*/false, /*clear=*/false);
+    uncached_walls.push_back(u.wall_seconds);
+    if (p == 0) uncached = std::move(u);
+    if (pool) {
+      Leg q = run_leg(spec, gp, kPoolThreads, /*cache=*/true, /*clear=*/true);
+      pooled_identical = pooled_identical && q.bytes == uncached.bytes;
+      pooled_walls.push_back(q.wall_seconds);
+      pair_ratios.push_back(ratio(uncached_walls.back(), q.wall_seconds));
+      if (p == 0) pooled = std::move(q);
+    }
+  }
+  const double uncached_wall = median(uncached_walls);
+  std::printf("uncached (run_once loop):  %7.3f s  (%llu cold edge builds)\n",
+              uncached_wall,
+              static_cast<unsigned long long>(uncached.cells.cold_builds));
 
-  shared.set_enabled(true);
-  shared.clear();
-  const Leg cold = run_batched(spec, configs, lanes, /*threads=*/1);
-  const bool cold_identical =
-      cold.evaluation_csv == sequential.evaluation_csv &&
-      cold.merged_prometheus == sequential.merged_prometheus;
-  std::printf("batched cold (%d lanes):  %7.3f s  (%.2fx, bytes %s)\n", lanes,
-              cold.wall_seconds,
-              cold.wall_seconds > 0.0
-                  ? sequential.wall_seconds / cold.wall_seconds
-                  : 0.0,
-              cold_identical ? "identical" : "DIFFER");
+  const Leg cold = run_leg(spec, gp, 1, /*cache=*/true, /*clear=*/true);
+  const bool cold_identical = cold.bytes == uncached.bytes;
+  std::printf("cached cold:               %7.3f s  (%.2fx, bytes %s, "
+              "%llu cold builds)\n",
+              cold.wall_seconds, ratio(uncached_wall, cold.wall_seconds),
+              cold_identical ? "identical" : "DIFFER",
+              static_cast<unsigned long long>(cold.cells.cold_builds));
 
   // Warm repeat: the cache carries every edge the cold pass built.
-  const Leg warm = run_batched(spec, configs, lanes, /*threads=*/1);
-  const bool warm_identical =
-      warm.evaluation_csv == sequential.evaluation_csv &&
-      warm.merged_prometheus == sequential.merged_prometheus;
+  const Leg warm = run_leg(spec, gp, 1, /*cache=*/true, /*clear=*/false);
+  const bool warm_identical = warm.bytes == uncached.bytes;
   const bool warm_is_warm = warm.cells.cold_builds == 0;
-  std::printf("batched warm repeat:     %7.3f s  (%.2fx, bytes %s, "
+  std::printf("cached warm repeat:        %7.3f s  (%.2fx, bytes %s, "
               "%llu cold builds%s)\n",
-              warm.wall_seconds,
-              warm.wall_seconds > 0.0
-                  ? sequential.wall_seconds / warm.wall_seconds
-                  : 0.0,
+              warm.wall_seconds, ratio(uncached_wall, warm.wall_seconds),
               warm_identical ? "identical" : "DIFFER",
               static_cast<unsigned long long>(warm.cells.cold_builds),
               warm_is_warm ? "" : " — EXPECTED 0");
 
-  // Lane-group threading only means something with a second core; on one
-  // CPU the groups time-slice and the row would measure contention.
-  bool have_threaded = false;
-  Leg threaded;
-  bool threaded_identical = false;
-  if (host_cpus >= 2) {
-    threaded = run_batched(spec, configs, lanes, /*threads=*/2);
-    threaded_identical =
-        threaded.evaluation_csv == sequential.evaluation_csv &&
-        threaded.merged_prometheus == sequential.merged_prometheus;
-    have_threaded = true;
-    std::printf("batched warm, 2 threads: %7.3f s  (%.2fx, bytes %s)\n",
-                threaded.wall_seconds,
-                threaded.wall_seconds > 0.0
-                    ? sequential.wall_seconds / threaded.wall_seconds
-                    : 0.0,
-                threaded_identical ? "identical" : "DIFFER");
+  const double pooled_vs_uncached = median(pair_ratios);
+  if (pool) {
+    std::printf("pooled, %d threads:         %7.3f s  (median %.2fx over "
+                "%d pairs, bytes %s)\n",
+                kPoolThreads, median(pooled_walls), pooled_vs_uncached,
+                kPairs, pooled_identical ? "identical" : "DIFFER");
   } else {
-    std::printf("batched, 2 threads:      skipped (host_cpus==1)\n");
+    std::printf("pooled, %d threads:         skipped (host_cpus==1)\n",
+                kPoolThreads);
   }
 
   const auto cache = shared.stats();
   shared.set_enabled(was_enabled);
 
   std::string json = "{\n";
-  json += "  \"schema_version\": 1,\n";
+  json += "  \"schema_version\": 2,\n";
   json += "  \"bench\": \"grid_throughput\",\n";
   json += strf("  \"smoke\": %s,\n", smoke ? "true" : "false");
   json += strf(
@@ -263,33 +248,46 @@ int run_main() {
       "    \"spec\": \"%s\",\n"
       "    \"jobs\": %zu,\n"
       "    \"cells\": %zu,\n"
-      "    \"lanes\": %d,\n"
+      "    \"pool_threads\": %d,\n"
+      "    \"pairs\": %d,\n"
       "    \"host_cpus\": %u\n"
       "  },\n",
-      spec.name.c_str(), jobs, gp.plan.cell_count(), lanes, host_cpus);
-  append_leg_json(json, "sequential", sequential, jobs, /*identical=*/true);
+      spec.name.c_str(), jobs, gp.plan.cell_count(), kPoolThreads, pairs,
+      host_cpus);
+  append_leg_json(json, "uncached", uncached, uncached_wall, jobs,
+                  /*identical=*/true);
   json += ",\n";
-  append_leg_json(json, "batched_cold", cold, jobs, cold_identical);
+  append_leg_json(json, "cached_cold", cold, cold.wall_seconds, jobs,
+                  cold_identical);
   json += ",\n";
-  append_leg_json(json, "batched_warm", warm, jobs, warm_identical);
+  append_leg_json(json, "cached_warm", warm, warm.wall_seconds, jobs,
+                  warm_identical);
   json += ",\n";
-  if (have_threaded) {
-    append_leg_json(json, "threaded", threaded, jobs, threaded_identical);
+  if (pool) {
+    append_leg_json(json, "pooled", pooled, median(pooled_walls), jobs,
+                    pooled_identical);
   } else {
-    json += "  \"threaded\": {\n"
+    json += "  \"pooled\": {\n"
             "    \"skipped_reason\": \"host_cpus==1\"\n"
             "  }";
   }
   json += strf(
       ",\n"
       "  \"speedup\": {\n"
-      "    \"batched_cold_vs_sequential\": %.3f,\n"
-      "    \"batched_warm_vs_sequential\": %.3f\n"
-      "  },\n",
-      cold.wall_seconds > 0.0 ? sequential.wall_seconds / cold.wall_seconds
-                              : 0.0,
-      warm.wall_seconds > 0.0 ? sequential.wall_seconds / warm.wall_seconds
-                              : 0.0);
+      "    \"cached_cold_vs_uncached\": %.3f,\n"
+      "    \"cached_warm_vs_uncached\": %.3f",
+      ratio(uncached_wall, cold.wall_seconds),
+      ratio(uncached_wall, warm.wall_seconds));
+  if (pool) {
+    json += strf(",\n    \"pooled_vs_uncached\": %.3f,\n"
+                 "    \"pooled_vs_uncached_pairs\": [",
+                 pooled_vs_uncached);
+    for (std::size_t i = 0; i < pair_ratios.size(); ++i) {
+      json += strf("%s%.3f", i == 0 ? "" : ", ", pair_ratios[i]);
+    }
+    json += "]";
+  }
+  json += "\n  },\n";
   json += strf(
       "  \"shared_cache\": {\n"
       "    \"entries\": %llu,\n"
@@ -304,11 +302,11 @@ int run_main() {
       static_cast<unsigned long long>(cache.inserts),
       static_cast<unsigned long long>(cache.full_drops));
   json += "  \"per_job\": {\n";
-  append_per_job_json(json, "sequential", sequential);
+  append_per_job_json(json, "uncached", uncached);
   json += ",\n";
-  append_per_job_json(json, "batched_cold", cold);
+  append_per_job_json(json, "cached_cold", cold);
   json += ",\n";
-  append_per_job_json(json, "batched_warm", warm);
+  append_per_job_json(json, "cached_warm", warm);
   json += "\n  }\n}\n";
 
   const std::string path = out_path("BENCH_grid_throughput.json");
@@ -321,8 +319,8 @@ int run_main() {
     return 1;
   }
 
-  const bool ok = cold_identical && warm_identical && warm_is_warm &&
-                  (!have_threaded || threaded_identical);
+  const bool ok =
+      cold_identical && warm_identical && warm_is_warm && pooled_identical;
   if (!ok) std::fprintf(stderr, "grid_throughput: FAILED an identity gate\n");
   return ok ? 0 : 1;
 }

@@ -1,12 +1,10 @@
 // End-to-end simulation-engine throughput on the fixed reference grid:
 // 4 sockets x NPB CG under DUFP agents at the paper's control interval —
 // the exact shape every figure bench pounds on.  Reports ticks/sec and
-// simulated socket-seconds per wall second, serial vs socket-parallel,
-// and writes a machine-readable BENCH_sim_throughput.json (schema in
+// simulated socket-seconds per wall second of one run_once, and writes a
+// machine-readable BENCH_sim_throughput.json (schema in
 // bench/sim_throughput_schema.json) so the perf trajectory has tracked
-// data points.  On a single-CPU host the socket-parallel row is skipped
-// and recorded as {"skipped_reason": "host_cpus==1"} — a time-sliced
-// "speedup" would only measure batching overhead.
+// data points.
 //
 // Knobs:
 //   DUFP_SMOKE=1      tiny profile + 1 repetition: CI smoke (validates the
@@ -40,7 +38,7 @@ struct Measurement {
   double sim_seconds = 0.0;     ///< simulated run length
   double ticks = 0.0;           ///< engine steps per run
   int sockets = 0;
-  /// Leap/step/batch split of the run (identical across repetitions: the
+  /// Leap/step split of the run (identical across repetitions: the
   /// engine is deterministic, so the last repetition's stats serve).
   sim::BatchStats stats;
 
@@ -125,7 +123,6 @@ void append_measurement_json(std::string& json, const char* key,
       "    \"leap\": {\n"
       "      \"leapt_ticks\": %lld,\n"
       "      \"stepped_ticks\": %lld,\n"
-      "      \"batched_ticks\": %lld,\n"
       "      \"leaps\": %lld,\n"
       "      \"max_leap\": %lld,\n"
       "      \"events_fired\": %lld\n"
@@ -135,7 +132,6 @@ void append_measurement_json(std::string& json, const char* key,
       m.socket_ticks_per_sec(), m.socket_sim_rate(),
       static_cast<long long>(m.stats.leapt_ticks),
       static_cast<long long>(m.stats.stepped_ticks),
-      static_cast<long long>(m.stats.batched_ticks),
       static_cast<long long>(m.stats.leaps),
       static_cast<long long>(m.stats.max_leap),
       static_cast<long long>(m.stats.events_fired));
@@ -174,27 +170,10 @@ int run_main() {
               static_cast<long long>(serial.stats.max_leap),
               static_cast<long long>(serial.stats.events_fired));
 
-  // With a single hardware thread the socket-parallel row time-slices
-  // one core: it measures the batching machinery's overhead, not a
-  // speedup.  Rather than publish a number that invites misreading, the
-  // row is skipped and carries a machine-checkable marker the CI gate
-  // keys on (same convention as shard_scaling / grid_throughput).
   const unsigned host_cpus = std::thread::hardware_concurrency();
-  const bool run_parallel = host_cpus >= 2;
-  Measurement par;
-  if (run_parallel) {
-    harness::RunConfig par_cfg = serial_cfg;
-    par_cfg.sim.socket_threads = sockets;
-    par = measure(par_cfg, reps);
-    std::printf(
-        "socket_threads=%d:%10.0f ticks/s  (%.1f socket-sim-s / wall-s)\n",
-        sockets, par.ticks_per_sec(), par.socket_sim_rate());
-  } else {
-    std::printf("socket_threads=%d: skipped (host_cpus==1)\n", sockets);
-  }
 
   std::string json = "{\n";
-  json += "  \"schema_version\": 3,\n";
+  json += "  \"schema_version\": 4,\n";
   json += "  \"bench\": \"sim_throughput\",\n";
   json += strf("  \"smoke\": %s,\n", smoke ? "true" : "false");
   json += strf(
@@ -215,35 +194,13 @@ int run_main() {
       "  },\n",
       kSeedEngineTicksPerSec);
   append_measurement_json(json, "serial", serial);
-  json += ",\n";
-  if (run_parallel) {
-    append_measurement_json(json, "socket_threads_4", par);
-  } else {
-    json += "  \"socket_threads_4\": {\n"
-            "    \"skipped_reason\": \"host_cpus==1\"\n"
-            "  }";
-  }
-  json += ",\n";
-  json += strf("  \"speedup\": {\n"
-               "    \"serial_vs_baseline\": %.3f",
+  json += strf(",\n"
+               "  \"speedup\": {\n"
+               "    \"serial_vs_baseline\": %.3f\n"
+               "  }\n}\n",
                kSeedEngineTicksPerSec > 0.0
                    ? serial.ticks_per_sec() / kSeedEngineTicksPerSec
                    : 0.0);
-  if (run_parallel) {
-    json += strf(
-        ",\n"
-        "    \"parallel_vs_serial\": %.3f,\n"
-        "    \"parallel_vs_baseline\": %.3f\n",
-        serial.ticks_per_sec() > 0.0
-            ? par.ticks_per_sec() / serial.ticks_per_sec()
-            : 0.0,
-        kSeedEngineTicksPerSec > 0.0
-            ? par.ticks_per_sec() / kSeedEngineTicksPerSec
-            : 0.0);
-  } else {
-    json += "\n";
-  }
-  json += "  }\n}\n";
 
   const std::string path = out_path("BENCH_sim_throughput.json");
   if (std::FILE* f = std::fopen(path.c_str(), "wb")) {

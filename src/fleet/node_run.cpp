@@ -14,10 +14,8 @@
 #include "faults/fault_plan.h"
 #include "faults/faulty_counter_source.h"
 #include "faults/faulty_msr.h"
-#include "harness/options.h"
 #include "harness/plan.h"
 #include "msr/device.h"
-#include "sim/multi_sim.h"
 #include "perfmon/sim_counter_source.h"
 #include "powercap/pstate_control.h"
 #include "powercap/uncore_control.h"
@@ -434,35 +432,11 @@ FleetNodeResult PreparedFleetNode::finish() {
 
 std::vector<FleetNodeResult> run_fleet_nodes(
     const FleetSpec& spec, const std::vector<std::size_t>& nodes,
-    const AllocationPlan& plan, bool time_leap, int lanes) {
-  const int width =
-      lanes > 0 ? lanes : harness::BenchOptions::from_env().resolved_lanes();
+    const AllocationPlan& plan, bool time_leap) {
   std::vector<FleetNodeResult> results;
   results.reserve(nodes.size());
-  if (width <= 1) {
-    for (const std::size_t node : nodes) {
-      results.push_back(run_fleet_node(spec, node, plan, time_leap));
-    }
-    return results;
-  }
-  // Waves of `width` interleaved node simulations.  Each lane's outputs
-  // are byte-identical to a standalone run (sim::MultiSim's contract),
-  // and the shared cell cache keeps later waves warm.
-  for (std::size_t begin = 0; begin < nodes.size();) {
-    const std::size_t end =
-        std::min(nodes.size(), begin + static_cast<std::size_t>(width));
-    std::vector<PreparedFleetNode> wave;
-    wave.reserve(end - begin);
-    std::vector<sim::Simulation*> sims;
-    sims.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      wave.push_back(prepare_fleet_node(spec, nodes[i], plan, time_leap));
-      sims.push_back(&wave.back().simulation());
-    }
-    sim::MultiSim multi(std::move(sims));
-    multi.run_all();
-    for (auto& prepared : wave) results.push_back(prepared.finish());
-    begin = end;
+  for (const std::size_t node : nodes) {
+    results.push_back(run_fleet_node(spec, node, plan, time_leap));
   }
   return results;
 }

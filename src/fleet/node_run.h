@@ -80,8 +80,9 @@ FleetNodeResult run_fleet_node(const FleetSpec& spec, std::size_t node,
 /// object run_fleet_node would have built around it (balancer, epoch
 /// clock, agents, fault decorators), with injectors armed and the budget
 /// schedule copied in — the spec/plan need not outlive the object.
-/// Drive `simulation()` to completion (Simulation::run() or interleaved
-/// through sim::MultiSim), then call finish() exactly once.
+/// Drive `simulation()` to completion (Simulation::run(), or
+/// advance_once() by advance_once() as the perf ledger does), then call
+/// finish() exactly once.
 class PreparedFleetNode {
  public:
   PreparedFleetNode(PreparedFleetNode&&) noexcept;
@@ -112,14 +113,11 @@ PreparedFleetNode prepare_fleet_node(const FleetSpec& spec, std::size_t node,
                                      const AllocationPlan& plan,
                                      bool time_leap = true);
 
-/// Lane-batched execution of a set of node jobs: results in input order,
-/// each byte-identical to run_fleet_node(spec, nodes[i], plan).  Nodes
-/// are processed in waves of `lanes` interleaved simulations
-/// (0 = DUFP_LANES, default 8; 1 = sequential).
+/// Runs a set of node jobs one after another: results in input order,
+/// result i being run_fleet_node(spec, nodes[i], plan, time_leap).
 std::vector<FleetNodeResult> run_fleet_nodes(const FleetSpec& spec,
                                              const std::vector<std::size_t>& nodes,
                                              const AllocationPlan& plan,
-                                             bool time_leap = true,
-                                             int lanes = 0);
+                                             bool time_leap = true);
 
 }  // namespace dufp::fleet

@@ -37,8 +37,6 @@ void run_fleet_shard(const FleetSpec& spec,
   harness::run_shard_wire(
       fleet_wire_identity(spec), options,
       [&spec, &plan](const std::vector<std::size_t>& nodes) {
-        // The worker's chunk runs lane-batched: byte-identical payloads,
-        // one interleaved engine pass per wave of DUFP_LANES nodes.
         const std::vector<FleetNodeResult> results =
             run_fleet_nodes(spec, nodes, plan);
         std::vector<Value> payloads;
@@ -304,8 +302,6 @@ FleetOutputs run_fleet_serial(const FleetSpec& spec) {
   const AllocationPlan plan = plan_allocations(spec);
   std::vector<std::size_t> nodes(spec.topology.node_count());
   for (std::size_t n = 0; n < nodes.size(); ++n) nodes[n] = n;
-  // Lane-batched node execution (sim::MultiSim): byte-identical to the
-  // per-node loop this replaces, warm cell-edge tables across lanes.
   return finalize_fleet(spec, run_fleet_nodes(spec, nodes, plan));
 }
 

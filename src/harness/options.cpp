@@ -193,7 +193,6 @@ BenchOptions BenchOptions::from_env() {
   parse_u64("DUFP_FAULT_SEED", o.fault_seed, problems);
   parse_unit_double("DUFP_CHAOS", o.chaos_kill_rate, problems);
   parse_u64("DUFP_CHAOS_SEED", o.chaos_seed, problems);
-  parse_int("DUFP_LANES", o.lanes, 0, problems);
   o.quiet = std::getenv("DUFP_QUIET") != nullptr;
   o.telemetry = std::getenv("DUFP_TELEMETRY") != nullptr;
   parse_policies("DUFP_POLICIES", o.policies, problems);
@@ -223,10 +222,6 @@ int BenchOptions::resolved_threads() const {
   if (threads > 0) return threads;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-int BenchOptions::resolved_lanes() const {
-  return lanes > 0 ? lanes : 8;
 }
 
 std::string BenchOptions::out_path(const std::string& filename) const {

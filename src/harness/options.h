@@ -24,12 +24,6 @@
 //                      the process-level analogue of DUFP_FAULT_RATE,
 //                      exercising lease reclaim / salvage / resume
 //   DUFP_CHAOS_SEED=S  seed of the chaos kill-decision stream (default 0)
-//   DUFP_LANES=K       lane width for batched serial execution: how many
-//                      independent runs interleave through one engine
-//                      pass (harness::run_batch / sim::MultiSim).
-//                      Default 0 = the built-in width (8); 1 = plain
-//                      sequential run_once.  Results are byte-identical
-//                      for every value.
 //
 // Fleet benches (bench/fleet_scaling, src/fleet) add:
 //
@@ -50,6 +44,8 @@
 // configuration errors: from_env() throws std::invalid_argument naming
 // every bad variable rather than silently falling back to a default —
 // a typo in DUFP_REPS must not quietly produce 10-rep paper numbers.
+// Variables not listed here are never read, so a retired knob left in
+// an environment is ignored.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +68,6 @@ struct BenchOptions {
   std::vector<std::string> policies;
   double chaos_kill_rate = 0.0;     ///< DUFP_CHAOS, in [0, 1]
   std::uint64_t chaos_seed = 0;     ///< DUFP_CHAOS_SEED
-  int lanes = 0;                    ///< DUFP_LANES; 0 = default width (8)
 
   int fleet_racks = 2;           ///< DUFP_FLEET_RACKS, >= 1
   int fleet_nodes_per_rack = 2;  ///< DUFP_FLEET_NODES, >= 1
@@ -90,9 +85,6 @@ struct BenchOptions {
 
   /// `threads` with 0 resolved to the hardware thread count (>= 1).
   int resolved_threads() const;
-
-  /// `lanes` with 0 resolved to the default lane width (8).
-  int resolved_lanes() const;
 
   /// `<out_dir>/<filename>`, creating out_dir (and parents) on demand —
   /// every bench output goes through this so DUFP_OUT_DIR redirects the

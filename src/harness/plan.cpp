@@ -82,37 +82,21 @@ std::vector<RunResult> ExperimentPlan::run_jobs(
     }
   };
 
-  if (threads <= 1 || total <= 1) {
-    // Serial path: hand the whole job list to the lane-batched engine,
-    // which interleaves runs in waves of DUFP_LANES through one engine
-    // pass (sim::MultiSim).  Results are byte-identical to the loop of
-    // run_once calls this replaces; configs a lane cannot carry (trace
-    // sinks, socket_threads > 1) fall back to run_once inside run_batch.
-    std::vector<RunConfig> configs;
-    configs.reserve(total);
-    for (std::size_t i = 0; i < total; ++i) {
-      configs.push_back(job_config(indices[i]));
-    }
-    std::vector<RunResult> batched = run_batch(configs);
-    for (std::size_t i = 0; i < total; ++i) {
-      results[i] = std::move(batched[i]);
-      const std::size_t d = done.fetch_add(1) + 1;
-      if (note_step != 0 && d % note_step == 0 && d < total) {
-        note_progress(strf("  jobs %zu/%zu", d, total));
-      }
-    }
-  } else {
-    const int workers =
-        static_cast<int>(std::min<std::size_t>(
-            static_cast<std::size_t>(threads), total));
-    ThreadPool pool(workers, total);
-    std::vector<std::future<void>> futures;
-    futures.reserve(total);
-    for (std::size_t i = 0; i < total; ++i) {
-      futures.push_back(pool.submit([&execute, i] { execute(i); }));
-    }
-    for (auto& f : futures) f.get();  // rethrows the first job failure
+  // A pool of width `threads`; width 1 runs the jobs inline, in order.
+  const std::size_t width =
+      std::min<std::size_t>(static_cast<std::size_t>(std::max(threads, 1)),
+                            total);
+  if (width <= 1) {
+    for (std::size_t i = 0; i < total; ++i) execute(i);
+    return results;
   }
+  ThreadPool pool(static_cast<int>(width), total);
+  std::vector<std::future<void>> futures;
+  futures.reserve(total);
+  for (std::size_t i = 0; i < total; ++i) {
+    futures.push_back(pool.submit([&execute, i] { execute(i); }));
+  }
+  for (auto& f : futures) f.get();  // rethrows the first job failure
   return results;
 }
 

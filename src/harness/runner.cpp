@@ -5,8 +5,6 @@
 
 #include "common/expect.h"
 #include "core/policy_registry.h"
-#include "harness/options.h"
-#include "sim/multi_sim.h"
 #include "faults/faulty_counter_source.h"
 #include "faults/faulty_msr.h"
 #include "perfmon/sim_counter_source.h"
@@ -247,9 +245,7 @@ PreparedRun prepare_run(const RunConfig& config) {
               powercap::ConstraintId::short_term);
     }
     // The listener captures the zone pointers by reference into the
-    // context, which outlives the simulation loop.  It touches only the
-    // socket it is called for, which is exactly the confinement the
-    // socket-parallel engine requires of listeners.
+    // context, which outlives the simulation loop.
     auto& zones = ctx.zones;
     s.add_phase_listener([target_idx, cap, def_long, def_short, &zones](
                              int socket, std::size_t phase_idx,
@@ -397,53 +393,6 @@ RunResult run_once(const RunConfig& config) {
   PreparedRun run = prepare_run(config);
   run.simulation().run();
   return run.finish();
-}
-
-std::vector<RunResult> run_batch(const std::vector<RunConfig>& configs,
-                                 const BatchOptions& options) {
-  const int lanes = options.lanes > 0
-                        ? options.lanes
-                        : BenchOptions::from_env().resolved_lanes();
-  DUFP_EXPECT(lanes >= 1);
-  DUFP_EXPECT(options.threads >= 1);
-  std::vector<RunResult> results(configs.size());
-
-  // Partition: lane-able configs interleave in waves; the rest (shared
-  // trace sinks would interleave their byte streams; socket-parallel
-  // runs use a different engine loop with different BatchStats) run
-  // sequentially via run_once.
-  std::vector<std::size_t> batchable;
-  batchable.reserve(configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const RunConfig& cfg = configs[i];
-    if (lanes > 1 && cfg.trace == nullptr && cfg.sim.socket_threads <= 1) {
-      batchable.push_back(i);
-    } else {
-      results[i] = run_once(cfg);
-    }
-  }
-
-  for (std::size_t w = 0; w < batchable.size();
-       w += static_cast<std::size_t>(lanes)) {
-    const std::size_t end =
-        std::min(batchable.size(), w + static_cast<std::size_t>(lanes));
-    std::vector<PreparedRun> prepared;
-    prepared.reserve(end - w);
-    std::vector<sim::Simulation*> sims;
-    sims.reserve(end - w);
-    for (std::size_t j = w; j < end; ++j) {
-      prepared.push_back(prepare_run(configs[batchable[j]]));
-      sims.push_back(&prepared.back().simulation());
-    }
-    sim::MultiSimOptions ms_opts;
-    ms_opts.threads = options.threads;
-    sim::MultiSim engine(std::move(sims), ms_opts);
-    engine.run_all();
-    for (std::size_t j = w; j < end; ++j) {
-      results[batchable[j]] = prepared[j - w].finish();
-    }
-  }
-  return results;
 }
 
 RepeatedResult aggregate_runs(const std::vector<RunResult>& runs) {

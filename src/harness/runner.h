@@ -137,7 +137,7 @@ struct RunResult {
   /// telemetry::export_run / write_prometheus / write_chrome_trace.
   std::optional<telemetry::TelemetrySnapshot> telemetry;
 
-  /// How the engine spent its ticks (leap / step / batch split) — lets the
+  /// How the engine spent its ticks (leap / step split) — lets the
   /// throughput benches report the event-leaping behaviour without owning
   /// the Simulation.
   sim::BatchStats batch_stats;
@@ -156,9 +156,9 @@ RunResult run_once(const RunConfig& config);
 /// A run wired but not yet executed: the simulation plus every object
 /// run_once would have built around it (zones, agents, fault decorators,
 /// telemetry), with injectors armed.  Drive `simulation()` to completion
-/// — via Simulation::run(), or interleaved with other runs through
-/// sim::MultiSim — then call finish() exactly once to collect the
-/// RunResult run_once would have produced.
+/// — via Simulation::run(), or advance_once() by advance_once() as the
+/// perf ledger does to time each engine path — then call finish()
+/// exactly once to collect the RunResult run_once would have produced.
 class PreparedRun {
  public:
   PreparedRun(PreparedRun&&) noexcept;
@@ -181,26 +181,6 @@ class PreparedRun {
 /// Validates and wires one run without executing it.  run_once(cfg) ≡
 /// { auto p = prepare_run(cfg); p.simulation().run(); return p.finish(); }.
 PreparedRun prepare_run(const RunConfig& config);
-
-/// Lane-batched execution of independent runs (the harness face of
-/// sim::MultiSim).
-struct BatchOptions {
-  /// Lane width: how many runs interleave through one engine pass.
-  /// 0 resolves from DUFP_LANES (default 8); 1 executes sequentially
-  /// via run_once.
-  int lanes = 0;
-  /// Lane-group threads handed to MultiSim (1 = serial).
-  int threads = 1;
-};
-
-/// Executes every config and returns results in input order, each
-/// byte-identical to run_once(configs[i]).  Configs are processed in
-/// waves of `lanes` interleaved simulations; configs that cannot join a
-/// wave (an attached trace sink — sinks may be shared across configs, so
-/// interleaving their tick streams would reorder bytes — or
-/// sim.socket_threads > 1) fall back to run_once.
-std::vector<RunResult> run_batch(const std::vector<RunConfig>& configs,
-                                 const BatchOptions& options = {});
 
 /// Aggregated repeated-runs metrics following the paper's protocol; the
 /// trimming key is execution time.

@@ -11,14 +11,13 @@
 // byte-identity contract: a hit replays the identical double the local
 // bisection would have produced.
 //
-// This is the cross-run amortization layer of the batched multi-run
-// engine: repetition 2..N of a cell, the other sockets of the same
-// machine, and every same-config cell of a grid start warm instead of
-// re-running ~25 planner probes per (P-state, window, demand) tuple —
+// This is the cross-run amortization layer of a grid: repetition 2..N
+// of a cell, the other sockets of the same machine, and every
+// same-config cell of a grid start warm instead of re-running ~25 planner probes per (P-state, window, demand) tuple —
 // the single largest cost of a cold tournament grid (~40% of wall time).
 //
-// Concurrency: a single mutex guards the table (lane-group threads and
-// the plan's ThreadPool workers all land here).  Lookups are rare
+// Concurrency: a single mutex guards the table (the plan's ThreadPool
+// workers all land here).  Lookups are rare
 // relative to calm ticks — the per-governor ways absorb the hot path —
 // so the lock is not contended in practice.  Insertion is
 // first-writer-wins; a racing second insert computed the identical bits

@@ -2,41 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <limits>
 #include <stdexcept>
 
 #include "common/expect.h"
-#include "common/thread_pool.h"
 #include "common/units.h"
 
 namespace dufp::sim {
 
 namespace {
-
-// Mid-batch time override for worker threads.  While a worker steps
-// socket physics for tick k of a batch, the shared clock still reads the
-// batch start time; anything that asks the simulation for "now" from
-// inside that physics (telemetry timestamps on fault events, listener
-// logging) must instead see the exact per-tick time the serial engine
-// would have shown it.
-thread_local bool tls_has_now = false;
-thread_local SimTime tls_now{};
-
-struct NowOverrideScope {
-  NowOverrideScope() { tls_has_now = true; }
-  ~NowOverrideScope() { tls_has_now = false; }
-  NowOverrideScope(const NowOverrideScope&) = delete;
-  NowOverrideScope& operator=(const NowOverrideScope&) = delete;
-};
-
-/// Upper bound on ticks per parallel batch: bounds the replay buffer and
-/// keeps the serial replay loop cache-resident.
-constexpr std::int64_t kMaxBatchTicks = 512;
-
-/// Below this batch size the submit/barrier overhead outweighs the
-/// parallel work; the engine falls back to serial step()s.
-constexpr std::int64_t kMinBatchTicks = 4;
 
 /// Safety factor on the workload progress-rate bound.  The perf model
 /// guarantees speed <= 1/(sum of weights) and profile validation allows
@@ -84,7 +58,6 @@ Simulation::Simulation(
     : options_(options), root_rng_(options.seed), machine_(machine) {
   DUFP_EXPECT(options.tick.micros() > 0);
   DUFP_EXPECT(options.max_seconds > 0.0);
-  DUFP_EXPECT(options.socket_threads >= 1);
   DUFP_EXPECT(static_cast<int>(apps.size()) == machine_.socket_count());
 
   rapl::GovernorParams gov = options_.governor;
@@ -109,14 +82,11 @@ Simulation::Simulation(
     phase_totals_.emplace_back(app->phases().size());
   }
   tick_records_.resize(static_cast<std::size_t>(n));
-  // Leap lanes and event counters are sized once here so the steady-state
-  // paths (exact tick and leap alike) stay allocation-free.
+  // Leap lanes are sized once here so the steady-state paths (exact tick
+  // and leap alike) stay allocation-free.
   leap_acc_.resize(static_cast<std::size_t>(n) * kLeapLanes, 0.0);
   leap_inc_.resize(static_cast<std::size_t>(n) * kLeapLanes, 0.0);
-  acc_ = leap_acc_.data();
-  inc_ = leap_inc_.data();
   stretch_v_.resize(static_cast<std::size_t>(n), 0.0);
-  segment_events_.resize(static_cast<std::size_t>(n), 0);
 }
 
 const std::vector<PhaseTotals>& Simulation::phase_totals(int i) const {
@@ -143,10 +113,6 @@ rapl::RaplEngine& Simulation::rapl(int i) {
 workloads::WorkloadInstance& Simulation::workload(int i) {
   DUFP_EXPECT(i >= 0 && i < socket_count());
   return *workloads_[static_cast<std::size_t>(i)];
-}
-
-SimTime Simulation::now() const {
-  return tls_has_now ? tls_now : clock_.now();
 }
 
 Rng Simulation::fork_rng(std::uint64_t tag) { return root_rng_.fork(tag); }
@@ -202,8 +168,7 @@ void Simulation::announce_initial_phases() {
   }
 }
 
-void Simulation::integrate_socket_tick(int s, double tick_s,
-                                       TickRecord& record) {
+void Simulation::integrate_socket_tick(int s, double tick_s) {
   const auto si = static_cast<std::size_t>(s);
 
   // 1. Firmware power-capping decision for this tick.
@@ -248,15 +213,14 @@ void Simulation::integrate_socket_tick(int s, double tick_s,
     }
     remaining -= seg;
   }
-  // A tick split into k segments crossed k-1 entry boundaries; the
-  // counter is per-socket so parallel workers never share a write target.
-  segment_events_[si] += segments - 1;
+  // A tick split into k segments crossed k-1 entry boundaries.
+  batch_stats_.events_fired += segments - 1;
 
   // Trace rows exist for sinks alone; with none attached the record is
   // never read, so skip building it (floats only — no accumulator state).
   if (trace_ != nullptr) {
     fill_tick_record(last_instant, pkg_energy / tick_s,
-                     rapls_[si]->governor().limit(), record);
+                     rapls_[si]->governor().limit(), tick_records_[si]);
   }
 
   // 3. Feed the firmware's running-average window with the tick's
@@ -269,7 +233,7 @@ void Simulation::integrate_socket_tick(int s, double tick_s,
       tick_s);
 }
 
-void Simulation::finish_tick(const std::vector<TickRecord>& records) {
+void Simulation::finish_tick() {
   // Advance the clock, then fire any periodic callbacks whose deadline is
   // the new time (controllers observe a completed interval).
   const SimTime t = clock_.advance(options_.tick);
@@ -282,18 +246,12 @@ void Simulation::finish_tick(const std::vector<TickRecord>& records) {
     }
   }
 
-  if (trace_ != nullptr) trace_->on_tick(t, records);
+  if (trace_ != nullptr) trace_->on_tick(t, tick_records_);
 
   if (t.seconds() > options_.max_seconds) {
     throw std::runtime_error(
         "Simulation exceeded max_seconds — controller stalled progress?");
   }
-}
-
-BatchStats Simulation::batch_stats() const {
-  BatchStats out = batch_stats_;
-  for (const std::int64_t c : segment_events_) out.events_fired += c;
-  return out;
 }
 
 bool Simulation::step() {
@@ -304,53 +262,10 @@ bool Simulation::step() {
   ++batch_stats_.stepped_ticks;
   const double tick_s = options_.tick.seconds();
   for (int s = 0; s < socket_count(); ++s) {
-    integrate_socket_tick(s, tick_s, tick_records_[static_cast<std::size_t>(s)]);
+    integrate_socket_tick(s, tick_s);
   }
-  finish_tick(tick_records_);
+  finish_tick();
   return !finished();
-}
-
-std::int64_t Simulation::max_batch_ticks() const {
-  const std::int64_t tick_us = options_.tick.micros();
-  const double tick_s = options_.tick.seconds();
-  const std::int64_t now_us = clock_.now().micros();
-  std::int64_t bound = kMaxBatchTicks;
-
-  // No periodic may fire strictly inside a batch: controllers read state
-  // from every socket, so they may only run at the barrier.
-  for (const auto& p : periodics_) {
-    bound = std::min(bound, (p.next_due_us - now_us) / tick_us);
-  }
-
-  // No batch may overrun the tick the *last* workload could possibly
-  // finish on: the serial engine stops there, and running further would
-  // integrate idle time the serial run never saw.  An *individual*
-  // workload finishing inside a batch is harmless — its socket integrates
-  // idle demand for the remaining ticks, exactly what the serial engine
-  // does while the other sockets are still running — so the bound is the
-  // MAX over unfinished workloads of their optimistic finish ticks, not
-  // the min.  (Taking the min here used to degrade the whole
-  // staggered-finish tail — per-entry duration jitter spreads the four
-  // sockets' finishes over hundreds of ticks — into 1-3-tick batches and
-  // serial fallback; dense-sequence profiles such as replayed traces
-  // were hit hardest.)  Progress per tick is at most tick_s * (max
-  // speed), and speed is bounded by 1/(weight sum) — see
-  // kSpeedBoundMargin.  Phase boundaries never bound a batch: tick
-  // integration splits at them regardless of batching, and listeners are
-  // socket-confined by contract.
-  std::int64_t finish_bound = 0;
-  bool any_unfinished = false;
-  for (const auto& w : workloads_) {
-    if (w->finished()) continue;
-    any_unfinished = true;
-    const double min_ticks_to_finish =
-        w->remaining_nominal_seconds() / (tick_s * kSpeedBoundMargin);
-    finish_bound = std::max(finish_bound,
-                            static_cast<std::int64_t>(min_ticks_to_finish));
-  }
-  // All finished: mirror the serial do-while, which still processes the
-  // final tick serially.
-  return any_unfinished ? std::min(bound, finish_bound) : 0;
 }
 
 std::int64_t Simulation::event_bound_ticks() const {
@@ -432,7 +347,7 @@ std::int64_t Simulation::compute_leap_gap() const {
       // absorbs both the accumulated rounding of that sum and the
       // remaining/speed division in the stepper's segment split, so every
       // leapt tick stays a single full segment and the boundary tick is
-      // handled exactly (same idiom as max_batch_ticks).
+      // handled exactly.
       const double c = inst.speed * tick_s;
       const double safe =
           std::floor((w.remaining_in_phase() - c) / (c * kSpeedBoundMargin)) -
@@ -459,8 +374,8 @@ void Simulation::gather_socket_lanes(int s, const hw::SocketInstant& inst) {
   const double tick_s = options_.tick.seconds();
   auto& w = *workloads_[si];
   auto& sock = machine_.socket(s);
-  double* acc = acc_ + si * kLeapLanes;
-  double* inc = inc_ + si * kLeapLanes;
+  double* acc = leap_acc_.data() + si * kLeapLanes;
+  double* inc = leap_inc_.data() + si * kLeapLanes;
 
   const auto a = sock.accumulators();
   acc[0] = a.pkg_energy_j;
@@ -514,7 +429,7 @@ void Simulation::scatter_socket_lanes(int s) {
   const auto si = static_cast<std::size_t>(s);
   auto& w = *workloads_[si];
   auto& sock = machine_.socket(s);
-  const double* acc = acc_ + si * kLeapLanes;
+  const double* acc = leap_acc_.data() + si * kLeapLanes;
   sock.restore_accumulators({acc[0], acc[1], acc[2], acc[3], acc[4], acc[5]});
   if (!w.finished()) {
     PhaseTotals& pt = phase_totals_[si][w.current_phase_idx()];
@@ -525,18 +440,7 @@ void Simulation::scatter_socket_lanes(int s) {
   }
 }
 
-void Simulation::rebind_lane_storage(double* acc, double* inc) {
-  acc_ = acc != nullptr ? acc : leap_acc_.data();
-  inc_ = inc != nullptr ? inc : leap_inc_.data();
-  clear_leap_inc();
-}
-
-void Simulation::clear_leap_inc() {
-  const std::size_t m = lane_slab_size();
-  for (std::size_t j = 0; j < m; ++j) inc_[j] = 0.0;
-}
-
-void Simulation::stage_leap() {
+void Simulation::execute_leap(std::int64_t gap) {
   // Gather.  Every control-loop operation skipped inside the gap
   // (governor decision, window pushes, demand rewrite) is a verified
   // no-op at the fixed point compute_leap_gap established.
@@ -544,46 +448,22 @@ void Simulation::stage_leap() {
   for (int s = 0; s < n; ++s) {
     gather_socket_lanes(s, machine_.socket(s).evaluate());
   }
-}
 
-void Simulation::spin_leap_lanes(std::int64_t ticks) {
   // Per-chain FP addition order is preserved (each lane is an
   // independent accumulator chain), so results are bit-identical to the
   // same number of stepped ticks; across lanes the loop vectorizes.
-  double* __restrict acc = acc_;
-  const double* __restrict inc = inc_;
-  const std::size_t m = lane_slab_size();
-  for (std::int64_t k = 0; k < ticks; ++k) {
-    for (std::size_t j = 0; j < m; ++j) acc[j] += inc[j];
-  }
-}
-
-void Simulation::finish_leap(std::int64_t gap) {
-  clock_.advance(SimDuration{gap * options_.tick.micros()});
-  const int n = socket_count();
-  for (int s = 0; s < n; ++s) scatter_socket_lanes(s);
-  clear_leap_inc();
-  ++batch_stats_.leaps;
-  batch_stats_.leapt_ticks += gap;
-  batch_stats_.max_leap = std::max(batch_stats_.max_leap, gap);
-}
-
-void Simulation::execute_leap(std::int64_t gap) {
-  stage_leap();
-
+  double* __restrict acc = leap_acc_.data();
+  const double* __restrict inc = leap_inc_.data();
+  const std::size_t m = leap_acc_.size();
   if (trace_ == nullptr) {
-    spin_leap_lanes(gap);
-    finish_leap(gap);
-    return;
-  }
-
-  // A sink observes every tick, so the clock advances tick-wise and the
-  // (constant) rows are emitted per tick, exactly as finish_tick would;
-  // periodics and the watchdog are bound-excluded.
-  {
-    double* __restrict acc = acc_;
-    const double* __restrict inc = inc_;
-    const std::size_t m = lane_slab_size();
+    for (std::int64_t k = 0; k < gap; ++k) {
+      for (std::size_t j = 0; j < m; ++j) acc[j] += inc[j];
+    }
+    clock_.advance(SimDuration{gap * options_.tick.micros()});
+  } else {
+    // A sink observes every tick, so the clock advances tick-wise and the
+    // (constant) rows are emitted per tick, exactly as finish_tick would;
+    // periodics and the watchdog are bound-excluded.
     for (std::int64_t k = 0; k < gap; ++k) {
       for (std::size_t j = 0; j < m; ++j) acc[j] += inc[j];
       const SimTime t = clock_.advance(options_.tick);
@@ -592,9 +472,7 @@ void Simulation::execute_leap(std::int64_t gap) {
   }
 
   // Scatter the advanced accumulators back.
-  const int n = socket_count();
   for (int s = 0; s < n; ++s) scatter_socket_lanes(s);
-  clear_leap_inc();
 
   ++batch_stats_.leaps;
   batch_stats_.leapt_ticks += gap;
@@ -657,8 +535,8 @@ bool Simulation::fast_stretch() {
         // Calm tick: the governor kept its limit (verified via the plan
         // band) and pushed the tick's power into its windows; what
         // remains of the stepped tick is the accumulator additions.
-        double* __restrict acc = acc_ + si * kLeapLanes;
-        const double* __restrict inc = inc_ + si * kLeapLanes;
+        double* __restrict acc = leap_acc_.data() + si * kLeapLanes;
+        const double* __restrict inc = leap_inc_.data() + si * kLeapLanes;
         for (std::size_t j = 0; j < kLeapLanes; ++j) acc[j] += inc[j];
       } else {
         // Flip tick: the decision would move the limit.  Hand the socket
@@ -667,7 +545,7 @@ bool Simulation::fast_stretch() {
         // then re-gather lanes at the new instant.
         all_calm = false;
         scatter_socket_lanes(s);
-        integrate_socket_tick(s, tick_s, tick_records_[si]);
+        integrate_socket_tick(s, tick_s);
         gather_socket_lanes(s, machine_.socket(s).evaluate());
       }
     }
@@ -686,89 +564,7 @@ bool Simulation::fast_stretch() {
   close_run();
 
   for (int s = 0; s < n; ++s) scatter_socket_lanes(s);
-  clear_leap_inc();
   return true;
-}
-
-void Simulation::run_parallel() {
-  const int n = socket_count();
-  const double tick_s = options_.tick.seconds();
-  const std::int64_t tick_us = options_.tick.micros();
-  ThreadPool pool(std::min(options_.socket_threads, n));
-
-  if (!started_) {
-    started_ = true;
-    announce_initial_phases();
-  }
-  batch_records_.reserve(static_cast<std::size_t>(kMaxBatchTicks) *
-                         static_cast<std::size_t>(n));
-  std::vector<std::future<void>> futures;
-  futures.reserve(static_cast<std::size_t>(n));
-
-  for (;;) {
-    // Event leap first: when every socket sits at a fixed point there is
-    // no parallel work worth distributing — the leap covers the stretch
-    // to the next event in one flat pass on the coordinating thread.
-    const std::int64_t gap = compute_leap_gap();
-    if (gap > 0) {
-      execute_leap(gap);
-      continue;  // a leap never finishes a workload
-    }
-    // Calm-tick stretch next: off the fixed point but between events, the
-    // reduced serial loop is far cheaper per socket-tick than a parallel
-    // batch of full ticks — the batcher only earns its barriers on
-    // stretches dense with limit moves or segment splits.
-    if (fast_stretch()) continue;  // a stretch never finishes a workload
-    const std::int64_t batch = max_batch_ticks();
-    if (batch < kMinBatchTicks) {
-      // Endgame (the last workload is about to finish) or a periodic is
-      // due in a few ticks: the barrier overhead isn't worth it.
-      ++batch_stats_.serial_ticks;
-      step();
-      if (finished()) return;
-      continue;
-    }
-    ++batch_stats_.batches;
-    batch_stats_.batched_ticks += batch;
-    batch_stats_.max_batch = std::max(batch_stats_.max_batch, batch);
-
-    // Physics for `batch` ticks of every socket, sockets in parallel.
-    // Socket state is fully independent between barriers (per-socket
-    // MSRs, governor, workload, model, listener targets), so each worker
-    // replays the exact serial per-socket instruction stream.
-    batch_records_.resize(static_cast<std::size_t>(batch) *
-                          static_cast<std::size_t>(n));
-    const std::int64_t t0_us = clock_.now().micros();
-    futures.clear();
-    for (int s = 0; s < n; ++s) {
-      futures.push_back(pool.submit([this, s, batch, t0_us, tick_s,
-                                     tick_us] {
-        NowOverrideScope scope;
-        TickRecord* rows =
-            batch_records_.data() + static_cast<std::size_t>(s) *
-                                        static_cast<std::size_t>(batch);
-        for (std::int64_t k = 0; k < batch; ++k) {
-          tls_now = SimTime{t0_us + k * tick_us};
-          integrate_socket_tick(s, tick_s, rows[k]);
-        }
-      }));
-    }
-    for (auto& f : futures) f.get();  // barrier (rethrows worker errors)
-
-    // Replay the batch's bookkeeping in serial tick order: clock,
-    // periodic deadlines (by construction only the final tick of the
-    // batch can be due), trace rows, watchdog.
-    for (std::int64_t k = 0; k < batch; ++k) {
-      for (int s = 0; s < n; ++s) {
-        tick_records_[static_cast<std::size_t>(s)] =
-            batch_records_[static_cast<std::size_t>(s) *
-                               static_cast<std::size_t>(batch) +
-                           static_cast<std::size_t>(k)];
-      }
-      finish_tick(tick_records_);
-    }
-    if (finished()) return;
-  }
 }
 
 bool Simulation::advance_once() {
@@ -782,11 +578,7 @@ bool Simulation::advance_once() {
 }
 
 RunSummary Simulation::run() {
-  if (options_.socket_threads > 1 && socket_count() > 1) {
-    run_parallel();
-  } else {
-    while (advance_once()) {
-    }
+  while (advance_once()) {
   }
   return summarize();
 }

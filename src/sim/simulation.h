@@ -12,11 +12,10 @@
 // tick performs no heap allocation — phase transitions are keyed by
 // interned phase *indices* rather than name strings, per-tick scratch
 // lives in members sized at construction, and periodic scheduling is a
-// next-deadline countdown instead of a modulo scan.  With
-// SimulationOptions::socket_threads > 1, run() steps independent sockets
-// in parallel in batches sized so no controller callback and no workload
-// completion can land inside a batch; the outputs are byte-identical to
-// the serial engine.
+// next-deadline countdown instead of a modulo scan.  The engine is
+// single-threaded: concurrency lives one level up, where independent
+// runs share a ThreadPool (harness::ExperimentPlan) or forked shard
+// processes.
 //
 // Event leaping (SimulationOptions::time_leap, see DESIGN.md §7b) runs
 // in two tiers.  Tier 1 — the full leap: when every socket sits at a
@@ -71,14 +70,6 @@ struct SimulationOptions {
   /// against a controller bug stalling progress forever.
   double max_seconds = 3600.0;
 
-  /// Number of threads run() may use to step independent sockets in
-  /// parallel (1 = serial, the default).  Results are byte-identical to
-  /// the serial engine for any value; see Simulation::run().  Phase
-  /// listeners then fire on worker threads and must confine themselves to
-  /// the socket they are called for (the harness's phase-cap listener
-  /// does).
-  int socket_threads = 1;
-
   /// Event-leaping fast path (on by default): run() skips the control
   /// loop across provably event-free, fixed-point stretches and executes
   /// only the per-tick accumulator additions.  Byte-identical to stepping
@@ -88,22 +79,14 @@ struct SimulationOptions {
 };
 
 /// How the engine spent its ticks.  Cheap enough to keep always-on; the
-/// throughput benches and the batching/leaping regression tests read it
-/// so hot-path behaviour is observable, not inferred.
-///
-/// The batch_* fields describe the socket-parallel engine (all zero after
-/// a serial run); batches are bounded by the next periodic deadline, the
-/// last-workload finish lower bound and kMaxBatchTicks — phase boundaries
-/// never bound a batch (tick integration splits at them regardless of
-/// batching).  The leap fields describe the event-leaping fast path in
-/// either mode.  Invariant: leapt_ticks + stepped_ticks + batched_ticks
-/// equals the total ticks simulated (serial fallback ticks inside
-/// run_parallel count under both serial_ticks and stepped_ticks).
+/// throughput benches and the leaping regression tests read it so
+/// hot-path behaviour is observable, not inferred.  Invariant:
+/// leapt_ticks + stepped_ticks equals the total ticks simulated.
 struct BatchStats {
-  std::int64_t batches = 0;        ///< parallel batches executed
-  std::int64_t batched_ticks = 0;  ///< ticks stepped inside those batches
-  std::int64_t serial_ticks = 0;   ///< ticks stepped via the serial fallback
-  std::int64_t max_batch = 0;      ///< largest single batch, in ticks
+  /// Always 0.  It counted the ticks of the socket-parallel engine, which
+  /// is gone; it stays because the perf ledger (perfbench/ledger.cpp)
+  /// still reconciles leapt + stepped + batched against the run's ticks.
+  std::int64_t batched_ticks = 0;
 
   std::int64_t leaps = 0;          ///< event leaps executed
   std::int64_t leapt_ticks = 0;    ///< ticks covered by those leaps
@@ -164,11 +147,8 @@ class Simulation {
   rapl::RaplEngine& rapl(int i);
   workloads::WorkloadInstance& workload(int i);
 
-  /// Current simulated time.  During a socket-parallel batch this returns
-  /// the exact mid-batch time of the tick the calling worker thread is
-  /// stepping, so timestamps observed from listeners (telemetry, fault
-  /// events) match the serial engine bit for bit.
-  SimTime now() const;
+  /// Current simulated time.
+  SimTime now() const { return clock_.now(); }
 
   /// Independent RNG stream derived from the run seed.
   Rng fork_rng(std::uint64_t tag);
@@ -183,11 +163,6 @@ class Simulation {
   /// `phase_idx` indexes workload(s).profile().phases(); resolve to a name
   /// with workload(s).profile().phase_name(phase_idx) when needed.  Used
   /// by the partial-capping experiments (Fig. 1b/1c).
-  ///
-  /// Contract: with socket_threads > 1 the listener fires on the worker
-  /// thread stepping socket `s`; it must only touch state belonging to
-  /// that socket (its zone, its MSR device, per-socket buffers) or
-  /// synchronize explicitly.
   using PhaseListener =
       std::function<void(int socket, std::size_t phase_idx, bool entered)>;
   void add_phase_listener(PhaseListener fn);
@@ -201,24 +176,19 @@ class Simulation {
 
   // -- execution -------------------------------------------------------------
 
-  /// Advances one tick (always serial).  Returns false once every
-  /// socket's workload has finished (the final tick is still fully
-  /// processed).
+  /// Advances one exact tick.  Returns false once every socket's
+  /// workload has finished (the final tick is still fully processed).
   bool step();
 
-  /// Runs to completion and summarizes.  With socket_threads > 1 the
-  /// sockets are stepped in parallel batches; every observable output
-  /// (trace stream, accounting, per-socket listener/fault/telemetry
-  /// streams) is byte-identical to the serial run.
+  /// Runs to completion (advance_once() until false) and summarizes.
   RunSummary run();
 
-  /// One iteration of the serial run() loop: a full event leap, a
-  /// calm-tick stretch, or one exact tick — whichever the engine state
-  /// selects, exactly as run() would.  Returns false once every workload
-  /// has finished (the final tick fully processed).  A driver calling
-  /// advance_once() until false then summarize() reproduces run()
-  /// byte-for-byte — the entry point the batched multi-run engine
-  /// (MultiSim) interleaves independent simulations through.
+  /// One iteration of the run() loop: a full event leap, a calm-tick
+  /// stretch, or one exact tick — whichever the engine state selects.
+  /// Returns false once every workload has finished (the final tick fully
+  /// processed).  Calling advance_once() until false and then
+  /// summarize() reproduces run() byte-for-byte; the perf ledger runs
+  /// simulations this way to time each engine path.
   bool advance_once();
 
   /// The RunSummary of the current state (what run() returns at the
@@ -227,11 +197,8 @@ class Simulation {
 
   bool finished() const;
 
-  /// How the engine spent its ticks so far: leap/step split in both
-  /// modes, batch accounting when socket-parallel (batch_* fields zero
-  /// after a serial run).  By value: folds the per-socket event counters
-  /// maintained lock-free by parallel workers.
-  BatchStats batch_stats() const;
+  /// How the engine spent its ticks so far (the leap/step split).
+  const BatchStats& batch_stats() const { return batch_stats_; }
 
   /// Number of ticks the engine could leap right now (0 when any socket
   /// is off its fixed point, an event is imminent, or time_leap is off).
@@ -249,16 +216,13 @@ class Simulation {
 
   void announce_initial_phases();
   void fire_phase_transitions(int socket, std::size_t before_idx);
-  /// Physics + accounting for one socket on one tick; fills the given
-  /// record.  `tick_s` is the tick length in seconds.
-  void integrate_socket_tick(int s, double tick_s, TickRecord& record);
-  /// Clock advance + periodic / trace / watchdog handling shared by the
-  /// serial step and the batched replay.
-  void finish_tick(const std::vector<TickRecord>& records);
-  void run_parallel();
-  /// Upper bound on ticks that can run before any periodic fires inside
-  /// the batch or any unfinished workload can possibly finish.
-  std::int64_t max_batch_ticks() const;
+  /// Physics + accounting for one socket on one tick; fills the socket's
+  /// trace row when a sink is attached.  `tick_s` is the tick length in
+  /// seconds.
+  void integrate_socket_tick(int s, double tick_s);
+  /// Clock advance + periodic / trace / watchdog handling after the
+  /// sockets of an exact tick are integrated.
+  void finish_tick();
   /// Ticks until the next engine-external event: min over periodic
   /// deadlines (minus the firing tick, which the exact stepper owns) and
   /// the max_seconds watchdog.  Never negative.
@@ -290,35 +254,6 @@ class Simulation {
   /// attached).  Pre-sized members only — allocation-free.
   void execute_leap(std::int64_t gap);
 
-  // -- multi-run lane engine hooks (used by MultiSim, see multi_sim.h) -----
-  /// Number of doubles in this simulation's acc/inc lane slabs.
-  std::size_t lane_slab_size() const {
-    return static_cast<std::size_t>(socket_count()) * kLeapLanes;
-  }
-  /// Points the lane slabs at caller-owned storage of lane_slab_size()
-  /// doubles each (nullptr rebinds the simulation's own vectors).  The
-  /// engine treats the slabs as scratch — contents are re-gathered
-  /// before every use — so rebinding mid-run is safe between
-  /// advance_once() calls.  The inc slab is zeroed on rebind and
-  /// restored to zero after every leap/stretch (the invariant MultiSim's
-  /// fused sweep relies on: an unstaged lane contributes +0.0 adds into
-  /// dead acc storage).
-  void rebind_lane_storage(double* acc, double* inc);
-  /// Stages a leap: gathers every socket's lanes (first phase of
-  /// execute_leap).
-  void stage_leap();
-  /// Applies `ticks` per-tick additions over the staged slab (no clock,
-  /// no trace — the untraced leap's inner loop).
-  void spin_leap_lanes(std::int64_t ticks);
-  /// Completes a staged leap of `gap` total ticks whose additions have
-  /// all been applied: advances the clock, scatters, updates stats,
-  /// restores the inc-slab zeros.
-  void finish_leap(std::int64_t gap);
-  /// Zeroes the inc slab (the unstaged-lane invariant).
-  void clear_leap_inc();
-
-  friend class MultiSim;
-
   SimulationOptions options_;
   Rng root_rng_;
   hw::MachineModel machine_;
@@ -334,9 +269,6 @@ class Simulation {
 
   std::vector<TickRecord> tick_records_;  // scratch, reused per tick
   std::vector<std::vector<PhaseTotals>> phase_totals_;  // [socket][phase]
-  // Socket-major ([socket * batch + tick]) so concurrent workers never
-  // write the same cache line; the replay loop gathers per-tick rows.
-  std::vector<TickRecord> batch_records_;
   BatchStats batch_stats_;
 
   /// Structure-of-arrays leap lanes, sized at construction
@@ -348,18 +280,9 @@ class Simulation {
   static constexpr std::size_t kLeapLanes = 11;
   std::vector<double> leap_acc_;
   std::vector<double> leap_inc_;
-  /// Active lane storage: the own vectors above by default, or a
-  /// MultiSim-owned contiguous slab shared with sibling lanes (see
-  /// rebind_lane_storage).  Every engine path goes through these.
-  double* acc_ = nullptr;
-  double* inc_ = nullptr;
   /// Per-socket recorded tick power during a calm stretch — the exact
   /// value the stepped path would feed record_power().
   std::vector<double> stretch_v_;
-  /// Segment-split events observed per socket; kept per-socket so
-  /// parallel workers update them without synchronization, folded into
-  /// BatchStats::events_fired by batch_stats().
-  std::vector<std::int64_t> segment_events_;
   bool started_ = false;
 };
 

@@ -91,10 +91,6 @@ WorkloadInstance::WorkloadInstance(const WorkloadProfile& profile,
         std::max(0.5, 1.0 + jitter_rng.gaussian(0.0, jitter_sigma));
     durations_.push_back(base * factor);
   }
-  remaining_after_.assign(durations_.size() + 1, 0.0);
-  for (std::size_t i = durations_.size(); i-- > 0;) {
-    remaining_after_[i] = remaining_after_[i + 1] + durations_[i];
-  }
 }
 
 void WorkloadInstance::advance(double nominal_seconds) {

@@ -108,13 +108,6 @@ class WorkloadInstance {
     return durations_[position_] - consumed_in_current_;
   }
 
-  /// Jittered nominal seconds left in the whole sequence (0 when
-  /// finished).  O(1): the socket-parallel engine queries this every batch
-  /// to bound how many ticks can run before any workload could finish.
-  double remaining_nominal_seconds() const {
-    return remaining_after_[position_] - consumed_in_current_;
-  }
-
   /// Consumes `nominal_seconds` of progress, crossing sequence entries as
   /// needed.  Requires nominal_seconds >= 0.
   void advance(double nominal_seconds);
@@ -142,9 +135,6 @@ class WorkloadInstance {
  private:
   const WorkloadProfile& profile_;
   std::vector<double> durations_;  ///< jittered, index-aligned with sequence
-  /// remaining_after_[i] = sum of durations_[i..end); one trailing 0 entry
-  /// makes remaining_nominal_seconds() branch-free at the finish line.
-  std::vector<double> remaining_after_;
   std::size_t position_ = 0;
   double consumed_in_current_ = 0.0;
   double consumed_total_ = 0.0;

@@ -100,29 +100,6 @@ TEST(NodeRunTest, FaultStormIsDeterministicAndCounted) {
   EXPECT_GT(a.faults_injected, 0u);
 }
 
-TEST(NodeRunTest, LaneBatchedNodesMatchSequentialBytes) {
-  // The whole fleet through the lane engine (one wave of 4 interleaved
-  // node simulations, plus a width-3 wave split) against per-node
-  // sequential runs, byte-compared through the wire codec.
-  const FleetSpec spec = small_spec();
-  const AllocationPlan plan = plan_allocations(spec);
-  std::vector<std::size_t> nodes{0, 1, 2, 3};
-
-  std::vector<std::string> want;
-  for (const std::size_t n : nodes) {
-    want.push_back(encode_node_result(run_fleet_node(spec, n, plan)).dump());
-  }
-  for (const int lanes : {4, 3}) {
-    const std::vector<FleetNodeResult> batched =
-        run_fleet_nodes(spec, nodes, plan, /*time_leap=*/true, lanes);
-    ASSERT_EQ(batched.size(), nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      EXPECT_EQ(encode_node_result(batched[i]).dump(), want[i])
-          << "node " << nodes[i] << " drifted at lane width " << lanes;
-    }
-  }
-}
-
 TEST(NodeRunTest, OutOfRangeNodeThrows) {
   const FleetSpec spec = small_spec();
   const AllocationPlan plan = plan_allocations(spec);

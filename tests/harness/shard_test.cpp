@@ -1,8 +1,8 @@
 // The sharded execution layer's determinism contract: the same grid run
-// serially, as 1 shard, as 3 shards, or in dynamic chunk-claiming mode
-// produces byte-identical Evaluation CSV and telemetry export bytes —
-// clean and under a fault storm — and malformed shard input is rejected
-// loudly, never silently partially merged.
+// serially, on a 3-thread pool, as 1 shard, as 3 shards, or in dynamic
+// chunk-claiming mode produces byte-identical Evaluation CSV and
+// telemetry export bytes — clean and under a fault storm — and malformed
+// shard input is rejected loudly, never silently partially merged.
 #include "harness/shard.h"
 
 #include <gtest/gtest.h>
@@ -62,9 +62,7 @@ std::vector<std::string> run_static_shards(const GridSpec& spec, int shards) {
     ShardRunOptions opts;
     opts.shard = k;
     opts.shards = shards;
-    files.push_back(
-        run_shard_file(spec, opts, "s" + std::to_string(shards) + "_" +
-                                       std::to_string(k)));
+    files.push_back(run_shard_file(spec, opts, strf("s%d_%d", shards, k)));
   }
   return files;
 }
@@ -86,6 +84,10 @@ std::string output_bytes(const GridOutputs& out) {
 void expect_all_modes_identical(const GridSpec& spec) {
   const std::string serial = output_bytes(run_grid_serial(spec));
   ASSERT_FALSE(serial.empty());
+
+  // The plan's ThreadPool, the one in-process thread path.
+  EXPECT_EQ(output_bytes(run_grid_serial(spec, 3)), serial)
+      << "3-thread pooled grid drifted from serial";
 
   const auto one = run_static_shards(spec, 1);
   EXPECT_EQ(output_bytes(finalize_grid(spec, gather_shards(spec, one))),

@@ -1,20 +1,11 @@
-// Trace-replay goldens: the socket-parallel engine on a *replayed* trace
-// profile (dense 200 ms sampling, the DUF measurement cadence) must match
-// the serial engine byte for byte, and the batch window must stay wide.
-//
-// Replayed traces were the ROADMAP's batching worst-case suspect: a phase
-// change every 200 ms row.  Profiling showed phase boundaries never bound
-// a batch (tick integration splits at them regardless of batching) — the
-// real limiter was the MIN-over-sockets finish bound collapsing the
-// jittered endgame into 1-tick batches.  These tests pin both facts: the
-// bytes (against checked-in goldens) and the batch-size floor.
+// Trace-replay goldens: a *replayed* trace profile (dense 200 ms
+// sampling, the DUF measurement cadence, a phase change every row) run
+// inline and as a pooled job must match checked-in goldens byte for byte.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "golden_util.h"
-#include "sim/simulation.h"
-#include "sim/trace.h"
 #include "workloads/trace_replay.h"
 
 namespace dufp::perf_test {
@@ -76,19 +67,9 @@ harness::RunConfig replay_config(const workloads::WorkloadProfile& profile) {
   return cfg;
 }
 
-std::string replay_trace_csv(harness::RunConfig cfg, const std::string& tag) {
-  const std::string path = temp_path(tag + ".csv");
-  {
-    sim::CsvTraceSink sink(path, /*decimation=*/1);
-    cfg.trace = &sink;
-    harness::run_once(cfg);
-  }
-  return read_file(path);
-}
-
 TEST(GoldenReplayTest, SerialTraceMatchesGolden) {
   const auto profile = replayed_profile();
-  expect_matches_golden(replay_trace_csv(replay_config(profile), "serial"),
+  expect_matches_golden(run_trace_csv(replay_config(profile), "serial"),
                         "trace_replay.csv");
 }
 
@@ -101,42 +82,15 @@ TEST(GoldenReplayTest, SerialSummaryMatchesGolden) {
 
 TEST(GoldenReplayTest, ParallelTraceMatchesGolden) {
   const auto profile = replayed_profile();
-  harness::RunConfig cfg = replay_config(profile);
-  cfg.sim.socket_threads = 4;
-  expect_matches_golden(replay_trace_csv(cfg, "par"), "trace_replay.csv");
+  expect_matches_golden(
+      run_trace_csv(replay_config(profile), "par", /*pool_threads=*/4),
+      "trace_replay.csv");
 }
 
 TEST(GoldenReplayTest, ParallelSummaryMatchesGolden) {
   const auto profile = replayed_profile();
-  harness::RunConfig cfg = replay_config(profile);
-  cfg.sim.socket_threads = 2;  // pool smaller than socket count
-  expect_matches_golden(summary_text(harness::run_once(cfg)),
+  expect_matches_golden(summary_text(run_pooled(replay_config(profile), 2)),
                         "summary_replay.txt");
-}
-
-// The batch-size floor on the replay path, at the engine level (run_once
-// hides the Simulation object): with the 200 ms controller cadence the
-// periodic deadline — not the per-200 ms phase stream — must bound the
-// batches, and the jittered endgame must not fall back to serial.
-TEST(GoldenReplayTest, ReplayedTraceKeepsFullBatchWindow) {
-  const auto profile = replayed_profile();
-  hw::MachineConfig machine;
-  machine.sockets = 4;
-  sim::SimulationOptions opts;
-  opts.seed = 7;
-  opts.socket_threads = 4;
-  sim::Simulation s(machine, profile, opts);
-  // Stand-in for the DUFP controller loop: a 200 ms periodic that does
-  // nothing but constrain the batch window the way a real agent does.
-  s.schedule_periodic(SimTime::from_millis(200), [](SimTime) {});
-  s.run();
-  const auto& bs = s.batch_stats();
-  ASSERT_GT(bs.batches, 0);
-  EXPECT_EQ(bs.max_batch, 200) << "periodic deadline should bound batches";
-  EXPECT_LT(bs.serial_ticks, 64) << "endgame tail fell back to serial";
-  // Average batch near the periodic interval: dense phase changes must
-  // not shrink the window (they never bound a batch).
-  EXPECT_GE(bs.batched_ticks / bs.batches, 150);
 }
 
 }  // namespace

@@ -5,21 +5,26 @@
 // Golden files live in tests/perf/golden/ (DUFP_PERF_GOLDEN_DIR is
 // injected by CMake).  They were generated from the pre-optimization
 // engine (PR 3 state) and pin the determinism contract of the hot-path
-// rework: the optimized serial engine and the socket-parallel engine must
-// reproduce them byte for byte.  To regenerate after an *intentional*
+// rework: the optimized engine must reproduce them byte for byte, run
+// inline or on a pool worker.  To regenerate after an *intentional*
 // output change: DUFP_UPDATE_GOLDEN=1 ctest -L perf, then review the diff.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "harness/runner.h"
+#include "sim/trace.h"
 #include "workloads/workload.h"
 
 namespace dufp::perf_test {
@@ -156,6 +161,27 @@ inline std::string summary_text(const harness::RunResult& res) {
   return out;
 }
 
+/// Runs `cfg` as one job of a `threads`-worker ThreadPool, the pool
+/// ExperimentPlan::run_jobs spreads a grid over, next to `threads - 1`
+/// concurrent siblings (the same config under other seeds, untraced)
+/// that share the workers and the process-wide cell cache with it.
+inline harness::RunResult run_pooled(const harness::RunConfig& cfg,
+                                     int threads) {
+  ThreadPool pool(threads);
+  std::vector<std::future<harness::RunResult>> siblings;
+  for (int i = 1; i < threads; ++i) {
+    harness::RunConfig sibling = cfg;
+    sibling.trace = nullptr;
+    sibling.seed = cfg.seed + static_cast<std::uint64_t>(i);
+    siblings.push_back(
+        pool.submit([sibling] { return harness::run_once(sibling); }));
+  }
+  std::future<harness::RunResult> job =
+      pool.submit([&cfg] { return harness::run_once(cfg); });
+  for (auto& f : siblings) f.get();
+  return job.get();
+}
+
 /// A writable temp-file path unique to the current test.  Parameterized
 /// test names contain '/', which must not become directory separators.
 inline std::string temp_path(const std::string& tag) {
@@ -167,6 +193,25 @@ inline std::string temp_path(const std::string& tag) {
     if (c == '/') c = '_';
   }
   return ::testing::TempDir() + name;
+}
+
+/// The run's full-resolution trace CSV.  `pool_threads` == 0 runs the
+/// config inline through run_once; otherwise it runs as one job of a
+/// pool that wide (see run_pooled).
+inline std::string run_trace_csv(harness::RunConfig cfg,
+                                 const std::string& tag,
+                                 int pool_threads = 0) {
+  const std::string path = temp_path(tag + ".csv");
+  {
+    sim::CsvTraceSink sink(path, /*decimation=*/1);
+    cfg.trace = &sink;
+    if (pool_threads == 0) {
+      harness::run_once(cfg);
+    } else {
+      run_pooled(cfg, pool_threads);
+    }
+  }
+  return read_file(path);
 }
 
 }  // namespace dufp::perf_test

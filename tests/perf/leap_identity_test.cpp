@@ -8,8 +8,8 @@
 // stepper would.  Any single-ULP drift anywhere fails these compares.
 //
 // The matrix mirrors the hot-path risk surface: plain reference run,
-// deterministic fault storm, replayed dense trace, socket-parallel with
-// a pool smaller than the socket count, and a whole fleet node.  Two
+// deterministic fault storm, replayed dense trace, and a whole fleet
+// node.  Two
 // adversarial shapes close it out: an event on *every* tick (the leap
 // planner must yield entirely to the exact stepper) and a non-1-ms tick
 // (periodic deadlines divide by tick_us — the off-by-one bait).
@@ -69,9 +69,8 @@ void expect_leap_identity(harness::RunConfig cfg, const std::string& tag,
     EXPECT_GT(on.batch_stats.leapt_ticks, 0)
         << "fast path never engaged — the A/B compare proved nothing";
   }
-  EXPECT_EQ(on.batch_stats.leapt_ticks + on.batch_stats.stepped_ticks +
-                on.batch_stats.batched_ticks,
-            off.batch_stats.stepped_ticks + off.batch_stats.batched_ticks)
+  EXPECT_EQ(on.batch_stats.leapt_ticks + on.batch_stats.stepped_ticks,
+            off.batch_stats.stepped_ticks)
       << "the two runs simulated different tick counts";
 
   cfg.sim.time_leap = true;
@@ -128,16 +127,6 @@ TEST(LeapIdentityTest, TraceReplayBytesIdentical) {
   cfg.tolerated_slowdown = 0.10;
   cfg.seed = 7;
   expect_leap_identity(cfg, "replay");
-}
-
-// Two worker threads over four sockets: the work-queue interleaving
-// differs from both serial and 4-thread runs, and the leap planner runs
-// interleaved with parallel batches.
-TEST(LeapIdentityTest, TwoThreadSocketParallelBytesIdentical) {
-  const auto profile = golden_profile();
-  harness::RunConfig cfg = golden_storm_config(profile);
-  cfg.sim.socket_threads = 2;
-  expect_leap_identity(cfg, "par2");
 }
 
 // A whole fleet node through the bit-exact wire codec: epoch records,
@@ -221,8 +210,7 @@ TEST(LeapIdentityTest, EveryTickEventForcesExactPath) {
 
   EXPECT_EQ(on_bs.leapt_ticks, 0)
       << "leapt across a tick whose deadline it should have seen";
-  EXPECT_EQ(on_bs.stepped_ticks,
-            on_bs.leapt_ticks + on_bs.stepped_ticks + on_bs.batched_ticks)
+  EXPECT_EQ(on_bs.stepped_ticks, on_bs.leapt_ticks + on_bs.stepped_ticks)
       << "an every-tick event must force the exact stepper for all ticks";
   EXPECT_GT(on_fires, 0);
   EXPECT_EQ(on_fires, off_fires);
@@ -266,8 +254,7 @@ TEST(LeapIdentityTest, NonMillisecondTickPeriodicFiringsExact) {
           << "periodic missed its deadline at tick=" << tick_ms << "ms";
     }
     EXPECT_EQ(on_fires, off_fires);
-    EXPECT_EQ(on_bs.leapt_ticks + on_bs.stepped_ticks + on_bs.batched_ticks,
-              off_bs.stepped_ticks);
+    EXPECT_EQ(on_bs.leapt_ticks + on_bs.stepped_ticks, off_bs.stepped_ticks);
     EXPECT_GT(on_bs.leapt_ticks, 0)
         << "leap never engaged at tick=" << tick_ms << "ms";
     expect_same_summary(on_sum, off_sum);

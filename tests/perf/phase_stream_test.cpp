@@ -86,45 +86,6 @@ std::string run_storm_stream(const harness::RunConfig& base) {
   return stream;
 }
 
-/// Socket-parallel stepping fires listeners on worker threads, so the
-/// cross-socket interleaving of a shared stream is not defined — but each
-/// socket's own event sequence is part of the determinism contract.  This
-/// helper collects per-socket streams (socket-confined, as the engine
-/// requires) for comparison against the serial golden projected per
-/// socket.
-std::vector<std::string> run_parallel_streams(const harness::RunConfig& base,
-                                              int threads) {
-  harness::RunConfig cfg = base;
-  sim::SimulationOptions sim_opts = cfg.sim;
-  sim_opts.seed = cfg.seed;
-  sim_opts.socket_threads = threads;
-  sim::Simulation s(cfg.machine, *cfg.profile, sim_opts);
-  const auto& profile = *cfg.profile;
-  std::vector<std::string> streams(
-      static_cast<std::size_t>(s.socket_count()));
-  s.add_phase_listener(
-      [&](int socket, std::size_t phase_idx, bool entered) {
-        streams[static_cast<std::size_t>(socket)] +=
-            strf("%d,%s,%d\n", socket,
-                 std::string(profile.phase_name(phase_idx)).c_str(),
-                 entered ? 1 : 0);
-      });
-  s.run();
-  return streams;
-}
-
-/// Lines of `stream` whose socket field equals `socket`.
-std::string project_socket(const std::string& stream, int socket) {
-  const std::string prefix = strf("%d,", socket);
-  std::string out;
-  std::stringstream ss(stream);
-  std::string line;
-  while (std::getline(ss, line)) {
-    if (line.rfind(prefix, 0) == 0) out += line + "\n";
-  }
-  return out;
-}
-
 TEST(PhaseStreamTest, StreamMatchesPreInterningGolden) {
   const auto profile = golden_profile();
   expect_matches_golden(run_stream(golden_config(profile)),
@@ -151,21 +112,6 @@ TEST(PhaseStreamTest, EveryEnterHasMatchingExit) {
   // 4 sockets x 2 cycles x 3 phases, every visit entered and left.
   EXPECT_EQ(enters, 24);
   EXPECT_EQ(exits, 24);
-}
-
-TEST(PhaseStreamTest, ParallelPerSocketStreamsMatchSerialGolden) {
-  const auto profile = golden_profile();
-  const std::string golden =
-      read_file(golden_path("phase_stream_reference.txt"));
-  ASSERT_FALSE(golden.empty());
-  const auto streams =
-      run_parallel_streams(golden_config(profile), /*threads=*/4);
-  ASSERT_EQ(streams.size(), 4u);
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_EQ(streams[static_cast<std::size_t>(s)],
-              project_socket(golden, s))
-        << "socket " << s << " event stream drifted under parallel stepping";
-  }
 }
 
 }  // namespace

@@ -186,69 +186,32 @@ TEST(SimulationTest, MaxSecondsGuardThrows) {
   EXPECT_THROW(s.run(), std::runtime_error);
 }
 
-TEST(SimulationTest, BatchStatsAccountForEveryParallelTick) {
-  // Jittered multi-socket run: the sockets finish at staggered ticks,
-  // which is the historical worst case for the batch bound (a MIN over
-  // per-socket finish estimates degraded the endgame into 1-tick batches
-  // and serial fallback).  With the MAX bound — only the *last* finish
-  // can end the run, and an individually-finished socket integrates idle
-  // demand inside a batch exactly as the serial engine does — the tail
-  // stays batched: the serial fallback is a handful of ticks at most and
-  // at least one full-width batch runs (no periodics are registered, so
-  // nothing but the finish bound and kMaxBatchTicks limits a batch).
+TEST(SimulationTest, TickAccountingInvariantWithLeapingEnabled) {
+  // With the event-leaping fast paths on (the default), every simulated
+  // tick is classified exactly once: covered by a leap / calm stretch or
+  // stepped exactly.
   hw::MachineConfig m;
   m.sockets = 4;
   SimulationOptions o = fast_options();
-  o.workload_jitter_sigma = 0.02;  // stagger the per-socket finish ticks
-  o.socket_threads = 2;
-  o.time_leap = false;  // pin the batcher itself; leap paths tested below
+  o.workload_jitter_sigma = 0.02;
   const auto prof = small_profile();
   Simulation s(m, prof, o);
   const auto sum = s.run();
-  const auto bs = s.batch_stats();
+  const auto& bs = s.batch_stats();
   const auto total_ticks =
       static_cast<std::int64_t>(std::llround(sum.exec_seconds * 1000.0));
-  EXPECT_EQ(bs.batched_ticks + bs.serial_ticks, total_ticks);
-  EXPECT_EQ(bs.stepped_ticks, bs.serial_ticks);
-  EXPECT_EQ(bs.leapt_ticks, 0);
-  EXPECT_GT(bs.batches, 0);
-  EXPECT_LT(bs.serial_ticks, 64) << "endgame tail fell back to serial";
-  EXPECT_GE(bs.max_batch, 256) << "batch window collapsed";
+  EXPECT_EQ(bs.leapt_ticks + bs.stepped_ticks, total_ticks);
+  EXPECT_GT(bs.leapt_ticks, 0) << "fast path never engaged";
 }
 
-TEST(SimulationTest, TickAccountingInvariantWithLeapingEnabled) {
-  // With the event-leaping fast paths on (the default), every simulated
-  // tick is classified exactly once: covered by a leap / calm stretch,
-  // stepped exactly, or stepped inside a parallel batch.
-  for (const int threads : {1, 2}) {
-    hw::MachineConfig m;
-    m.sockets = 4;
-    SimulationOptions o = fast_options();
-    o.workload_jitter_sigma = 0.02;
-    o.socket_threads = threads;
-    const auto prof = small_profile();
-    Simulation s(m, prof, o);
-    const auto sum = s.run();
-    const auto bs = s.batch_stats();
-    const auto total_ticks =
-        static_cast<std::int64_t>(std::llround(sum.exec_seconds * 1000.0));
-    EXPECT_EQ(bs.leapt_ticks + bs.stepped_ticks + bs.batched_ticks,
-              total_ticks)
-        << "threads=" << threads;
-    EXPECT_GT(bs.leapt_ticks, 0) << "fast path never engaged";
-  }
-}
-
+// batched_ticks outlived the socket-parallel engine only because the perf
+// ledger still adds it into its tick reconciliation; it must read 0.
 TEST(SimulationTest, BatchStatsZeroAfterSerialRun) {
   const auto prof = small_profile();
   Simulation s(one_socket(), prof, fast_options());
   const auto sum = s.run();
-  const auto bs = s.batch_stats();
-  EXPECT_EQ(bs.batches, 0);
+  const auto& bs = s.batch_stats();
   EXPECT_EQ(bs.batched_ticks, 0);
-  EXPECT_EQ(bs.serial_ticks, 0);
-  EXPECT_EQ(bs.max_batch, 0);
-  // The leap fields still account for every serial tick.
   const auto total_ticks =
       static_cast<std::int64_t>(std::llround(sum.exec_seconds * 1000.0));
   EXPECT_EQ(bs.leapt_ticks + bs.stepped_ticks, total_ticks);

@@ -44,26 +44,19 @@ import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 for key in ("schema_version", "bench", "smoke", "config", "baseline",
-            "serial", "socket_threads_4", "speedup"):
+            "serial", "speedup"):
     assert key in doc, f"missing key: {key}"
-assert doc["schema_version"] == 3
+assert doc["schema_version"] == 4
 assert doc["smoke"] is True
-assert doc["serial"]["ticks"] > 0
+serial = doc["serial"]
+assert serial["ticks"] > 0
 # Event-leaping accounting: every tick must be classified exactly once
-# (leapt on the calm fast path, stepped exactly, or batched in the
-# socket-parallel engine) — a gap or an overlap here means the leaping
-# engine dropped or double-counted simulated time.  A row skipped on
-# this host carries skipped_reason instead of a measurement (v3).
-for key in ("serial", "socket_threads_4"):
-    row = doc[key]
-    if "skipped_reason" in row:
-        assert key != "serial", "the serial row is never skipped"
-        assert row["skipped_reason"] == "host_cpus==1"
-        continue
-    leap = row["leap"]
-    total = leap["leapt_ticks"] + leap["stepped_ticks"] + leap["batched_ticks"]
-    assert total == int(row["ticks"]), (
-        f"{key}: leap split {total} != ticks {row['ticks']}")
+# (leapt on the calm fast path or stepped exactly) — a gap or an overlap
+# here means the leaping engine dropped or double-counted simulated time.
+leap = serial["leap"]
+total = leap["leapt_ticks"] + leap["stepped_ticks"]
+assert total == int(serial["ticks"]), (
+    f"leap split {total} != ticks {serial['ticks']}")
 print("sim_throughput smoke: JSON OK, leap split accounts for every tick")
 EOF
 
@@ -322,47 +315,36 @@ echo "== perf gate (sim_throughput, full run) =="
 # leaves ~40% noise margin so shared CI hosts don't flake, while still
 # catching any real hot-path regression (the pre-leaping engine
 # measured ~2.2x and would fail this gate).
-# Override per-host with DUFP_CI_MIN_SERIAL_SPEEDUP; the parallel gate
-# only applies on multi-core hosts (on 1 CPU socket-threads measure
-# overhead, not speedup).
+# Override per-host with DUFP_CI_MIN_SERIAL_SPEEDUP.
 perf_dir="${build_dir}/perf-out"
 rm -rf "${perf_dir}"
 DUFP_OUT_DIR="${perf_dir}" "${build_dir}/bench/sim_throughput"
 min_serial="${DUFP_CI_MIN_SERIAL_SPEEDUP:-9.0}"
-min_parallel="${DUFP_CI_MIN_PARALLEL_SPEEDUP:-1.0}"
-python3 - "${perf_dir}/BENCH_sim_throughput.json" \
-    "${min_serial}" "${min_parallel}" <<'EOF'
+python3 - "${perf_dir}/BENCH_sim_throughput.json" "${min_serial}" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-min_serial, min_parallel = float(sys.argv[2]), float(sys.argv[3])
+min_serial = float(sys.argv[2])
 serial = doc["speedup"]["serial_vs_baseline"]
 assert serial >= min_serial, (
     f"perf gate: serial_vs_baseline {serial:.2f}x < floor {min_serial}x")
 print(f"perf gate: serial_vs_baseline {serial:.2f}x >= {min_serial}x")
-# The bench itself decides whether the parallel row is meaningful on
-# this host (schema v3); the gate keys on its marker, not on
-# re-deriving the CPU count.
-row = doc["socket_threads_4"]
-if "skipped_reason" in row:
-    print(f"perf gate: parallel gate skipped ({row['skipped_reason']})")
-else:
-    par = doc["speedup"]["parallel_vs_serial"]
-    assert par >= min_parallel, (
-        f"perf gate: parallel_vs_serial {par:.2f}x < floor {min_parallel}x")
-    print(f"perf gate: parallel_vs_serial {par:.2f}x >= {min_parallel}x")
 EOF
 
-echo "== grid_throughput gate (batched lane engine) =="
-# The tournament-shaped smoke grid, sequential (PR 9 execution model:
-# run_once per job, shared cell cache off) vs the batched lane engine,
-# byte-compared through the finalized evaluation CSV — the bench exits
-# non-zero on any drift or a non-warm repeat, so this is also a
-# grid-scale identity gate.  The speedup floor defaults to 1.5x — the
-# tracked cold-batched number on the 1-CPU dev container is ~1.8-1.9x
-# (all shared-table amortization; lane threading is skipped there), so
-# the margin absorbs shared-host noise.  Override per-host with
-# DUFP_CI_MIN_GRID_SPEEDUP.
+echo "== grid_throughput gate (shared cell cache, pooled runs) =="
+# The tournament-shaped smoke grid (95 jobs) four ways: uncached (a
+# run_once loop, shared cell cache off), cached cold, cached warm, and
+# pooled (2 threads, cache on and cleared), every leg byte-compared
+# against uncached through the finalized evaluation CSV — the bench
+# exits non-zero on any drift or a non-warm repeat, so this is also a
+# grid-scale identity gate.
+# Counts are deterministic, so they gate exactly: the cached cold leg
+# builds at most 5% of the uncached leg's cell edges, the warm repeat
+# none.  Time gates on pooled_vs_uncached, the median of 5 alternating
+# uncached/pooled pairs inside the one invocation (2.9x on a 4-vCPU
+# host with its CPUs free); the floor defaults to 1.5x.
+# Override per-host with DUFP_CI_MIN_GRID_SPEEDUP.  On 1 CPU the pooled
+# leg is skipped and only the counts gate.
 DUFP_SMOKE=1 DUFP_QUIET=1 DUFP_OUT_DIR="${perf_dir}" \
     "${build_dir}/bench/grid_throughput"
 min_grid="${DUFP_CI_MIN_GRID_SPEEDUP:-1.5}"
@@ -371,30 +353,39 @@ import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 min_grid = float(sys.argv[2])
-for key in ("schema_version", "bench", "smoke", "config", "sequential",
-            "batched_cold", "batched_warm", "threaded", "speedup",
+for key in ("schema_version", "bench", "smoke", "config", "uncached",
+            "cached_cold", "cached_warm", "pooled", "speedup",
             "shared_cache", "per_job"):
     assert key in doc, f"missing key: {key}"
-assert doc["schema_version"] == 1
-for key in ("batched_cold", "batched_warm"):
+assert doc["schema_version"] == 2
+for key in ("cached_cold", "cached_warm"):
     assert doc[key]["identical_bytes"] is True, f"{key}: byte drift"
-threaded = doc["threaded"]
-if "skipped_reason" in threaded:
-    assert threaded["skipped_reason"] == "host_cpus==1"
+assert doc["uncached"]["cells"]["shared_hits"] == 0, (
+    "uncached leg must run with the shared cache off")
+uncached = doc["uncached"]["cells"]["cold_builds"]
+cold = doc["cached_cold"]["cells"]["cold_builds"]
+warm = doc["cached_warm"]["cells"]["cold_builds"]
+assert uncached > 0, "uncached leg built no cell edge: nothing to amortize"
+assert cold <= 0.05 * uncached, (
+    f"grid gate: cached cold leg built {cold} cell edges, more than 5% "
+    f"of the uncached leg's {uncached}")
+# A repeat of the identical grid must start fully warm.
+assert warm == 0, f"warm repeat ran {warm} cold edge builds (want 0)"
+print(f"grid gate: cold edge builds {uncached} -> {cold} -> {warm} "
+      f"(uncached -> cached cold -> cached warm), bytes identical")
+pooled = doc["pooled"]
+if "skipped_reason" in pooled:
+    assert pooled["skipped_reason"] == "host_cpus==1"
+    print("grid gate: pooled leg skipped (host_cpus==1)")
 else:
-    assert threaded["identical_bytes"] is True, "threaded: byte drift"
-# The cross-run amortization claim: a repeat of the identical grid must
-# start fully warm — zero cold cell-edge builds, every lookup served.
-warm = doc["batched_warm"]["cells"]
-assert warm["cold_builds"] == 0, (
-    f"warm repeat ran {warm['cold_builds']} cold edge builds (want 0)")
-assert doc["sequential"]["cells"]["shared_hits"] == 0, (
-    "sequential leg must run with the shared cache off")
-cold = doc["speedup"]["batched_cold_vs_sequential"]
-assert cold >= min_grid, (
-    f"grid gate: batched_cold_vs_sequential {cold:.2f}x < floor {min_grid}x")
-print(f"grid gate: batched_cold {cold:.2f}x >= {min_grid}x, warm repeat "
-      f"fully warm, bytes identical")
+    assert pooled["identical_bytes"] is True, "pooled: byte drift"
+    ratio = doc["speedup"]["pooled_vs_uncached"]
+    assert ratio >= min_grid, (
+        f"grid gate: pooled_vs_uncached {ratio:.2f}x < floor {min_grid}x")
+    print(f"grid gate: pooled_vs_uncached {ratio:.2f}x >= {min_grid}x "
+          f"(median of {doc['config']['pairs']} pairs)")
+print(f"grid report: cached_cold_vs_uncached "
+      f"{doc['speedup']['cached_cold_vs_uncached']:.2f}x (not gated)")
 EOF
 
 # Archive the gated numbers per commit so regressions can be bisected
