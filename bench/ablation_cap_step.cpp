@@ -8,7 +8,6 @@
 #include "bench_util.h"
 
 using namespace dufp;
-using harness::PolicyMode;
 
 int main() {
   bench::print_banner("Ablation: power cap step (paper default 5 W)",
@@ -29,7 +28,7 @@ int main() {
       harness::note_progress(workloads::app_name(app) + " step " +
                              fmt_double(step, 1));
       harness::RunConfig cfg = base;
-      cfg.mode = PolicyMode::dufp;
+      cfg.policy_name = "DUFP";
       cfg.tolerated_slowdown = 0.10;
       cfg.policy.cap_step_w = step;
       const auto res = harness::run_once(cfg);

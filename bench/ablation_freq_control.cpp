@@ -12,7 +12,6 @@
 #include "bench_util.h"
 
 using namespace dufp;
-using harness::PolicyMode;
 
 int main() {
   bench::print_banner(
@@ -31,11 +30,10 @@ int main() {
 
     TextTable t({"configuration", "slowdown %", "power savings %",
                  "energy change %", "p-state pins / min"});
-    for (PolicyMode mode : {PolicyMode::dufp, PolicyMode::dufpf}) {
-      harness::note_progress(workloads::app_name(app) + " " +
-                             harness::policy_mode_name(mode));
+    for (const char* policy : {"DUFP", "DUFP-F"}) {
+      harness::note_progress(workloads::app_name(app) + " " + policy);
       harness::RunConfig cfg = base;
-      cfg.mode = mode;
+      cfg.policy_name = policy;
       cfg.tolerated_slowdown = 0.10;
       const auto res = harness::run_once(cfg);
       const auto agg = harness::run_repeated(cfg, reps);
@@ -44,7 +42,7 @@ int main() {
         pins += static_cast<double>(st.pstate_pins);
       }
       pins = pins / res.summary.exec_seconds * 60.0;
-      t.add_row(harness::policy_mode_name(mode),
+      t.add_row(policy,
                 {harness::percent_over(agg.exec_seconds.mean,
                                        def.exec_seconds.mean),
                  -harness::percent_over(agg.avg_pkg_power_w.mean,

@@ -11,7 +11,6 @@
 #include "bench_util.h"
 
 using namespace dufp;
-using harness::PolicyMode;
 
 int main() {
   bench::print_banner("Ablation: control interval (paper default 200 ms)",
@@ -33,7 +32,7 @@ int main() {
       harness::note_progress(workloads::app_name(app) + " @ " +
                              std::to_string(ms) + " ms");
       harness::RunConfig cfg = base;
-      cfg.mode = PolicyMode::dufp;
+      cfg.policy_name = "DUFP";
       cfg.tolerated_slowdown = 0.10;
       cfg.policy.interval = SimTime::from_millis(ms);
       const auto res = harness::run_once(cfg);

@@ -10,7 +10,6 @@
 #include "bench_util.h"
 
 using namespace dufp;
-using harness::PolicyMode;
 
 int main() {
   bench::print_banner("Ablation: minimum power cap (paper default 65 W)",
@@ -31,7 +30,7 @@ int main() {
       harness::note_progress(workloads::app_name(app) + " min cap " +
                              fmt_double(min_cap, 0));
       harness::RunConfig cfg = base;
-      cfg.mode = PolicyMode::dufp;
+      cfg.policy_name = "DUFP";
       cfg.tolerated_slowdown = 0.10;
       cfg.policy.min_cap_w = min_cap;
       const auto agg = harness::run_repeated(cfg, reps);

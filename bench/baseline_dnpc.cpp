@@ -11,7 +11,6 @@
 #include "bench_util.h"
 
 using namespace dufp;
-using harness::PolicyMode;
 
 int main() {
   bench::print_banner("Baseline: DNPC-style frequency-model capping vs DUFP",
@@ -27,14 +26,14 @@ int main() {
     base.seed = 305;
     const auto def = harness::run_repeated(base, reps);
 
-    auto cell = [&](PolicyMode mode) {
+    auto cell = [&](const std::string& mode) {
       harness::RunConfig cfg = base;
-      cfg.mode = mode;
+      cfg.policy_name = mode;
       cfg.tolerated_slowdown = 0.10;
       return harness::run_repeated(cfg, reps);
     };
-    const auto dnpc = cell(PolicyMode::dnpc);
-    const auto dufp = cell(PolicyMode::dufp);
+    const auto dnpc = cell("DNPC");
+    const auto dufp = cell("DUFP");
 
     t.add_row(workloads::app_name(app),
               {harness::percent_over(dnpc.exec_seconds.mean,

@@ -63,16 +63,20 @@ inline std::string health_summary(const harness::HealthTotals& h) {
       static_cast<unsigned long long>(h.intervals_degraded));
 }
 
+/// The controllers the paper's Fig. 3 / Fig. 4 compare, by registry name.
+inline const std::vector<std::string>& paper_policies() {
+  static const std::vector<std::string> names{"DUF", "DUFP"};
+  return names;
+}
+
 /// Runs the full evaluation grid the paper's Fig. 3 / Fig. 4 share:
 /// every application x {DUF, DUFP} x {0, 5, 10, 20} %.  All jobs go
 /// through one ExperimentPlan, so DUFP_THREADS parallelises across the
 /// whole grid, not just within one app.
 inline std::vector<harness::Evaluation> run_full_grid() {
-  return harness::evaluate_apps(
-      workloads::all_apps(),
-      {harness::PolicyMode::duf, harness::PolicyMode::dufp},
-      harness::paper_tolerances(),
-      harness::BenchOptions::from_env().repetitions);
+  return harness::evaluate_apps(workloads::all_apps(), paper_policies(),
+                                harness::paper_tolerances(),
+                                harness::BenchOptions::from_env().repetitions);
 }
 
 /// Formats "val [min..max]" for error-bar style cells.
@@ -105,11 +109,9 @@ void write_grid_csv(const std::string& filename,
   header.insert(header.end(), value_headers.begin(), value_headers.end());
   csv.write_row(header);
   for (const auto& e : evals) {
-    for (harness::PolicyMode mode :
-         {harness::PolicyMode::duf, harness::PolicyMode::dufp}) {
+    for (const std::string& mode : paper_policies()) {
       for (double t : harness::paper_tolerances()) {
-        std::vector<std::string> row{workloads::app_name(e.app()),
-                                     harness::policy_mode_name(mode),
+        std::vector<std::string> row{workloads::app_name(e.app()), mode,
                                      fmt_double(t * 100, 0)};
         for (std::string& v : cell(e, mode, t)) row.push_back(std::move(v));
         csv.write_row(row);

@@ -21,7 +21,6 @@
 #include "telemetry/export.h"
 
 using namespace dufp;
-using harness::PolicyMode;
 
 int main() {
   const auto opts = harness::BenchOptions::from_env();
@@ -34,8 +33,7 @@ int main() {
               static_cast<unsigned long long>(opts.fault_seed));
 
   const auto& prof = workloads::profile(workloads::AppId::cg);
-  const std::vector<PolicyMode> modes{PolicyMode::duf, PolicyMode::dufp,
-                                      PolicyMode::dufpf, PolicyMode::dnpc};
+  const std::vector<std::string> modes{"DUF", "DUFP", "DUFP-F", "DNPC"};
 
   // Storm-free reference for the cost-of-faults column.
   harness::RunConfig base = harness::default_run_config(prof);
@@ -50,20 +48,20 @@ int main() {
                  "reengagements", "intervals_degraded"});
 
   TextTable table({"mode", "exec s (storm)", "exec s (clean)", "health"});
-  for (PolicyMode mode : modes) {
+  for (const std::string& mode : modes) {
     harness::RunConfig clean = base;
-    clean.mode = mode;
+    clean.policy_name = mode;
     const auto ref = harness::run_repeated(clean, opts.repetitions);
 
     harness::RunConfig storm = clean;
     storm.faults = faults::FaultOptions::storm(rate, opts.fault_seed);
     const auto res = harness::run_repeated(storm, opts.repetitions);
 
-    table.add_row({harness::policy_mode_name(mode),
+    table.add_row({mode,
                    strf("%7.2f", res.exec_seconds.mean),
                    strf("%7.2f", ref.exec_seconds.mean),
                    bench::health_summary(res.health)});
-    csv.write_row({harness::policy_mode_name(mode),
+    csv.write_row({mode,
                    fmt_double(res.exec_seconds.mean, 3),
                    fmt_double(ref.exec_seconds.mean, 3),
                    fmt_double(res.avg_pkg_power_w.mean, 3),
@@ -88,7 +86,7 @@ int main() {
     // recorders capture the interval-by-interval history and every
     // watchdog fail-open dumps the last moments before degradation.
     harness::RunConfig instr = base;
-    instr.mode = PolicyMode::dufp;
+    instr.policy_name = "DUFP";
     instr.faults = faults::FaultOptions::storm(rate, opts.fault_seed);
     instr.telemetry.enabled = true;
     const auto res = harness::run_once(instr);

@@ -11,7 +11,6 @@
 #include "bench_util.h"
 
 using namespace dufp;
-using harness::PolicyMode;
 
 int main() {
   bench::print_banner("Fig. 1a: power capping on CG (whole run)",
@@ -27,14 +26,14 @@ int main() {
 
   struct Config {
     const char* label;
-    PolicyMode mode;
+    const char* policy;  ///< registry name; "" = no controller
     std::optional<double> cap;
   };
   const Config configs[] = {
-      {"default", PolicyMode::none, std::nullopt},
-      {"uncore freq. scaling (DUF)", PolicyMode::duf, std::nullopt},
-      {"DUF + power cap 110 W", PolicyMode::duf, 110.0},
-      {"DUF + power cap 100 W", PolicyMode::duf, 100.0},
+      {"default", "", std::nullopt},
+      {"uncore freq. scaling (DUF)", "DUF", std::nullopt},
+      {"DUF + power cap 110 W", "DUF", 110.0},
+      {"DUF + power cap 100 W", "DUF", 100.0},
   };
 
   std::optional<harness::RepeatedResult> def;
@@ -43,7 +42,7 @@ int main() {
   for (const auto& c : configs) {
     harness::note_progress(c.label);
     harness::RunConfig cfg = base;
-    cfg.mode = c.mode;
+    cfg.policy_name = c.policy;
     cfg.tolerated_slowdown = 0.05;  // DUF's uncore tolerance in the figure
     cfg.static_cap_w = c.cap;
     const auto r = harness::run_repeated(cfg, reps);

@@ -10,7 +10,6 @@
 #include "bench_util.h"
 
 using namespace dufp;
-using harness::PolicyMode;
 
 int main() {
   bench::print_banner(
@@ -27,14 +26,14 @@ int main() {
 
   struct Config {
     const char* label;
-    PolicyMode mode;
+    const char* policy;  ///< registry name; "" = no controller
     std::optional<double> cap;
   };
   const Config configs[] = {
-      {"default", PolicyMode::none, std::nullopt},
-      {"uncore freq. scaling (DUF)", PolicyMode::duf, std::nullopt},
-      {"DUF + phase cap 110 W", PolicyMode::duf, 110.0},
-      {"DUF + phase cap 100 W", PolicyMode::duf, 100.0},
+      {"default", "", std::nullopt},
+      {"uncore freq. scaling (DUF)", "DUF", std::nullopt},
+      {"DUF + phase cap 110 W", "DUF", 110.0},
+      {"DUF + phase cap 100 W", "DUF", 100.0},
   };
 
   TextTable t({"configuration", "phase power (W)", "phase power / budget",
@@ -42,7 +41,7 @@ int main() {
   for (const auto& c : configs) {
     harness::note_progress(c.label);
     harness::RunConfig cfg = base;
-    cfg.mode = c.mode;
+    cfg.policy_name = c.policy;
     cfg.tolerated_slowdown = 0.05;
     if (c.cap.has_value()) {
       cfg.phase_cap = harness::PhaseCapSpec{"init", *c.cap};

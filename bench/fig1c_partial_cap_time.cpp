@@ -9,7 +9,6 @@
 #include "bench_util.h"
 
 using namespace dufp;
-using harness::PolicyMode;
 
 int main() {
   bench::print_banner(

@@ -7,7 +7,6 @@
 #include "common/csv.h"
 
 using namespace dufp;
-using harness::PolicyMode;
 
 int main() {
   bench::print_banner("Fig. 3a: impact on performance (slowdown %)",
@@ -15,9 +14,8 @@ int main() {
   const auto evals = bench::run_full_grid();
   const auto& tols = harness::paper_tolerances();
 
-  for (PolicyMode mode : {PolicyMode::duf, PolicyMode::dufp}) {
-    std::printf("\n--- %s: slowdown %% (mean [min..max]) ---\n",
-                harness::policy_mode_name(mode).c_str());
+  for (const std::string& mode : bench::paper_policies()) {
+    std::printf("\n--- %s: slowdown %% (mean [min..max]) ---\n", mode.c_str());
     std::vector<std::string> header{"app"};
     for (double t : tols) header.push_back(bench::tol_label(t));
     TextTable table(header);
@@ -41,7 +39,7 @@ int main() {
   for (const auto& e : evals) {
     for (double t : tols) {
       ++total;
-      const double slow = e.slowdown_pct(PolicyMode::dufp, t);
+      const double slow = e.slowdown_pct("DUFP", t);
       const double excess = slow - t * 100.0;
       if (excess <= 0.3) {
         ++respected;
@@ -66,7 +64,7 @@ int main() {
   std::printf("\n");
   bench::write_grid_csv(
       "fig3a_slowdown.csv", {"slowdown_pct", "min", "max"}, evals,
-      [](const harness::Evaluation& e, PolicyMode mode, double t) {
+      [](const harness::Evaluation& e, const std::string& mode, double t) {
         return std::vector<std::string>{
             fmt_double(e.slowdown_pct(mode, t), 3),
             fmt_double(e.slowdown_pct_min(mode, t), 3),

@@ -8,7 +8,6 @@
 #include "common/csv.h"
 
 using namespace dufp;
-using harness::PolicyMode;
 
 int main() {
   bench::print_banner(
@@ -17,9 +16,8 @@ int main() {
   const auto evals = bench::run_full_grid();
   const auto& tols = harness::paper_tolerances();
 
-  for (PolicyMode mode : {PolicyMode::duf, PolicyMode::dufp}) {
-    std::printf("\n--- %s: processor power savings %% ---\n",
-                harness::policy_mode_name(mode).c_str());
+  for (const std::string& mode : bench::paper_policies()) {
+    std::printf("\n--- %s: processor power savings %% ---\n", mode.c_str());
     std::vector<std::string> header{"app"};
     for (double t : tols) header.push_back(bench::tol_label(t));
     TextTable table(header);
@@ -38,8 +36,8 @@ int main() {
   std::string gap_cfg;
   for (const auto& e : evals) {
     for (double t : tols) {
-      const double dufp = e.pkg_power_savings_pct(PolicyMode::dufp, t);
-      const double duf = e.pkg_power_savings_pct(PolicyMode::duf, t);
+      const double dufp = e.pkg_power_savings_pct("DUFP", t);
+      const double duf = e.pkg_power_savings_pct("DUF", t);
       if (dufp > best) {
         best = dufp;
         best_cfg =
@@ -59,7 +57,7 @@ int main() {
 
   bench::write_grid_csv(
       "fig3b_processor_power.csv", {"power_savings_pct"}, evals,
-      [](const harness::Evaluation& e, PolicyMode mode, double t) {
+      [](const harness::Evaluation& e, const std::string& mode, double t) {
         return std::vector<std::string>{
             fmt_double(e.pkg_power_savings_pct(mode, t), 3)};
       });

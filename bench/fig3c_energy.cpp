@@ -6,7 +6,6 @@
 #include "common/csv.h"
 
 using namespace dufp;
-using harness::PolicyMode;
 
 int main() {
   bench::print_banner(
@@ -15,9 +14,9 @@ int main() {
   const auto evals = bench::run_full_grid();
   const auto& tols = harness::paper_tolerances();
 
-  for (PolicyMode mode : {PolicyMode::duf, PolicyMode::dufp}) {
+  for (const std::string& mode : bench::paper_policies()) {
     std::printf("\n--- %s: total energy change %% (negative = saved) ---\n",
-                harness::policy_mode_name(mode).c_str());
+                mode.c_str());
     std::vector<std::string> header{"app"};
     for (double t : tols) header.push_back(bench::tol_label(t));
     TextTable table(header);
@@ -32,8 +31,8 @@ int main() {
   int loss_at_20 = 0;
   int loss_at_10 = 0;
   for (const auto& e : evals) {
-    if (e.energy_change_pct(PolicyMode::dufp, 0.20) > 0.3) ++loss_at_20;
-    if (e.energy_change_pct(PolicyMode::dufp, 0.10) > 0.3) ++loss_at_10;
+    if (e.energy_change_pct("DUFP", 0.20) > 0.3) ++loss_at_20;
+    if (e.energy_change_pct("DUFP", 0.10) > 0.3) ++loss_at_10;
   }
   std::printf(
       "\nApplications losing energy with DUFP: %d at 20 %% tolerance, %d at"
@@ -45,7 +44,7 @@ int main() {
 
   bench::write_grid_csv(
       "fig3c_energy.csv", {"energy_change_pct"}, evals,
-      [](const harness::Evaluation& e, PolicyMode mode, double t) {
+      [](const harness::Evaluation& e, const std::string& mode, double t) {
         return std::vector<std::string>{
             fmt_double(e.energy_change_pct(mode, t), 3)};
       });

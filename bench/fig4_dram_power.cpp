@@ -6,7 +6,6 @@
 #include "common/csv.h"
 
 using namespace dufp;
-using harness::PolicyMode;
 
 int main() {
   bench::print_banner("Fig. 4: impact on DRAM power consumption (savings %)",
@@ -14,9 +13,8 @@ int main() {
   const auto evals = bench::run_full_grid();
   const auto& tols = harness::paper_tolerances();
 
-  for (PolicyMode mode : {PolicyMode::duf, PolicyMode::dufp}) {
-    std::printf("\n--- %s: DRAM power savings %% ---\n",
-                harness::policy_mode_name(mode).c_str());
+  for (const std::string& mode : bench::paper_policies()) {
+    std::printf("\n--- %s: DRAM power savings %% ---\n", mode.c_str());
     std::vector<std::string> header{"app"};
     for (double t : tols) header.push_back(bench::tol_label(t));
     TextTable table(header);
@@ -32,7 +30,7 @@ int main() {
   std::string best_cfg;
   for (const auto& e : evals) {
     for (double t : tols) {
-      const double s = e.dram_power_savings_pct(PolicyMode::dufp, t);
+      const double s = e.dram_power_savings_pct("DUFP", t);
       if (s > best) {
         best = s;
         best_cfg =
@@ -48,7 +46,7 @@ int main() {
 
   bench::write_grid_csv(
       "fig4_dram_power.csv", {"dram_savings_pct"}, evals,
-      [](const harness::Evaluation& e, PolicyMode mode, double t) {
+      [](const harness::Evaluation& e, const std::string& mode, double t) {
         return std::vector<std::string>{
             fmt_double(e.dram_power_savings_pct(mode, t), 3)};
       });

@@ -11,7 +11,6 @@
 #include "sim/trace.h"
 
 using namespace dufp;
-using harness::PolicyMode;
 
 namespace {
 
@@ -20,11 +19,12 @@ struct TraceSummary {
   double fraction_at_max = 0.0;
 };
 
-TraceSummary run_with_trace(PolicyMode mode, const std::string& csv_path) {
+TraceSummary run_with_trace(const std::string& policy,
+                            const std::string& csv_path) {
   const auto& cg = workloads::profile(workloads::AppId::cg);
   harness::RunConfig cfg = harness::default_run_config(cg);
   cfg.seed = 105;
-  cfg.mode = mode;
+  cfg.policy_name = policy;
   cfg.tolerated_slowdown = 0.10;
 
   sim::VectorTraceSink sink(/*decimation=*/10);  // 10 ms resolution
@@ -58,11 +58,10 @@ int main() {
       "Fig. 5 (Sec. V-E)");
 
   harness::note_progress("DUF trace");
-  const auto duf =
-      run_with_trace(PolicyMode::duf, bench::out_path("fig5_duf_trace.csv"));
+  const auto duf = run_with_trace("DUF", bench::out_path("fig5_duf_trace.csv"));
   harness::note_progress("DUFP trace");
   const auto dufp =
-      run_with_trace(PolicyMode::dufp, bench::out_path("fig5_dufp_trace.csv"));
+      run_with_trace("DUFP", bench::out_path("fig5_dufp_trace.csv"));
 
   TextTable t({"configuration", "avg frequency (GHz)", "min (GHz)",
                "time at 2.8 GHz max (%)"});

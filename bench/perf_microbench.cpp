@@ -131,7 +131,7 @@ void run_agent_interval(benchmark::State& state, bool instrumented) {
   perfmon::SamplerOptions so;
   so.noise_sigma = 0.0;
   perfmon::IntervalSampler sampler(source, cfg.core_base_mhz, Rng(3), so);
-  core::Agent agent(core::PolicyMode::dufp, policy, zone, uncore,
+  core::Agent agent("DUFP", policy, zone, uncore,
                     std::move(sampler), nullptr,
                     telem ? &telem->socket(0) : nullptr);
 

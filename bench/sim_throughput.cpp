@@ -59,7 +59,7 @@ harness::RunConfig bench_config(const workloads::WorkloadProfile& profile,
   harness::RunConfig cfg;
   cfg.profile = &profile;
   cfg.machine.sockets = sockets;
-  cfg.mode = harness::PolicyMode::dufp;
+  cfg.policy_name = "DUFP";
   cfg.tolerated_slowdown = 0.10;
   cfg.seed = 1;
   return cfg;

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   }
   {
     harness::RunConfig cfg = base;
-    cfg.mode = harness::PolicyMode::dufp;
+    cfg.policy_name = "DUFP";
     cfg.tolerated_slowdown = tol_pct / 100.0;
     add("DUFP @ " + fmt_double(tol_pct, 0) + " %",
         harness::run_repeated(cfg, reps));

@@ -101,12 +101,12 @@ int main(int argc, char** argv) {
   cfg.seed = 23;
   const int reps = 3;
 
-  cfg.mode = harness::PolicyMode::none;
+  cfg.policy_name = "";  // the default configuration: no controller
   const auto def = harness::run_repeated(cfg, reps);
-  cfg.mode = harness::PolicyMode::duf;
+  cfg.policy_name = "DUF";
   cfg.tolerated_slowdown = tol;
   const auto duf = harness::run_repeated(cfg, reps);
-  cfg.mode = harness::PolicyMode::dufp;
+  cfg.policy_name = "DUFP";
   const auto dufp = harness::run_repeated(cfg, reps);
 
   std::printf("\nResults at %.0f %% tolerated slowdown:\n", tol * 100.0);

@@ -36,14 +36,14 @@ int main(int argc, char** argv) {
   cfg.seed = 7;
 
   const int reps = 3;
-  cfg.mode = harness::PolicyMode::none;
+  cfg.policy_name = "";  // the default configuration: no controller
   const auto def = harness::run_repeated(cfg, reps);
 
-  cfg.mode = harness::PolicyMode::duf;
+  cfg.policy_name = "DUF";
   cfg.tolerated_slowdown = tol_pct / 100.0;
   const auto duf = harness::run_repeated(cfg, reps);
 
-  cfg.mode = harness::PolicyMode::dufp;
+  cfg.policy_name = "DUFP";
   const auto dufp = harness::run_repeated(cfg, reps);
 
   TextTable t({"config", "time (s)", "slowdown %", "CPU power (W)",

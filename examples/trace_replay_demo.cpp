@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     c.machine.sockets = 1;
     c.seed = 72;
     const auto def = harness::run_repeated(c, 3);
-    c.mode = harness::PolicyMode::dufp;
+    c.policy_name = "DUFP";
     c.tolerated_slowdown = 0.10;
     const auto dufp = harness::run_repeated(c, 3);
     return std::pair<double, double>{

@@ -16,13 +16,6 @@ namespace {
 constexpr std::uint16_t op_code(ActuationOp op) {
   return static_cast<std::uint16_t>(op);
 }
-
-/// Legacy enum → registry name, with the historical contract that
-/// PolicyMode::none never reaches an Agent.
-std::string mode_policy_name(PolicyMode mode) {
-  DUFP_EXPECT(mode != PolicyMode::none);  // none = no agent at all
-  return to_string(mode);
-}
 }  // namespace
 
 Agent::Agent(std::string_view policy_name, const PolicyConfig& policy,
@@ -65,14 +58,6 @@ Agent::Agent(std::string_view policy_name, const PolicyConfig& policy,
   sampler_.set_telemetry(telem_);
   if (telem_ != nullptr) register_instruments();
 }
-
-Agent::Agent(PolicyMode mode, const PolicyConfig& policy,
-             powercap::PackageZone& zone, powercap::UncoreControl& uncore,
-             perfmon::IntervalSampler sampler,
-             powercap::PstateControl* pstate,
-             telemetry::SocketTelemetry* telem)
-    : Agent(mode_policy_name(mode), policy, zone, uncore, std::move(sampler),
-            pstate, telem) {}
 
 void Agent::register_instruments() {
   auto& reg = telem_->registry();

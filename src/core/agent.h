@@ -6,15 +6,18 @@
 // started on each user-specified socket" (Sec. III).
 //
 // The control logic lives behind the core::Policy seam (policy_api.h):
-// the agent resolves a policy by registry name, feeds it one sample per
-// interval, and executes the returned PolicyDecision through its retry /
-// watchdog / telemetry machinery.  The agent is the only thing that
-// touches hardware, so every policy — paper controller or zoo entry —
-// gets identical robustness behaviour for free.
+// the agent resolves a policy by registry name (the only way to name a
+// controller), feeds it one sample per interval, and executes the
+// returned PolicyDecision through its retry / watchdog / telemetry
+// machinery.  The agent is the only thing that touches hardware, so
+// every policy — paper controller or zoo entry — gets identical
+// robustness behaviour for free.
 //
 // The Agent is substrate-agnostic: it sees only CounterSource, Zone and
 // MsrDevice interfaces, so the identical class would drive PAPI +
-// powercap + /dev/cpu/*/msr on hardware.
+// powercap + /dev/cpu/*/msr on hardware.  In simulation,
+// harness::ControlPlane builds one per socket for runs and fleet nodes
+// alike.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +73,8 @@ struct AgentStats {
 
 class Agent {
  public:
-  /// Primary constructor.  `policy_name` is resolved (case-insensitively)
-  /// in PolicyRegistry::instance(); std::invalid_argument on unknown
+  /// `policy_name` is resolved (case-insensitively) in
+  /// PolicyRegistry::instance(); std::invalid_argument on unknown
   /// names.  The registry entry's config_defaults are applied to `policy`
   /// first (e.g. DUFP-F forces manage_core_frequency), then the zone's
   /// current limits / windows are captured as the hardware defaults to
@@ -81,15 +84,6 @@ class Agent {
   /// default) is the null sink — instruments still count, but nothing is
   /// exported and no events are recorded.
   Agent(std::string_view policy_name, const PolicyConfig& policy,
-        powercap::PackageZone& zone, powercap::UncoreControl& uncore,
-        perfmon::IntervalSampler sampler,
-        powercap::PstateControl* pstate = nullptr,
-        telemetry::SocketTelemetry* telem = nullptr);
-
-  /// Compatibility shim: maps the legacy enum onto its registry name via
-  /// core::to_string.  `mode` must name a controller — PolicyMode::none
-  /// is a harness-level value and is rejected.
-  Agent(PolicyMode mode, const PolicyConfig& policy,
         powercap::PackageZone& zone, powercap::UncoreControl& uncore,
         perfmon::IntervalSampler sampler,
         powercap::PstateControl* pstate = nullptr,

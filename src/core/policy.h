@@ -4,33 +4,9 @@
 // 1 / 100 (Sec. III).
 #pragma once
 
-#include <string>
-#include <string_view>
-
 #include "common/clock.h"
 
 namespace dufp::core {
-
-/// The policy under which a run executes.  One enum for every layer:
-/// `none` is a harness-level value (the paper's baseline — no agent is
-/// instantiated); the others select the per-socket controller an Agent
-/// runs.
-enum class PolicyMode {
-  none,   ///< default architecture configuration (harness-level baseline)
-  duf,    ///< dynamic uncore frequency scaling only
-  dufp,   ///< uncore + dynamic power capping (the paper's contribution)
-  dufpf,  ///< DUFP + direct core-frequency management (Sec. VII extension)
-  dnpc,   ///< frequency-model dynamic capping baseline (Sec. VI related work)
-};
-
-/// Display name used in figures: "default", "DUF", "DUFP", "DUFP-F",
-/// "DNPC".
-std::string to_string(PolicyMode m);
-
-/// Parses a mode from its display name or enum spelling
-/// (case-insensitive: "default"/"none", "duf", "dufp", "dufp-f"/"dufpf",
-/// "dnpc").  Throws std::invalid_argument on unknown names.
-PolicyMode policy_mode_from_string(std::string_view name);
 
 struct PolicyConfig {
   /// User-specified tolerated slowdown (0.0 .. 1.0); the paper evaluates

@@ -6,20 +6,12 @@
 #include <vector>
 
 #include "common/expect.h"
-#include "common/rng.h"
 #include "common/string_util.h"
-#include "core/agent.h"
 #include "core/budget_balancer.h"
-#include "core/policy_registry.h"
 #include "faults/fault_plan.h"
-#include "faults/faulty_counter_source.h"
-#include "faults/faulty_msr.h"
+#include "harness/control_plane.h"
 #include "harness/plan.h"
 #include "msr/device.h"
-#include "perfmon/sim_counter_source.h"
-#include "powercap/pstate_control.h"
-#include "powercap/uncore_control.h"
-#include "powercap/zone.h"
 #include "sim/simulation.h"
 #include "workloads/profiles.h"
 
@@ -159,15 +151,7 @@ FleetNodeResult decode_node_result(const json::Value& v) {
 struct PreparedFleetNode::Impl {
   workloads::WorkloadProfile profile{"fleet-node-placeholder", ""};
   std::unique_ptr<sim::Simulation> sim;
-
-  std::vector<std::unique_ptr<faults::FaultPlan>> plans;
-  std::vector<std::unique_ptr<faults::FaultyMsrDevice>> fdevs;
-  std::vector<std::unique_ptr<faults::FaultyCounterSource>> fsrcs;
-  std::vector<std::unique_ptr<powercap::PackageZone>> zones;
-  std::vector<std::unique_ptr<powercap::UncoreControl>> uncores;
-  std::vector<std::unique_ptr<powercap::PstateControl>> pstates;
-  std::vector<std::unique_ptr<perfmon::SimCounterSource>> sources;
-  std::vector<std::unique_ptr<core::Agent>> agents;
+  std::unique_ptr<harness::ControlPlane> plane;
   std::unique_ptr<core::BudgetBalancer> balancer;
 
   /// Per-epoch node budgets, already floored — the epoch clock reads
@@ -242,45 +226,14 @@ PreparedFleetNode prepare_fleet_node(const FleetSpec& spec, std::size_t node,
   sim::Simulation& s = *impl->sim;
   const int n = s.socket_count();
 
-  const bool inject = spec.fault_rate > 0.0;
+  // The same per-socket wiring as harness::prepare_run, telemetry off.
   faults::FaultOptions fault_opts;
-  if (inject) {
+  if (spec.fault_rate > 0.0) {
     fault_opts = faults::FaultOptions::storm(spec.fault_rate, spec.fault_seed);
   }
-
-  // Wiring mirrors harness::prepare_run: optional fault decorators
-  // between the control plane and the substrate, zones / uncore /
-  // counters per socket, injectors armed only after construction-time
-  // reads.  All owned by the Impl so their addresses survive the return.
-  auto& plans = impl->plans;
-  auto& fdevs = impl->fdevs;
-  auto& fsrcs = impl->fsrcs;
-  auto& zones = impl->zones;
-  auto& uncores = impl->uncores;
-  auto& pstates = impl->pstates;
-  auto& sources = impl->sources;
-  auto& agents = impl->agents;
-
-  for (int i = 0; i < n; ++i) {
-    msr::MsrDevice* dev = &s.msr(i);
-    if (inject) {
-      Rng base(fault_opts.seed);
-      Rng per_run = base.fork(sim_opts.seed);
-      plans.push_back(std::make_unique<faults::FaultPlan>(
-          fault_opts, per_run.fork(static_cast<std::uint64_t>(i))));
-      fdevs.push_back(
-          std::make_unique<faults::FaultyMsrDevice>(s.msr(i), *plans.back()));
-      dev = fdevs.back().get();  // still disarmed: wiring reads clean
-    }
-    zones.push_back(std::make_unique<powercap::PackageZone>(*dev, i));
-    uncores.push_back(std::make_unique<powercap::UncoreControl>(*dev));
-    sources.push_back(
-        std::make_unique<perfmon::SimCounterSource>(s.socket(i), *dev));
-    if (inject) {
-      fsrcs.push_back(std::make_unique<faults::FaultyCounterSource>(
-          *sources.back(), *plans.back()));
-    }
-  }
+  impl->plane = std::make_unique<harness::ControlPlane>(s, fault_opts,
+                                                        sim_opts.seed, nullptr);
+  harness::ControlPlane& plane = *impl->plane;
 
   // The node-level balancer splits the node budget among its sockets.
   // It reads the *clean* MSRs: its APERF/MPERF sampling models an
@@ -303,7 +256,7 @@ PreparedFleetNode prepare_fleet_node(const FleetSpec& spec, std::size_t node,
   std::vector<powercap::PackageZone*> bal_zones;
   std::vector<const msr::MsrDevice*> bal_msrs;
   for (int i = 0; i < n; ++i) {
-    bal_zones.push_back(zones[static_cast<std::size_t>(i)].get());
+    bal_zones.push_back(&plane.zone(i));
     bal_msrs.push_back(&s.msr(i));
   }
   impl->balancer = std::make_unique<core::BudgetBalancer>(
@@ -340,43 +293,11 @@ PreparedFleetNode prepare_fleet_node(const FleetSpec& spec, std::size_t node,
                         });
   }
 
-  // Per-socket agents, exactly as in run_once.
-  const std::string policy_name =
-      core::PolicyRegistry::instance().at(spec.policy).name;
+  // Per-socket agents under the fleet's policy.
   core::PolicyConfig policy;
   policy.tolerated_slowdown = spec.tolerated_slowdown;
   policy.min_cap_w = spec.min_cap_w;
-  policy =
-      core::PolicyRegistry::instance().apply_config_defaults(policy_name,
-                                                             policy);
-  for (int i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    const perfmon::CounterSource& source =
-        inject ? static_cast<const perfmon::CounterSource&>(*fsrcs[idx])
-               : *sources[idx];
-    perfmon::SamplerOptions so;
-    so.noise_sigma = 0.001;
-    perfmon::IntervalSampler sampler(
-        source, machine.socket.core_base_mhz,
-        s.fork_rng(0x2000 + static_cast<std::uint64_t>(i)), so);
-    powercap::PstateControl* pstate = nullptr;
-    if (policy.manage_core_frequency) {
-      pstates.push_back(std::make_unique<powercap::PstateControl>(
-          inject ? static_cast<msr::MsrDevice&>(*fdevs[idx]) : s.msr(i)));
-      pstate = pstates.back().get();
-    }
-    agents.push_back(std::make_unique<core::Agent>(
-        policy_name, policy, *zones[idx], *uncores[idx], std::move(sampler),
-        pstate, nullptr));
-    core::Agent* agent = agents.back().get();
-    s.schedule_periodic(policy.interval,
-                        [agent](SimTime now) { agent->on_interval(now); });
-  }
-
-  if (inject) {
-    for (auto& d : fdevs) d->arm();
-    for (auto& f : fsrcs) f->arm();
-  }
+  plane.start(spec.policy, policy, /*sampler_noise_sigma=*/0.001);
 
   // The plan columns the result reports verbatim, copied now so finish()
   // needs nothing beyond the Impl.
@@ -421,10 +342,10 @@ FleetNodeResult PreparedFleetNode::finish() {
                          ? impl.profile.nominal_total_seconds() /
                                summary.exec_seconds
                          : 0.0;
-  for (const auto& agent : impl.agents) {
+  for (const auto& agent : impl.plane->agents()) {
     result.degradations += agent->stats().health.degradations;
   }
-  for (const auto& p : impl.plans) {
+  for (const auto& p : impl.plane->fault_plans()) {
     result.faults_injected += p->stats().total();
   }
   return result;

@@ -1,9 +1,10 @@
 // Phase B of a fleet run: one node's whole-run simulation under its
 // precomputed per-epoch budget schedule.
 //
-// A node is an ordinary simulated machine (sockets_per_node sockets, the
-// usual zones / uncore controls / per-socket DUFP agents from the policy
-// registry) with two fleet-specific additions:
+// A node is an ordinary simulated machine (sockets_per_node sockets,
+// wired by harness::ControlPlane exactly as a single run is: fault
+// chain, zones, uncore controls and one agent per socket running the
+// spec's registry policy) with two fleet-specific additions:
 //   - a node-level core::BudgetBalancer splitting the node's budget
 //     among its sockets every 200 ms, exactly as in the single-machine
 //     experiments, and

@@ -30,13 +30,6 @@ RunConfig default_run_config(const workloads::WorkloadProfile& profile) {
   return cfg;
 }
 
-std::vector<std::string> policy_names(const std::vector<PolicyMode>& modes) {
-  std::vector<std::string> names;
-  names.reserve(modes.size());
-  for (PolicyMode m : modes) names.push_back(core::to_string(m));
-  return names;
-}
-
 Evaluation::Evaluation(workloads::AppId app, RepeatedResult baseline,
                        std::vector<EvaluationCell> cells)
     : app_(app), baseline_(std::move(baseline)), cells_(std::move(cells)) {}
@@ -96,13 +89,6 @@ Evaluation evaluate_app(workloads::AppId app,
   return std::move(evals.front());
 }
 
-Evaluation evaluate_app(workloads::AppId app,
-                        const std::vector<PolicyMode>& modes,
-                        const std::vector<double>& tolerances,
-                        int repetitions, std::uint64_t seed) {
-  return evaluate_app(app, policy_names(modes), tolerances, repetitions, seed);
-}
-
 std::vector<AppGridCells> add_grid_cells(ExperimentPlan& plan,
                                          const std::vector<workloads::AppId>& apps,
                                          const std::vector<std::string>& policies,
@@ -120,7 +106,6 @@ std::vector<AppGridCells> add_grid_cells(ExperimentPlan& plan,
     AppGridCells ac;
     ac.app = app;
     RunConfig def = base;
-    def.mode = PolicyMode::none;
     def.policy_name.clear();
     ac.baseline = plan.add_cell(def, repetitions,
                                 workloads::app_name(app) + ": baseline");
@@ -138,16 +123,6 @@ std::vector<AppGridCells> add_grid_cells(ExperimentPlan& plan,
     index.push_back(std::move(ac));
   }
   return index;
-}
-
-std::vector<AppGridCells> add_grid_cells(ExperimentPlan& plan,
-                                         const std::vector<workloads::AppId>& apps,
-                                         const std::vector<PolicyMode>& modes,
-                                         const std::vector<double>& tolerances,
-                                         int repetitions, std::uint64_t seed,
-                                         const BaseConfigFn& base_config) {
-  return add_grid_cells(plan, apps, policy_names(modes), tolerances,
-                        repetitions, seed, base_config);
 }
 
 std::vector<Evaluation> assemble_evaluations(
@@ -173,13 +148,6 @@ std::vector<Evaluation> assemble_evaluations(
   return evals;
 }
 
-std::vector<Evaluation> assemble_evaluations(
-    const ExperimentPlan& plan, const std::vector<AppGridCells>& index,
-    const std::vector<PolicyMode>& modes,
-    const std::vector<double>& tolerances) {
-  return assemble_evaluations(plan, index, policy_names(modes), tolerances);
-}
-
 std::vector<Evaluation> evaluate_apps(
     const std::vector<workloads::AppId>& apps,
     const std::vector<std::string>& policies,
@@ -201,15 +169,6 @@ std::vector<Evaluation> evaluate_apps(
   plan.run(threads);
 
   return assemble_evaluations(plan, index, policies, tolerances);
-}
-
-std::vector<Evaluation> evaluate_apps(
-    const std::vector<workloads::AppId>& apps,
-    const std::vector<PolicyMode>& modes,
-    const std::vector<double>& tolerances, int repetitions,
-    std::uint64_t seed) {
-  return evaluate_apps(apps, policy_names(modes), tolerances, repetitions,
-                       seed);
 }
 
 void note_progress(const std::string& what) {

@@ -1,5 +1,6 @@
 // Figure-level experiment orchestration: evaluate an application under
-// the default configuration, DUF, and DUFP across tolerated slowdowns,
+// the default configuration and a list of policies named by registry
+// name (the figures use "DUF" and "DUFP") across tolerated slowdowns,
 // and derive the percentage metrics the paper's figures plot.
 #pragma once
 
@@ -21,10 +22,6 @@ const std::vector<double>& paper_tolerances();  // {0, 0.05, 0.10, 0.20}
 /// paper-default policy, and 1 ms tick.
 RunConfig default_run_config(const workloads::WorkloadProfile& profile);
 
-/// Legacy enum list → canonical registry names (the figure benches still
-/// enumerate the paper's four controllers as PolicyMode values).
-std::vector<std::string> policy_names(const std::vector<PolicyMode>& modes);
-
 struct EvaluationCell {
   /// Canonical registry policy name ("DUF", "cuttlefish", ...).
   std::string policy;
@@ -40,12 +37,8 @@ class Evaluation {
   workloads::AppId app() const { return app_; }
   const RepeatedResult& baseline() const { return baseline_; }
 
-  /// Cells are keyed by policy name; the PolicyMode overloads forward
-  /// through core::to_string for legacy call sites.
+  /// Cells are keyed by canonical policy name.
   const RepeatedResult& at(std::string_view policy, double tolerance) const;
-  const RepeatedResult& at(PolicyMode mode, double tolerance) const {
-    return at(core::to_string(mode), tolerance);
-  }
 
   // -- derived percentages (all relative to the default run) -------------------
 
@@ -64,26 +57,6 @@ class Evaluation {
   /// CPU+DRAM energy change in percent (negative = saved).
   double energy_change_pct(std::string_view policy, double tolerance) const;
 
-  // Legacy enum forwarders.
-  double slowdown_pct(PolicyMode m, double tol) const {
-    return slowdown_pct(core::to_string(m), tol);
-  }
-  double slowdown_pct_min(PolicyMode m, double tol) const {
-    return slowdown_pct_min(core::to_string(m), tol);
-  }
-  double slowdown_pct_max(PolicyMode m, double tol) const {
-    return slowdown_pct_max(core::to_string(m), tol);
-  }
-  double pkg_power_savings_pct(PolicyMode m, double tol) const {
-    return pkg_power_savings_pct(core::to_string(m), tol);
-  }
-  double dram_power_savings_pct(PolicyMode m, double tol) const {
-    return dram_power_savings_pct(core::to_string(m), tol);
-  }
-  double energy_change_pct(PolicyMode m, double tol) const {
-    return energy_change_pct(core::to_string(m), tol);
-  }
-
  private:
   workloads::AppId app_;
   RepeatedResult baseline_;
@@ -99,10 +72,6 @@ Evaluation evaluate_app(workloads::AppId app,
                         const std::vector<std::string>& policies,
                         const std::vector<double>& tolerances,
                         int repetitions, std::uint64_t seed = 1);
-Evaluation evaluate_app(workloads::AppId app,
-                        const std::vector<PolicyMode>& modes,
-                        const std::vector<double>& tolerances,
-                        int repetitions, std::uint64_t seed = 1);
 
 /// Same grid for several applications scheduled as ONE job set — the
 /// whole apps x (baseline + policies x tolerances) x repetitions matrix
@@ -111,11 +80,6 @@ Evaluation evaluate_app(workloads::AppId app,
 std::vector<Evaluation> evaluate_apps(
     const std::vector<workloads::AppId>& apps,
     const std::vector<std::string>& policies,
-    const std::vector<double>& tolerances, int repetitions,
-    std::uint64_t seed = 1);
-std::vector<Evaluation> evaluate_apps(
-    const std::vector<workloads::AppId>& apps,
-    const std::vector<PolicyMode>& modes,
     const std::vector<double>& tolerances, int repetitions,
     std::uint64_t seed = 1);
 
@@ -130,7 +94,7 @@ struct AppGridCells {
 };
 
 /// Produces each app's base RunConfig (machine size, faults, telemetry —
-/// everything but mode/tolerance/seed, which the grid fills in).
+/// everything but policy/tolerance/seed, which the grid fills in).
 using BaseConfigFn =
     std::function<RunConfig(const workloads::WorkloadProfile&)>;
 
@@ -148,22 +112,12 @@ std::vector<AppGridCells> add_grid_cells(ExperimentPlan& plan,
                                          const std::vector<double>& tolerances,
                                          int repetitions, std::uint64_t seed,
                                          const BaseConfigFn& base_config);
-std::vector<AppGridCells> add_grid_cells(ExperimentPlan& plan,
-                                         const std::vector<workloads::AppId>& apps,
-                                         const std::vector<PolicyMode>& modes,
-                                         const std::vector<double>& tolerances,
-                                         int repetitions, std::uint64_t seed,
-                                         const BaseConfigFn& base_config);
 
 /// Reads a finished plan back into per-app Evaluations (inverse of
 /// add_grid_cells' layout).
 std::vector<Evaluation> assemble_evaluations(
     const ExperimentPlan& plan, const std::vector<AppGridCells>& index,
     const std::vector<std::string>& policies,
-    const std::vector<double>& tolerances);
-std::vector<Evaluation> assemble_evaluations(
-    const ExperimentPlan& plan, const std::vector<AppGridCells>& index,
-    const std::vector<PolicyMode>& modes,
     const std::vector<double>& tolerances);
 
 /// Prints a one-line progress note to stderr unless DUFP_QUIET is set.

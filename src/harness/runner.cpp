@@ -5,11 +5,7 @@
 
 #include "common/expect.h"
 #include "core/policy_registry.h"
-#include "faults/faulty_counter_source.h"
-#include "faults/faulty_msr.h"
-#include "perfmon/sim_counter_source.h"
-#include "powercap/uncore_control.h"
-#include "powercap/zone.h"
+#include "harness/control_plane.h"
 
 namespace dufp::harness {
 
@@ -19,11 +15,9 @@ double percent_over(double value, double base) {
 }
 
 std::string RunConfig::resolved_policy() const {
-  if (!policy_name.empty()) {
-    const auto* entry = core::PolicyRegistry::instance().find(policy_name);
-    return entry != nullptr ? entry->name : policy_name;
-  }
-  return mode == PolicyMode::none ? std::string() : core::to_string(mode);
+  if (policy_name.empty()) return {};
+  const auto* entry = core::PolicyRegistry::instance().find(policy_name);
+  return entry != nullptr ? entry->name : policy_name;
 }
 
 std::vector<std::string> RunConfig::validate() const {
@@ -31,16 +25,11 @@ std::vector<std::string> RunConfig::validate() const {
   if (profile == nullptr) {
     problems.push_back("profile is required");
   }
-  if (!policy_name.empty()) {
-    if (!core::PolicyRegistry::instance().contains(policy_name)) {
-      problems.push_back(
-          "policy_name is unknown: \"" + policy_name + "\" (known: " +
-          core::PolicyRegistry::instance().known_names() + ")");
-    }
-    if (mode != PolicyMode::none) {
-      problems.push_back(
-          "policy_name and mode are both set; pick one selector");
-    }
+  if (!policy_name.empty() &&
+      !core::PolicyRegistry::instance().contains(policy_name)) {
+    problems.push_back(
+        "policy_name is unknown: \"" + policy_name + "\" (known: " +
+        core::PolicyRegistry::instance().known_names() + ")");
   }
   if (tolerated_slowdown < 0.0 || tolerated_slowdown > 1.0) {
     problems.push_back("tolerated_slowdown must be in [0, 1]");
@@ -144,14 +133,7 @@ struct PreparedRun::Impl {
   RunConfig config;  ///< kept for finish() (profile pointer stays live)
   std::unique_ptr<sim::Simulation> simulation;
   std::unique_ptr<telemetry::Telemetry> telemetry;
-  std::vector<std::unique_ptr<faults::FaultPlan>> plans;
-  std::vector<std::unique_ptr<faults::FaultyMsrDevice>> fdevs;
-  std::vector<std::unique_ptr<faults::FaultyCounterSource>> fsrcs;
-  std::vector<std::unique_ptr<powercap::PackageZone>> zones;
-  std::vector<std::unique_ptr<powercap::UncoreControl>> uncores;
-  std::vector<std::unique_ptr<powercap::PstateControl>> pstates;
-  std::vector<std::unique_ptr<perfmon::SimCounterSource>> sources;
-  std::vector<std::unique_ptr<core::Agent>> agents;
+  std::unique_ptr<ControlPlane> plane;
   bool finished = false;
 };
 
@@ -180,50 +162,24 @@ PreparedRun prepare_run(const RunConfig& config) {
   s.set_trace_sink(config.trace);
 
   const int n = s.socket_count();
-  const bool inject = config.faults.enabled;
-  const bool telem_on = config.telemetry.enabled;
-  if (telem_on) {
+  if (config.telemetry.enabled) {
     ctx.telemetry =
         std::make_unique<telemetry::Telemetry>(config.telemetry, n);
     // record_now() (fault decorators) stamps with the simulation clock.
     ctx.telemetry->set_clock([&s] { return s.now(); });
   }
-  auto socket_telem = [&](int i) -> telemetry::SocketTelemetry* {
-    return telem_on ? &ctx.telemetry->socket(i) : nullptr;
-  };
-  for (int i = 0; i < n; ++i) {
-    msr::MsrDevice* dev = &s.msr(i);
-    if (inject) {
-      // Per-socket decision stream: the fault seed owns the stream family,
-      // the run seed and socket index select the member, so repetitions
-      // and sockets see different storms that are still bit-reproducible.
-      Rng base(config.faults.seed);
-      Rng per_run = base.fork(config.seed);
-      ctx.plans.push_back(std::make_unique<faults::FaultPlan>(
-          config.faults, per_run.fork(static_cast<std::uint64_t>(i))));
-      ctx.plans.back()->set_telemetry(socket_telem(i));
-      ctx.fdevs.push_back(std::make_unique<faults::FaultyMsrDevice>(
-          s.msr(i), *ctx.plans.back()));
-      dev = ctx.fdevs.back().get();  // still disarmed: wiring reads clean
-    }
-    ctx.zones.push_back(std::make_unique<powercap::PackageZone>(*dev, i));
-    ctx.uncores.push_back(std::make_unique<powercap::UncoreControl>(*dev));
-    ctx.sources.push_back(
-        std::make_unique<perfmon::SimCounterSource>(s.socket(i), *dev));
-    if (inject) {
-      ctx.fsrcs.push_back(std::make_unique<faults::FaultyCounterSource>(
-          *ctx.sources.back(), *ctx.plans.back()));
-    }
-  }
+  ctx.plane = std::make_unique<ControlPlane>(s, config.faults, config.seed,
+                                             ctx.telemetry.get());
+  ControlPlane& plane = *ctx.plane;
 
   // Static whole-run cap (Fig. 1a): programmed before the run, both
   // constraints to the same value, like the paper's motivation setup.
   if (config.static_cap_w.has_value()) {
     for (int i = 0; i < n; ++i) {
-      ctx.zones[static_cast<std::size_t>(i)]->set_power_limit_w(
-          powercap::ConstraintId::long_term, *config.static_cap_w);
-      ctx.zones[static_cast<std::size_t>(i)]->set_power_limit_w(
-          powercap::ConstraintId::short_term, *config.static_cap_w);
+      plane.zone(i).set_power_limit_w(powercap::ConstraintId::long_term,
+                                      *config.static_cap_w);
+      plane.zone(i).set_power_limit_w(powercap::ConstraintId::short_term,
+                                      *config.static_cap_w);
     }
   }
 
@@ -238,20 +194,18 @@ PreparedRun prepare_run(const RunConfig& config) {
     std::vector<double> def_short(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       def_long[static_cast<std::size_t>(i)] =
-          ctx.zones[static_cast<std::size_t>(i)]->power_limit_w(
-              powercap::ConstraintId::long_term);
+          plane.zone(i).power_limit_w(powercap::ConstraintId::long_term);
       def_short[static_cast<std::size_t>(i)] =
-          ctx.zones[static_cast<std::size_t>(i)]->power_limit_w(
-              powercap::ConstraintId::short_term);
+          plane.zone(i).power_limit_w(powercap::ConstraintId::short_term);
     }
-    // The listener captures the zone pointers by reference into the
-    // context, which outlives the simulation loop.
-    auto& zones = ctx.zones;
-    s.add_phase_listener([target_idx, cap, def_long, def_short, &zones](
+    // The listener holds the plane by pointer; the context owns it and
+    // outlives the simulation loop.
+    ControlPlane* owner = &plane;
+    s.add_phase_listener([target_idx, cap, def_long, def_short, owner](
                              int socket, std::size_t phase_idx,
                              bool entered) {
       if (phase_idx != target_idx) return;
-      auto& z = *zones[static_cast<std::size_t>(socket)];
+      auto& z = owner->zone(socket);
       // Best effort under fault injection: a phase-boundary write that
       // faults is dropped (the experiment's cap is late or missing for
       // that visit) rather than crashing the run.
@@ -271,49 +225,9 @@ PreparedRun prepare_run(const RunConfig& config) {
   }
 
   // Controllers: one agent per socket, policy resolved by registry name.
-  const std::string policy_name = config.resolved_policy();
-  if (!policy_name.empty()) {
-    core::PolicyConfig policy = config.policy;
-    policy.tolerated_slowdown = config.tolerated_slowdown;
-    // Per-policy overrides (e.g. DUFP-F forcing manage_core_frequency)
-    // must land before the pstate wiring below reads the flag; the Agent
-    // re-applies them, which is idempotent.
-    policy = core::PolicyRegistry::instance().apply_config_defaults(
-        policy_name, policy);
-    for (int i = 0; i < n; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      const perfmon::CounterSource& source =
-          inject ? static_cast<const perfmon::CounterSource&>(*ctx.fsrcs[idx])
-                 : *ctx.sources[idx];
-      perfmon::SamplerOptions so;
-      so.noise_sigma = config.sampler_noise_sigma;
-      perfmon::IntervalSampler sampler(
-          source, config.machine.socket.core_base_mhz,
-          s.fork_rng(0x2000 + static_cast<std::uint64_t>(i)), so);
-      powercap::PstateControl* pstate = nullptr;
-      if (policy.manage_core_frequency) {
-        ctx.pstates.push_back(std::make_unique<powercap::PstateControl>(
-            inject ? static_cast<msr::MsrDevice&>(*ctx.fdevs[idx])
-                   : s.msr(i)));
-        pstate = ctx.pstates.back().get();
-      }
-      ctx.agents.push_back(std::make_unique<core::Agent>(
-          policy_name, policy, *ctx.zones[static_cast<std::size_t>(i)],
-          *ctx.uncores[static_cast<std::size_t>(i)], std::move(sampler),
-          pstate, socket_telem(i)));
-      core::Agent* agent = ctx.agents.back().get();
-      s.schedule_periodic(policy.interval,
-                          [agent](SimTime now) { agent->on_interval(now); });
-    }
-  }
-
-  // Only now arm the injectors: construction-time reads must see clean
-  // hardware (defaults captured by the agents are the restore targets),
-  // while everything from the first tick on is fair game.
-  if (inject) {
-    for (auto& d : ctx.fdevs) d->arm();
-    for (auto& f : ctx.fsrcs) f->arm();
-  }
+  core::PolicyConfig policy = config.policy;
+  policy.tolerated_slowdown = config.tolerated_slowdown;
+  plane.start(config.resolved_policy(), policy, config.sampler_noise_sigma);
 
   return PreparedRun(std::move(impl));
 }
@@ -336,11 +250,11 @@ RunResult PreparedRun::finish() {
     result.cell_stats.add(s.rapl(i).governor().cell_stats());
   }
 
-  for (const auto& agent : ctx.agents) {
+  for (const auto& agent : ctx.plane->agents()) {
     result.agent_stats.push_back(agent->stats());
     result.health.add(agent->stats().health);
   }
-  for (const auto& plan : ctx.plans) {
+  for (const auto& plan : ctx.plane->fault_plans()) {
     result.fault_stats.push_back(plan->stats());
     result.health.faults_injected += plan->stats().total();
   }

@@ -1,6 +1,9 @@
 // Experiment execution: one fully wired run of an application on the
-// simulated yeti-2 under a chosen policy, plus the paper's repetition
-// protocol (10 runs, trim fastest + slowest, average the rest — Sec. V).
+// simulated yeti-2 under a policy named in the registry (or none: the
+// paper's default configuration), plus the paper's repetition protocol
+// (10 runs, trim fastest + slowest, average the rest — Sec. V).  The
+// per-socket wiring (fault chain, zones, agents) is harness::ControlPlane,
+// shared with fleet nodes.
 #pragma once
 
 #include <map>
@@ -22,19 +25,6 @@
 
 namespace dufp::harness {
 
-/// Legacy mode enum (core::PolicyMode); `none` is the harness-level
-/// baseline value — no agent is instantiated for it.  New code selects a
-/// policy by registry name (RunConfig::policy_name); the enum survives as
-/// a compatibility shim over the four paper controllers.
-using core::PolicyMode;
-
-/// Deprecated: policy names come from the registry (core::Policy::name()
-/// / PolicyRegistry::names()); for the legacy enum use core::to_string.
-/// Kept as a forwarder for older call sites.
-inline std::string policy_mode_name(PolicyMode m) {
-  return core::to_string(m);
-}
-
 /// Static per-phase power cap (Fig. 1b/1c): while the named phase runs,
 /// the package limit is `cap_w`; leaving the phase restores the default.
 struct PhaseCapSpec {
@@ -44,13 +34,9 @@ struct PhaseCapSpec {
 
 struct RunConfig {
   const workloads::WorkloadProfile* profile = nullptr;  ///< required
-  /// Legacy policy selector; prefer `policy_name`.  Ignored when
-  /// `policy_name` is set (setting both is a validation error).
-  PolicyMode mode = PolicyMode::none;
-  /// Registry-keyed policy selector ("DUF", "cuttlefish", ...); resolved
-  /// case-insensitively in core::PolicyRegistry::instance().  Empty means
-  /// fall back to `mode` ("" + PolicyMode::none = the uncontrolled
-  /// baseline run).
+  /// The controller, by registry name ("DUF", "DUFP", "cuttlefish",
+  /// ...), resolved case-insensitively in core::PolicyRegistry::instance().
+  /// Empty means the uncontrolled baseline run: no agent at all.
   std::string policy_name;
   double tolerated_slowdown = 0.0;
   std::uint64_t seed = 1;
@@ -60,8 +46,8 @@ struct RunConfig {
   sim::SimulationOptions sim;      ///< tick, jitter, governor
   double sampler_noise_sigma = 0.001;
 
-  /// Fig. 1a: a static cap programmed before the run starts (applies in
-  /// any mode, including `none`).
+  /// Fig. 1a: a static cap programmed before the run starts (applies
+  /// under any policy, including the baseline).
   std::optional<double> static_cap_w;
 
   /// Fig. 1b/1c: partial capping of one phase.
@@ -91,9 +77,8 @@ struct RunConfig {
   /// call this and throw std::invalid_argument with the full list.
   std::vector<std::string> validate() const;
 
-  /// The effective policy for this run: `policy_name` when set (spelled
-  /// canonically when it resolves), otherwise the legacy enum's display
-  /// name; "" for the uncontrolled baseline (no agent).
+  /// `policy_name` spelled canonically when it resolves ("dufp-f" →
+  /// "DUFP-F"); "" for the uncontrolled baseline (no agent).
   std::string resolved_policy() const;
 };
 
@@ -118,7 +103,7 @@ struct HealthTotals {
 
 struct RunResult {
   sim::RunSummary summary;
-  std::vector<core::AgentStats> agent_stats;  ///< empty in mode none
+  std::vector<core::AgentStats> agent_stats;  ///< empty for the baseline
 
   /// Per-socket injection counts (empty unless faults.enabled).
   std::vector<faults::FaultStats> fault_stats;

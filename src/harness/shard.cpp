@@ -385,8 +385,7 @@ std::string evaluation_csv(const std::vector<Evaluation>& evals,
   for (const Evaluation& ev : evals) {
     const std::string app = workloads::app_name(ev.app());
     // The baseline row keeps the legacy display name "default".
-    row(app, core::to_string(PolicyMode::none), 0.0, ev.baseline(), 0.0, 0.0,
-        0.0, 0.0);
+    row(app, "default", 0.0, ev.baseline(), 0.0, 0.0, 0.0, 0.0);
     for (const std::string& policy : policies) {
       for (const double tol : tolerances) {
         row(app, policy, tol * 100.0, ev.at(policy, tol),
@@ -398,12 +397,6 @@ std::string evaluation_csv(const std::vector<Evaluation>& evals,
     }
   }
   return csv;
-}
-
-std::string evaluation_csv(const std::vector<Evaluation>& evals,
-                           const std::vector<PolicyMode>& modes,
-                           const std::vector<double>& tolerances) {
-  return evaluation_csv(evals, policy_names(modes), tolerances);
 }
 
 GridOutputs finalize_grid(const GridSpec& spec,

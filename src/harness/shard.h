@@ -200,8 +200,5 @@ GridOutputs run_grid_serial(const GridSpec& spec, int threads = 1);
 std::string evaluation_csv(const std::vector<Evaluation>& evals,
                            const std::vector<std::string>& policies,
                            const std::vector<double>& tolerances);
-std::string evaluation_csv(const std::vector<Evaluation>& evals,
-                           const std::vector<PolicyMode>& modes,
-                           const std::vector<double>& tolerances);
 
 }  // namespace dufp::harness

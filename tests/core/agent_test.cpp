@@ -36,14 +36,14 @@ class AgentTest : public ::testing::Test {
         zone_(dev_, 0),
         uncore_(dev_) {}
 
-  Agent make_agent(PolicyMode mode, double tolerance) {
+  Agent make_agent(const std::string& policy_name, double tolerance) {
     PolicyConfig policy;
     policy.tolerated_slowdown = tolerance;
     perfmon::SamplerOptions so;
     so.noise_sigma = 0.0;
     perfmon::IntervalSampler sampler(source_, cfg_.core_base_mhz, Rng(3),
                                      so);
-    return Agent(mode, policy, zone_, uncore_, std::move(sampler));
+    return Agent(policy_name, policy, zone_, uncore_, std::move(sampler));
   }
 
   /// Advances `intervals` control intervals (200 ms each) of simulated
@@ -72,13 +72,13 @@ class AgentTest : public ::testing::Test {
 };
 
 TEST_F(AgentTest, CapturesHardwareDefaults) {
-  auto agent = make_agent(PolicyMode::dufp, 0.10);
+  auto agent = make_agent("DUFP", 0.10);
   EXPECT_DOUBLE_EQ(agent.default_long_w(), 125.0);
   EXPECT_DOUBLE_EQ(agent.default_short_w(), 150.0);
 }
 
 TEST_F(AgentTest, FirstIntervalOnlyEstablishesBaseline) {
-  auto agent = make_agent(PolicyMode::dufp, 0.10);
+  auto agent = make_agent("DUFP", 0.10);
   socket_.set_demand(demand(0.9, 0.05, 50, 5, 1.0, 0.3));
   run(agent, 1);
   EXPECT_EQ(agent.stats().intervals, 0u);
@@ -87,7 +87,7 @@ TEST_F(AgentTest, FirstIntervalOnlyEstablishesBaseline) {
 }
 
 TEST_F(AgentTest, DufModePinsUncoreDownOnInsensitiveWorkload) {
-  auto agent = make_agent(PolicyMode::duf, 0.10);
+  auto agent = make_agent("DUF", 0.10);
   socket_.set_demand(demand(0.9, 0.01, 96, 0.24, 1.0, 0.1));  // EP-like
   run(agent, 20);
   EXPECT_LT(uncore_.window_max_mhz(), 1500.0);
@@ -100,7 +100,7 @@ TEST_F(AgentTest, DufModePinsUncoreDownOnInsensitiveWorkload) {
 }
 
 TEST_F(AgentTest, DufpModeLowersCap) {
-  auto agent = make_agent(PolicyMode::dufp, 0.10);
+  auto agent = make_agent("DUFP", 0.10);
   socket_.set_demand(demand(0.3, 0.6, 10, 80, 0.9, 1.0));  // CG-like
   run(agent, 12);
   EXPECT_LT(zone_.power_limit_w(powercap::ConstraintId::long_term), 125.0);
@@ -111,7 +111,7 @@ TEST_F(AgentTest, DufpModeLowersCap) {
 }
 
 TEST_F(AgentTest, StatsCountIntervals) {
-  auto agent = make_agent(PolicyMode::dufp, 0.10);
+  auto agent = make_agent("DUFP", 0.10);
   socket_.set_demand(demand(0.5, 0.4, 20, 30, 0.9, 0.9));
   run(agent, 5);
   EXPECT_EQ(agent.stats().intervals, 4u);  // first was baseline
@@ -120,7 +120,7 @@ TEST_F(AgentTest, StatsCountIntervals) {
 }
 
 TEST_F(AgentTest, PhaseChangeResetsCapAndUncore) {
-  auto agent = make_agent(PolicyMode::dufp, 0.10);
+  auto agent = make_agent("DUFP", 0.10);
   socket_.set_demand(demand(0.2, 0.7, 5, 60, 0.8, 1.0));  // memory (oi .08)
   run(agent, 10);
   const double cap_before =
@@ -139,7 +139,7 @@ TEST_F(AgentTest, PhaseChangeResetsCapAndUncore) {
 }
 
 TEST_F(AgentTest, ResetRestoresTimeWindows) {
-  auto agent = make_agent(PolicyMode::dufp, 0.10);
+  auto agent = make_agent("DUFP", 0.10);
   const auto default_window = zone_.time_window_us(0);
   socket_.set_demand(demand(0.2, 0.7, 5, 60, 0.8, 1.0));
   run(agent, 10);
@@ -149,7 +149,7 @@ TEST_F(AgentTest, ResetRestoresTimeWindows) {
 }
 
 TEST_F(AgentTest, InteractionRule2RetriesUncoreResetWhenNotAtMax) {
-  auto agent = make_agent(PolicyMode::dufp, 0.10);
+  auto agent = make_agent("DUFP", 0.10);
   socket_.set_demand(demand(0.2, 0.7, 5, 60, 0.8, 1.0));
   run(agent, 10);
   // Make the uncore appear stuck below max (the cap's effect still
@@ -162,14 +162,14 @@ TEST_F(AgentTest, InteractionRule2RetriesUncoreResetWhenNotAtMax) {
 }
 
 TEST_F(AgentTest, ShortTermTightenedWhenPowerBelowCap) {
-  auto agent = make_agent(PolicyMode::dufp, 0.10);
+  auto agent = make_agent("DUFP", 0.10);
   socket_.set_demand(demand(0.5, 0.3, 20, 30, 0.6, 0.5));  // ~90 W
   run(agent, 3);
   EXPECT_GE(agent.stats().short_term_tightenings, 1u);
 }
 
 TEST_F(AgentTest, DufpRespectsToleranceOnCgLikeWorkload) {
-  auto agent = make_agent(PolicyMode::dufp, 0.10);
+  auto agent = make_agent("DUFP", 0.10);
   socket_.set_demand(demand(0.3, 0.6, 10, 80, 0.9, 1.0));
   run(agent, 40);
   // Steady state: the observed FLOPS stay within tolerance + error band.
@@ -206,7 +206,7 @@ class AgentWatchdogTest : public ::testing::Test {
         default_uncore_min_(uncore_.window_min_mhz()),
         default_uncore_max_(uncore_.window_max_mhz()) {}
 
-  Agent make_agent(PolicyMode mode) {
+  Agent make_agent(const std::string& policy_name) {
     PolicyConfig policy;
     policy.tolerated_slowdown = 0.10;
     policy.watchdog_failure_threshold = 3;
@@ -215,7 +215,7 @@ class AgentWatchdogTest : public ::testing::Test {
     perfmon::SamplerOptions so;
     so.noise_sigma = 0.0;
     perfmon::IntervalSampler sampler(source_, cfg_.core_base_mhz, Rng(3), so);
-    return Agent(mode, policy, zone_, uncore_, std::move(sampler));
+    return Agent(policy_name, policy, zone_, uncore_, std::move(sampler));
   }
 
   void run(Agent& agent, int intervals) {
@@ -246,7 +246,7 @@ class AgentWatchdogTest : public ::testing::Test {
 };
 
 TEST_F(AgentWatchdogTest, OutageDegradesThenFailSafeThenReengages) {
-  auto agent = make_agent(PolicyMode::dufp);
+  auto agent = make_agent("DUFP");
   socket_.set_demand(demand(0.3, 0.6, 10, 80, 0.9, 1.0));  // CG-like
 
   // Healthy warm-up: the controller pulls the cap and uncore down.
@@ -288,7 +288,7 @@ TEST_F(AgentWatchdogTest, OutageDegradesThenFailSafeThenReengages) {
 }
 
 TEST_F(AgentWatchdogTest, ReengageProbeFailuresBackOffExponentially) {
-  auto agent = make_agent(PolicyMode::dufp);
+  auto agent = make_agent("DUFP");
   socket_.set_demand(demand(0.3, 0.6, 10, 80, 0.9, 1.0));
   run(agent, 6);
   fdev_.arm();
@@ -316,7 +316,7 @@ TEST_F(AgentWatchdogTest, SamplerOutageAloneDoesNotTripTheWatchdog) {
   perfmon::SamplerOptions so;
   so.noise_sigma = 0.0;
   perfmon::IntervalSampler sampler(rsource, cfg_.core_base_mhz, Rng(3), so);
-  Agent agent(PolicyMode::dufp, policy, zone_, uncore_, std::move(sampler));
+  Agent agent("DUFP", policy, zone_, uncore_, std::move(sampler));
 
   socket_.set_demand(demand(0.3, 0.6, 10, 80, 0.9, 1.0));
   rdev.arm();
@@ -340,7 +340,7 @@ TEST_F(AgentWatchdogTest, TransientWriteErrorsAreRetriedAndAbsorbed) {
   perfmon::SamplerOptions so;
   so.noise_sigma = 0.0;
   perfmon::IntervalSampler sampler(source_, cfg_.core_base_mhz, Rng(3), so);
-  Agent agent(PolicyMode::dufp, policy, zone, uncore, std::move(sampler));
+  Agent agent("DUFP", policy, zone, uncore, std::move(sampler));
 
   socket_.set_demand(demand(0.3, 0.6, 10, 80, 0.9, 1.0));
   flaky.arm();

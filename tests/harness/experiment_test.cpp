@@ -39,21 +39,21 @@ TEST(ExperimentTest, EvaluationDerivedMetrics) {
   cell.result = dufp;
   Evaluation eval(workloads::AppId::cg, base, {cell});
 
-  EXPECT_NEAR(eval.slowdown_pct(PolicyMode::dufp, 0.10), 5.0, 1e-9);
-  EXPECT_NEAR(eval.slowdown_pct_min(PolicyMode::dufp, 0.10), 4.0, 1e-9);
-  EXPECT_NEAR(eval.slowdown_pct_max(PolicyMode::dufp, 0.10), 6.0, 1e-9);
-  EXPECT_NEAR(eval.pkg_power_savings_pct(PolicyMode::dufp, 0.10), 10.0,
+  EXPECT_NEAR(eval.slowdown_pct("DUFP", 0.10), 5.0, 1e-9);
+  EXPECT_NEAR(eval.slowdown_pct_min("DUFP", 0.10), 4.0, 1e-9);
+  EXPECT_NEAR(eval.slowdown_pct_max("DUFP", 0.10), 6.0, 1e-9);
+  EXPECT_NEAR(eval.pkg_power_savings_pct("DUFP", 0.10), 10.0,
               1e-9);
-  EXPECT_NEAR(eval.dram_power_savings_pct(PolicyMode::dufp, 0.10), 5.0,
+  EXPECT_NEAR(eval.dram_power_savings_pct("DUFP", 0.10), 5.0,
               1e-9);
-  EXPECT_NEAR(eval.energy_change_pct(PolicyMode::dufp, 0.10), -5.0, 1e-9);
+  EXPECT_NEAR(eval.energy_change_pct("DUFP", 0.10), -5.0, 1e-9);
 }
 
 TEST(ExperimentTest, MissingCellThrows) {
   RepeatedResult base;
   base.exec_seconds.mean = 1.0;
   Evaluation eval(workloads::AppId::cg, base, {});
-  EXPECT_THROW(eval.at(PolicyMode::duf, 0.05), std::invalid_argument);
+  EXPECT_THROW(eval.at("DUF", 0.05), std::invalid_argument);
 }
 
 TEST(ExperimentTest, EvaluateAppEndToEndSmallGrid) {
@@ -61,14 +61,13 @@ TEST(ExperimentTest, EvaluateAppEndToEndSmallGrid) {
   // the full grid machinery (the figure benches run the real thing).
   setenv("DUFP_SOCKETS", "1", 1);
   setenv("DUFP_QUIET", "1", 1);
-  const auto eval =
-      evaluate_app(workloads::AppId::ep, {PolicyMode::duf}, {0.10}, 2, 3);
+  const auto eval = evaluate_app(workloads::AppId::ep, {"DUF"}, {0.10}, 2, 3);
   unsetenv("DUFP_SOCKETS");
   unsetenv("DUFP_QUIET");
 
   // EP under DUF: significant power savings, tiny slowdown.
-  EXPECT_GT(eval.pkg_power_savings_pct(PolicyMode::duf, 0.10), 8.0);
-  EXPECT_LT(eval.slowdown_pct(PolicyMode::duf, 0.10), 5.0);
+  EXPECT_GT(eval.pkg_power_savings_pct("DUF", 0.10), 8.0);
+  EXPECT_LT(eval.slowdown_pct("DUF", 0.10), 5.0);
 }
 
 }  // namespace

@@ -11,13 +11,12 @@
 namespace dufp::harness {
 namespace {
 
-RunConfig cg_config(PolicyMode mode = PolicyMode::none,
-                    double tol = 0.0) {
+RunConfig cg_config(const std::string& policy = "", double tol = 0.0) {
   RunConfig cfg;
   cfg.profile = &workloads::profile(workloads::AppId::cg);
   cfg.machine.sockets = 1;  // short runs keep the tier-1 suite fast
   cfg.seed = 23;
-  cfg.mode = mode;
+  cfg.policy_name = policy;
   cfg.tolerated_slowdown = tol;
   return cfg;
 }
@@ -58,7 +57,7 @@ TEST(JobSeedTest, DeterministicAndDistinct) {
 TEST(PlanTest, EnumeratesJobsUpFront) {
   ExperimentPlan plan;
   plan.add_cell(cg_config(), 4);
-  plan.add_cell(cg_config(PolicyMode::dufp, 0.10), 3);
+  plan.add_cell(cg_config("DUFP", 0.10), 3);
   EXPECT_EQ(plan.cell_count(), 2u);
   EXPECT_EQ(plan.job_count(), 7u);
   EXPECT_FALSE(plan.finished());
@@ -71,7 +70,7 @@ TEST(PlanTest, JobEnumerationOrderIsTheDocumentedContract) {
   // index, so this ordering is a cross-process wire contract.
   ExperimentPlan plan;
   plan.add_cell(cg_config(), 3);
-  plan.add_cell(cg_config(PolicyMode::dufp, 0.10), 2);
+  plan.add_cell(cg_config("DUFP", 0.10), 2);
   ASSERT_EQ(plan.job_count(), 5u);
   const ExperimentPlan::CellId want_cell[] = {0, 0, 0, 1, 1};
   const int want_rep[] = {0, 1, 2, 0, 1};
@@ -88,7 +87,7 @@ TEST(PlanTest, JobConfigAppliesTheDerivedSeed) {
   // pure function of (cell base seed, repetition), never of placement.
   EXPECT_EQ(plan.job_config(0).seed, job_seed(23, 0));
   EXPECT_EQ(plan.job_config(1).seed, job_seed(23, 1));
-  EXPECT_EQ(plan.job_config(0).mode, PolicyMode::none);
+  EXPECT_EQ(plan.job_config(0).policy_name, "");
   EXPECT_THROW(plan.job_config(2), std::out_of_range);
 }
 
@@ -99,7 +98,7 @@ TEST(PlanTest, RunJobsPlusFinishWithEqualsRun) {
   auto build = [] {
     ExperimentPlan plan;
     plan.add_cell(cg_config(), 3);
-    plan.add_cell(cg_config(PolicyMode::dufp, 0.10), 2);
+    plan.add_cell(cg_config("DUFP", 0.10), 2);
     return plan;
   };
   ExperimentPlan whole = build();
@@ -133,7 +132,7 @@ TEST(PlanTest, SerialAndParallelBitIdentical) {
   auto build = [] {
     ExperimentPlan plan;
     plan.add_cell(cg_config(), 4);
-    plan.add_cell(cg_config(PolicyMode::dufp, 0.10), 4);
+    plan.add_cell(cg_config("DUFP", 0.10), 4);
     return plan;
   };
   ExperimentPlan serial = build();

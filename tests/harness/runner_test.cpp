@@ -19,9 +19,10 @@ RunConfig small_config(workloads::AppId app = workloads::AppId::cg) {
 }
 
 TEST(RunnerTest, ModeNames) {
-  EXPECT_EQ(policy_mode_name(PolicyMode::none), "default");
-  EXPECT_EQ(policy_mode_name(PolicyMode::duf), "DUF");
-  EXPECT_EQ(policy_mode_name(PolicyMode::dufp), "DUFP");
+  RunConfig cfg;
+  EXPECT_EQ(cfg.resolved_policy(), "");  // the baseline: no controller
+  cfg.policy_name = "dufp-f";
+  EXPECT_EQ(cfg.resolved_policy(), "DUFP-F");
 }
 
 TEST(RunnerTest, PercentOver) {
@@ -46,8 +47,9 @@ TEST(RunnerTest, ValidateReportsAllProblemsNotJustTheFirst) {
   cfg.sim.tick = SimTime::from_millis(-1);
   cfg.machine.sockets = 0;
   cfg.static_cap_w = -10.0;
+  cfg.policy_name = "sasquatch";
   const auto problems = cfg.validate();
-  EXPECT_GE(problems.size(), 6u);
+  EXPECT_GE(problems.size(), 7u);
 
   auto has = [&](const std::string& needle) {
     for (const auto& p : problems) {
@@ -61,6 +63,7 @@ TEST(RunnerTest, ValidateReportsAllProblemsNotJustTheFirst) {
   EXPECT_TRUE(has("sim.tick"));
   EXPECT_TRUE(has("machine.sockets"));
   EXPECT_TRUE(has("static_cap_w"));
+  EXPECT_TRUE(has("policy_name is unknown: \"sasquatch\""));
 }
 
 TEST(RunnerTest, ValidateCatchesBadWatchdogKnobs) {
@@ -125,13 +128,13 @@ TEST(RunnerTest, DefaultRunProducesSummary) {
   EXPECT_GT(res.summary.avg_pkg_power_w, 80.0);
   EXPECT_GT(res.summary.avg_dram_power_w, 5.0);
   EXPECT_GT(res.summary.total_gflop, 100.0);
-  EXPECT_TRUE(res.agent_stats.empty());  // no controller in mode none
+  EXPECT_TRUE(res.agent_stats.empty());  // no controller for the baseline
 }
 
 TEST(RunnerTest, DufpRunAttachesOneAgentPerSocket) {
   auto cfg = small_config();
   cfg.machine.sockets = 2;
-  cfg.mode = PolicyMode::dufp;
+  cfg.policy_name = "DUFP";
   cfg.tolerated_slowdown = 0.10;
   const auto res = run_once(cfg);
   ASSERT_EQ(res.agent_stats.size(), 2u);

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -283,6 +284,8 @@ const Mutation kMutations[] = {
     {"dump_socket_outside_run", "{\"socket\":1,\"at_us\"",
      "{\"socket\":2,\"at_us\"", "dump socket 2 outside the run's 2"},
 };
+
+void PrintTo(const Mutation& m, std::ostream* os) { *os << m.name; }
 
 class HostileRecordTest : public ::testing::TestWithParam<Mutation> {
  protected:

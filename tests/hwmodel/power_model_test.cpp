@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "hwmodel/socket_config.h"
 
@@ -165,6 +166,10 @@ struct InverseCase {
   double uncore_mhz;
   double activity;
 };
+
+void PrintTo(const InverseCase& c, std::ostream* os) {
+  *os << "fu=" << c.uncore_mhz << ",activity=" << c.activity;
+}
 
 class PowerModelInverseSweep
     : public ::testing::TestWithParam<InverseCase> {};

@@ -8,27 +8,27 @@
 namespace dufp::harness {
 namespace {
 
-RunConfig config(std::uint64_t seed, PolicyMode mode) {
+RunConfig config(std::uint64_t seed, const std::string& policy) {
   RunConfig cfg;
   cfg.profile = &workloads::profile(workloads::AppId::cg);
   cfg.machine.sockets = 1;
   cfg.seed = seed;
-  cfg.mode = mode;
+  cfg.policy_name = policy;
   cfg.tolerated_slowdown = 0.10;
   return cfg;
 }
 
 TEST(DeterminismTest, SameSeedBitIdenticalDefaultRun) {
-  const auto a = run_once(config(11, PolicyMode::none));
-  const auto b = run_once(config(11, PolicyMode::none));
+  const auto a = run_once(config(11, ""));
+  const auto b = run_once(config(11, ""));
   EXPECT_EQ(a.summary.exec_seconds, b.summary.exec_seconds);
   EXPECT_EQ(a.summary.pkg_energy_j, b.summary.pkg_energy_j);
   EXPECT_EQ(a.summary.dram_energy_j, b.summary.dram_energy_j);
 }
 
 TEST(DeterminismTest, SameSeedBitIdenticalDufpRun) {
-  const auto a = run_once(config(12, PolicyMode::dufp));
-  const auto b = run_once(config(12, PolicyMode::dufp));
+  const auto a = run_once(config(12, "DUFP"));
+  const auto b = run_once(config(12, "DUFP"));
   EXPECT_EQ(a.summary.exec_seconds, b.summary.exec_seconds);
   EXPECT_EQ(a.summary.pkg_energy_j, b.summary.pkg_energy_j);
   ASSERT_EQ(a.agent_stats.size(), b.agent_stats.size());
@@ -39,14 +39,14 @@ TEST(DeterminismTest, SameSeedBitIdenticalDufpRun) {
 }
 
 TEST(DeterminismTest, DifferentSeedsDiffer) {
-  const auto a = run_once(config(1, PolicyMode::none));
-  const auto b = run_once(config(2, PolicyMode::none));
+  const auto a = run_once(config(1, ""));
+  const auto b = run_once(config(2, ""));
   EXPECT_NE(a.summary.exec_seconds, b.summary.exec_seconds);
 }
 
 TEST(DeterminismTest, SeedChangesAreSmallPerturbations) {
-  const auto a = run_once(config(1, PolicyMode::none));
-  const auto b = run_once(config(2, PolicyMode::none));
+  const auto a = run_once(config(1, ""));
+  const auto b = run_once(config(2, ""));
   EXPECT_NEAR(a.summary.exec_seconds, b.summary.exec_seconds,
               a.summary.exec_seconds * 0.03);
 }

@@ -10,12 +10,13 @@
 namespace dufp::harness {
 namespace {
 
-RunConfig config(workloads::AppId app, PolicyMode mode, double tol) {
+RunConfig config(workloads::AppId app, const std::string& policy,
+                 double tol) {
   RunConfig cfg;
   cfg.profile = &workloads::profile(app);
   cfg.machine.sockets = 1;
   cfg.seed = 21;
-  cfg.mode = mode;
+  cfg.policy_name = policy;
   cfg.tolerated_slowdown = tol;
   return cfg;
 }
@@ -24,7 +25,7 @@ TEST(EndToEndTest, DefaultRunsAreNotThrottledForMostApps) {
   // Default consumption sits near but mostly below the 125 W budget.
   for (auto app : {workloads::AppId::cg, workloads::AppId::ep,
                    workloads::AppId::mg}) {
-    const auto res = run_once(config(app, PolicyMode::none, 0.0));
+    const auto res = run_once(config(app, "", 0.0));
     EXPECT_LT(res.summary.avg_pkg_power_w, 126.0)
         << workloads::app_name(app);
     EXPECT_GT(res.summary.avg_pkg_power_w, 95.0)
@@ -35,8 +36,7 @@ TEST(EndToEndTest, DefaultRunsAreNotThrottledForMostApps) {
 TEST(EndToEndTest, HplIsTdpBound) {
   // HPL demands more than TDP; the firmware holds the long-term average
   // at the 125 W budget (the classic power-virus behaviour).
-  const auto res = run_once(config(workloads::AppId::hpl, PolicyMode::none,
-                                   0.0));
+  const auto res = run_once(config(workloads::AppId::hpl, "", 0.0));
   EXPECT_GT(res.summary.avg_pkg_power_w, 118.0);
   EXPECT_LT(res.summary.avg_pkg_power_w, 127.0);
 }
@@ -46,8 +46,8 @@ TEST(EndToEndTest, DufpNeverWorseThanDufOnPower) {
   // only adds savings.
   for (auto app : {workloads::AppId::cg, workloads::AppId::ep,
                    workloads::AppId::ft}) {
-    const auto duf = run_once(config(app, PolicyMode::duf, 0.10));
-    const auto dufp = run_once(config(app, PolicyMode::dufp, 0.10));
+    const auto duf = run_once(config(app, "DUF", 0.10));
+    const auto dufp = run_once(config(app, "DUFP", 0.10));
     EXPECT_LE(dufp.summary.avg_pkg_power_w,
               duf.summary.avg_pkg_power_w * 1.015)
         << workloads::app_name(app);
@@ -55,8 +55,7 @@ TEST(EndToEndTest, DufpNeverWorseThanDufOnPower) {
 }
 
 TEST(EndToEndTest, CapsAreActuallyProgrammedDuringDufpRun) {
-  const auto res = run_once(config(workloads::AppId::cg, PolicyMode::dufp,
-                                   0.10));
+  const auto res = run_once(config(workloads::AppId::cg, "DUFP", 0.10));
   ASSERT_EQ(res.agent_stats.size(), 1u);
   const auto& st = res.agent_stats[0];
   EXPECT_GT(st.cap_decreases, 10u);
@@ -66,7 +65,7 @@ TEST(EndToEndTest, CapsAreActuallyProgrammedDuringDufpRun) {
 
 TEST(EndToEndTest, FrequencyTraceShowsCapEffect) {
   // Fig. 5's mechanism: with DUFP the core clock leaves the all-core max.
-  auto cfg = config(workloads::AppId::cg, PolicyMode::dufp, 0.10);
+  auto cfg = config(workloads::AppId::cg, "DUFP", 0.10);
   sim::VectorTraceSink sink(10);
   cfg.trace = &sink;
   run_once(cfg);
@@ -85,8 +84,8 @@ TEST(EndToEndTest, FrequencyTraceShowsCapEffect) {
 
 TEST(EndToEndTest, ZeroToleranceKeepsSlowdownTiny) {
   for (auto app : {workloads::AppId::ep, workloads::AppId::mg}) {
-    const auto base = run_once(config(app, PolicyMode::none, 0.0));
-    const auto dufp = run_once(config(app, PolicyMode::dufp, 0.0));
+    const auto base = run_once(config(app, "", 0.0));
+    const auto dufp = run_once(config(app, "DUFP", 0.0));
     const double slowdown = percent_over(dufp.summary.exec_seconds,
                                          base.summary.exec_seconds);
     EXPECT_LT(slowdown, 2.5) << workloads::app_name(app);
@@ -111,10 +110,9 @@ TEST(EndToEndTest, GeneratedWorkloadsRunUnderAllPolicies) {
     cfg.machine.sockets = 1;
     cfg.seed = 31 + static_cast<std::uint64_t>(i);
 
-    cfg.mode = PolicyMode::none;
     const auto base = run_once(cfg);
 
-    cfg.mode = PolicyMode::dufp;
+    cfg.policy_name = "DUFP";
     cfg.tolerated_slowdown = 0.10;
     const auto dufp = run_once(cfg);
 
@@ -132,7 +130,7 @@ TEST(EndToEndTest, GeneratedWorkloadsRunUnderAllPolicies) {
 
 TEST(EndToEndTest, MsrTrafficStaysControlPlane) {
   // The agent runs at 5 Hz; MSR writes must stay a few per interval.
-  auto cfg = config(workloads::AppId::cg, PolicyMode::dufp, 0.10);
+  auto cfg = config(workloads::AppId::cg, "DUFP", 0.10);
   const auto res = run_once(cfg);
   const auto& st = res.agent_stats[0];
   const auto actions = st.cap_decreases + st.cap_increases +

@@ -1,4 +1,4 @@
-// Fault-storm robustness grid: every policy mode must survive a hostile
+// Fault-storm robustness grid: every paper policy must survive a hostile
 // substrate (transient EIO, denied writes, bit flips, stale/dropped
 // samples, a forced energy wraparound) with no exception escaping the
 // agent loop, deterministic health accounting for a fixed fault seed, and
@@ -12,12 +12,13 @@
 namespace dufp::harness {
 namespace {
 
-RunConfig storm_config(PolicyMode mode, double rate, std::uint64_t fault_seed) {
+RunConfig storm_config(const std::string& policy, double rate,
+                       std::uint64_t fault_seed) {
   RunConfig cfg;
   cfg.profile = &workloads::profile(workloads::AppId::cg);
   cfg.machine.sockets = 1;
   cfg.seed = 21;
-  cfg.mode = mode;
+  cfg.policy_name = policy;
   cfg.tolerated_slowdown = 0.10;
   if (rate > 0.0) {
     cfg.faults = faults::FaultOptions::storm(rate, fault_seed);
@@ -42,13 +43,12 @@ void expect_health_eq(const HealthTotals& a, const HealthTotals& b) {
   EXPECT_EQ(a.faults_injected, b.faults_injected);
 }
 
-TEST(FaultStormTest, EveryPolicyModeSurvivesTheStorm) {
-  for (const PolicyMode mode : {PolicyMode::duf, PolicyMode::dufp,
-                                PolicyMode::dufpf, PolicyMode::dnpc}) {
-    SCOPED_TRACE(policy_mode_name(mode));
+TEST(FaultStormTest, EveryPaperPolicySurvivesTheStorm) {
+  for (const char* policy : {"DUF", "DUFP", "DUFP-F", "DNPC"}) {
+    SCOPED_TRACE(policy);
     RunResult result;
     // "No exception escapes the agent loop": the run must complete.
-    ASSERT_NO_THROW(result = run_once(storm_config(mode, 0.05, 7)));
+    ASSERT_NO_THROW(result = run_once(storm_config(policy, 0.05, 7)));
     EXPECT_GT(result.summary.exec_seconds, 0.0);
     // The storm actually reached the substrate...
     ASSERT_EQ(result.fault_stats.size(), 1u);
@@ -59,8 +59,8 @@ TEST(FaultStormTest, EveryPolicyModeSurvivesTheStorm) {
 }
 
 TEST(FaultStormTest, HealthCountersDeterministicForFixedFaultSeed) {
-  const auto a = run_once(storm_config(PolicyMode::dufp, 0.05, 7));
-  const auto b = run_once(storm_config(PolicyMode::dufp, 0.05, 7));
+  const auto a = run_once(storm_config("DUFP", 0.05, 7));
+  const auto b = run_once(storm_config("DUFP", 0.05, 7));
   EXPECT_EQ(a.summary.exec_seconds, b.summary.exec_seconds);
   EXPECT_EQ(a.summary.pkg_energy_j, b.summary.pkg_energy_j);
   expect_health_eq(a.health, b.health);
@@ -72,8 +72,8 @@ TEST(FaultStormTest, HealthCountersDeterministicForFixedFaultSeed) {
 }
 
 TEST(FaultStormTest, DifferentFaultSeedsProduceDifferentStorms) {
-  const auto a = run_once(storm_config(PolicyMode::dufp, 0.05, 7));
-  const auto b = run_once(storm_config(PolicyMode::dufp, 0.05, 8));
+  const auto a = run_once(storm_config("DUFP", 0.05, 7));
+  const auto b = run_once(storm_config("DUFP", 0.05, 8));
   bool any_diff = a.health.faults_injected != b.health.faults_injected;
   for (int c = 0; c < faults::kFaultClassCount; ++c) {
     any_diff = any_diff ||
@@ -86,8 +86,8 @@ TEST(FaultStormTest, DifferentFaultSeedsProduceDifferentStorms) {
 TEST(FaultStormTest, ZeroRateInjectionBitIdenticalToBaseline) {
   // Interposing the decorators with all rates at zero must not perturb
   // anything: no RNG draw, no measurement change, no decision change.
-  const auto baseline = run_once(storm_config(PolicyMode::dufp, 0.0, 0));
-  auto cfg = storm_config(PolicyMode::dufp, 0.0, 0);
+  const auto baseline = run_once(storm_config("DUFP", 0.0, 0));
+  auto cfg = storm_config("DUFP", 0.0, 0);
   cfg.faults.enabled = true;  // decorators in place, every rate zero
   const auto quiet = run_once(cfg);
   EXPECT_EQ(baseline.summary.exec_seconds, quiet.summary.exec_seconds);
@@ -106,8 +106,8 @@ TEST(FaultStormTest, ForcedEnergyWrapIsMeasurementNeutral) {
   // A forced counter wraparound relabels the raw energy values but the
   // wrap-corrected deltas — and therefore every control decision — must
   // be bit-identical to the unwrapped run.
-  const auto baseline = run_once(storm_config(PolicyMode::dufp, 0.0, 0));
-  auto cfg = storm_config(PolicyMode::dufp, 0.0, 0);
+  const auto baseline = run_once(storm_config("DUFP", 0.0, 0));
+  auto cfg = storm_config("DUFP", 0.0, 0);
   cfg.faults.enabled = true;
   cfg.faults.force_energy_wrap = true;
   cfg.faults.energy_wrap_lead_j = 2.0;  // wraps within the first seconds
@@ -122,7 +122,7 @@ TEST(FaultStormTest, PersistentWriteDenialDegradesAndIsCounted) {
   // An msr-safe style outage (long EPERM bursts) must trip the watchdog:
   // the socket spends intervals in the fail-safe state and the run still
   // finishes.
-  auto cfg = storm_config(PolicyMode::dufp, 0.0, 0);
+  auto cfg = storm_config("DUFP", 0.0, 0);
   cfg.faults.enabled = true;
   cfg.faults.write_eperm = {0.05, 1 << 20};  // once tripped, denied forever
   cfg.faults.seed = 3;
@@ -134,7 +134,7 @@ TEST(FaultStormTest, PersistentWriteDenialDegradesAndIsCounted) {
 }
 
 TEST(FaultStormTest, RepeatedRunsAggregateHealthAcrossRepetitions) {
-  auto cfg = storm_config(PolicyMode::dufp, 0.05, 7);
+  auto cfg = storm_config("DUFP", 0.05, 7);
   const auto agg = run_repeated(cfg, 3);
   EXPECT_EQ(agg.runs, 3);
   EXPECT_GT(agg.health.faults_injected, 0u);

@@ -4,6 +4,10 @@
 // energy consistent with power x time, counters monotone.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "harness/runner.h"
 #include "msr/registers.h"
 #include "perfmon/sim_counter_source.h"
@@ -37,11 +41,28 @@ class InvariantSink final : public sim::TraceSink {
   double min_speed = 1e18;
 };
 
-class InvariantSweep
-    : public ::testing::TestWithParam<std::tuple<PolicyMode, int>> {};
+struct SweepCase {
+  const char* policy;  ///< registry name; "" is the baseline
+  int seed;
+};
+
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << "policy=" << (*c.policy == '\0' ? "default" : c.policy)
+      << ",seed=" << c.seed;
+}
+
+std::vector<SweepCase> sweep_cases() {
+  std::vector<SweepCase> cases;
+  for (const char* policy : {"", "DUF", "DUFP", "DUFP-F", "DNPC"}) {
+    for (int seed : {1, 2, 3}) cases.push_back({policy, seed});
+  }
+  return cases;
+}
+
+class InvariantSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(InvariantSweep, PhysicalEnvelopeNeverViolated) {
-  const auto [mode, seed] = GetParam();
+  const auto [policy, seed] = GetParam();
 
   Rng rng(static_cast<std::uint64_t>(seed) * 1234567 + 1);
   workloads::GeneratorSpec spec;
@@ -56,7 +77,7 @@ TEST_P(InvariantSweep, PhysicalEnvelopeNeverViolated) {
   cfg.profile = &prof;
   cfg.machine.sockets = 1;
   cfg.seed = static_cast<std::uint64_t>(seed);
-  cfg.mode = mode;
+  cfg.policy_name = policy;
   cfg.tolerated_slowdown = 0.10;
   InvariantSink sink;
   cfg.trace = &sink;
@@ -88,13 +109,8 @@ TEST_P(InvariantSweep, PhysicalEnvelopeNeverViolated) {
               1e-6 * res.summary.pkg_energy_j + 1e-6);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PoliciesAndSeeds, InvariantSweep,
-    ::testing::Combine(::testing::Values(PolicyMode::none, PolicyMode::duf,
-                                         PolicyMode::dufp,
-                                         PolicyMode::dufpf,
-                                         PolicyMode::dnpc),
-                       ::testing::Values(1, 2, 3)));
+INSTANTIATE_TEST_SUITE_P(PoliciesAndSeeds, InvariantSweep,
+                         ::testing::ValuesIn(sweep_cases()));
 
 TEST(CounterInvariantsTest, CountersMonotoneThroughPolicyRun) {
   const auto& prof = workloads::profile(workloads::AppId::ft);
@@ -102,7 +118,7 @@ TEST(CounterInvariantsTest, CountersMonotoneThroughPolicyRun) {
   cfg.profile = &prof;
   cfg.machine.sockets = 1;
   cfg.seed = 9;
-  cfg.mode = PolicyMode::dufp;
+  cfg.policy_name = "DUFP";
   cfg.tolerated_slowdown = 0.10;
 
   sim::SimulationOptions opts = cfg.sim;

@@ -9,6 +9,7 @@
 // JSONL).  Any behavioural drift in the port fails a byte compare here.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -20,23 +21,25 @@ namespace dufp::perf_test {
 namespace {
 
 struct PolicyCase {
-  harness::PolicyMode mode;
-  const char* tag;  ///< golden-file infix
+  const char* policy;  ///< registry name
+  const char* tag;     ///< golden-file infix
 };
+
+void PrintTo(const PolicyCase& c, std::ostream* os) { *os << c.policy; }
 
 class GoldenPoliciesTest : public ::testing::TestWithParam<PolicyCase> {};
 
-harness::RunConfig mode_config(const workloads::WorkloadProfile& profile,
-                               harness::PolicyMode mode) {
+harness::RunConfig policy_config(const workloads::WorkloadProfile& profile,
+                                 const char* policy) {
   harness::RunConfig cfg = golden_config(profile);
-  cfg.mode = mode;
+  cfg.policy_name = policy;
   return cfg;
 }
 
-harness::RunConfig mode_storm_config(const workloads::WorkloadProfile& profile,
-                                     harness::PolicyMode mode) {
+harness::RunConfig policy_storm_config(
+    const workloads::WorkloadProfile& profile, const char* policy) {
   harness::RunConfig cfg = golden_storm_config(profile);
-  cfg.mode = mode;
+  cfg.policy_name = policy;
   return cfg;
 }
 
@@ -44,14 +47,14 @@ TEST_P(GoldenPoliciesTest, SerialSummaryMatchesPreRedesignGolden) {
   const auto profile = golden_profile();
   const auto p = GetParam();
   expect_matches_golden(
-      summary_text(harness::run_once(mode_config(profile, p.mode))),
+      summary_text(harness::run_once(policy_config(profile, p.policy))),
       std::string("policy_") + p.tag + "_summary.txt");
 }
 
 TEST_P(GoldenPoliciesTest, FaultStormTraceMatchesPreRedesignGolden) {
   const auto profile = golden_profile();
   const auto p = GetParam();
-  harness::RunConfig cfg = mode_storm_config(profile, p.mode);
+  harness::RunConfig cfg = policy_storm_config(profile, p.policy);
   const std::string path = temp_path(std::string(p.tag) + "_storm.csv");
   {
     sim::CsvTraceSink sink(path, /*decimation=*/1);
@@ -65,7 +68,7 @@ TEST_P(GoldenPoliciesTest, FaultStormTraceMatchesPreRedesignGolden) {
 TEST_P(GoldenPoliciesTest, FaultStormTelemetryBytesMatchPreRedesignGolden) {
   const auto profile = golden_profile();
   const auto p = GetParam();
-  harness::RunConfig cfg = mode_storm_config(profile, p.mode);
+  harness::RunConfig cfg = policy_storm_config(profile, p.policy);
   cfg.telemetry.enabled = true;
   const auto res = harness::run_once(cfg);
   ASSERT_TRUE(res.telemetry.has_value());
@@ -79,10 +82,10 @@ TEST_P(GoldenPoliciesTest, FaultStormTelemetryBytesMatchPreRedesignGolden) {
 
 INSTANTIATE_TEST_SUITE_P(
     LegacyPolicies, GoldenPoliciesTest,
-    ::testing::Values(PolicyCase{harness::PolicyMode::duf, "duf"},
-                      PolicyCase{harness::PolicyMode::dufp, "dufp"},
-                      PolicyCase{harness::PolicyMode::dufpf, "dufpf"},
-                      PolicyCase{harness::PolicyMode::dnpc, "dnpc"}),
+    ::testing::Values(PolicyCase{"DUF", "duf"},
+                      PolicyCase{"DUFP", "dufp"},
+                      PolicyCase{"DUFP-F", "dufpf"},
+                      PolicyCase{"DNPC", "dnpc"}),
     [](const ::testing::TestParamInfo<PolicyCase>& info) {
       return std::string(info.param.tag);
     });

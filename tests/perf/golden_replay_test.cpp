@@ -61,7 +61,7 @@ harness::RunConfig replay_config(const workloads::WorkloadProfile& profile) {
   harness::RunConfig cfg;
   cfg.profile = &profile;
   cfg.machine.sockets = 4;
-  cfg.mode = harness::PolicyMode::dufp;
+  cfg.policy_name = "DUFP";
   cfg.tolerated_slowdown = 0.10;
   cfg.seed = 7;
   return cfg;

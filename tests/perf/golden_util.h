@@ -87,7 +87,7 @@ inline harness::RunConfig golden_config(
   harness::RunConfig cfg;
   cfg.profile = &profile;
   cfg.machine.sockets = 4;
-  cfg.mode = harness::PolicyMode::dufp;
+  cfg.policy_name = "DUFP";
   cfg.tolerated_slowdown = 0.10;
   cfg.seed = 7;
   cfg.phase_cap = harness::PhaseCapSpec{"sweep", 95.0};

@@ -123,7 +123,7 @@ TEST(LeapIdentityTest, TraceReplayBytesIdentical) {
   harness::RunConfig cfg;
   cfg.profile = &profile;
   cfg.machine.sockets = 4;
-  cfg.mode = harness::PolicyMode::dufp;
+  cfg.policy_name = "DUFP";
   cfg.tolerated_slowdown = 0.10;
   cfg.seed = 7;
   expect_leap_identity(cfg, "replay");

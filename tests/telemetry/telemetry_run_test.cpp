@@ -18,12 +18,12 @@
 namespace dufp::harness {
 namespace {
 
-RunConfig base_config(PolicyMode mode) {
+RunConfig base_config(const std::string& policy) {
   RunConfig cfg;
   cfg.profile = &workloads::profile(workloads::AppId::cg);
   cfg.machine.sockets = 1;
   cfg.seed = 21;
-  cfg.mode = mode;
+  cfg.policy_name = policy;
   cfg.tolerated_slowdown = 0.10;
   return cfg;
 }
@@ -31,7 +31,7 @@ RunConfig base_config(PolicyMode mode) {
 /// The fail-open recipe: a permanently tripped msr-safe style write
 /// denial degrades the socket deterministically.
 RunConfig degrading_config() {
-  RunConfig cfg = base_config(PolicyMode::dufp);
+  RunConfig cfg = base_config("DUFP");
   cfg.faults.enabled = true;
   cfg.faults.write_eperm = {0.05, 1 << 20};
   cfg.faults.seed = 3;
@@ -53,8 +53,8 @@ double metric_value(const telemetry::TelemetrySnapshot& snap,
 }
 
 TEST(TelemetryRunTest, EnabledRunBitIdenticalToDisabled) {
-  const auto off = run_once(base_config(PolicyMode::dufp));
-  auto cfg = base_config(PolicyMode::dufp);
+  const auto off = run_once(base_config("DUFP"));
+  auto cfg = base_config("DUFP");
   cfg.telemetry.enabled = true;
   const auto on = run_once(cfg);
 
@@ -94,7 +94,7 @@ TEST(TelemetryRunTest, EnabledRunBitIdenticalUnderAFaultStorm) {
 }
 
 TEST(TelemetryRunTest, RegistryAgreesWithAgentStats) {
-  auto cfg = base_config(PolicyMode::dufp);
+  auto cfg = base_config("DUFP");
   cfg.telemetry.enabled = true;
   const auto res = run_once(cfg);
   ASSERT_TRUE(res.telemetry.has_value());
@@ -172,7 +172,7 @@ TEST(TelemetryRunTest, ConfigValidation) {
   EXPECT_THROW(telemetry::Telemetry(bad, 1), std::invalid_argument);
 
   // The harness prefixes nested problems with "telemetry.".
-  auto cfg = base_config(PolicyMode::dufp);
+  auto cfg = base_config("DUFP");
   cfg.telemetry.enabled = true;
   cfg.telemetry.flight_capacity = 0;
   const auto problems = cfg.validate();
@@ -238,7 +238,7 @@ TEST(TelemetryRunTest, BudgetBalancerRegistersAndRecords) {
 TEST(TelemetryRunTest, DisabledConfigIsNeverConstructed) {
   // telemetry.enabled=false with an otherwise-invalid telemetry config
   // must not trip validation — nothing below the switch is constructed.
-  auto cfg = base_config(PolicyMode::dufp);
+  auto cfg = base_config("DUFP");
   cfg.telemetry.enabled = false;
   cfg.telemetry.flight_capacity = 0;
   EXPECT_TRUE(cfg.validate().empty());

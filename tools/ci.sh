@@ -3,13 +3,16 @@
 #   1. plain tier-1 (Release, -O2 -DNDEBUG — the configuration the
 #      tracked benchmark numbers come from);
 #   2. smokes of the sim_throughput and shard_scaling benches;
-#   3. the chaos-recovery and supervise drills (kill -> salvage ->
+#   3. one run of every paper bench, every example and perf_microbench
+#      at the smallest shape (policies are named by strings, so a
+#      misspelt name fails only at run time);
+#   4. the chaos-recovery and supervise drills (kill -> salvage ->
 #      resume, bytes identical to serial);
-#   4. tournament, fleet and fleet_scaling smokes;
-#   5. the perf-ledger smoke (perfbench/run.py --smoke: pinned digests
+#   5. tournament, fleet and fleet_scaling smokes;
+#   6. the perf-ledger smoke (perfbench/run.py --smoke: pinned digests
 #      of all three workloads through both passes);
-#   6. the sim_throughput perf gate and the grid_throughput gate;
-#   7. tier-1 under UBSan, ASan and TSan.
+#   7. the sim_throughput perf gate and the grid_throughput gate;
+#   8. tier-1 under UBSan, ASan and TSan.
 #
 #   tools/ci.sh            # everything
 #   tools/ci.sh -j8        # extra args forwarded to every ctest
@@ -86,6 +89,34 @@ for key in ("processes_2", "processes_4"):
         assert row["skipped_reason"] == "host_cpus==1"
 print("shard_scaling smoke: JSON OK, gathered bytes identical")
 EOF
+
+echo "== paper benches, examples and microbench smoke =="
+# Each binary runs once at the smallest shape (1 repetition, 1 socket)
+# and must exit 0.  They name their policies by registry strings, which
+# no compiler checks, so this is where a misspelt name would fail.
+bins_dir="${smoke_dir}/bins"
+rm -rf "${bins_dir}"
+mkdir -p "${bins_dir}"
+run_smoke() {
+  (cd "${bins_dir}" && DUFP_REPS=1 DUFP_SOCKETS=1 DUFP_QUIET=1 \
+      DUFP_OUT_DIR="${smoke_dir}/figs" "$@" > /dev/null) || {
+    echo "bins smoke: $* exited non-zero" >&2
+    exit 1
+  }
+}
+for b in table1_architecture fig1a_static_capping fig1b_phase_capping \
+    fig1c_partial_cap_time fig3a_slowdown fig3b_processor_power \
+    fig3c_energy fig4_dram_power fig5_frequency_trace ablation_interval \
+    ablation_min_cap ablation_cap_step ablation_freq_control baseline_dnpc \
+    fault_storm; do
+  run_smoke "${build_dir}/bench/${b}"
+done
+for e in quickstart capping_study custom_workload phase_explorer \
+    trace_replay_demo budget_balancer_demo; do
+  run_smoke "${build_dir}/examples/${e}"
+done
+run_smoke "${build_dir}/bench/perf_microbench" --benchmark_min_time=0.001
+echo "bins smoke: 15 paper benches, 6 examples and perf_microbench exited 0"
 
 echo "== chaos recovery smoke =="
 # The failure-model gate (DESIGN.md § Failure model & recovery): a
