@@ -4,6 +4,8 @@
 // execute hundreds of millions of socket-ticks.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <cstdint>
 #include <memory>
 
 #include "core/agent.h"
@@ -84,6 +86,53 @@ void BM_GovernorTick(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GovernorTick);
+
+/// The tier-2 kernel alone: ns per calm tick of FirmwareGovernor::calm_run
+/// on full windows under a binding cap.  The cap sits a sixth of the way
+/// from the 2.0 GHz state's power to the 2.1 GHz state's, so the governor
+/// settles at 2.0 GHz and every later tick is calm: each iteration is one
+/// calm run of 4096 ticks that evicts and pushes real window samples.
+/// Any flip tick (tick() + record_power(), the engine's share) runs
+/// outside the timed region.
+void BM_CalmRun(benchmark::State& state) {
+  constexpr std::size_t kRun = 4096;
+  const hw::SocketConfig cfg;
+  hw::SocketModel socket(cfg, 0);
+  socket.set_demand(bench_demand());
+  const rapl::GovernorParams params;
+  rapl::FirmwareGovernor gov(socket, params);
+  const double p_lo = socket.package_power_at(2000.0);
+  const double p_hi = socket.package_power_at(2100.0);
+  msr::PowerLimit pl = gov.limit();
+  pl.long_term_w = p_lo + (p_hi - p_lo) / 6.0;
+  pl.short_term_w = pl.long_term_w;
+  gov.set_limit(pl);
+  const auto step = [&] {
+    gov.tick();
+    gov.record_power(socket.evaluate().pkg_power_w, params.tick_s);
+  };
+  for (int i = 0; i < 3000; ++i) step();  // windows full, cap biting
+  double timed_s = 0.0;
+  std::int64_t calm = 0;
+  for (auto _ : state) {
+    const double v = socket.evaluate().pkg_power_w;
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::size_t k = gov.calm_run(v, kRun);
+    const auto t1 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(k);
+    const double s = std::chrono::duration<double>(t1 - t0).count();
+    state.SetIterationTime(s);
+    timed_s += s;
+    calm += static_cast<std::int64_t>(k);
+    if (k < kRun) step();
+  }
+  state.SetItemsProcessed(calm);
+  state.counters["ns_per_calm_tick"] =
+      calm > 0 ? 1e9 * timed_s / static_cast<double>(calm) : 0.0;
+  state.counters["calm_ticks_per_run"] =
+      static_cast<double>(calm) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_CalmRun)->UseManualTime();
 
 void BM_DufpDecide(benchmark::State& state) {
   core::PolicyConfig policy;

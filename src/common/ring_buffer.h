@@ -88,6 +88,20 @@ class RingBuffer {
     size_ = 0;
   }
 
+  /// Bulk form of push() for a full ring, for callers that keep the
+  /// write position in a register.  While the ring is full every slot is
+  /// allocated, the oldest element sits at head(), and each push()
+  /// overwrites slot head() and steps it (wrapping at capacity()).  A
+  /// caller that wrote k values that way into slots() then calls
+  /// commit_pushes(k), which leaves the ring exactly as k push() calls.
+  T* slots() { return buf_.data(); }
+  std::size_t head() const { return head_; }
+  void commit_pushes(std::size_t k) {
+    DUFP_EXPECT(full());
+    head_ = (head_ + k % capacity_) % capacity_;
+    tail_ = head_;
+  }
+
   /// Visit all elements oldest → newest.
   template <typename F>
   void for_each(F&& f) const {
@@ -97,8 +111,8 @@ class RingBuffer {
  private:
   /// Until the first wrap the elements sit in [0, head_), so reaching
   /// the allocated end early means "grow", never "wrap".  Out of line
-  /// and cold: push() must stay small enough to inline into the
-  /// engine's calm-tick loop.
+  /// and cold: push() must stay small enough to inline into
+  /// WindowedMean::add on the governor's per-tick paths.
   [[gnu::noinline, gnu::cold]] void grow() {
     const std::size_t grown = std::min(capacity_, 2 * buf_.size());
     buf_.reserve(grown);  // exactly: resize alone may overshoot
@@ -144,6 +158,65 @@ class WindowedMean {
     sum_ = 0.0;
     run_length_ = 0;
     run_value_ = 0.0;
+  }
+
+  /// A full window copied into locals for a run of add(v) calls with one
+  /// value v: the running sum, the write position and the slot pointer
+  /// stay in registers, and commit() writes them back once.  add()
+  /// performs WindowedMean::add's floating-point operations in its order
+  /// (evict the oldest, store, add), so after k calls the sum holds the
+  /// bits k calls of WindowedMean::add(v) would leave.
+  class Cursor {
+   public:
+    void add() {
+      sum_ -= slots_[head_];
+      slots_[head_] = v_;
+      sum_ += v_;
+      if (++head_ == capacity_) head_ = 0;
+    }
+    /// mean() of the window the adds so far would leave.
+    double mean() const { return sum_ / size_; }
+
+   private:
+    friend class WindowedMean;
+    Cursor(double* slots, std::size_t capacity, std::size_t head, double sum,
+           double v)
+        : slots_(slots),
+          capacity_(capacity),
+          head_(head),
+          sum_(sum),
+          size_(static_cast<double>(capacity)),
+          v_(v) {}
+
+    double* slots_;
+    std::size_t capacity_;
+    std::size_t head_;
+    double sum_;
+    double size_;  ///< size() of a full window, as mean() divides by it
+    double v_;
+  };
+
+  /// Starts a run of add(v) on a full window.
+  Cursor cursor(double v) {
+    DUFP_EXPECT(full());
+    return Cursor(ring_.slots(), ring_.capacity(), ring_.head(), sum_, v);
+  }
+
+  /// Commits `k` Cursor::add() calls made since cursor(v): afterwards the
+  /// window (samples, sum, trailing run) equals k calls of add(v).  Only
+  /// valid while no other add() has touched the window since cursor().
+  void commit(const Cursor& c, std::size_t k) {
+    if (k == 0) return;
+    ring_.commit_pushes(k);
+    sum_ = c.sum_;
+    // k identical samples either extend the trailing run or start one;
+    // either way it is capped at capacity, as k single adds would cap it.
+    if (run_length_ > 0 && bit_equal(c.v_, run_value_)) {
+      run_length_ = std::min(ring_.capacity(), run_length_ + k);
+    } else {
+      run_value_ = c.v_;
+      run_length_ = std::min(ring_.capacity(), k);
+    }
   }
 
   /// Length of the trailing run of bitwise-identical samples (capped at

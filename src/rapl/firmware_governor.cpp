@@ -10,6 +10,40 @@
 
 namespace dufp::rapl {
 
+namespace {
+
+/// The allowance expression given the two window averages.  The limit
+/// and gain are parameters so that the calm-run kernel can pass local
+/// copies it keeps in registers; every caller shares this one
+/// floating-point expression.
+double allowance_from(const msr::PowerLimit& limit, double gain,
+                      double long_avg_w, double short_avg_w) {
+  double allowance = std::numeric_limits<double>::infinity();
+  if (limit.long_term_enabled && limit.long_term_w > 0.0) {
+    allowance =
+        std::min(allowance,
+                 limit.long_term_w + gain * (limit.long_term_w - long_avg_w));
+  }
+  if (limit.short_term_enabled && limit.short_term_w > 0.0) {
+    allowance = std::min(
+        allowance,
+        limit.short_term_w + gain * (limit.short_term_w - short_avg_w));
+  }
+  return allowance;
+}
+
+/// True when `allowance_w` lies in the applied limit's cell [lo, hi), so
+/// the decision keeps the limit; the top state's cell has no upper edge.
+/// A non-finite allowance plans core_max in the reference decision; +inf
+/// matches the test exactly (it passes only for the top state), and the
+/// never-occurring NaN / -inf fail every comparison and merely end a
+/// calm run.
+bool in_calm_cell(double allowance_w, double lo, double hi, bool top) {
+  return allowance_w >= lo && (top || allowance_w < hi);
+}
+
+}  // namespace
+
 FirmwareGovernor::FirmwareGovernor(hw::SocketModel& socket,
                                    const GovernorParams& params)
     : socket_(socket),
@@ -66,6 +100,14 @@ void FirmwareGovernor::set_limit(const msr::PowerLimit& limit) {
   if (sw != 0 && sw != short_window_.capacity()) {
     short_window_ = WindowedMean(sw);
   }
+}
+
+double FirmwareGovernor::current_allowance() const {
+  const double long_avg = long_window_.size() > 0 ? long_window_.mean()
+                                                  : limit_.long_term_w;
+  const double short_avg = short_window_.size() > 0 ? short_window_.mean()
+                                                    : limit_.short_term_w;
+  return allowance_from(limit_, params_.headroom_gain, long_avg, short_avg);
 }
 
 void FirmwareGovernor::tick() {
@@ -270,6 +312,49 @@ double FirmwareGovernor::planned_cached(double allowance_w) const {
         std::min(target, current_limit_mhz_ + params_.unthrottle_slew_mhz);
   }
   return socket_.quantize_core_mhz(target);
+}
+
+std::size_t FirmwareGovernor::calm_run(double recorded_w,
+                                       std::size_t max_ticks) {
+  // Calm ticks leave the limit and the socket state alone, so the cell
+  // checked here stays valid for the whole run.
+  if (calm_limit_ != current_limit_mhz_ ||
+      calm_version_ != socket_.state_version()) {
+    refresh_calm_cell();
+  }
+  const double lo = calm_lo_;
+  const double hi = calm_hi_;
+  const bool top = calm_top_;
+
+  // While a window fills, add() changes its divisor and may grow its
+  // storage: the per-tick body, one add() per window.
+  std::size_t k = 0;
+  for (; k < max_ticks && !(long_window_.full() && short_window_.full());
+       ++k) {
+    if (!in_calm_cell(current_allowance(), lo, hi, top)) return k;
+    long_window_.add(recorded_w);
+    short_window_.add(recorded_w);
+  }
+  if (k == max_ticks) return k;
+
+  // Both windows full: the same allowance expression over register-held
+  // sums.  The limit and gain are copied into locals too — the slot
+  // stores could alias the members, which would force a reload per tick.
+  const msr::PowerLimit limit = limit_;
+  const double gain = params_.headroom_gain;
+  WindowedMean::Cursor lw = long_window_.cursor(recorded_w);
+  WindowedMean::Cursor sw = short_window_.cursor(recorded_w);
+  const std::size_t room = max_ticks - k;
+  std::size_t j = 0;
+  for (; j < room; ++j) {
+    const double a = allowance_from(limit, gain, lw.mean(), sw.mean());
+    if (!in_calm_cell(a, lo, hi, top)) break;
+    lw.add();
+    sw.add();
+  }
+  long_window_.commit(lw, j);
+  short_window_.commit(sw, j);
+  return k + j;
 }
 
 void FirmwareGovernor::refresh_calm_cell() {

@@ -14,9 +14,8 @@
 //    average must drain and the P-state slews down step by step.
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <vector>
 
@@ -67,6 +66,9 @@ class FirmwareGovernor {
   /// Window averages (diagnostics / tests).
   double long_term_avg_w() const { return long_window_.mean(); }
   double short_term_avg_w() const { return short_window_.mean(); }
+  /// The averaging windows themselves (tests compare sizes and runs).
+  const WindowedMean& long_window() const { return long_window_; }
+  const WindowedMean& short_window() const { return short_window_; }
 
   /// Frequency limit currently applied (MHz).
   double current_limit_mhz() const { return current_limit_mhz_; }
@@ -90,38 +92,25 @@ class FirmwareGovernor {
            short_window_.run_length() >= short_window_.capacity();
   }
 
-  /// Calm-tick fast path for the simulation engine.  Performs, in one
-  /// call, the exact observable work of a tick()+record_power(recorded_w)
-  /// pair *provided the control decision would keep the current frequency
-  /// limit* — and refuses (returning false, touching nothing) otherwise.
+  /// Calm-run kernel of the simulation engine's tier-2 stretch.  Runs up
+  /// to `max_ticks` calm ticks under a constant recorded package power
+  /// and returns how many it ran.  A calm tick is one whose control
+  /// decision keeps the applied frequency limit: its tick() would be a
+  /// no-op write, so only record_power(recorded_w)'s window pushes are
+  /// observable, and the kernel performs exactly those.  The first tick
+  /// whose decision would move the limit (a flip tick) ends the run
+  /// untouched; the returned count is its index, and the caller runs it
+  /// as tick() + record_power().  After calm_run(v, N) returns k, the
+  /// governor is bit-identical to k cycles of tick() + record_power(v).
   ///
   /// The decision is the cell-table decision tick() itself uses (see
-  /// planned_limit_mhz); for a calm tick it costs a couple of comparisons
-  /// against cached cell edges instead of a bisection.  Defined here so
-  /// the engine's calm-stretch loop inlines it.
-  bool fast_calm_tick(double recorded_w) {
-    // Calm ⟺ the decision tick() would take keeps the applied limit, i.e.
-    // the allowance lies in the applied limit's own cell (the P-state
-    // search returns the limit, no slew applies, and quantization of a
-    // grid point is the identity).
-    if (calm_limit_ != current_limit_mhz_ ||
-        calm_version_ != socket_.state_version()) {
-      refresh_calm_cell();
-    }
-    // A non-finite allowance plans core_max in the reference decision;
-    // +inf matches the test exactly (it passes only for the top state),
-    // and the never-occurring NaN / -inf fail every comparison and merely
-    // fall back to the exact path.
-    const double a = current_allowance();
-    if (!(a >= calm_lo_ && (calm_top_ || a < calm_hi_))) return false;
-    // tick() would re-apply the unchanged limit (a no-op write: the
-    // socket setter compares before invalidating); record_power() would
-    // push the tick's power into both windows.  Only the pushes are
-    // observable.
-    long_window_.add(recorded_w);
-    short_window_.add(recorded_w);
-    return true;
-  }
+  /// planned_limit_mhz): the allowance must stay inside the applied
+  /// limit's own cell, two comparisons against cached edges.  Once both
+  /// windows are full, their sums, write positions and slot pointers
+  /// live in registers (WindowedMean::Cursor) and are committed once at
+  /// the end; while a window is still filling, each tick takes the plain
+  /// add() path, since the divisor and the storage can still change.
+  std::size_t calm_run(double recorded_w, std::size_t max_ticks);
 
   /// The control decision of tick() without the actuation: the quantized
   /// frequency limit the governor would apply given the current windows.
@@ -172,29 +161,9 @@ class FirmwareGovernor {
   static constexpr std::size_t kCellWays = 24;
 
   /// Instantaneous allowance from the current window averages — the
-  /// first half of the control decision.  Runs once per socket per calm
-  /// tick, hence inline.
-  double current_allowance() const {
-    double allowance = std::numeric_limits<double>::infinity();
-    if (limit_.long_term_enabled && limit_.long_term_w > 0.0) {
-      const double avg = long_window_.full() || long_window_.size() > 0
-                             ? long_window_.mean()
-                             : limit_.long_term_w;
-      allowance =
-          std::min(allowance,
-                   limit_.long_term_w +
-                       params_.headroom_gain * (limit_.long_term_w - avg));
-    }
-    if (limit_.short_term_enabled && limit_.short_term_w > 0.0) {
-      const double avg = short_window_.size() > 0 ? short_window_.mean()
-                                                  : limit_.short_term_w;
-      allowance =
-          std::min(allowance,
-                   limit_.short_term_w +
-                       params_.headroom_gain * (limit_.short_term_w - avg));
-    }
-    return allowance;
-  }
+  /// first half of the control decision; an empty window averages at its
+  /// own limit.
+  double current_allowance() const;
   /// Refills the flat calm-cell members (calm_lo_/calm_hi_/calm_top_)
   /// from the cell table for the currently applied limit.
   void refresh_calm_cell();

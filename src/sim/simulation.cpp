@@ -1,6 +1,8 @@
 #include "sim/simulation.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -87,6 +89,7 @@ Simulation::Simulation(
   leap_acc_.resize(static_cast<std::size_t>(n) * kLeapLanes, 0.0);
   leap_inc_.resize(static_cast<std::size_t>(n) * kLeapLanes, 0.0);
   stretch_v_.resize(static_cast<std::size_t>(n), 0.0);
+  flip_bits_.resize(static_cast<std::size_t>(kStretchChunk) / 64, 0);
 }
 
 const std::vector<PhaseTotals>& Simulation::phase_totals(int i) const {
@@ -366,49 +369,56 @@ void Simulation::gather_socket_lanes(int s, const hw::SocketInstant& inst) {
   // One slab of kLeapLanes accumulator lanes per socket.  Lane order
   // matches SocketModel::accumulate / the phase-totals block /
   // WorkloadInstance::advance in the stepped path; each lane's per-tick
-  // increment is the exact value the stepper would add each tick, so a
-  // flat add loop over the lanes replays the identical FP operations —
-  // only the control loop around them (governor decision, demand rewrite,
-  // segment split, periodic compares) is skipped.
+  // increment (gather_socket_increments) is the exact value the stepper
+  // would add each tick, so a flat add loop over the lanes replays the
+  // identical FP operations — only the control loop around them
+  // (governor decision, demand rewrite, segment split, periodic
+  // compares) is skipped.
   const auto si = static_cast<std::size_t>(s);
-  const double tick_s = options_.tick.seconds();
-  auto& w = *workloads_[si];
-  auto& sock = machine_.socket(s);
+  const auto& w = *workloads_[si];
   double* acc = leap_acc_.data() + si * kLeapLanes;
-  double* inc = leap_inc_.data() + si * kLeapLanes;
 
-  const auto a = sock.accumulators();
+  const auto a = machine_.socket(s).accumulators();
   acc[0] = a.pkg_energy_j;
-  inc[0] = inst.pkg_power_w * tick_s;
   acc[1] = a.dram_energy_j;
-  inc[1] = inst.dram_power_w * tick_s;
   acc[2] = a.flops_total;
-  inc[2] = inst.flops_rate * tick_s;
   acc[3] = a.bytes_total;
-  inc[3] = inst.bytes_rate * tick_s;
   acc[4] = a.aperf_cycles;
-  inc[4] = inst.core_mhz * 1e6 * tick_s;
   acc[5] = a.mperf_cycles;
-  inc[5] = sock.config().core_base_mhz * 1e6 * tick_s;
-
   if (!w.finished()) {
     const PhaseTotals& pt = phase_totals_[si][w.current_phase_idx()];
     acc[6] = pt.wall_seconds;
-    inc[6] = tick_s;
     acc[7] = pt.pkg_energy_j;
-    inc[7] = inst.pkg_power_w * tick_s;
     acc[8] = pt.dram_energy_j;
+    acc[9] = w.consumed_total();
+    acc[10] = w.consumed_in_current();
+  } else {
+    for (std::size_t j = 6; j < kLeapLanes; ++j) acc[j] = 0.0;
+  }
+  gather_socket_increments(s, inst);
+}
+
+void Simulation::gather_socket_increments(int s,
+                                          const hw::SocketInstant& inst) {
+  const auto si = static_cast<std::size_t>(s);
+  const double tick_s = options_.tick.seconds();
+  double* inc = leap_inc_.data() + si * kLeapLanes;
+
+  inc[0] = inst.pkg_power_w * tick_s;
+  inc[1] = inst.dram_power_w * tick_s;
+  inc[2] = inst.flops_rate * tick_s;
+  inc[3] = inst.bytes_rate * tick_s;
+  inc[4] = inst.core_mhz * 1e6 * tick_s;
+  inc[5] = machine_.socket(s).config().core_base_mhz * 1e6 * tick_s;
+  if (!workloads_[si]->finished()) {
+    inc[6] = tick_s;
+    inc[7] = inst.pkg_power_w * tick_s;
     inc[8] = inst.dram_power_w * tick_s;
     const double c = inst.speed * tick_s;
-    acc[9] = w.consumed_total();
     inc[9] = c;
-    acc[10] = w.consumed_in_current();
     inc[10] = c;
   } else {
-    for (std::size_t j = 6; j < kLeapLanes; ++j) {
-      acc[j] = 0.0;
-      inc[j] = 0.0;
-    }
+    for (std::size_t j = 6; j < kLeapLanes; ++j) inc[j] = 0.0;
   }
 
   // Cache the trace row: it is constant while the socket stays at this
@@ -488,12 +498,14 @@ bool Simulation::fast_stretch() {
 
   // Entry checks.  Unlike the full leap, the stretch tolerates drifting
   // governor windows and mid-stretch limit moves, so the only per-socket
-  // preconditions are the ones every calm tick relies on: the demand the
-  // stepper would re-apply is already applied (no entry crossed on the
-  // previous tick), and no sequence-entry boundary can land inside the
-  // stretch.  The boundary bound uses the *global* speed ceiling (speed
-  // <= 1/(weight sum), see kSpeedBoundMargin) rather than the current
-  // speed, so it survives limit flips that change the speed mid-stretch.
+  // preconditions are the ones every stretch tick relies on: the demand
+  // the stepper would re-apply is already applied (no entry crossed on
+  // the previous tick), and no sequence-entry boundary can land inside
+  // the stretch.  The boundary bound uses the *global* speed ceiling
+  // (speed <= 1/(weight sum), see kSpeedBoundMargin) rather than the
+  // current speed, so it survives limit flips that change the speed
+  // mid-stretch.  Together they make every stretch tick one segment at
+  // the applied demand, which is what lets flip ticks run in the lanes.
   bool any_unfinished = false;
   for (int s = 0; s < n; ++s) {
     const auto si = static_cast<std::size_t>(s);
@@ -515,56 +527,101 @@ bool Simulation::fast_stretch() {
     gather_socket_lanes(s, machine_.socket(s).evaluate());
   }
 
-  // A contiguous run of all-calm ticks counts as one leap in the stats;
-  // a tick where any socket's control decision moved the limit is an
-  // exact (stepped) tick even though the calm sockets took the fast path.
-  std::int64_t calm_run = 0;
+  // A contiguous run of all-calm ticks counts as one leap in the stats,
+  // carried across chunk boundaries; a tick where any socket's control
+  // decision moved the limit is an exact (stepped) tick even though the
+  // calm sockets took the fast path.
+  std::int64_t open_run = 0;  // all-calm ticks since the last flip
   const auto close_run = [&] {
-    if (calm_run > 0) {
+    if (open_run > 0) {
       ++batch_stats_.leaps;
-      batch_stats_.max_leap = std::max(batch_stats_.max_leap, calm_run);
-      calm_run = 0;
+      batch_stats_.max_leap = std::max(batch_stats_.max_leap, open_run);
+      open_run = 0;
     }
   };
 
-  for (std::int64_t k = 0; k < horizon; ++k) {
-    bool all_calm = true;
-    for (int s = 0; s < n; ++s) {
-      const auto si = static_cast<std::size_t>(s);
-      if (rapls_[si]->governor().fast_calm_tick(stretch_v_[si])) {
-        // Calm tick: the governor kept its limit (verified via the plan
-        // band) and pushed the tick's power into its windows; what
-        // remains of the stepped tick is the accumulator additions.
-        double* __restrict acc = leap_acc_.data() + si * kLeapLanes;
-        const double* __restrict inc = leap_inc_.data() + si * kLeapLanes;
-        for (std::size_t j = 0; j < kLeapLanes; ++j) acc[j] += inc[j];
-      } else {
-        // Flip tick: the decision would move the limit.  Hand the socket
-        // to the exact stepper for this tick (which applies the new
-        // limit, splits segments if ever needed, fills the trace row),
-        // then re-gather lanes at the new instant.
-        all_calm = false;
-        scatter_socket_lanes(s);
-        integrate_socket_tick(s, tick_s);
-        gather_socket_lanes(s, machine_.socket(s).evaluate());
+  // A sink reads every socket's row at every tick, so a traced run
+  // advances all sockets one tick at a time, through the same loop.
+  const std::int64_t chunk = trace_ != nullptr ? 1 : kStretchChunk;
+  for (std::int64_t done = 0; done < horizon;) {
+    const std::int64_t len = std::min(chunk, horizon - done);
+    for (int s = 0; s < n; ++s) stretch_socket(s, len);
+
+    // Rebuild the tick-major statistics from the chunk's flip bitmap,
+    // clearing it for the next chunk.
+    std::int64_t next = 0;  // first chunk tick not yet classified
+    std::int64_t stepped = 0;
+    const auto words = static_cast<std::size_t>((len + 63) / 64);
+    for (std::size_t wi = 0; wi < words; ++wi) {
+      for (std::uint64_t bits = flip_bits_[wi]; bits != 0; bits &= bits - 1) {
+        const std::int64_t k =
+            static_cast<std::int64_t>(wi * 64) + std::countr_zero(bits);
+        open_run += k - next;
+        close_run();
+        ++stepped;
+        next = k + 1;
       }
+      flip_bits_[wi] = 0;
     }
-    if (all_calm) {
-      ++batch_stats_.leapt_ticks;
-      ++calm_run;
+    open_run += len - next;
+    batch_stats_.stepped_ticks += stepped;
+    batch_stats_.leapt_ticks += len - stepped;
+
+    // The clock advances exactly as finish_tick would; periodics and the
+    // watchdog cannot fire inside the horizon.
+    if (trace_ != nullptr) {
+      trace_->on_tick(clock_.advance(options_.tick), tick_records_);
     } else {
-      close_run();
-      ++batch_stats_.stepped_ticks;
+      clock_.advance(SimDuration{len * options_.tick.micros()});
     }
-    // Clock and trace advance tick-wise exactly as finish_tick would;
-    // periodics and the watchdog cannot fire inside the horizon.
-    const SimTime t = clock_.advance(options_.tick);
-    if (trace_ != nullptr) trace_->on_tick(t, tick_records_);
+    done += len;
   }
   close_run();
 
   for (int s = 0; s < n; ++s) scatter_socket_lanes(s);
   return true;
+}
+
+void Simulation::stretch_socket(int s, std::int64_t len) {
+  const auto si = static_cast<std::size_t>(s);
+  const double tick_s = options_.tick.seconds();
+  rapl::FirmwareGovernor& gov = rapls_[si]->governor();
+  double* acc_lanes = leap_acc_.data() + si * kLeapLanes;
+  const double* inc_lanes = leap_inc_.data() + si * kLeapLanes;
+  std::array<double, kLeapLanes> acc;
+  std::array<double, kLeapLanes> inc;
+  std::copy_n(acc_lanes, kLeapLanes, acc.begin());
+  std::copy_n(inc_lanes, kLeapLanes, inc.begin());
+
+  // Each pass runs a calm run and the flip tick that ends it, if any.
+  for (std::int64_t k = 0; k < len; ++k) {
+    // Calm ticks: the governor kept its limit and pushed the tick's power
+    // into its windows; what remains of each stepped tick is the lane
+    // additions, in the stepper's order per lane.  Unrolled so that -O2
+    // builds keep the lanes in registers as well, not only -O3 ones.
+    const auto calm = static_cast<std::int64_t>(
+        gov.calm_run(stretch_v_[si], static_cast<std::size_t>(len - k)));
+    for (std::int64_t t = 0; t < calm; ++t) {
+#pragma GCC unroll 11
+      for (std::size_t j = 0; j < kLeapLanes; ++j) acc[j] += inc[j];
+    }
+    k += calm;
+    if (k == len) break;
+
+    // Flip tick k: the decision moves the limit.  integrate_socket_tick
+    // would apply it, re-apply the unchanged demand (a no-op), evaluate,
+    // add one single-segment tick of each lane and record the power; the
+    // lanes do exactly that at the new instant.
+    flip_bits_[static_cast<std::size_t>(k) / 64] |= std::uint64_t{1}
+                                                    << (k % 64);
+    ++batch_stats_.flip_ticks;
+    rapls_[si]->tick();
+    gather_socket_increments(s, machine_.socket(s).evaluate());
+    std::copy_n(inc_lanes, kLeapLanes, inc.begin());
+    for (std::size_t j = 0; j < kLeapLanes; ++j) acc[j] += inc[j];
+    gov.record_power(stretch_v_[si], tick_s);
+  }
+  std::copy_n(acc.begin(), kLeapLanes, acc_lanes);
 }
 
 bool Simulation::advance_once() {

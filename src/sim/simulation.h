@@ -27,18 +27,24 @@
 // floating-point accumulations over flat structure-of-arrays lanes.
 // Tier 2 — the calm-tick stretch: under an active power cap the governor
 // windows drift (old samples evict) even while the applied frequency
-// limit holds, so the fixed point rarely exists; the engine then runs a
-// reduced per-tick loop that executes only the observable-feeding
-// operations (window sum updates, the plan-band membership test standing
-// in for the P-state search, the accumulator lanes) and falls back to
-// the exact stepper per socket on any tick whose control decision would
-// actually move the limit.  Both tiers perform the exact FP operations
-// the stepped engine performs and skip only work that is provably
-// unobservable, so every output stays byte-identical; event-dense
-// stretches fall back to exact stepping automatically.
+// limit holds, so the fixed point rarely exists; the engine then runs
+// the stretch socket-major, in chunks of up to kStretchChunk ticks.  Per
+// socket, FirmwareGovernor::calm_run executes calm ticks with the window
+// state in registers (window sum updates and the cell membership test
+// standing in for the P-state search), the 11 accumulator lanes advance
+// in locals, and a flip tick — one whose control decision moves the
+// limit — runs in the lanes as tick(), evaluate(), fresh increments, one
+// addition and record_power().  A per-tick flip bitmap rebuilds the
+// tick-major statistics afterwards.  A trace sink needs every socket's
+// row at every tick, so a traced run takes 1-tick chunks through the
+// same loop.  Both tiers perform the exact FP operations the stepped
+// engine performs and skip only work that is provably unobservable, so
+// every output stays byte-identical; event-dense stretches fall back to
+// exact stepping automatically.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -95,6 +101,10 @@ struct BatchStats {
   /// Events the exact path handled: periodic-callback firings plus tick
   /// segment splits (sequence-entry boundaries landing inside a tick).
   std::int64_t events_fired = 0;
+  /// Socket-ticks a calm stretch advanced as flips (the governor moved
+  /// the limit), counted per socket.  A stretch tick with any flip is
+  /// one stepped tick; this counts the sockets that flipped on it.
+  std::int64_t flip_ticks = 0;
 };
 
 /// Wall time and energy attributed to one phase of the workload on one
@@ -122,6 +132,11 @@ class Simulation {
  public:
   /// Sentinel phase index meaning "no phase" (workload finished).
   static constexpr std::size_t kNoPhase = static_cast<std::size_t>(-1);
+
+  /// Most ticks one socket runs before fast_stretch moves to the next
+  /// socket; sizes the flip bitmap (one bit per tick, 512 B).  Runs with
+  /// a trace sink take 1-tick chunks.
+  static constexpr std::int64_t kStretchChunk = 4096;
 
   /// Symmetric machine: every socket runs its share of the same
   /// application (the paper's OpenMP setup).
@@ -233,17 +248,34 @@ class Simulation {
   /// flat arrays.  Returns the leapable tick count, or 0 when stepping is
   /// required (off fixed point, event within kMinLeapTicks, leap off).
   std::int64_t compute_leap_gap() const;
-  /// Tier-2 fast path: runs up to the event horizon in calm ticks
-  /// (governor plan provably unchanged, windows updated exactly, lanes
-  /// accumulated), per-socket falling back to integrate_socket_tick on
-  /// limit-moving ticks.  Returns false without advancing anything when
-  /// the preconditions fail (event imminent, demand residue, leap off).
+  /// Tier-2 fast path: runs up to the event horizon, socket-major in
+  /// chunks of at most kStretchChunk ticks (1 tick with a trace sink, so
+  /// every row sees all sockets).  Per socket and chunk, stretch_socket
+  /// alternates FirmwareGovernor::calm_run with in-lane flip ticks and
+  /// marks each flip in flip_bits_; the chunk's bitmap then rebuilds the
+  /// tick-major statistics (a tick is leapt when no socket flipped on
+  /// it, and consecutive leapt ticks are one leap, carried across chunk
+  /// boundaries).  Returns false without advancing anything when the
+  /// preconditions fail (event imminent, demand residue, leap off).
   bool fast_stretch();
-  /// Loads socket `s`'s accumulator lanes and per-tick increments from
-  /// `inst` into the SoA arrays, refreshes the cached trace row and the
-  /// recorded tick power (stretch_v_).  Shared by both leap tiers; called
-  /// again whenever the socket's instant can have changed.
+  /// One socket's share of a stretch chunk: `len` ticks with the lanes
+  /// in locals.  A flip tick stays in the lanes — tick(), evaluate(),
+  /// gather_socket_increments, one addition, record_power() — which is
+  /// exactly integrate_socket_tick because the stretch's entry checks
+  /// guarantee a single-segment tick at unchanged demand.
+  void stretch_socket(int s, std::int64_t len);
+  /// Loads socket `s`'s accumulator lanes from the socket model, phase
+  /// totals and workload progress into leap_acc_, then its increments
+  /// (gather_socket_increments).  Shared by both leap tiers, once per
+  /// leap or stretch: a stretch's flip ticks refresh only the
+  /// increments, because the accumulators stay in stretch_socket's
+  /// locals for the whole chunk.
   void gather_socket_lanes(int s, const hw::SocketInstant& inst);
+  /// The increment half of gather_socket_lanes: socket `s`'s per-tick
+  /// lane increments at `inst` into leap_inc_, plus the cached trace row
+  /// and the recorded tick power (stretch_v_).  Called again whenever
+  /// the socket's instant can have changed (a flip tick).
+  void gather_socket_increments(int s, const hw::SocketInstant& inst);
   /// Writes socket `s`'s advanced lanes back into the socket model,
   /// phase totals and workload progress.
   void scatter_socket_lanes(int s);
@@ -283,6 +315,10 @@ class Simulation {
   /// Per-socket recorded tick power during a calm stretch — the exact
   /// value the stepped path would feed record_power().
   std::vector<double> stretch_v_;
+  /// Flip bitmap of the current stretch chunk: bit k set when some
+  /// socket flipped on the chunk's tick k.  kStretchChunk bits, all
+  /// clear between chunks.
+  std::vector<std::uint64_t> flip_bits_;
   bool started_ = false;
 };
 

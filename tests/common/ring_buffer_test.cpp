@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 namespace dufp {
@@ -161,6 +163,90 @@ TEST(RingBufferTest, GrowsThenWrapsAtTheDeclaredCapacity) {
   rb.push(7);
   EXPECT_EQ(rb.oldest(), 7);
   EXPECT_EQ(rb.newest(), 7);
+}
+
+TEST(RingBufferTest, CommitPushesEqualsSinglePushes) {
+  // Writing k values at head() (wrapping at capacity) and committing them
+  // leaves the ring exactly as k push() calls, k past a full wrap too.
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{4},
+                              std::size_t{5}, std::size_t{17}}) {
+    RingBuffer<int> bulk(5);
+    RingBuffer<int> ref(5);
+    for (int i = 0; i < 7; ++i) {
+      bulk.push(i);
+      ref.push(i);
+    }
+    std::size_t h = bulk.head();
+    for (std::size_t i = 0; i < k; ++i) {
+      const int v = 100 + static_cast<int>(i);
+      bulk.slots()[h] = v;
+      if (++h == bulk.capacity()) h = 0;
+      ref.push(v);
+    }
+    bulk.commit_pushes(k);
+    EXPECT_EQ(bulk.head(), h) << k;
+    ASSERT_EQ(bulk.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_EQ(bulk.from_oldest(i), ref.from_oldest(i)) << k << " " << i;
+    }
+    bulk.push(-1);
+    ref.push(-1);
+    EXPECT_EQ(bulk.oldest(), ref.oldest()) << k;
+    EXPECT_EQ(bulk.newest(), -1);
+  }
+}
+
+/// Every observable of two windows, sum bits included.
+void expect_same_window(const WindowedMean& a, const WindowedMean& b) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean()),
+            std::bit_cast<std::uint64_t>(b.mean()));
+  EXPECT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.full(), b.full());
+  EXPECT_EQ(a.run_length(), b.run_length());
+}
+
+TEST(WindowedMeanTest, CursorCommitEqualsSingleAdds) {
+  // Histories: one value change mid-window (so the run restarts), a
+  // window already uniform in v (so the run extends and caps), and one
+  // ending in a different value.  k covers 0, short runs, runs reaching
+  // capacity and runs past several wraps.
+  const double v = 0.1 * 3;  // inexact, so the sum's rounding matters
+  const std::vector<std::vector<double>> histories = {
+      {1.5, 2.25, 7.0, v, v, 9.5, 0.3, v},
+      {v, v, v, v, v, v, v, v},
+      {v, v, v, v, v, v, v, 4.75}};
+  for (const auto& history : histories) {
+    for (const std::size_t k :
+         {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{6},
+          std::size_t{7}, std::size_t{8}, std::size_t{40}}) {
+      WindowedMean bulk(6);
+      WindowedMean ref(6);
+      for (const double h : history) {
+        bulk.add(h);
+        ref.add(h);
+      }
+      ASSERT_TRUE(bulk.full());
+      WindowedMean::Cursor c = bulk.cursor(v);
+      for (std::size_t i = 0; i < k; ++i) {
+        c.add();
+        ref.add(v);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(c.mean()),
+                  std::bit_cast<std::uint64_t>(ref.mean()))
+            << k << " " << i;
+      }
+      bulk.commit(c, k);
+      expect_same_window(bulk, ref);
+      EXPECT_EQ(bulk.steady_under(v), ref.steady_under(v)) << k;
+      EXPECT_LE(bulk.run_length(), bulk.capacity());
+      // The ring positions agree too: later single adds evict the same
+      // samples from both.
+      for (const double tail : {2.0, v, 11.0, v, v, v, v, v, v, 0.5}) {
+        bulk.add(tail);
+        ref.add(tail);
+        expect_same_window(bulk, ref);
+      }
+    }
+  }
 }
 
 TEST(WindowedMeanTest, ClearResets) {

@@ -17,6 +17,7 @@
 #include <new>
 
 #include "golden_util.h"
+#include "powercap/zone.h"
 #include "sim/simulation.h"
 
 namespace {
@@ -91,14 +92,21 @@ TEST(AllocGuardTest, LeapAndStretchPathsAreAllocationFree) {
   // Same guard over the event-leaping engine: run() dispatches between
   // the full leap (execute_leap), the calm-tick stretch (fast_stretch)
   // and the exact stepper, and none of them may touch the heap — the SoA
-  // lanes, the stretch scratch and the governor's cell-edge ways are all
-  // sized at construction.
+  // lanes, the flip bitmap and the governor's cell-edge ways are all
+  // sized at construction.  An 85 W cap on every socket makes the
+  // governors move their limits inside stretches, so the in-lane flip
+  // ticks run under the guard too.
   const auto profile = golden_profile();
   const harness::RunConfig cfg = golden_config(profile);
   sim::SimulationOptions opts = cfg.sim;
   opts.seed = cfg.seed;
   ASSERT_TRUE(opts.time_leap);
   sim::Simulation s(cfg.machine, profile, opts);
+  for (int i = 0; i < s.socket_count(); ++i) {
+    powercap::PackageZone zone(s.msr(i), 0);
+    zone.set_power_limit_w(powercap::ConstraintId::long_term, 85.0);
+    zone.set_power_limit_w(powercap::ConstraintId::short_term, 85.0);
+  }
   std::uint64_t intervals = 0;
   s.schedule_periodic(SimTime::from_millis(200),
                       [&](SimTime) { ++intervals; });
@@ -117,6 +125,7 @@ TEST(AllocGuardTest, LeapAndStretchPathsAreAllocationFree) {
   const sim::BatchStats bs = s.batch_stats();
   EXPECT_GT(bs.leapt_ticks, 0) << "the guard never saw a fast-path tick";
   EXPECT_GT(bs.leaps, 0);
+  EXPECT_GT(bs.flip_ticks, 0) << "the guard never saw a flip in a stretch";
   EXPECT_GT(intervals, 0u);
 }
 

@@ -1,9 +1,10 @@
 // A/B byte-identity matrix for the event-leaping engine (DESIGN.md §7b).
 //
-// Every test runs the same configuration twice — `time_leap` on vs off —
-// and compares every observable byte: full-resolution trace CSV, the
-// %.17g summary digest, telemetry (Prometheus + Chrome trace + JSONL),
-// and the fleet wire codec.  The leap engine's claim is not "close": it
+// Every test runs the same configuration `time_leap` on vs off — without
+// and with a trace sink, which changes the calm stretch's chunking — and
+// compares every observable byte: full-resolution trace CSV, the %.17g
+// summary digest, telemetry (Prometheus + Chrome trace + JSONL), and the
+// fleet wire codec.  The leap engine's claim is not "close": it
 // is bit-exact, because the fast paths execute exactly the additions the
 // stepper would.  Any single-ULP drift anywhere fails these compares.
 //
@@ -31,32 +32,40 @@
 namespace dufp::perf_test {
 namespace {
 
-/// Every deterministic byte one harness run emits: trace CSV at full
-/// resolution, the %.17g summary digest, and (when enabled) the three
-/// telemetry exports.
+/// The %.17g summary digest and (when enabled) the three telemetry
+/// exports of one harness run.
+std::string result_bytes(const harness::RunResult& res) {
+  std::string out = summary_text(res);
+  if (res.telemetry.has_value()) {
+    std::ostringstream t;
+    telemetry::write_prometheus(res.telemetry->metrics, t);
+    telemetry::write_chrome_trace(*res.telemetry, t);
+    telemetry::write_jsonl(*res.telemetry, t);
+    out += t.str();
+  }
+  return out;
+}
+
+/// Every deterministic byte one traced harness run emits: result_bytes
+/// plus the trace CSV at full resolution.
 std::string run_digest(harness::RunConfig cfg, const std::string& tag) {
   const std::string path = temp_path(tag + ".csv");
   std::string out;
   {
     sim::CsvTraceSink sink(path, /*decimation=*/1);
     cfg.trace = &sink;
-    const harness::RunResult res = harness::run_once(cfg);
-    out += summary_text(res);
-    if (res.telemetry.has_value()) {
-      std::ostringstream t;
-      telemetry::write_prometheus(res.telemetry->metrics, t);
-      telemetry::write_chrome_trace(*res.telemetry, t);
-      telemetry::write_jsonl(*res.telemetry, t);
-      out += t.str();
-    }
+    out += result_bytes(harness::run_once(cfg));
   }
   out += read_file(path);
   return out;
 }
 
-/// Runs `cfg` leap-on and leap-off and byte-compares the digests; also
-/// pins that the A/B pair really was an A/B pair (the on-run took a fast
-/// path, the off-run took none).
+/// Runs `cfg` leap-on and leap-off, untraced and traced, and
+/// byte-compares each pair; also pins that the A/B pair really was an
+/// A/B pair (the on-run took a fast path, the off-run took none).  Both
+/// pairs matter: a trace sink makes the calm stretch take 1-tick chunks,
+/// so only the untraced pair covers the full-chunk path that grids,
+/// fleets and the perf ledger run.
 void expect_leap_identity(harness::RunConfig cfg, const std::string& tag,
                           bool expect_leaps = true) {
   cfg.sim.time_leap = true;
@@ -72,6 +81,8 @@ void expect_leap_identity(harness::RunConfig cfg, const std::string& tag,
   EXPECT_EQ(on.batch_stats.leapt_ticks + on.batch_stats.stepped_ticks,
             off.batch_stats.stepped_ticks)
       << "the two runs simulated different tick counts";
+  EXPECT_EQ(result_bytes(on), result_bytes(off))
+      << "event leaping changed untraced bytes (" << tag << ")";
 
   cfg.sim.time_leap = true;
   const std::string on_bytes = run_digest(cfg, tag + "_on");

@@ -190,5 +190,149 @@ TEST(GovernorWindowTest, FaultSizedLongWindowMatchesASmallReference) {
       << "the 90 W cap should bite, so the decisions were exercised";
 }
 
+// ---------------------------------------------------------------------------
+// calm_run: the engine's tier-2 kernel against the per-tick reference.
+
+/// A socket and its governor, so two rigs can start from identical state.
+struct Rig {
+  explicit Rig(const hw::PhaseDemand& d) : socket(cfg, 0), gov(socket, params) {
+    socket.set_demand(d);
+  }
+  /// Reference tick: what the engine's exact stepper does.
+  void step() {
+    gov.tick();
+    gov.record_power(socket.evaluate().pkg_power_w, params.tick_s);
+  }
+  hw::SocketConfig cfg;
+  GovernorParams params;
+  hw::SocketModel socket;
+  FirmwareGovernor gov;
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_window(const WindowedMean& a, const WindowedMean& b) {
+  EXPECT_EQ(bits(a.mean()), bits(b.mean()));
+  EXPECT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.run_length(), b.run_length());
+}
+
+void expect_same_governor(const FirmwareGovernor& a,
+                          const FirmwareGovernor& b) {
+  expect_same_window(a.long_window(), b.long_window());
+  expect_same_window(a.short_window(), b.short_window());
+  EXPECT_EQ(a.windows_uniform(), b.windows_uniform());
+  EXPECT_EQ(bits(a.current_limit_mhz()), bits(b.current_limit_mhz()));
+}
+
+/// Runs calm_run(v, n) on `a` and the per-tick reference on `b` (same
+/// state, same v) up to the reference's first flip; both must agree on
+/// where it is and on every observable before it.  Returns the count.
+std::size_t expect_calm_run_matches(Rig& a, Rig& b, std::size_t n) {
+  const double v = a.socket.evaluate().pkg_power_w;
+  EXPECT_EQ(bits(v), bits(b.socket.evaluate().pkg_power_w));
+  const double limit_before = a.gov.current_limit_mhz();
+  const std::size_t k = a.gov.calm_run(v, n);
+  std::size_t ref = 0;
+  while (ref < n && b.gov.planned_limit_mhz() == b.gov.current_limit_mhz()) {
+    b.gov.tick();
+    b.gov.record_power(v, b.params.tick_s);
+    ++ref;
+  }
+  EXPECT_EQ(k, ref) << "calm_run stopped at a different tick";
+  expect_same_governor(a.gov, b.gov);
+  // The flip tick is the caller's: the applied limit has not moved, and
+  // the decision the caller's tick() will take moves it.
+  EXPECT_EQ(bits(a.gov.current_limit_mhz()), bits(limit_before));
+  if (k < n) {
+    EXPECT_NE(a.gov.planned_limit_mhz(), a.gov.current_limit_mhz());
+  }
+  return k;
+}
+
+/// Drives `a` the way the engine's stretch does (calm_run, then the flip
+/// tick as tick() + record_power()) and `b` tick by tick, for `ticks`
+/// ticks; returns the number of flips.
+std::size_t drive_like_engine(Rig& a, Rig& b, std::size_t ticks) {
+  std::size_t flips = 0;
+  for (std::size_t t = 0; t < ticks;) {
+    t += expect_calm_run_matches(a, b, ticks - t);
+    if (t == ticks) break;
+    a.step();
+    b.step();
+    expect_same_governor(a.gov, b.gov);
+    ++flips;
+    ++t;
+  }
+  return flips;
+}
+
+msr::PowerLimit capped(const FirmwareGovernor& gov, double w,
+                       double long_window_s) {
+  msr::PowerLimit pl = gov.limit();
+  pl.long_term_w = w;
+  pl.short_term_w = w;
+  pl.long_term_window_s = long_window_s;
+  return pl;
+}
+
+TEST(GovernorCalmRunTest, FullWindowsMatchPerTickUpToTheFlip) {
+  Rig a(hot_demand());
+  Rig b(hot_demand());
+  a.gov.set_limit(capped(a.gov, 90.0, 1.0));
+  b.gov.set_limit(capped(b.gov, 90.0, 1.0));
+  for (int i = 0; i < 2500; ++i) {
+    a.step();
+    b.step();
+  }
+  ASSERT_TRUE(a.gov.long_window().full() && a.gov.short_window().full());
+  EXPECT_GT(drive_like_engine(a, b, 3000), 0u)
+      << "the cap never moved the limit: no flip was checked";
+  EXPECT_LT(a.socket.effective_core_mhz(), a.cfg.core_max_mhz);
+}
+
+TEST(GovernorCalmRunTest, FillingWindowsMatchPerTick) {
+  // Fresh governors: both windows fill inside the first calm runs, so the
+  // per-tick body hands over to the register-resident one mid-call.
+  Rig a(hot_demand());
+  Rig b(hot_demand());
+  a.gov.set_limit(capped(a.gov, 90.0, 1.0));
+  b.gov.set_limit(capped(b.gov, 90.0, 1.0));
+  ASSERT_EQ(a.gov.long_window().size(), 0u);
+  EXPECT_GT(drive_like_engine(a, b, 2500), 0u);
+  EXPECT_TRUE(a.gov.long_window().full());
+}
+
+TEST(GovernorCalmRunTest, FaultSizedWindowGrownPastEagerSlots) {
+  // A long window past RingBuffer::kEagerSlots grows while it fills and is
+  // then a full ring of its declared size.
+  const double window_s = 2.5 * RingBuffer<double>::kEagerSlots * 0.001;
+  Rig a(hot_demand());
+  Rig b(hot_demand());
+  a.gov.set_limit(capped(a.gov, 90.0, window_s));
+  b.gov.set_limit(capped(b.gov, 90.0, window_s));
+  const std::size_t cap = a.gov.long_window().capacity();
+  ASSERT_GT(cap, 2 * RingBuffer<double>::kEagerSlots);
+  EXPECT_GT(drive_like_engine(a, b, cap + 3000), 0u);
+  EXPECT_TRUE(a.gov.long_window().full());
+}
+
+TEST(GovernorCalmRunTest, TopStateCellHasNoUpperEdge) {
+  // Demand well under the cap: the limit sits at core_max, whose cell is
+  // unbounded above, so every tick is calm.
+  hw::PhaseDemand d = hot_demand();
+  d.cpu_activity = 0.5;
+  Rig a(d);
+  Rig b(d);
+  for (int i = 0; i < 1500; ++i) {
+    a.step();
+    b.step();
+  }
+  ASSERT_EQ(a.gov.current_limit_mhz(), a.cfg.core_max_mhz);
+  EXPECT_EQ(expect_calm_run_matches(a, b, 5000), 5000u);
+  EXPECT_TRUE(a.gov.windows_uniform());
+  EXPECT_EQ(a.gov.calm_run(a.socket.evaluate().pkg_power_w, 0), 0u);
+}
+
 }  // namespace
 }  // namespace dufp::rapl

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <vector>
 
+#include "golden_util.h"
+#include "harness/runner.h"
 #include "powercap/zone.h"
 #include "workloads/profiles.h"
 
@@ -215,6 +219,65 @@ TEST(SimulationTest, BatchStatsZeroAfterSerialRun) {
   const auto total_ticks =
       static_cast<std::int64_t>(std::llround(sum.exec_seconds * 1000.0));
   EXPECT_EQ(bs.leapt_ticks + bs.stepped_ticks, total_ticks);
+}
+
+/// Counts rows and keeps nothing: attaching any sink is what switches the
+/// calm stretch to 1-tick chunks.
+class CountingSink final : public TraceSink {
+ public:
+  void on_tick(SimTime, const std::vector<TickRecord>&) override { ++rows; }
+  std::int64_t rows = 0;
+};
+
+void expect_same_stats(const BatchStats& a, const BatchStats& b) {
+  EXPECT_EQ(a.batched_ticks, b.batched_ticks);
+  EXPECT_EQ(a.leaps, b.leaps);
+  EXPECT_EQ(a.leapt_ticks, b.leapt_ticks);
+  EXPECT_EQ(a.stepped_ticks, b.stepped_ticks);
+  EXPECT_EQ(a.max_leap, b.max_leap);
+  EXPECT_EQ(a.events_fired, b.events_fired);
+  EXPECT_EQ(a.flip_ticks, b.flip_ticks);
+}
+
+/// Runs `cfg` untraced (full stretch chunks) and traced (1-tick chunks)
+/// and checks that both classify every tick the same way; returns the
+/// untraced run's stats.
+BatchStats expect_stats_independent_of_chunking(harness::RunConfig cfg) {
+  cfg.trace = nullptr;
+  const harness::RunResult untraced = harness::run_once(cfg);
+  CountingSink sink;
+  cfg.trace = &sink;
+  const harness::RunResult traced = harness::run_once(cfg);
+  expect_same_stats(untraced.batch_stats, traced.batch_stats);
+  EXPECT_EQ(sink.rows, traced.batch_stats.leapt_ticks +
+                           traced.batch_stats.stepped_ticks);
+  EXPECT_EQ(untraced.summary.exec_seconds, traced.summary.exec_seconds);
+  EXPECT_EQ(untraced.summary.pkg_energy_j, traced.summary.pkg_energy_j);
+  return untraced.batch_stats;
+}
+
+TEST(SimulationTest, StretchChunksCarryCalmRunsAcrossBoundaries) {
+  // Uncapped EP baseline: no controller, so nothing bounds the stretch
+  // but EP's long phase.  Its longest all-calm run spans several chunks,
+  // so leaps / max_leap only match the traced run if the run is carried
+  // across every chunk boundary.
+  harness::RunConfig ep;
+  ep.profile = &workloads::profile(workloads::AppId::ep);
+  ep.machine.sockets = 4;
+  ep.seed = 3;
+  const BatchStats bs = expect_stats_independent_of_chunking(ep);
+  EXPECT_GT(bs.max_leap, Simulation::kStretchChunk)
+      << "no calm run crossed a chunk boundary";
+}
+
+TEST(SimulationTest, StretchChunksKeepStatsUnderFaultStorm) {
+  // DUFP agents and a fault storm: caps move, sockets flip inside
+  // stretches, and phase boundaries cut them short.
+  const auto profile = perf_test::golden_profile();
+  const BatchStats bs = expect_stats_independent_of_chunking(
+      perf_test::golden_storm_config(profile));
+  EXPECT_GT(bs.flip_ticks, 0) << "no flip tick ran inside a stretch";
+  EXPECT_GT(bs.leaps, 0);
 }
 
 TEST(SimulationTest, ForkRngIndependentPerTag) {
