@@ -14,6 +14,8 @@
 #include "msr/sim_msr.h"
 #include "perfmon/sampler.h"
 #include "perfmon/sim_counter_source.h"
+#include "rapl/cell_cache.h"
+#include "rapl/firmware_governor.h"
 #include "rapl/rapl_engine.h"
 #include "sim/simulation.h"
 #include "telemetry/telemetry.h"
@@ -61,6 +63,41 @@ void BM_PowerModelInverse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PowerModelInverse);
+
+/// What a never-seen socket state costs the governor: ns per cold
+/// cell-edge build, timed through planned_limit_mhz() and divided by the
+/// builds it ran.  The shared cache is off and each iteration nudges the
+/// demand's activity, so no way and no shared entry can serve the edge.
+void BM_CellEdgeColdBuild(benchmark::State& state) {
+  auto& shared = rapl::SharedCellCache::instance();
+  const bool was_enabled = shared.enabled();
+  shared.set_enabled(false);
+  const hw::SocketConfig cfg;
+  hw::SocketModel socket(cfg, 0);
+  rapl::FirmwareGovernor gov(socket, rapl::GovernorParams{});
+  hw::PhaseDemand d = bench_demand();
+  std::uint64_t nudge = 0;
+  double timed_s = 0.0;
+  const std::uint64_t builds_before = gov.cell_stats().cold_builds;
+  for (auto _ : state) {
+    d.cpu_activity = 0.9 + 1e-9 * static_cast<double>(nudge++ % 1000000);
+    socket.set_demand(d);
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(gov.planned_limit_mhz());
+    const auto t1 = std::chrono::steady_clock::now();
+    const double s = std::chrono::duration<double>(t1 - t0).count();
+    state.SetIterationTime(s);
+    timed_s += s;
+  }
+  const auto builds =
+      static_cast<double>(gov.cell_stats().cold_builds - builds_before);
+  state.counters["ns_per_cold_build"] =
+      builds > 0.0 ? 1e9 * timed_s / builds : 0.0;
+  state.counters["builds_per_iteration"] =
+      builds / static_cast<double>(state.iterations());
+  shared.set_enabled(was_enabled);
+}
+BENCHMARK(BM_CellEdgeColdBuild)->UseManualTime();
 
 void BM_SocketEvaluate(benchmark::State& state) {
   const hw::SocketConfig cfg;

@@ -1,7 +1,7 @@
 #include "hwmodel/power_model.h"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/expect.h"
 #include "common/units.h"
@@ -56,25 +56,26 @@ double PowerModel::package_power_w(double core_mhz, double uncore_mhz,
          uncore_power_w(uncore_mhz, demand);
 }
 
-double PowerModel::core_mhz_for_power(double target_w, double uncore_mhz,
-                                      const PhaseDemand& demand) const {
-  const double fixed = params_.static_w +
-                       static_cast<double>(cores_) * params_.core_idle_w +
-                       uncore_power_w(uncore_mhz, demand);
-  const double dyn_budget_w = target_w - fixed;
-  const double dyn_at_ref =
+PowerModel::InverseTerms PowerModel::inverse_terms(
+    double uncore_mhz, const PhaseDemand& demand) const {
+  InverseTerms t;
+  t.fixed_w = params_.static_w +
+              static_cast<double>(cores_) * params_.core_idle_w +
+              uncore_power_w(uncore_mhz, demand);
+  t.dyn_at_ref_w =
       static_cast<double>(cores_) * params_.core_dyn_w * demand.cpu_activity;
-  if (dyn_budget_w <= 0.0) return 0.0;
-  if (dyn_at_ref <= 0.0) return f_ref_mhz_;
-  const double target_scale = dyn_budget_w / dyn_at_ref;
+  return t;
+}
+
+double PowerModel::core_mhz_for_scale(double target_scale) const {
   if (target_scale >= 1.0) {
     // Even the reference clock fits; clamp to it.
     return f_ref_mhz_;
   }
 
   // Invert s(x) = x * V(x)^2.  In the floor region s is linear; above it
-  // s is a cubic in x — solve by bisection (monotone, ~40 iterations,
-  // exact to 1e-10; still far cheaper than anything else in a tick).
+  // s is a cubic in x — solve by bisection (monotone; 60 halvings shrink
+  // the bracket to adjacent doubles).
   const double x_floor =
       1.0 - (1.0 - params_.v_min_frac) / params_.v_slope;
   const double s_floor =
@@ -94,6 +95,15 @@ double PowerModel::core_mhz_for_power(double target_w, double uncore_mhz,
     }
   }
   return 0.5 * (lo + hi) * f_ref_mhz_;
+}
+
+double PowerModel::core_mhz_for_power(double target_w, double uncore_mhz,
+                                      const PhaseDemand& demand) const {
+  const InverseTerms t = inverse_terms(uncore_mhz, demand);
+  const double dyn_budget_w = target_w - t.fixed_w;
+  if (dyn_budget_w <= 0.0) return 0.0;
+  if (t.dyn_at_ref_w <= 0.0) return f_ref_mhz_;
+  return core_mhz_for_scale(dyn_budget_w / t.dyn_at_ref_w);
 }
 
 double PowerModel::dram_power_w(double bytes_per_second) const {

@@ -101,20 +101,16 @@ class SocketModel {
 
   /// Unquantized core clock at which package power would equal `target_w`
   /// (current demand and uncore setting); see
-  /// PowerModel::core_mhz_for_power.
-  ///
-  /// Memoized on exact input equality: the RAPL governor calls this every
-  /// tick with an allowance derived from its power windows, and in steady
-  /// state (constant recorded power, constant demand) that allowance is
-  /// bit-identical tick after tick — so the bisection (the single hottest
-  /// computation in a simulation tick) runs only when something actually
-  /// moved.
+  /// PowerModel::core_mhz_for_power.  The firmware governor's reference
+  /// decision and tests call it; the engine's decisions go through the
+  /// governor's cell tables and never run this bisection.
   double core_mhz_for_power(double target_w) const;
 
   /// Monotone counter bumped whenever demand or the uncore window — the
   /// inputs of core_mhz_for_power besides the target — actually change.
   /// Callers that cache anything derived from the power-to-frequency
-  /// inverse (the governor's plan bands) key their caches on it.
+  /// inverse (the governor's cell ways and calm cell) key their caches on
+  /// it.
   std::uint64_t state_version() const { return state_version_; }
 
   // -- ground-truth accounting ---------------------------------------------------
@@ -229,13 +225,8 @@ class SocketModel {
   mutable InstantWay instant_ways_[kInstantWays];
   mutable std::uint8_t instant_rr_ = 0;
 
-  // Inverse-model memo: valid while inverse_version_ matches
-  // state_version_ (bumped by any demand / uncore-window change — the
-  // inputs core_mhz_for_power depends on besides target_w).
-  mutable std::uint64_t state_version_ = 1;
-  mutable std::uint64_t inverse_version_ = 0;
-  mutable double inverse_target_w_ = 0.0;
-  mutable double inverse_result_mhz_ = 0.0;
+  // See state_version(); bumped by the demand and uncore-window setters.
+  std::uint64_t state_version_ = 1;
 
   double pkg_energy_j_ = 0.0;
   double dram_energy_j_ = 0.0;

@@ -1,7 +1,12 @@
 #include "rapl/cell_cache.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+
+#include "hwmodel/power_model.h"
 
 namespace dufp::rapl {
 
@@ -62,7 +67,49 @@ std::uint64_t hash_key(const SharedCellCache::Key& k) {
   return h;
 }
 
+/// scale_thresholds()' table: per P-state, the bit-lattice bisection the
+/// governor runs over allowances, here over target scales with probes of
+/// the config-only half of the search.  Its output is monotone in the
+/// scale (the inner bisection compares against a threshold that moves one
+/// way, and floor and clamp keep a monotone input monotone), which is what
+/// makes one threshold per state exact.
+std::vector<double> build_scale_thresholds(const hw::SocketConfig& cfg) {
+  const hw::PowerModel model(cfg.power, cfg.cores, cfg.f_ref_mhz(),
+                             cfg.fu_ref_mhz());
+  std::vector<double> table(pstate_count(cfg));
+  for (std::size_t idx = 0; idx < table.size(); ++idx) {
+    const double target = pstate_mhz(cfg, idx);
+    const auto reaches = [&](double ts) {
+      return floor_to_pstate_mhz(cfg, model.core_mhz_for_scale(ts)) >=
+             target;
+    };
+    if (reaches(0.0)) {
+      table[idx] = -std::numeric_limits<double>::infinity();
+    } else if (!reaches(1.0)) {
+      table[idx] = std::numeric_limits<double>::infinity();
+    } else {
+      table[idx] = lowest_reaching(0.0, 1.0, reaches);
+    }
+  }
+  return table;
+}
+
 }  // namespace
+
+std::size_t pstate_count(const hw::SocketConfig& cfg) {
+  return static_cast<std::size_t>(std::lround(
+             (cfg.core_max_mhz - cfg.core_min_mhz) / cfg.core_step_mhz)) +
+         1;
+}
+
+double floor_to_pstate_mhz(const hw::SocketConfig& cfg, double exact_mhz) {
+  if (!std::isfinite(exact_mhz)) return cfg.core_max_mhz;
+  const double floored =
+      std::floor((exact_mhz - cfg.core_min_mhz) / cfg.core_step_mhz) *
+          cfg.core_step_mhz +
+      cfg.core_min_mhz;
+  return std::clamp(floored, cfg.core_min_mhz, cfg.core_max_mhz);
+}
 
 SharedCellCache::SharedCellCache() : slots_(kSlots) {
   const char* env = std::getenv("DUFP_SHARED_CELL_CACHE");
@@ -77,12 +124,18 @@ SharedCellCache& SharedCellCache::instance() {
 std::uint32_t SharedCellCache::intern_config(const hw::SocketConfig& cfg) {
   std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t i = 0; i < configs_.size(); ++i) {
-    if (same_edge_inputs(configs_[i], cfg)) {
+    if (same_edge_inputs(configs_[i].cfg, cfg)) {
       return static_cast<std::uint32_t>(i);
     }
   }
-  configs_.push_back(cfg);
+  configs_.push_back(InternedConfig{cfg, build_scale_thresholds(cfg)});
   return static_cast<std::uint32_t>(configs_.size() - 1);
+}
+
+const double* SharedCellCache::scale_thresholds(
+    std::uint32_t config_id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return configs_.at(config_id).scale_thresholds.data();
 }
 
 SharedCellCache::Key SharedCellCache::make_key(std::uint32_t config_id,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "common/expect.h"
@@ -66,20 +65,20 @@ FirmwareGovernor::FirmwareGovernor(hw::SocketModel& socket,
   // Cell-edge cache slots for every P-state, allocated up front so the
   // decision paths stay allocation-free in steady state.
   const auto& cfg = socket.config();
-  const auto n_states = static_cast<std::size_t>(std::lround(
-                            (cfg.core_max_mhz - cfg.core_min_mhz) /
-                            cfg.core_step_mhz)) +
-                        1;
+  const std::size_t n_states = pstate_count(cfg);
   cells_.resize(n_states * kCellWays);
   // Intern the config with the process-wide cell cache now: the dense id
-  // goes into every shared key, and interning up front keeps the in-run
-  // cache paths allocation-free (the alloc-guard contract).
-  shared_cfg_ = SharedCellCache::instance().intern_config(cfg);
+  // goes into every shared key, interning builds the config's threshold
+  // table on first sight, and doing both up front keeps the in-run cache
+  // paths allocation-free (the alloc-guard contract).
+  SharedCellCache& shared = SharedCellCache::instance();
+  shared_cfg_ = shared.intern_config(cfg);
+  scale_thresholds_ = shared.scale_thresholds(shared_cfg_);
   // The cell table identifies "search output" with "grid point": the
   // P-state range must be an exact multiple of the step (true of real
   // hardware grids), or the search's top clamp could return an off-grid
   // frequency no cell represents.
-  DUFP_EXPECT(grid_mhz(n_states - 1) == cfg.core_max_mhz);
+  DUFP_EXPECT(pstate_mhz(cfg, n_states - 1) == cfg.core_max_mhz);
 }
 
 std::size_t FirmwareGovernor::window_ticks(double window_s) const {
@@ -127,7 +126,10 @@ double FirmwareGovernor::planned_from_allowance(double allowance_w) const {
   const auto& cfg = socket_.config();
   double target = cfg.core_max_mhz;
   if (std::isfinite(allowance_w)) {
-    target = highest_compliant_mhz(std::max(allowance_w, 0.0));
+    // Analytic inverse of the power model, floored to the P-state grid so
+    // the chosen state's power is at or below the allowance.
+    target = floor_to_pstate_mhz(
+        cfg, socket_.core_mhz_for_power(std::max(allowance_w, 0.0)));
   }
 
   // Slew limiting.
@@ -146,27 +148,29 @@ bool FirmwareGovernor::steady_state(double pkg_power_w) const {
          planned_limit_mhz() == current_limit_mhz_;
 }
 
-double FirmwareGovernor::grid_mhz(std::size_t idx) const {
-  // Must match the FP expression of highest_compliant_mhz's flooring
-  // (floor result * step + min) bit for bit.
-  const auto& cfg = socket_.config();
-  return static_cast<double>(idx) * cfg.core_step_mhz + cfg.core_min_mhz;
-}
-
 double FirmwareGovernor::lowest_allowance_reaching(std::size_t idx) const {
   // The P-state search clamps the allowance at zero, so its output is
-  // constant for allowance <= 0 and monotone nondecreasing above (the
-  // inner bisection compares against a threshold that moves one way, and
-  // floor/clamp of a monotone input stay monotone).
-  const double target = grid_mhz(idx);
+  // constant for allowance <= 0 and monotone nondecreasing above.  It
+  // sees a positive budget b only through the target scale
+  // b / dyn_at_ref, and the floored output reaches state idx exactly when
+  // that scale is at or above the config's threshold for idx; the two
+  // degenerate branches come first, in core_mhz_for_power's order.
+  const auto& cfg = socket_.config();
+  const double target = pstate_mhz(cfg, idx);
+  const hw::PowerModel::InverseTerms terms =
+      socket_.power_model().inverse_terms(socket_.effective_uncore_mhz(),
+                                          socket_.demand());
+  const double threshold = scale_thresholds_[idx];
   const auto reaches = [&](double a) {
     ++cell_stats_.probes;
-    return highest_compliant_mhz(std::max(a, 0.0)) >= target;
-  };
-  const auto bits_of = [](double v) {
-    std::uint64_t b;
-    std::memcpy(&b, &v, sizeof b);
-    return b;
+    const double b = std::max(a, 0.0) - terms.fixed_w;
+    if (b <= 0.0) return floor_to_pstate_mhz(cfg, 0.0) >= target;
+    if (terms.dyn_at_ref_w <= 0.0) {
+      return floor_to_pstate_mhz(cfg, cfg.f_ref_mhz()) >= target;
+    }
+    // The search is flat from scale 1 up; clamping there keeps a scale
+    // that overflowed to +inf below an unreachable state's +inf.
+    return std::min(b / terms.dyn_at_ref_w, 1.0) >= threshold;
   };
   // Seed the bracket from the forward power model: analytically the
   // search output crosses `target` exactly at the package power of the
@@ -174,16 +178,16 @@ double FirmwareGovernor::lowest_allowance_reaching(std::size_t idx) const {
   // of the analytic inverse.  A verified narrow bracket around the seed
   // cuts the probe count roughly in half; if verification fails (clamp
   // regions, degenerate demands) fall back to the full positive range.
-  std::uint64_t lo = 0;  // bits of +0.0
-  std::uint64_t hi = 0;
+  double lo = 0.0;
+  double hi = 0.0;
   const double seed = socket_.package_power_at(target);
   bool bracketed = false;
   if (std::isfinite(seed) && seed > 0.0) {
     const double lo_seed = seed * (1.0 - 1e-9);
     const double hi_seed = seed * (1.0 + 1e-9);
     if (lo_seed > 0.0 && !reaches(lo_seed) && reaches(hi_seed)) {
-      lo = bits_of(lo_seed);  // search(lo) < target
-      hi = bits_of(hi_seed);  // search(hi) >= target
+      lo = lo_seed;  // search(lo) < target
+      hi = hi_seed;  // search(hi) >= target
       bracketed = true;
     }
   }
@@ -191,25 +195,12 @@ double FirmwareGovernor::lowest_allowance_reaching(std::size_t idx) const {
     if (reaches(0.0)) return -std::numeric_limits<double>::infinity();
     constexpr double kTop = 1e300;
     if (!reaches(kTop)) return std::numeric_limits<double>::infinity();
-    hi = bits_of(kTop);
+    hi = kTop;
   }
-  // Bisect the positive-double bit lattice (IEEE-754 ordering of
-  // positive doubles matches their bit patterns): probes of the real
-  // search pin the exact double where its output flips, so the cached
-  // edge can never disagree with the computation it replaces.
-  while (hi - lo > 1) {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    double probe;
-    std::memcpy(&probe, &mid, sizeof probe);
-    if (reaches(probe)) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  double edge;
-  std::memcpy(&edge, &hi, sizeof edge);
-  return edge;
+  // Each probe answers as the search would, so the bisection pins the
+  // exact double where the search output flips: the cached edge can
+  // never disagree with the computation it replaces.
+  return lowest_reaching(lo, hi, reaches);
 }
 
 double FirmwareGovernor::cell_edge(std::size_t idx) const {
@@ -289,18 +280,20 @@ double FirmwareGovernor::planned_cached(double allowance_w) const {
         (current_limit_mhz_ - cfg.core_min_mhz) / cfg.core_step_mhz));
     if (allowance_w >= cell_edge(k)) {
       while (k + 1 < n &&
-             grid_mhz(k) < current_limit_mhz_ + params_.unthrottle_slew_mhz &&
+             pstate_mhz(cfg, k) <
+                 current_limit_mhz_ + params_.unthrottle_slew_mhz &&
              allowance_w >= cell_edge(k + 1)) {
         ++k;
       }
     } else {
       while (k > 0 &&
-             grid_mhz(k) > current_limit_mhz_ - params_.throttle_slew_mhz) {
+             pstate_mhz(cfg, k) >
+                 current_limit_mhz_ - params_.throttle_slew_mhz) {
         --k;
         if (allowance_w >= cell_edge(k)) break;
       }
     }
-    target = grid_mhz(k);
+    target = pstate_mhz(cfg, k);
   }
 
   // Slew limiting and quantization, shared verbatim with the reference
@@ -369,19 +362,6 @@ void FirmwareGovernor::refresh_calm_cell() {
   calm_hi_ = calm_top_ ? 0.0 : cell_edge(idx + 1);
   calm_limit_ = current_limit_mhz_;
   calm_version_ = socket_.state_version();
-}
-
-double FirmwareGovernor::highest_compliant_mhz(double allowance_w) const {
-  const auto& cfg = socket_.config();
-  // Analytic inverse of the power model, floored to the P-state grid so
-  // the chosen state's power is at or below the allowance.
-  const double exact = socket_.core_mhz_for_power(allowance_w);
-  if (!std::isfinite(exact)) return cfg.core_max_mhz;
-  const double floored =
-      std::floor((exact - cfg.core_min_mhz) / cfg.core_step_mhz) *
-          cfg.core_step_mhz +
-      cfg.core_min_mhz;
-  return std::clamp(floored, cfg.core_min_mhz, cfg.core_max_mhz);
 }
 
 }  // namespace dufp::rapl

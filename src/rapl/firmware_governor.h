@@ -118,18 +118,20 @@ class FirmwareGovernor {
   /// Computed without running the P-state search: the allowance axis
   /// partitions into cells on which the search output is constant (it is
   /// a monotone step function of the allowance), and the exact cell
-  /// edges — the precise doubles where the search output flips, pinned
-  /// by bisecting the IEEE-754 bit lattice with probes of the real
-  /// search — are cached per P-state, keyed on the uncore window and the
-  /// phase demand (the search's only other inputs).  Locating the
-  /// allowance's cell costs a few comparisons; the bisection runs only
-  /// when an edge is first needed for a never-seen socket state.
+  /// edges — the precise doubles where the search output flips — are
+  /// cached per P-state, keyed on the uncore window and the phase demand
+  /// (the search's only other inputs).  Locating the allowance's cell
+  /// costs a few comparisons.  An edge is built only when first needed
+  /// for a never-seen socket state, by bisecting the IEEE-754 bit lattice
+  /// of allowances; each probe compares the allowance's target scale with
+  /// the config's threshold for the state (SharedCellCache::
+  /// scale_thresholds), which answers exactly as the search would.
   double planned_limit_mhz() const;
 
   /// Reference implementation of the same decision via a fresh P-state
   /// search (the pre-cell-table code path).  Exposed so equivalence
-  /// tests can check the cached decision bit-for-bit; not used on any
-  /// engine path.
+  /// tests (GovernorCellTableTest) can check the cached decision
+  /// bit-for-bit; not used on any engine path.
   double planned_limit_reference_mhz() const;
 
   /// Cell-table economics of this governor since construction: cold edge
@@ -167,7 +169,8 @@ class FirmwareGovernor {
   /// Refills the flat calm-cell members (calm_lo_/calm_hi_/calm_top_)
   /// from the cell table for the currently applied limit.
   void refresh_calm_cell();
-  /// Reference second half of the decision: fresh P-state search, slew,
+  /// Reference second half of the decision: fresh P-state search
+  /// (SocketModel::core_mhz_for_power floored onto the grid), slew,
   /// quantization.
   double planned_from_allowance(double allowance_w) const;
   /// Cell-table second half: bit-identical to planned_from_allowance by
@@ -180,14 +183,9 @@ class FirmwareGovernor {
   /// every allowance reaches the state, +inf when none does.
   double cell_edge(std::size_t idx) const;
   /// Smallest allowance for which the P-state search reaches grid state
-  /// `idx`, pinned to the exact flipping double by bit-lattice bisection.
+  /// `idx`, pinned to the exact flipping double by bit-lattice bisection
+  /// with threshold probes.
   double lowest_allowance_reaching(std::size_t idx) const;
-  /// P-state `idx` in MHz, evaluated with the exact FP expression the
-  /// search's grid flooring produces.
-  double grid_mhz(std::size_t idx) const;
-
-  /// Highest quantized core frequency with predicted power <= allowance.
-  double highest_compliant_mhz(double allowance_w) const;
 
   std::size_t window_ticks(double window_s) const;
 
@@ -201,9 +199,10 @@ class FirmwareGovernor {
   /// (planned_limit_mhz is const — the lazily built cache is an
   /// invisible memo).
   mutable std::vector<CellSlot> cells_;
-  /// This socket config's SharedCellCache id, interned at construction
-  /// so the in-run cache paths never allocate.
+  /// This socket config's SharedCellCache id and threshold table, both
+  /// fetched at construction so the in-run cache paths never allocate.
   std::uint32_t shared_cfg_ = 0;
+  const double* scale_thresholds_ = nullptr;
   /// Economics counters (see cell_stats()); mutable for the same reason
   /// cells_ is — the decision paths are const.
   mutable CellStats cell_stats_;

@@ -18,6 +18,7 @@
 
 #include "golden_util.h"
 #include "powercap/zone.h"
+#include "rapl/cell_cache.h"
 #include "sim/simulation.h"
 
 namespace {
@@ -95,7 +96,9 @@ TEST(AllocGuardTest, LeapAndStretchPathsAreAllocationFree) {
   // lanes, the flip bitmap and the governor's cell-edge ways are all
   // sized at construction.  An 85 W cap on every socket makes the
   // governors move their limits inside stretches, so the in-lane flip
-  // ticks run under the guard too.
+  // ticks run under the guard too, and so do cold cell-edge builds: the
+  // config's threshold table is built when the governor interns it, never
+  // on the in-run path.
   const auto profile = golden_profile();
   const harness::RunConfig cfg = golden_config(profile);
   sim::SimulationOptions opts = cfg.sim;
@@ -112,8 +115,19 @@ TEST(AllocGuardTest, LeapAndStretchPathsAreAllocationFree) {
                       [&](SimTime) { ++intervals; });
 
   // Warm-up as above, then let run() finish the workload through the
-  // fast paths with the counter armed.
+  // fast paths with the counter armed.  Clearing the process-wide edge
+  // cache after warm-up makes every edge the governors have not yet seen
+  // a cold build, whatever earlier tests in this process left behind.
   for (int i = 0; i < 50; ++i) s.step();
+  rapl::SharedCellCache::instance().clear();
+  const auto cold_builds = [&] {
+    std::uint64_t n = 0;
+    for (int i = 0; i < s.socket_count(); ++i) {
+      n += s.rapl(i).governor().cell_stats().cold_builds;
+    }
+    return n;
+  };
+  const std::uint64_t builds_before = cold_builds();
   const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   s.run();
   const std::uint64_t delta =
@@ -122,6 +136,8 @@ TEST(AllocGuardTest, LeapAndStretchPathsAreAllocationFree) {
   EXPECT_EQ(delta, 0u)
       << "the leaping engine allocated " << delta
       << " times after warm-up — a fast path regressed";
+  EXPECT_GT(cold_builds() - builds_before, 0u)
+      << "the guard never saw a cold cell-edge build";
   const sim::BatchStats bs = s.batch_stats();
   EXPECT_GT(bs.leapt_ticks, 0) << "the guard never saw a fast-path tick";
   EXPECT_GT(bs.leaps, 0);

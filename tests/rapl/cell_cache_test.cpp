@@ -1,12 +1,17 @@
 // Unit tests for the process-wide shared cell-edge cache: interning,
-// bit-pattern keying, first-writer-wins inserts, the enable gate, and
-// clear() semantics.  The cache is a process singleton, so every test
-// clears it first and restores the enable state it found — the suite
-// must not leak warmth into (or absorb warmth from) neighbouring tests.
+// bit-pattern keying, first-writer-wins inserts, the enable gate,
+// clear() semantics, and the per-config threshold tables.  The cache is a
+// process singleton, so every test clears it first and restores the
+// enable state it found — the suite must not leak warmth into (or absorb
+// warmth from) neighbouring tests.
 #include "rapl/cell_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "hwmodel/power_model.h"
 #include "hwmodel/socket_config.h"
 
 namespace dufp::rapl {
@@ -126,6 +131,7 @@ TEST_F(SharedCellCacheTest, DisabledCacheServesNothing) {
 
 TEST_F(SharedCellCacheTest, ClearDropsEdgesButKeepsConfigIds) {
   const std::uint32_t id = cache().intern_config(hw::SocketConfig{});
+  const double* thresholds = cache().scale_thresholds(id);
   const auto key =
       SharedCellCache::make_key(id, 5, 1200.0, 2400.0, demand());
   cache().insert(key, 13.0);
@@ -136,6 +142,29 @@ TEST_F(SharedCellCacheTest, ClearDropsEdgesButKeepsConfigIds) {
   // Interned ids survive a clear — governors hold them for the process
   // lifetime, and recycling one would alias configs under stale keys.
   EXPECT_EQ(cache().intern_config(hw::SocketConfig{}), id);
+  // So do their threshold tables, which the enable gate does not touch.
+  cache().set_enabled(false);
+  EXPECT_EQ(cache().scale_thresholds(id), thresholds);
+}
+
+TEST_F(SharedCellCacheTest, ScaleThresholdsPinEachStatesFlip) {
+  // Entry idx is the exact target scale where the floored inverse first
+  // reaches state idx: it does at the threshold and not one ULP below.
+  const hw::SocketConfig cfg;
+  const hw::PowerModel model(cfg.power, cfg.cores, cfg.f_ref_mhz(),
+                             cfg.fu_ref_mhz());
+  const double* t = cache().scale_thresholds(cache().intern_config(cfg));
+  const auto state_at = [&](double ts) {
+    return floor_to_pstate_mhz(cfg, model.core_mhz_for_scale(ts));
+  };
+  EXPECT_EQ(t[0], -std::numeric_limits<double>::infinity());
+  for (std::size_t idx = 1; idx < pstate_count(cfg); ++idx) {
+    ASSERT_GT(t[idx], t[idx - 1]) << idx;
+    ASSERT_LE(t[idx], 1.0) << idx;
+    EXPECT_EQ(state_at(t[idx]), pstate_mhz(cfg, idx)) << idx;
+    EXPECT_EQ(state_at(std::nextafter(t[idx], 0.0)), pstate_mhz(cfg, idx - 1))
+        << idx;
+  }
 }
 
 }  // namespace

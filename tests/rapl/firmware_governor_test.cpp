@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "hwmodel/socket_model.h"
 #include "msr/registers.h"
+#include "rapl/cell_cache.h"
+#include "workloads/profiles.h"
 
 namespace dufp::rapl {
 namespace {
@@ -332,6 +338,175 @@ TEST(GovernorCalmRunTest, TopStateCellHasNoUpperEdge) {
   EXPECT_EQ(expect_calm_run_matches(a, b, 5000), 5000u);
   EXPECT_TRUE(a.gov.windows_uniform());
   EXPECT_EQ(a.gov.calm_run(a.socket.evaluate().pkg_power_w, 0), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The cell table against the reference search: planned_limit_mhz() walks
+// cached edges, planned_limit_reference_mhz() runs the search afresh, and
+// the two must agree bit for bit where it is hardest — on each side of
+// every flip point.
+
+/// Every distinct phase demand of the ten applications, the idle demand,
+/// and one without core-dynamic power (the search's dyn_at_ref <= 0
+/// branch).
+std::vector<hw::PhaseDemand> sweep_demands() {
+  std::vector<hw::PhaseDemand> out;
+  const auto add = [&](const hw::PhaseDemand& d) {
+    if (std::find(out.begin(), out.end(), d) == out.end()) out.push_back(d);
+  };
+  for (const workloads::AppId app : workloads::all_apps()) {
+    for (const auto& phase : workloads::profile(app).phases()) {
+      add(phase.demand());
+    }
+  }
+  add(hw::PhaseDemand::make_idle());
+  hw::PhaseDemand no_dyn = hot_demand();
+  no_dyn.cpu_activity = 0.0;
+  add(no_dyn);
+  return out;
+}
+
+/// Makes the governor's allowance exactly `w` (> 0): with both windows
+/// empty the long-term average reads as its own limit, so that term is
+/// w + gain * 0, and the short-term constraint is off.
+void set_allowance(FirmwareGovernor& gov, double w) {
+  msr::PowerLimit pl = gov.limit();
+  pl.long_term_w = w;
+  pl.short_term_enabled = false;
+  gov.set_limit(pl);
+}
+
+/// The flip point into the P-state at `mhz`: the smallest positive
+/// allowance whose reference decision reaches it.  `probe` has no slew
+/// limit, so its reference decision is the search output itself.
+double reference_flip(FirmwareGovernor& probe, double mhz) {
+  std::uint64_t lo = 0;  // +0.0 is never probed: it disables the limit
+  std::uint64_t hi = bits(1e300);
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    set_allowance(probe, std::bit_cast<double>(mid));
+    if (probe.planned_limit_reference_mhz() >= mhz) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return std::bit_cast<double>(hi);
+}
+
+/// One socket state of the sweep and its reference flip points: entry j
+/// is the flip into state j + 1.
+struct SweepState {
+  double uncore_lo = 0.0;
+  double uncore_hi = 0.0;
+  hw::PhaseDemand demand;
+  std::vector<double> flips;
+};
+
+void enter(hw::SocketModel& socket, const SweepState& state) {
+  socket.set_uncore_window_mhz(state.uncore_lo, state.uncore_hi);
+  socket.set_demand(state.demand);
+}
+
+/// Compares the two decisions for the socket's current state.  Allowances:
+/// 1 W and 10 W (below every demand's fixed power, so the search's budget
+/// is <= 0), and each flip point and the double one ULP below it.  Applied
+/// limits: every third state from core_min, and core_max.  The throttle
+/// slew spans three states and the unthrottle slew one, so each flip moves
+/// the decision from at least one of them; `visible_flips` counts those.
+void sweep_state(const SweepState& state, FirmwareGovernor& gov,
+                 std::size_t& visible_flips) {
+  std::vector<double> points = {1.0, 10.0};
+  std::vector<double> settle = {1.0};
+  for (std::size_t j = 0; j < state.flips.size(); ++j) {
+    points.push_back(std::nextafter(state.flips[j], 0.0));
+    points.push_back(state.flips[j]);
+    if ((j + 1) % 3 == 0 || j + 1 == state.flips.size()) {
+      settle.push_back(state.flips[j]);
+    }
+  }
+  for (const double start : settle) {
+    set_allowance(gov, start);
+    for (int i = 0; i < 30; ++i) gov.tick();  // past every slew limit
+    ASSERT_EQ(gov.planned_limit_reference_mhz(), gov.current_limit_mhz());
+    double below = 0.0;
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      set_allowance(gov, points[p]);
+      const double planned = gov.planned_limit_mhz();
+      ASSERT_EQ(bits(planned), bits(gov.planned_limit_reference_mhz()))
+          << "allowance " << points[p] << " applied "
+          << gov.current_limit_mhz();
+      if (p % 2 == 1 && p > 1 && planned != below) ++visible_flips;
+      below = planned;
+    }
+  }
+}
+
+TEST(GovernorCellTableTest, MatchesTheReferenceSearchAtEveryFlip) {
+  const hw::SocketConfig cfg;
+  const auto n_states = static_cast<std::size_t>(std::lround(
+                            (cfg.core_max_mhz - cfg.core_min_mhz) /
+                            cfg.core_step_mhz)) +
+                        1;
+  // Every state: three uncore windows x every sweep demand.  The flip
+  // points come from a governor without slew limits, whose reference
+  // decision is the search output itself.
+  std::vector<SweepState> states;
+  {
+    GovernorParams no_slew;
+    no_slew.throttle_slew_mhz = 1e6;
+    no_slew.unthrottle_slew_mhz = 1e6;
+    hw::SocketModel socket(cfg, 0);
+    FirmwareGovernor probe(socket, no_slew);
+    for (const auto& [lo, hi] : {std::pair{1200.0, 2400.0},
+                                 std::pair{1200.0, 1700.0},
+                                 std::pair{1800.0, 2000.0}}) {
+      for (const hw::PhaseDemand& d : sweep_demands()) {
+        SweepState state{lo, hi, d, {}};
+        enter(socket, state);
+        for (std::size_t j = 1; j < n_states; ++j) {
+          state.flips.push_back(reference_flip(
+              probe, cfg.core_min_mhz +
+                         static_cast<double>(j) * cfg.core_step_mhz));
+        }
+        states.push_back(std::move(state));
+      }
+    }
+  }
+  ASSERT_GE(states.size(), 3 * 12u);
+
+  // Cache off; on from cold, so every edge is built and published; on
+  // again with a fresh governor, so every edge is a shared-cache hit.
+  SharedCellCache& shared = SharedCellCache::instance();
+  const bool was_enabled = shared.enabled();
+  struct Pass {
+    bool shared;
+    bool clear;
+  };
+  std::vector<CellStats> stats;
+  for (const Pass pass :
+       {Pass{false, true}, Pass{true, true}, Pass{true, false}}) {
+    shared.set_enabled(pass.shared);
+    if (pass.clear) shared.clear();
+    hw::SocketModel socket(cfg, 0);
+    FirmwareGovernor gov(socket, GovernorParams{});
+    std::size_t visible_flips = 0;
+    for (const SweepState& state : states) {
+      enter(socket, state);
+      sweep_state(state, gov, visible_flips);
+      if (HasFatalFailure()) break;
+    }
+    EXPECT_GT(visible_flips, states.size() * (n_states - 1));
+    stats.push_back(gov.cell_stats());
+  }
+  shared.clear();
+  shared.set_enabled(was_enabled);
+
+  EXPECT_GT(stats[0].cold_builds, 0u);
+  EXPECT_EQ(stats[0].shared_hits, 0u);
+  EXPECT_EQ(stats[1].cold_builds, stats[0].cold_builds);
+  EXPECT_EQ(stats[2].cold_builds, 0u);
+  EXPECT_EQ(stats[2].shared_hits, stats[0].cold_builds);
 }
 
 }  // namespace

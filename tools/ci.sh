@@ -372,8 +372,13 @@ echo "== grid_throughput gate (shared cell cache, pooled runs) =="
 # Counts are deterministic, so they gate exactly: the cached cold leg
 # builds at most 5% of the uncached leg's cell edges, the warm repeat
 # none.  Time gates on pooled_vs_uncached, the median of 5 alternating
-# uncached/pooled pairs inside the one invocation (2.9x on a 4-vCPU
-# host with its CPUs free); the floor defaults to 1.5x.
+# uncached/pooled pairs inside the one invocation; the floor defaults to
+# 1.5x.  Cold cell-edge builds cost under a microsecond, so the uncached
+# and cached legs run at about the same speed (cached_cold_vs_uncached
+# 0.95-1.06x) and the ratio measures the pool's second CPU alone: 1.8-2.1x
+# on a 4-vCPU host when the pool gets two CPUs, 0.99-1.01x when it gets
+# one (a plain two-thread spin loop reads the same on such a host).
+# pooled_vs_cached_cold, reported but not gated, tells the two apart.
 # Override per-host with DUFP_CI_MIN_GRID_SPEEDUP.  On 1 CPU the pooled
 # leg is skipped and only the counts gate.
 DUFP_SMOKE=1 DUFP_QUIET=1 DUFP_OUT_DIR="${perf_dir}" \
@@ -417,6 +422,10 @@ else:
           f"(median of {doc['config']['pairs']} pairs)")
 print(f"grid report: cached_cold_vs_uncached "
       f"{doc['speedup']['cached_cold_vs_uncached']:.2f}x (not gated)")
+if "skipped_reason" not in pooled:
+    ratio = doc["cached_cold"]["wall_seconds"] / pooled["wall_seconds"]
+    print(f"grid report: pooled_vs_cached_cold {ratio:.2f}x (not gated; "
+          f"near 1x means the pool did not get its second CPU)")
 EOF
 
 # Archive the gated numbers per commit so regressions can be bisected
