@@ -1,28 +1,24 @@
-// Whole-grid throughput of the shared cell cache and the plan's
-// ThreadPool (DESIGN.md §7f): the tournament-shaped grid executed four
-// ways, every leg through ExperimentPlan::run_jobs —
+// Whole-grid throughput of the plan's ThreadPool (DESIGN.md §7f): the
+// tournament-shaped grid executed two ways, both through
+// ExperimentPlan::run_jobs —
 //
-//   uncached     width 1 (a run_once loop in job order), shared cell
-//                cache OFF: the baseline every ratio is computed against
-//   cached_cold  the same loop with the cache ON but cleared first: what
-//                a fresh process pays
-//   cached_warm  the same loop again without clearing: a repeat of an
-//                identical grid must report ZERO cold cell-edge builds
-//   pooled       width 2 with the cache ON and cleared: how a grid runs
-//                by default on a multi-core host
+//   uncached  width 1 (a run_once loop in job order): the sequential
+//             baseline the ratio is computed against
+//   pooled    width 2: how a grid runs by default on a multi-core host
 //
-// Every leg is finalized through the shard engine's aggregation and the
+// Both legs are finalized through the shard engine's aggregation and the
 // evaluation CSV (plus merged Prometheus when telemetry is on) is
 // byte-compared against the uncached reference — the bench exits
-// non-zero on any drift or a non-warm repeat, so it doubles as a
-// grid-scale identity gate.
+// non-zero on any drift, so it doubles as a grid-scale identity gate.
 //
 // Timing: uncached and pooled alternate over kPairs pairs inside the one
 // invocation and pooled_vs_uncached is the median of the per-pair
 // ratios, so co-tenant load drifting over the run hits both legs alike.
-// Cell-edge economics (cold builds, planner probes, shared-cache hits,
-// way evictions) are reported per job and summed per leg; unlike the
-// times they are deterministic, so CI gates on them exactly.
+// Cell-edge economics (cold builds, threshold probes, way hits and
+// evictions) are reported per job and summed per leg.  Unlike the times
+// they are deterministic, and since no edge is shared between runs each
+// job's counts are its own whichever worker ran it, so CI gates on them
+// exactly.
 //
 // On a single-CPU host the pooled leg is skipped and recorded as
 // {"skipped_reason": "host_cpus==1"} — same convention as shard_scaling;
@@ -72,18 +68,13 @@ double median(std::vector<double> v) {
 struct Leg {
   double wall_seconds = 0.0;
   std::vector<std::uint64_t> job_cold_builds;
-  std::vector<std::uint64_t> job_shared_hits;
   rapl::CellStats cells;  ///< summed over every job
   std::string bytes;      ///< evaluation CSV + merged Prometheus
 };
 
-/// Runs every job of the plan through run_jobs at `threads`, with the
-/// shared cache on or off; `clear` empties it first.
+/// Runs every job of the plan through run_jobs at `threads`.
 Leg run_leg(const harness::GridSpec& spec, const harness::GridPlan& gp,
-            int threads, bool cache, bool clear) {
-  auto& shared = rapl::SharedCellCache::instance();
-  shared.set_enabled(cache);
-  if (clear) shared.clear();
+            int threads) {
   std::vector<std::size_t> all(gp.plan.job_count());
   for (std::size_t j = 0; j < all.size(); ++j) all[j] = j;
 
@@ -93,10 +84,8 @@ Leg run_leg(const harness::GridSpec& spec, const harness::GridPlan& gp,
   leg.wall_seconds = now_seconds() - t0;
 
   leg.job_cold_builds.reserve(results.size());
-  leg.job_shared_hits.reserve(results.size());
   for (const auto& res : results) {
     leg.job_cold_builds.push_back(res.cell_stats.cold_builds);
-    leg.job_shared_hits.push_back(res.cell_stats.shared_hits);
     leg.cells.add(res.cell_stats);
   }
   const auto outputs = harness::finalize_grid(spec, std::move(results));
@@ -109,13 +98,11 @@ std::string cells_json(const rapl::CellStats& c, const char* indent) {
       "%s\"cells\": {\n"
       "%s  \"cold_builds\": %llu,\n"
       "%s  \"probes\": %llu,\n"
-      "%s  \"shared_hits\": %llu,\n"
       "%s  \"local_hits\": %llu,\n"
       "%s  \"way_evictions\": %llu\n"
       "%s}",
       indent, indent, static_cast<unsigned long long>(c.cold_builds), indent,
       static_cast<unsigned long long>(c.probes), indent,
-      static_cast<unsigned long long>(c.shared_hits), indent,
       static_cast<unsigned long long>(c.local_hits), indent,
       static_cast<unsigned long long>(c.way_evictions), indent);
 }
@@ -139,10 +126,8 @@ void append_leg_json(std::string& json, const char* key, const Leg& leg,
 void append_per_job_json(std::string& json, const char* key, const Leg& leg) {
   json += strf("    \"%s\": [", key);
   for (std::size_t i = 0; i < leg.job_cold_builds.size(); ++i) {
-    json += strf("%s{\"cold_builds\": %llu, \"shared_hits\": %llu}",
-                 i == 0 ? "" : ", ",
-                 static_cast<unsigned long long>(leg.job_cold_builds[i]),
-                 static_cast<unsigned long long>(leg.job_shared_hits[i]));
+    json += strf("%s{\"cold_builds\": %llu}", i == 0 ? "" : ", ",
+                 static_cast<unsigned long long>(leg.job_cold_builds[i]));
   }
   json += "]";
 }
@@ -154,8 +139,7 @@ int run_main() {
   const bool smoke = std::getenv("DUFP_SMOKE") != nullptr;
   const unsigned host_cpus = std::thread::hardware_concurrency();
 
-  print_banner("grid_throughput: shared cell cache and pooled runs vs "
-               "uncached sequential runs",
+  print_banner("grid_throughput: pooled runs vs sequential runs",
                "grid execution (DESIGN.md §7f), not a paper figure");
 
   harness::GridSpec spec;
@@ -165,9 +149,6 @@ int run_main() {
                                                     workloads::AppId::cg};
   spec.policies = core::PolicyRegistry::instance().names();
   spec.tolerances = {0.05, 0.10};
-  // Repetitions of one cell re-derive identical cell edges, which is
-  // what the shared cache amortizes; with 1 repetition there is little
-  // to amortize, so smoke keeps 5.
   spec.repetitions = smoke ? 5 : opts.repetitions;
   spec.sockets = opts.sockets;
 
@@ -176,11 +157,9 @@ int run_main() {
   std::printf("grid: %s (%zu jobs across %zu cells), host_cpus=%u\n",
               spec.name.c_str(), jobs, gp.plan.cell_count(), host_cpus);
 
-  auto& shared = rapl::SharedCellCache::instance();
-  const bool was_enabled = shared.enabled();
-
-  // Alternating uncached/pooled pairs.  The first uncached leg is the
-  // byte reference and supplies the uncached economics.
+  // Alternating uncached/pooled pairs.  The first run of each leg
+  // supplies its economics, and the first uncached run is the byte
+  // reference.
   const bool pool = host_cpus >= 2;
   Leg uncached;
   Leg pooled;
@@ -190,11 +169,11 @@ int run_main() {
   std::vector<double> pair_ratios;
   const int pairs = pool ? kPairs : 1;
   for (int p = 0; p < pairs; ++p) {
-    Leg u = run_leg(spec, gp, /*threads=*/1, /*cache=*/false, /*clear=*/false);
+    Leg u = run_leg(spec, gp, /*threads=*/1);
     uncached_walls.push_back(u.wall_seconds);
     if (p == 0) uncached = std::move(u);
     if (pool) {
-      Leg q = run_leg(spec, gp, kPoolThreads, /*cache=*/true, /*clear=*/true);
+      Leg q = run_leg(spec, gp, kPoolThreads);
       pooled_identical = pooled_identical && q.bytes == uncached.bytes;
       pooled_walls.push_back(q.wall_seconds);
       pair_ratios.push_back(ratio(uncached_walls.back(), q.wall_seconds));
@@ -202,45 +181,26 @@ int run_main() {
     }
   }
   const double uncached_wall = median(uncached_walls);
-  std::printf("uncached (run_once loop):  %7.3f s  (%llu cold edge builds)\n",
+  std::printf("uncached (run_once loop):  %7.3f s  (%llu cold edge builds, "
+              "%llu probes)\n",
               uncached_wall,
-              static_cast<unsigned long long>(uncached.cells.cold_builds));
-
-  const Leg cold = run_leg(spec, gp, 1, /*cache=*/true, /*clear=*/true);
-  const bool cold_identical = cold.bytes == uncached.bytes;
-  std::printf("cached cold:               %7.3f s  (%.2fx, bytes %s, "
-              "%llu cold builds)\n",
-              cold.wall_seconds, ratio(uncached_wall, cold.wall_seconds),
-              cold_identical ? "identical" : "DIFFER",
-              static_cast<unsigned long long>(cold.cells.cold_builds));
-
-  // Warm repeat: the cache carries every edge the cold pass built.
-  const Leg warm = run_leg(spec, gp, 1, /*cache=*/true, /*clear=*/false);
-  const bool warm_identical = warm.bytes == uncached.bytes;
-  const bool warm_is_warm = warm.cells.cold_builds == 0;
-  std::printf("cached warm repeat:        %7.3f s  (%.2fx, bytes %s, "
-              "%llu cold builds%s)\n",
-              warm.wall_seconds, ratio(uncached_wall, warm.wall_seconds),
-              warm_identical ? "identical" : "DIFFER",
-              static_cast<unsigned long long>(warm.cells.cold_builds),
-              warm_is_warm ? "" : " — EXPECTED 0");
+              static_cast<unsigned long long>(uncached.cells.cold_builds),
+              static_cast<unsigned long long>(uncached.cells.probes));
 
   const double pooled_vs_uncached = median(pair_ratios);
   if (pool) {
     std::printf("pooled, %d threads:         %7.3f s  (median %.2fx over "
-                "%d pairs, bytes %s)\n",
+                "%d pairs, bytes %s, %llu cold edge builds)\n",
                 kPoolThreads, median(pooled_walls), pooled_vs_uncached,
-                kPairs, pooled_identical ? "identical" : "DIFFER");
+                kPairs, pooled_identical ? "identical" : "DIFFER",
+                static_cast<unsigned long long>(pooled.cells.cold_builds));
   } else {
     std::printf("pooled, %d threads:         skipped (host_cpus==1)\n",
                 kPoolThreads);
   }
 
-  const auto cache = shared.stats();
-  shared.set_enabled(was_enabled);
-
   std::string json = "{\n";
-  json += "  \"schema_version\": 2,\n";
+  json += "  \"schema_version\": 3,\n";
   json += "  \"bench\": \"grid_throughput\",\n";
   json += strf("  \"smoke\": %s,\n", smoke ? "true" : "false");
   json += strf(
@@ -257,12 +217,6 @@ int run_main() {
   append_leg_json(json, "uncached", uncached, uncached_wall, jobs,
                   /*identical=*/true);
   json += ",\n";
-  append_leg_json(json, "cached_cold", cold, cold.wall_seconds, jobs,
-                  cold_identical);
-  json += ",\n";
-  append_leg_json(json, "cached_warm", warm, warm.wall_seconds, jobs,
-                  warm_identical);
-  json += ",\n";
   if (pool) {
     append_leg_json(json, "pooled", pooled, median(pooled_walls), jobs,
                     pooled_identical);
@@ -271,42 +225,23 @@ int run_main() {
             "    \"skipped_reason\": \"host_cpus==1\"\n"
             "  }";
   }
-  json += strf(
-      ",\n"
-      "  \"speedup\": {\n"
-      "    \"cached_cold_vs_uncached\": %.3f,\n"
-      "    \"cached_warm_vs_uncached\": %.3f",
-      ratio(uncached_wall, cold.wall_seconds),
-      ratio(uncached_wall, warm.wall_seconds));
+  json += ",\n  \"speedup\": {";
   if (pool) {
-    json += strf(",\n    \"pooled_vs_uncached\": %.3f,\n"
+    json += strf("\n    \"pooled_vs_uncached\": %.3f,\n"
                  "    \"pooled_vs_uncached_pairs\": [",
                  pooled_vs_uncached);
     for (std::size_t i = 0; i < pair_ratios.size(); ++i) {
       json += strf("%s%.3f", i == 0 ? "" : ", ", pair_ratios[i]);
     }
-    json += "]";
+    json += "]\n  ";
   }
-  json += "\n  },\n";
-  json += strf(
-      "  \"shared_cache\": {\n"
-      "    \"entries\": %llu,\n"
-      "    \"hits\": %llu,\n"
-      "    \"misses\": %llu,\n"
-      "    \"inserts\": %llu,\n"
-      "    \"full_drops\": %llu\n"
-      "  },\n",
-      static_cast<unsigned long long>(cache.entries),
-      static_cast<unsigned long long>(cache.hits),
-      static_cast<unsigned long long>(cache.misses),
-      static_cast<unsigned long long>(cache.inserts),
-      static_cast<unsigned long long>(cache.full_drops));
+  json += "},\n";
   json += "  \"per_job\": {\n";
   append_per_job_json(json, "uncached", uncached);
-  json += ",\n";
-  append_per_job_json(json, "cached_cold", cold);
-  json += ",\n";
-  append_per_job_json(json, "cached_warm", warm);
+  if (pool) {
+    json += ",\n";
+    append_per_job_json(json, "pooled", pooled);
+  }
   json += "\n  }\n}\n";
 
   const std::string path = out_path("BENCH_grid_throughput.json");
@@ -319,10 +254,10 @@ int run_main() {
     return 1;
   }
 
-  const bool ok =
-      cold_identical && warm_identical && warm_is_warm && pooled_identical;
-  if (!ok) std::fprintf(stderr, "grid_throughput: FAILED an identity gate\n");
-  return ok ? 0 : 1;
+  if (!pooled_identical) {
+    std::fprintf(stderr, "grid_throughput: FAILED the identity gate\n");
+  }
+  return pooled_identical ? 0 : 1;
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include "msr/sim_msr.h"
 #include "perfmon/sampler.h"
 #include "perfmon/sim_counter_source.h"
-#include "rapl/cell_cache.h"
 #include "rapl/firmware_governor.h"
 #include "rapl/rapl_engine.h"
 #include "sim/simulation.h"
@@ -66,12 +65,10 @@ BENCHMARK(BM_PowerModelInverse);
 
 /// What a never-seen socket state costs the governor: ns per cold
 /// cell-edge build, timed through planned_limit_mhz() and divided by the
-/// builds it ran.  The shared cache is off and each iteration nudges the
-/// demand's activity, so no way and no shared entry can serve the edge.
+/// builds it ran — the way scans, the closed-form build and the way
+/// refill.  Each iteration nudges the demand's activity, so no way can
+/// serve the edge.
 void BM_CellEdgeColdBuild(benchmark::State& state) {
-  auto& shared = rapl::SharedCellCache::instance();
-  const bool was_enabled = shared.enabled();
-  shared.set_enabled(false);
   const hw::SocketConfig cfg;
   hw::SocketModel socket(cfg, 0);
   rapl::FirmwareGovernor gov(socket, rapl::GovernorParams{});
@@ -95,7 +92,6 @@ void BM_CellEdgeColdBuild(benchmark::State& state) {
       builds > 0.0 ? 1e9 * timed_s / builds : 0.0;
   state.counters["builds_per_iteration"] =
       builds / static_cast<double>(state.iterations());
-  shared.set_enabled(was_enabled);
 }
 BENCHMARK(BM_CellEdgeColdBuild)->UseManualTime();
 

@@ -292,12 +292,11 @@ RunResult PreparedRun::finish() {
     reg.gauge("dufp_run_total_energy_joules", "Package + DRAM energy")
         .set(result.summary.total_energy_j());
     // Note: cell-edge table economics (RunResult::cell_stats) stay OUT
-    // of the telemetry snapshot on purpose.  Snapshot bytes are covered
-    // by the serial ≡ parallel ≡ sharded identity guarantee, but cache
-    // warmth is a property of the execution strategy (which runs shared
-    // the process, in what order), not of the run — the counters would
-    // legitimately differ across strategies.  Benches report them from
-    // RunResult::cell_stats instead.
+    // of the telemetry snapshot on purpose.  They are engine diagnostics
+    // — how the governor's decision was computed, not what it decided —
+    // and the snapshot bytes are the serial ≡ parallel ≡ sharded identity
+    // surface, which diagnostics stay outside of.  Benches report them
+    // from RunResult::cell_stats instead.
     result.telemetry = ctx.telemetry->snapshot();
   }
   return result;

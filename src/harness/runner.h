@@ -128,10 +128,11 @@ struct RunResult {
   sim::BatchStats batch_stats;
 
   /// Cell-edge table economics summed over the run's governors (cold
-  /// builds, planner probes, shared-cache hits, way evictions) — how much
-  /// of the run started warm.  Process-local diagnostics: deliberately
-  /// NOT part of the shard wire codec, so gathered results carry zeros
-  /// here (the workers' counters live in the worker processes).
+  /// builds, threshold probes, way hits and evictions).  A function of
+  /// the run alone — no edge is shared between runs — but diagnostics,
+  /// deliberately NOT part of the shard wire codec, so gathered results
+  /// carry zeros here (the workers' counters live in the worker
+  /// processes).
   rapl::CellStats cell_stats;
 };
 

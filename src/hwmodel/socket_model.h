@@ -96,7 +96,7 @@ class SocketModel {
   }
 
   /// Package power if the core clock were `core_mhz` (current demand and
-  /// uncore setting).  Used by the firmware governor's P-state search.
+  /// uncore setting): the forward model at a hypothetical clock.
   double package_power_at(double core_mhz) const;
 
   /// Unquantized core clock at which package power would equal `target_w`

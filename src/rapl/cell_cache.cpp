@@ -1,9 +1,9 @@
 #include "rapl/cell_cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
+#include <cstdint>
 #include <limits>
 
 #include "hwmodel/power_model.h"
@@ -11,12 +11,6 @@
 namespace dufp::rapl {
 
 namespace {
-
-std::uint64_t bits_of(double v) {
-  std::uint64_t b;
-  std::memcpy(&b, &v, sizeof b);
-  return b;
-}
 
 /// The numeric fields the edge computation reads, compared exactly (bit
 /// patterns via ==; configs are program constants, never NaN).  Listed
@@ -48,31 +42,30 @@ bool same_edge_inputs(const hw::SocketConfig& a, const hw::SocketConfig& b) {
          ma.prefetch_coeff == mb.prefetch_coeff;
 }
 
-/// Fixed table geometry: 2^15 slots at 3/4 max load ≈ 24k resident
-/// edges (a full tournament grid pins a few thousand distinct edges) in
-/// ~4 MB, allocated once so the in-run paths never touch the heap.
-constexpr std::size_t kSlotBits = 15;
-constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
-constexpr std::size_t kMaxResident = kSlots - kSlots / 4;
-
-std::uint64_t hash_key(const SharedCellCache::Key& k) {
-  // FNV-1a over the key words; cheap and fine for a process-local table.
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const std::uint64_t w : k) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (w >> (8 * b)) & 0xffULL;
-      h *= 1099511628211ULL;
+/// The exact double in (lo, hi] where the monotone predicate `reaches`
+/// turns true, given 0 <= lo < hi, !reaches(lo) and reaches(hi).  Bisects
+/// the bit lattice, whose order is the order of non-negative doubles.
+template <class Reaches>
+double lowest_reaching(double lo, double hi, Reaches&& reaches) {
+  auto lo_bits = std::bit_cast<std::uint64_t>(lo);
+  auto hi_bits = std::bit_cast<std::uint64_t>(hi);
+  while (hi_bits - lo_bits > 1) {
+    const std::uint64_t mid = lo_bits + (hi_bits - lo_bits) / 2;
+    if (reaches(std::bit_cast<double>(mid))) {
+      hi_bits = mid;
+    } else {
+      lo_bits = mid;
     }
   }
-  return h;
+  return std::bit_cast<double>(hi_bits);
 }
 
-/// scale_thresholds()' table: per P-state, the bit-lattice bisection the
-/// governor runs over allowances, here over target scales with probes of
-/// the config-only half of the search.  Its output is monotone in the
-/// scale (the inner bisection compares against a threshold that moves one
-/// way, and floor and clamp keep a monotone input monotone), which is what
-/// makes one threshold per state exact.
+/// scale_thresholds()' table: per P-state, a bit-lattice bisection over
+/// target scales with probes of the config-only half of the P-state
+/// search.  Its output is monotone in the scale (the inner bisection
+/// compares against a threshold that moves one way, and floor and clamp
+/// keep a monotone input monotone), which is what makes one threshold per
+/// state exact.
 std::vector<double> build_scale_thresholds(const hw::SocketConfig& cfg) {
   const hw::PowerModel model(cfg.power, cfg.cores, cfg.f_ref_mhz(),
                              cfg.fu_ref_mhz());
@@ -111,118 +104,18 @@ double floor_to_pstate_mhz(const hw::SocketConfig& cfg, double exact_mhz) {
   return std::clamp(floored, cfg.core_min_mhz, cfg.core_max_mhz);
 }
 
-SharedCellCache::SharedCellCache() : slots_(kSlots) {
-  const char* env = std::getenv("DUFP_SHARED_CELL_CACHE");
-  enabled_ = env == nullptr || std::strcmp(env, "0") != 0;
-}
-
 SharedCellCache& SharedCellCache::instance() {
   static SharedCellCache cache;
   return cache;
 }
 
-std::uint32_t SharedCellCache::intern_config(const hw::SocketConfig& cfg) {
+const double* SharedCellCache::scale_thresholds(const hw::SocketConfig& cfg) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t i = 0; i < configs_.size(); ++i) {
-    if (same_edge_inputs(configs_[i].cfg, cfg)) {
-      return static_cast<std::uint32_t>(i);
-    }
+  for (const InternedConfig& known : configs_) {
+    if (same_edge_inputs(known.cfg, cfg)) return known.scale_thresholds.data();
   }
   configs_.push_back(InternedConfig{cfg, build_scale_thresholds(cfg)});
-  return static_cast<std::uint32_t>(configs_.size() - 1);
-}
-
-const double* SharedCellCache::scale_thresholds(
-    std::uint32_t config_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return configs_.at(config_id).scale_thresholds.data();
-}
-
-SharedCellCache::Key SharedCellCache::make_key(std::uint32_t config_id,
-                                               std::size_t idx,
-                                               double unc_min, double unc_max,
-                                               const hw::PhaseDemand& d) {
-  return Key{config_id,
-             static_cast<std::uint64_t>(idx),
-             bits_of(unc_min),
-             bits_of(unc_max),
-             bits_of(d.w_cpu),
-             bits_of(d.w_mem),
-             bits_of(d.w_unc),
-             bits_of(d.w_fixed),
-             bits_of(d.flops_rate_ref),
-             bits_of(d.bytes_rate_ref),
-             bits_of(d.cpu_activity),
-             bits_of(d.mem_activity),
-             d.idle ? 1u : 0u};
-}
-
-/// Linear probe to the key's slot (used, matching) or its insertion
-/// point (first unused slot of the probe chain).  The table never runs
-/// truly full — inserts stop at kMaxResident — so the walk terminates.
-std::size_t SharedCellCache::probe_locked(const Key& key) const {
-  std::size_t i = static_cast<std::size_t>(hash_key(key)) & (kSlots - 1);
-  while (slots_[i].used && slots_[i].key != key) {
-    i = (i + 1) & (kSlots - 1);
-  }
-  return i;
-}
-
-bool SharedCellCache::lookup(const Key& key, double* edge) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return false;
-  const Slot& slot = slots_[probe_locked(key)];
-  if (!slot.used) {
-    ++stats_.misses;
-    return false;
-  }
-  ++stats_.hits;
-  *edge = slot.edge;
-  return true;
-}
-
-void SharedCellCache::insert(const Key& key, double edge) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_) return;
-  Slot& slot = slots_[probe_locked(key)];
-  // First writer wins; a racing build computed the identical bits.
-  if (slot.used) return;
-  if (resident_ >= kMaxResident) {
-    ++stats_.full_drops;
-    return;
-  }
-  slot.key = key;
-  slot.edge = edge;
-  slot.used = true;
-  ++resident_;
-  ++stats_.inserts;
-}
-
-bool SharedCellCache::enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return enabled_;
-}
-
-void SharedCellCache::set_enabled(bool on) {
-  std::lock_guard<std::mutex> lock(mu_);
-  enabled_ = on;
-}
-
-void SharedCellCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Interned configs survive: governors hold their dense ids for the
-  // process lifetime, and recycling an id would alias two different
-  // configs under one key.  Only the edges (and stats) reset.
-  for (Slot& slot : slots_) slot.used = false;
-  resident_ = 0;
-  stats_ = GlobalStats{};
-}
-
-SharedCellCache::GlobalStats SharedCellCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  GlobalStats out = stats_;
-  out.entries = resident_;
-  return out;
+  return configs_.back().scale_thresholds.data();
 }
 
 }  // namespace dufp::rapl

@@ -1,5 +1,5 @@
-// Process-wide shared cell-edge cache (DESIGN.md §7f) and the P-state
-// threshold tables that make a cold edge build cheap (§7b).
+// Per-config P-state threshold tables (DESIGN.md §7b): what makes a
+// governor's cold cell-edge build a closed form.
 //
 // A cell edge — the exact IEEE-754 double where the governor's P-state
 // search output flips to grid state `idx` — is a pure function of
@@ -9,69 +9,44 @@
 // whose two terms the uncore clock and the demand alone fix
 // (hw::PowerModel::inverse_terms), and its grid-floored output is a
 // monotone step function of ts that the socket config alone fixes.  So
-// each interned config carries a threshold table — per P-state, the
-// smallest ts whose floored hw::PowerModel::core_mhz_for_scale reaches
-// it, pinned once by bit-lattice bisection — and the governor's cold
-// build (FirmwareGovernor::lowest_allowance_reaching) bisects the
-// allowance with probes that compare ts against that threshold: the same
-// answer the full search would give at every probe, so the same edge
-// bits, for a subtraction and a division instead of a 60-step inverse.
+// each config carries a threshold table — per P-state, the smallest ts
+// whose floored hw::PowerModel::core_mhz_for_scale reaches it, pinned once
+// by bit-lattice bisection — and the governor's cold build
+// (FirmwareGovernor::lowest_allowance_reaching) starts from the allowance
+// where ts meets that threshold, fixed_w + T[idx] · dyn_at_ref_w, and
+// walks a few doubles to where its threshold probe flips: the same edge
+// bits a bisection with full searches would pin, in about four probes.
 //
-// Two governors anywhere in the process whose keys match therefore
-// compute bit-equal edges, so a shared read-only cache behind the
-// per-governor ways is invisible to the byte-identity contract: a hit
-// replays the identical double the local bisection would have produced.
-// It is the cross-run amortization layer of a grid: repetition 2..N of a
-// cell, the other sockets of the same machine, and every same-config
-// cell of a grid start warm instead of re-running ~25 probes per
-// (P-state, window, demand) tuple.  With threshold probes a whole cold
-// miss costs ~0.4 µs, so what a hit saves is small.
-//
-// Concurrency: a single mutex guards the table (the plan's ThreadPool
-// workers all land here).  Lookups are rare
-// relative to calm ticks — the per-governor ways absorb the hot path —
-// so the lock is not contended in practice.  Insertion is
-// first-writer-wins; a racing second insert computed the identical bits
-// anyway.  Threshold tables are built and published under the same lock
-// when a config is first interned and never change afterwards, so
-// governors read them without locking.
-//
-// Allocation discipline: the edge table is a fixed-capacity
-// open-addressing array allocated once at singleton construction, so
-// lookup/insert never touch the heap — the engine's zero-allocation
-// steady-state guarantee (tests/perf/alloc_guard_test) extends through
-// the cache.  A full table drops further inserts (counted in
-// GlobalStats::full_drops); correctness is unaffected, later runs just
-// rebuild those edges locally.
-//
-// Keys compare the *bit patterns* of every double input (never ==):
-// conservative — a -0.0 vs +0.0 mismatch costs a duplicate build, never
-// a wrong edge.  Socket configs are interned by exact field comparison
-// into small ids so the per-edge key stays a flat array of words
-// (interning allocates and builds the threshold table, but only at
-// governor construction).
+// A build that cheap needs no cache behind the governor's own ways, so
+// edges are never shared between governors and a run's cell statistics
+// do not depend on which other runs shared its process.  What is shared
+// is the threshold tables: SharedCellCache interns each socket config by
+// exact field comparison and builds its table on first sight (~1 ms,
+// under a mutex, at governor construction only).  Tables are immutable
+// and live for the process, so governors read them without locking and
+// the in-run paths never allocate (tests/perf/alloc_guard_test).
 #pragma once
 
-#include <array>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <vector>
 
-#include "hwmodel/demand.h"
 #include "hwmodel/socket_config.h"
 
 namespace dufp::rapl {
 
 /// Cell-edge table economics for one governor (or summed over a run /
 /// grid).  Cheap enough to keep always-on; the grid-throughput bench and
-/// telemetry read it so the shared-cache win is measurable, not assumed.
+/// the perf ledger read it.
 struct CellStats {
-  std::uint64_t cold_builds = 0;    ///< edge bisections actually run
-  std::uint64_t probes = 0;         ///< bisection probes inside them
-  std::uint64_t shared_hits = 0;    ///< way misses served by the process cache
+  std::uint64_t cold_builds = 0;    ///< edges built on a way miss
+  std::uint64_t probes = 0;         ///< threshold probes inside them
+  /// Always 0: edges are no longer shared between governors.  Kept only
+  /// because perfbench/ledger.cpp still reports it; the benchmark-only
+  /// follow-up that drops the ledger's rapl.shared_* rows removes it.
+  std::uint64_t shared_hits = 0;
   std::uint64_t way_evictions = 0;  ///< valid ways overwritten on refill
   std::uint64_t local_hits = 0;     ///< served from the governor's own ways
 
@@ -98,107 +73,42 @@ inline double pstate_mhz(const hw::SocketConfig& cfg, std::size_t idx) {
 /// and clamped to the grid's range (a non-finite clock maps to core_max).
 double floor_to_pstate_mhz(const hw::SocketConfig& cfg, double exact_mhz);
 
-/// The exact double in (lo, hi] where the monotone predicate `reaches`
-/// turns true, given 0 <= lo < hi, !reaches(lo) and reaches(hi).  Bisects
-/// the bit lattice, whose order is the order of non-negative doubles.
-template <class Reaches>
-double lowest_reaching(double lo, double hi, Reaches&& reaches) {
-  auto lo_bits = std::bit_cast<std::uint64_t>(lo);
-  auto hi_bits = std::bit_cast<std::uint64_t>(hi);
-  while (hi_bits - lo_bits > 1) {
-    const std::uint64_t mid = lo_bits + (hi_bits - lo_bits) / 2;
-    if (reaches(std::bit_cast<double>(mid))) {
-      hi_bits = mid;
-    } else {
-      lo_bits = mid;
-    }
-  }
-  return std::bit_cast<double>(hi_bits);
-}
-
+/// The process-wide registry of per-config threshold tables.
 class SharedCellCache {
  public:
-  /// Flat key: [config id, P-state index, uncore window min/max bits,
-  /// the eight PhaseDemand doubles as bits, the idle flag].
-  using Key = std::array<std::uint64_t, 13>;
-
   static SharedCellCache& instance();
 
-  /// Interns a socket config by exact comparison of every numeric field
-  /// entering the edge computation (grid geometry, uncore window range,
-  /// power and memory model parameters, core count).  Returns a dense id
-  /// stable for the process lifetime.  model_name is deliberately
-  /// ignored: renaming a part must not split the cache.  A config's
-  /// first interning also builds its threshold table (~1 ms).
-  std::uint32_t intern_config(const hw::SocketConfig& cfg);
-
-  /// The interned config's target-scale thresholds, one per P-state:
-  /// entry idx is the smallest ts in [0, 1] at which the floored
+  /// The config's target-scale thresholds, one per P-state: entry idx is
+  /// the smallest ts in [0, 1] at which the floored
   /// hw::PowerModel::core_mhz_for_scale(ts) reaches state idx — -inf when
   /// ts = 0 already does, +inf when not even ts = 1 does (the curve is
-  /// flat from 1 up).  Immutable and valid for the process lifetime; kept
-  /// by clear() and served whether or not the edge cache is enabled.
-  const double* scale_thresholds(std::uint32_t config_id) const;
+  /// flat from 1 up).  Configs are interned by exact comparison of every
+  /// numeric field entering the edge computation (grid geometry, uncore
+  /// window range, power and memory model parameters, core count);
+  /// model_name is deliberately ignored.  A config's first call builds
+  /// its table (~1 ms); every later call with an equal config returns the
+  /// same immutable table, valid for the process lifetime.
+  const double* scale_thresholds(const hw::SocketConfig& cfg);
 
-  /// Builds the per-edge key from the interned config and the live
-  /// search inputs.
-  static Key make_key(std::uint32_t config_id, std::size_t idx,
-                      double unc_min, double unc_max,
-                      const hw::PhaseDemand& demand);
-
-  /// True (filling *edge) when the key is cached.  Counts a global hit.
-  bool lookup(const Key& key, double* edge);
-
-  /// Publishes a freshly built edge (first writer wins).
-  void insert(const Key& key, double edge);
-
-  /// Master switch (default from DUFP_SHARED_CELL_CACHE, on unless "0").
-  /// Off: lookup always misses and insert drops — every governor builds
-  /// its own edges exactly as before the cache existed.
-  bool enabled() const;
-  void set_enabled(bool on);
-
-  /// Drops every cached edge (the warm/cold A-B knob of
-  /// bench/grid_throughput; also isolates tests) and resets the global
-  /// stats.  Interned config ids and their threshold tables stay valid —
-  /// governors hold them for the process lifetime.
-  void clear();
-
-  /// Process-wide totals since the last clear().
+  /// Always zero, like CellStats::shared_hits: there is no edge table to
+  /// overflow.  Kept only because perfbench/ledger.cpp reads
+  /// stats().full_drops; the same benchmark-only follow-up removes it.
   struct GlobalStats {
-    std::uint64_t entries = 0;     ///< distinct edges resident
-    std::uint64_t hits = 0;        ///< lookups served
-    std::uint64_t misses = 0;      ///< lookups not served (while enabled)
-    std::uint64_t inserts = 0;     ///< edges published
-    std::uint64_t full_drops = 0;  ///< inserts dropped at capacity
+    std::uint64_t full_drops = 0;
   };
-  GlobalStats stats() const;
+  GlobalStats stats() const { return {}; }
 
  private:
-  SharedCellCache();
+  SharedCellCache() = default;
 
-  /// One open-addressing slot; `used` never reverts outside clear(), so
-  /// plain linear probing stays correct (no tombstones needed).
-  struct Slot {
-    Key key{};
-    double edge = 0.0;
-    bool used = false;
-  };
-
-  std::size_t probe_locked(const Key& key) const;
-
-  mutable std::mutex mu_;
-  bool enabled_ = true;
   struct InternedConfig {
     hw::SocketConfig cfg;
     std::vector<double> scale_thresholds;
   };
-  // id = index; a deque never moves its elements, so the table pointers
-  // handed out stay valid as configs are added.
+  std::mutex mu_;
+  // A deque never moves its elements, so the table pointers handed out
+  // stay valid as configs are added.
   std::deque<InternedConfig> configs_;
-  std::vector<Slot> slots_;                // fixed size, power of two
-  std::size_t resident_ = 0;
-  GlobalStats stats_;
 };
 
 }  // namespace dufp::rapl

@@ -67,13 +67,9 @@ FirmwareGovernor::FirmwareGovernor(hw::SocketModel& socket,
   const auto& cfg = socket.config();
   const std::size_t n_states = pstate_count(cfg);
   cells_.resize(n_states * kCellWays);
-  // Intern the config with the process-wide cell cache now: the dense id
-  // goes into every shared key, interning builds the config's threshold
-  // table on first sight, and doing both up front keeps the in-run cache
-  // paths allocation-free (the alloc-guard contract).
-  SharedCellCache& shared = SharedCellCache::instance();
-  shared_cfg_ = shared.intern_config(cfg);
-  scale_thresholds_ = shared.scale_thresholds(shared_cfg_);
+  // The config's threshold table is built (or found) now, so the in-run
+  // cache paths stay allocation-free (the alloc-guard contract).
+  scale_thresholds_ = SharedCellCache::instance().scale_thresholds(cfg);
   // The cell table identifies "search output" with "grid point": the
   // P-state range must be an exact multiple of the step (true of real
   // hardware grids), or the search's top clamp could return an off-grid
@@ -172,35 +168,40 @@ double FirmwareGovernor::lowest_allowance_reaching(std::size_t idx) const {
     // that overflowed to +inf below an unreachable state's +inf.
     return std::min(b / terms.dyn_at_ref_w, 1.0) >= threshold;
   };
-  // Seed the bracket from the forward power model: analytically the
-  // search output crosses `target` exactly at the package power of the
-  // target state, and the search's inner bisection lands within a hair
-  // of the analytic inverse.  A verified narrow bracket around the seed
-  // cuts the probe count roughly in half; if verification fails (clamp
-  // regions, degenerate demands) fall back to the full positive range.
-  double lo = 0.0;
-  double hi = 0.0;
-  const double seed = socket_.package_power_at(target);
-  bool bracketed = false;
-  if (std::isfinite(seed) && seed > 0.0) {
-    const double lo_seed = seed * (1.0 - 1e-9);
-    const double hi_seed = seed * (1.0 + 1e-9);
-    if (lo_seed > 0.0 && !reaches(lo_seed) && reaches(hi_seed)) {
-      lo = lo_seed;  // search(lo) < target
-      hi = hi_seed;  // search(hi) >= target
-      bracketed = true;
+  if (reaches(0.0)) return -std::numeric_limits<double>::infinity();
+  constexpr double kTop = 1e300;
+  if (!reaches(kTop)) return std::numeric_limits<double>::infinity();
+  // Closed form: past the fixed watts the probe is the compare
+  // (a - fixed) / dyn_at_ref >= T[idx], so the flip sits where
+  // a = fixed + T[idx] * dyn_at_ref; without a finite threshold or a
+  // dynamic term it is the first double above the fixed watts.  The
+  // rounded subtraction and division are monotone in a, and the fixed
+  // watts are non-negative, so nothing cancels and the exact flipping
+  // double lies within a double or two of the estimate.  Walking there
+  // with the probe itself lands on the bits a bisection would: a
+  // monotone predicate flips at exactly one double.
+  double edge = terms.fixed_w;
+  if (terms.dyn_at_ref_w > 0.0 && std::isfinite(threshold)) {
+    edge += threshold * terms.dyn_at_ref_w;
+  }
+  edge = std::clamp(edge, 0.0, kTop);
+  // reaches(0) is false and reaches(kTop) true, so either walk ends; the
+  // step bound turns a broken estimate into an error instead of a hang.
+  constexpr int kMaxWalk = 64;
+  int steps = 0;
+  if (reaches(edge)) {
+    for (double below = std::nextafter(edge, 0.0); reaches(below);
+         below = std::nextafter(below, 0.0)) {
+      edge = below;
+      DUFP_ASSERT(++steps < kMaxWalk);
     }
+  } else {
+    do {
+      edge = std::nextafter(edge, kTop);
+      DUFP_ASSERT(++steps < kMaxWalk);
+    } while (!reaches(edge));
   }
-  if (!bracketed) {
-    if (reaches(0.0)) return -std::numeric_limits<double>::infinity();
-    constexpr double kTop = 1e300;
-    if (!reaches(kTop)) return std::numeric_limits<double>::infinity();
-    hi = kTop;
-  }
-  // Each probe answers as the search would, so the bisection pins the
-  // exact double where the search output flips: the cached edge can
-  // never disagree with the computation it replaces.
-  return lowest_reaching(lo, hi, reaches);
+  return edge;
 }
 
 double FirmwareGovernor::cell_edge(std::size_t idx) const {
@@ -238,25 +239,12 @@ double FirmwareGovernor::cell_edge(std::size_t idx) const {
       return promote(w);
     }
   }
-  // Never-seen state for *this* governor: consult the process-wide
-  // shared cache — another governor (same config, other socket, other
-  // run, other repetition) may have pinned this exact edge already.  A
-  // hit fills the way with the identical bits the local bisection would
-  // produce, so the refill below is the only place the P-state search
-  // still runs.
-  SharedCellCache& shared = SharedCellCache::instance();
-  const SharedCellCache::Key key =
-      SharedCellCache::make_key(shared_cfg_, idx, umin, umax, d);
+  // Never-seen state for *this* governor: build the edge into the least
+  // recently used way.
   CellSlot& slot = ways[kCellWays - 1];
   if (slot.valid) ++cell_stats_.way_evictions;
-  double edge;
-  if (shared.lookup(key, &edge)) {
-    ++cell_stats_.shared_hits;
-  } else {
-    edge = lowest_allowance_reaching(idx);
-    ++cell_stats_.cold_builds;
-    shared.insert(key, edge);
-  }
+  const double edge = lowest_allowance_reaching(idx);
+  ++cell_stats_.cold_builds;
   slot.edge = edge;
   slot.version = ver;
   slot.unc_min = umin;

@@ -121,11 +121,12 @@ class FirmwareGovernor {
   /// edges — the precise doubles where the search output flips — are
   /// cached per P-state, keyed on the uncore window and the phase demand
   /// (the search's only other inputs).  Locating the allowance's cell
-  /// costs a few comparisons.  An edge is built only when first needed
-  /// for a never-seen socket state, by bisecting the IEEE-754 bit lattice
-  /// of allowances; each probe compares the allowance's target scale with
-  /// the config's threshold for the state (SharedCellCache::
-  /// scale_thresholds), which answers exactly as the search would.
+  /// costs a few comparisons.  An edge is built when a socket state is
+  /// not in the governor's ways, in closed form: the allowance where the
+  /// target scale meets the config's threshold for the state
+  /// (SharedCellCache::scale_thresholds), walked to the exact double
+  /// where the threshold probe — which answers exactly as the search
+  /// would — flips, in about four probes.
   double planned_limit_mhz() const;
 
   /// Reference implementation of the same decision via a fresh P-state
@@ -135,9 +136,10 @@ class FirmwareGovernor {
   double planned_limit_reference_mhz() const;
 
   /// Cell-table economics of this governor since construction: cold edge
-  /// builds, probes spent inside them, hits served by the process-wide
-  /// shared cache, way evictions.  A pure observer — reading it never
-  /// perturbs the cache.
+  /// builds, probes spent inside them, way hits and evictions.  They
+  /// depend on this governor's history alone, never on other governors
+  /// in the process.  A pure observer — reading it never perturbs the
+  /// cache.
   const CellStats& cell_stats() const { return cell_stats_; }
 
  private:
@@ -156,11 +158,13 @@ class FirmwareGovernor {
     double edge = 0.0;
     bool valid = false;
   };
-  /// A DUFP controller's uncore hunt sweeps the full ratio range (a dozen
-  /// or more distinct windows), so the ways must cover the whole sweep or
-  /// the cache thrashes and the edge bisection dominates the run again.
-  /// Hits are moved to the front, keeping the common case one compare.
-  static constexpr std::size_t kCellWays = 24;
+  /// A DUFP controller's uncore hunt sweeps a dozen or more windows, but
+  /// a closed-form build costs about as much as scanning and shifting 24
+  /// ways, so the ways need not cover the whole sweep: the ledger reads
+  /// no slower at 8 ways than at 24, and a miss costs less (DESIGN.md
+  /// §7b).  Hits are moved to the front, keeping the common case one
+  /// compare.
+  static constexpr std::size_t kCellWays = 8;
 
   /// Instantaneous allowance from the current window averages — the
   /// first half of the control decision; an empty window averages at its
@@ -177,14 +181,14 @@ class FirmwareGovernor {
   /// construction (exact cached edges; slew/quantization shared).
   double planned_cached(double allowance_w) const;
 
-  /// Edge of cell `idx` for the socket's current state (lazily built,
-  /// cached in cells_; way misses consult the process-wide
-  /// SharedCellCache before falling back to the bisection).  -inf when
-  /// every allowance reaches the state, +inf when none does.
+  /// Edge of cell `idx` for the socket's current state (lazily built on
+  /// a way miss, cached in cells_).  -inf when every allowance reaches
+  /// the state, +inf when none does.
   double cell_edge(std::size_t idx) const;
   /// Smallest allowance for which the P-state search reaches grid state
-  /// `idx`, pinned to the exact flipping double by bit-lattice bisection
-  /// with threshold probes.
+  /// `idx`: the closed-form estimate fixed_w + T[idx] · dyn_at_ref_w,
+  /// walked over the double lattice to the exact double where the
+  /// threshold probe flips.
   double lowest_allowance_reaching(std::size_t idx) const;
 
   std::size_t window_ticks(double window_s) const;
@@ -199,9 +203,8 @@ class FirmwareGovernor {
   /// (planned_limit_mhz is const — the lazily built cache is an
   /// invisible memo).
   mutable std::vector<CellSlot> cells_;
-  /// This socket config's SharedCellCache id and threshold table, both
-  /// fetched at construction so the in-run cache paths never allocate.
-  std::uint32_t shared_cfg_ = 0;
+  /// This socket config's threshold table, fetched at construction so
+  /// the in-run cache paths never allocate or lock.
   const double* scale_thresholds_ = nullptr;
   /// Economics counters (see cell_stats()); mutable for the same reason
   /// cells_ is — the decision paths are const.

@@ -18,7 +18,6 @@
 
 #include "golden_util.h"
 #include "powercap/zone.h"
-#include "rapl/cell_cache.h"
 #include "sim/simulation.h"
 
 namespace {
@@ -115,11 +114,9 @@ TEST(AllocGuardTest, LeapAndStretchPathsAreAllocationFree) {
                       [&](SimTime) { ++intervals; });
 
   // Warm-up as above, then let run() finish the workload through the
-  // fast paths with the counter armed.  Clearing the process-wide edge
-  // cache after warm-up makes every edge the governors have not yet seen
-  // a cold build, whatever earlier tests in this process left behind.
+  // fast paths with the counter armed.  Every socket state a governor
+  // meets for the first time after warm-up is a cold edge build.
   for (int i = 0; i < 50; ++i) s.step();
-  rapl::SharedCellCache::instance().clear();
   const auto cold_builds = [&] {
     std::uint64_t n = 0;
     for (int i = 0; i < s.socket_count(); ++i) {

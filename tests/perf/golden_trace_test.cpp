@@ -104,33 +104,31 @@ TEST(GoldenTraceTest, SerialAndParallelTelemetryBytesAreIdentical) {
       << "telemetry (incl. fault-event timestamps) drifted on a pool worker";
 }
 
-// The shared cell cache is invisible to the bytes: a run with the cache
-// off, the same run cold (cache cleared) and a warm repeat (every edge
-// already in the cache) produce identical digests, and the repeat builds
-// no edge of its own.
-TEST(MultiRunIdentityTest, RepeatedConfigRunsWarm) {
-  auto& shared = rapl::SharedCellCache::instance();
-  const bool was_enabled = shared.enabled();
+void expect_same_cell_stats(const rapl::CellStats& got,
+                           const rapl::CellStats& want, const char* what) {
+  EXPECT_EQ(got.cold_builds, want.cold_builds) << what;
+  EXPECT_EQ(got.probes, want.probes) << what;
+  EXPECT_EQ(got.local_hits, want.local_hits) << what;
+  EXPECT_EQ(got.way_evictions, want.way_evictions) << what;
+}
+
+// A run's cell-edge economics are its own: no edge is shared between
+// governors, so a repeat of a config in the same process and the same
+// config as one job of a 4-worker pool, next to concurrent siblings,
+// build exactly the edges the first run built and give the same bytes.
+TEST(MultiRunIdentityTest, CellStatsArePerRun) {
   const auto profile = golden_profile();
   const harness::RunConfig cfg = golden_config(profile);
+  const harness::RunResult first = harness::run_once(cfg);
+  const harness::RunResult repeat = harness::run_once(cfg);
+  const harness::RunResult pooled = run_pooled(cfg, 4);
 
-  shared.set_enabled(false);
-  const harness::RunResult off = harness::run_once(cfg);
-  shared.set_enabled(true);
-  shared.clear();
-  const harness::RunResult cold = harness::run_once(cfg);
-  const harness::RunResult warm = harness::run_once(cfg);
-  shared.set_enabled(was_enabled);
-
-  EXPECT_EQ(off.cell_stats.shared_hits, 0u);
-  EXPECT_GT(cold.cell_stats.cold_builds, 0u)
-      << "cold run built nothing — the warm check proves nothing";
-  EXPECT_EQ(warm.cell_stats.cold_builds, 0u)
-      << "repetition 2 of an identical config must start fully warm";
-  EXPECT_GT(warm.cell_stats.shared_hits + warm.cell_stats.local_hits, 0u);
-  const std::string want = summary_text(off);
-  EXPECT_EQ(summary_text(cold), want) << "a cold cache build changed bytes";
-  EXPECT_EQ(summary_text(warm), want) << "a cache hit changed bytes";
+  EXPECT_GT(first.cell_stats.cold_builds, 0u);
+  expect_same_cell_stats(repeat.cell_stats, first.cell_stats, "repeat");
+  expect_same_cell_stats(pooled.cell_stats, first.cell_stats, "pooled");
+  const std::string want = summary_text(first);
+  EXPECT_EQ(summary_text(repeat), want);
+  EXPECT_EQ(summary_text(pooled), want);
 }
 
 }  // namespace

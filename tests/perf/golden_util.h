@@ -164,7 +164,7 @@ inline std::string summary_text(const harness::RunResult& res) {
 /// Runs `cfg` as one job of a `threads`-worker ThreadPool, the pool
 /// ExperimentPlan::run_jobs spreads a grid over, next to `threads - 1`
 /// concurrent siblings (the same config under other seeds, untraced)
-/// that share the workers and the process-wide cell cache with it.
+/// that share the workers with it.
 inline harness::RunResult run_pooled(const harness::RunConfig& cfg,
                                      int threads) {
   ThreadPool pool(threads);

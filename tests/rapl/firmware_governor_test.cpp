@@ -475,38 +475,22 @@ TEST(GovernorCellTableTest, MatchesTheReferenceSearchAtEveryFlip) {
   }
   ASSERT_GE(states.size(), 3 * 12u);
 
-  // Cache off; on from cold, so every edge is built and published; on
-  // again with a fresh governor, so every edge is a shared-cache hit.
-  SharedCellCache& shared = SharedCellCache::instance();
-  const bool was_enabled = shared.enabled();
-  struct Pass {
-    bool shared;
-    bool clear;
-  };
-  std::vector<CellStats> stats;
-  for (const Pass pass :
-       {Pass{false, true}, Pass{true, true}, Pass{true, false}}) {
-    shared.set_enabled(pass.shared);
-    if (pass.clear) shared.clear();
-    hw::SocketModel socket(cfg, 0);
-    FirmwareGovernor gov(socket, GovernorParams{});
-    std::size_t visible_flips = 0;
-    for (const SweepState& state : states) {
-      enter(socket, state);
-      sweep_state(state, gov, visible_flips);
-      if (HasFatalFailure()) break;
-    }
-    EXPECT_GT(visible_flips, states.size() * (n_states - 1));
-    stats.push_back(gov.cell_stats());
+  hw::SocketModel socket(cfg, 0);
+  FirmwareGovernor gov(socket, GovernorParams{});
+  std::size_t visible_flips = 0;
+  for (const SweepState& state : states) {
+    enter(socket, state);
+    sweep_state(state, gov, visible_flips);
+    if (HasFatalFailure()) return;
   }
-  shared.clear();
-  shared.set_enabled(was_enabled);
+  EXPECT_GT(visible_flips, states.size() * (n_states - 1));
 
-  EXPECT_GT(stats[0].cold_builds, 0u);
-  EXPECT_EQ(stats[0].shared_hits, 0u);
-  EXPECT_EQ(stats[1].cold_builds, stats[0].cold_builds);
-  EXPECT_EQ(stats[2].cold_builds, 0u);
-  EXPECT_EQ(stats[2].shared_hits, stats[0].cold_builds);
+  // Every edge is a closed-form estimate walked a double or two to the
+  // flip: about four probes per build, counting the two range checks,
+  // against ~25 for a seeded bisection.
+  const CellStats& stats = gov.cell_stats();
+  EXPECT_GT(stats.cold_builds, 0u);
+  EXPECT_LE(stats.probes, 5 * stats.cold_builds);
 }
 
 }  // namespace
