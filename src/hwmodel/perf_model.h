@@ -8,6 +8,15 @@
 
 namespace dufp::hw {
 
+/// Ceiling on progress speed with slack, for bounds that must hold at
+/// every operating point.  The reference point is the top of every clock
+/// range (f_ref = core max, fu_ref = uncore max), so each dilation term is
+/// at least its weight and speed <= 1 / (sum of the demand weights); the
+/// weights sum to 1 +/- 1e-6 (SocketModel::set_demand), so speed exceeds
+/// 1.0 by ~1e-6 at most, and 1.001 leaves three orders of magnitude of
+/// slack.  The engine's leap and stretch bounds rely on it.
+inline constexpr double kSpeedBoundMargin = 1.001;
+
 class PerfModel {
  public:
   PerfModel(const MemoryModelParams& params, double f_ref_mhz,

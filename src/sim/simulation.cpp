@@ -14,19 +14,20 @@ namespace dufp::sim {
 
 namespace {
 
-/// Safety factor on the workload progress-rate bound.  The perf model
-/// guarantees speed <= 1/(sum of weights) and profile validation allows
-/// the weights to sum to 1 +/- 1e-6, so actual speed can exceed 1.0 by up
-/// to ~1e-6; 1.001 gives three orders of magnitude of slack.
-constexpr double kSpeedBoundMargin = 1.001;
+using hw::kSpeedBoundMargin;
 
 /// Below this gap the leap planner's fixed-point verification plus the
 /// gather/scatter costs about as much as just stepping the ticks.
 constexpr std::int64_t kMinLeapTicks = 4;
 
-/// Below this horizon the calm-stretch entry checks and gather/scatter
-/// cost about as much as stepping the ticks exactly.
+/// Below this horizon the calm-stretch gather/scatter costs about as much
+/// as stepping the ticks exactly.
 constexpr std::int64_t kMinFastTicks = 4;
+
+/// Lane budget of a finished socket: it idles at a fixed demand, so no
+/// entry bounds its lane ticks.
+constexpr std::int64_t kUnboundedBudget =
+    std::numeric_limits<std::int64_t>::max();
 
 /// Builds a trace row.  Shared by the exact stepper and the leap fast
 /// path so both construct rows from identical expressions — part of the
@@ -89,6 +90,7 @@ Simulation::Simulation(
   leap_acc_.resize(static_cast<std::size_t>(n) * kLeapLanes, 0.0);
   leap_inc_.resize(static_cast<std::size_t>(n) * kLeapLanes, 0.0);
   stretch_v_.resize(static_cast<std::size_t>(n), 0.0);
+  lane_budget_.resize(static_cast<std::size_t>(n), 0);
   flip_bits_.resize(static_cast<std::size_t>(kStretchChunk) / 64, 0);
 }
 
@@ -365,7 +367,7 @@ std::int64_t Simulation::compute_leap_gap() const {
   return gap >= kMinLeapTicks ? gap : 0;
 }
 
-void Simulation::gather_socket_lanes(int s, const hw::SocketInstant& inst) {
+void Simulation::gather_socket_lanes(int s) {
   // One slab of kLeapLanes accumulator lanes per socket.  Lane order
   // matches SocketModel::accumulate / the phase-totals block /
   // WorkloadInstance::advance in the stepped path; each lane's per-tick
@@ -395,7 +397,6 @@ void Simulation::gather_socket_lanes(int s, const hw::SocketInstant& inst) {
   } else {
     for (std::size_t j = 6; j < kLeapLanes; ++j) acc[j] = 0.0;
   }
-  gather_socket_increments(s, inst);
 }
 
 void Simulation::gather_socket_increments(int s,
@@ -424,8 +425,9 @@ void Simulation::gather_socket_increments(int s,
   // Cache the trace row: it is constant while the socket stays at this
   // instant (single-segment ticks at a fixed instant produce the same
   // record every tick), and both fast paths re-gather whenever the
-  // instant can change.  Skipped when no sink is attached — the row is
-  // only ever read by trace_->on_tick.
+  // instant can change and before a socket's first lane tick after a
+  // boundary tick.  Skipped when no sink is attached — the row is only
+  // ever read by trace_->on_tick.
   if (trace_ != nullptr) {
     fill_tick_record(inst, (inst.pkg_power_w * tick_s) / tick_s,
                      rapls_[si]->governor().limit(), tick_records_[si]);
@@ -456,7 +458,8 @@ void Simulation::execute_leap(std::int64_t gap) {
   // no-op at the fixed point compute_leap_gap established.
   const int n = socket_count();
   for (int s = 0; s < n; ++s) {
-    gather_socket_lanes(s, machine_.socket(s).evaluate());
+    gather_socket_lanes(s);
+    gather_socket_increments(s, machine_.socket(s).evaluate());
   }
 
   // Per-chain FP addition order is preserved (each lane is an
@@ -489,49 +492,72 @@ void Simulation::execute_leap(std::int64_t gap) {
   batch_stats_.max_leap = std::max(batch_stats_.max_leap, gap);
 }
 
-bool Simulation::fast_stretch() {
-  if (!options_.time_leap || !started_) return false;
-  std::int64_t horizon = event_bound_ticks();
-  if (horizon < kMinFastTicks) return false;
-  const int n = socket_count();
+std::int64_t Simulation::run_end_bound_ticks() const {
+  // Every tick advances a workload by at most tick_s * kSpeedBoundMargin
+  // nominal seconds (the speed ceiling, split segments included), so a
+  // socket with R nominal seconds left is unfinished for at least this
+  // many more ticks; the -1 absorbs the rounding of the suffix sums.  The
+  // largest such bound over the unfinished sockets keeps one of them
+  // running through the horizon.
   const double tick_s = options_.tick.seconds();
-
-  // Entry checks.  Unlike the full leap, the stretch tolerates drifting
-  // governor windows and mid-stretch limit moves, so the only per-socket
-  // preconditions are the ones every stretch tick relies on: the demand
-  // the stepper would re-apply is already applied (no entry crossed on
-  // the previous tick), and no sequence-entry boundary can land inside
-  // the stretch.  The boundary bound uses the *global* speed ceiling
-  // (speed <= 1/(weight sum), see kSpeedBoundMargin) rather than the
-  // current speed, so it survives limit flips that change the speed
-  // mid-stretch.  Together they make every stretch tick one segment at
-  // the applied demand, which is what lets flip ticks run in the lanes.
-  bool any_unfinished = false;
-  for (int s = 0; s < n; ++s) {
-    const auto si = static_cast<std::size_t>(s);
-    const auto& w = *workloads_[si];
-    if (!(w.current_demand() == machine_.socket(s).demand())) return false;
-    if (!w.finished()) {
-      any_unfinished = true;
-      const double safe =
-          std::floor(w.remaining_in_phase() / (tick_s * kSpeedBoundMargin)) -
-          1.0;
-      if (!(safe >= static_cast<double>(kMinFastTicks))) return false;
-      horizon = std::min(horizon, static_cast<std::int64_t>(safe));
+  std::int64_t bound = 0;
+  for (const auto& w : workloads_) {
+    if (w->finished()) continue;
+    const double ticks =
+        std::floor(w->remaining_nominal_seconds() /
+                   (tick_s * kSpeedBoundMargin)) -
+        1.0;
+    if (ticks > static_cast<double>(bound)) {
+      bound = static_cast<std::int64_t>(ticks);
     }
   }
-  // All workloads finished: the final tick(s) belong to the stepper.
-  if (!any_unfinished || horizon < kMinFastTicks) return false;
+  return bound;
+}
 
+std::int64_t Simulation::lane_budget(int s, double consumed_in_current) const {
+  const auto& w = *workloads_[static_cast<std::size_t>(s)];
+  // The stepped tick re-applies the current demand first.  When an entry
+  // ended exactly on the previous tick's end the socket still holds the
+  // old demand, and only an exact tick applies the new one.  This test
+  // comes before the finished shortcut: a workload that has just finished
+  // still holds its last phase's demand until an exact tick idles it.
+  if (!(w.current_demand() == machine_.socket(s).demand())) return 0;
+  if (w.finished()) return kUnboundedBudget;
+  // Strictly inside the entry at the global speed ceiling (kSpeedBoundMargin)
+  // rather than the current speed, so the bound survives flips that
+  // change the speed: every budgeted tick is one full segment at the
+  // applied demand, which is what lets flip ticks run in the lanes.
+  const double safe =
+      std::floor((w.entry_seconds() - consumed_in_current) /
+                 (options_.tick.seconds() * kSpeedBoundMargin)) -
+      1.0;
+  return safe >= 1.0 ? static_cast<std::int64_t>(safe) : 0;
+}
+
+bool Simulation::fast_stretch() {
+  if (!options_.time_leap || !started_) return false;
+  // Three things bound the horizon: the periodics, the watchdog and the
+  // run end.  Entry boundaries do not; each socket crosses its own inside
+  // the stretch (stretch_socket), so one socket's boundary never stops
+  // the others.
+  const std::int64_t horizon =
+      std::min(event_bound_ticks(), run_end_bound_ticks());
+  if (horizon < kMinFastTicks) return false;
+  const int n = socket_count();
+
+  // Each socket's increments are gathered at its first lane tick, when
+  // its budget is first computed.
   for (int s = 0; s < n; ++s) {
-    gather_socket_lanes(s, machine_.socket(s).evaluate());
+    gather_socket_lanes(s);
+    lane_budget_[static_cast<std::size_t>(s)] = 0;
   }
 
   // A contiguous run of all-calm ticks counts as one leap in the stats,
   // carried across chunk boundaries; a tick where any socket's control
-  // decision moved the limit is an exact (stepped) tick even though the
-  // calm sockets took the fast path.
-  std::int64_t open_run = 0;  // all-calm ticks since the last flip
+  // decision moved the limit or any socket took a boundary tick is an
+  // exact (stepped) tick even though the other sockets took the fast
+  // path.
+  std::int64_t open_run = 0;  // all-calm ticks since the last stepped one
   const auto close_run = [&] {
     if (open_run > 0) {
       ++batch_stats_.leaps;
@@ -541,10 +567,26 @@ bool Simulation::fast_stretch() {
   };
 
   // A sink reads every socket's row at every tick, so a traced run
-  // advances all sockets one tick at a time, through the same loop.
+  // advances all sockets one tick at a time, through the same loop.  A
+  // phase listener fires inside a boundary tick and may write MSRs whose
+  // faults are stamped with the run clock, so a run with listeners ends
+  // each chunk before the first tick on which some socket's budget is 0
+  // and runs that tick as a chunk of its own: every crossing then sees
+  // its own tick's time and the stepper's socket order.
   const std::int64_t chunk = trace_ != nullptr ? 1 : kStretchChunk;
   for (std::int64_t done = 0; done < horizon;) {
-    const std::int64_t len = std::min(chunk, horizon - done);
+    std::int64_t len = std::min(chunk, horizon - done);
+    if (!phase_listeners_.empty()) {
+      for (int s = 0; s < n && len > 1; ++s) {
+        const auto si = static_cast<std::size_t>(s);
+        // Lane 10 is the entry progress, consumed_in_current.
+        const std::int64_t budget =
+            lane_budget_[si] > 0
+                ? lane_budget_[si]
+                : lane_budget(s, leap_acc_[si * kLeapLanes + 10]);
+        len = std::min(len, std::max<std::int64_t>(budget, 1));
+      }
+    }
     for (int s = 0; s < n; ++s) stretch_socket(s, len);
 
     // Rebuild the tick-major statistics from the chunk's flip bitmap,
@@ -592,34 +634,74 @@ void Simulation::stretch_socket(int s, std::int64_t len) {
   std::array<double, kLeapLanes> inc;
   std::copy_n(acc_lanes, kLeapLanes, acc.begin());
   std::copy_n(inc_lanes, kLeapLanes, inc.begin());
-
-  // Each pass runs a calm run and the flip tick that ends it, if any.
-  for (std::int64_t k = 0; k < len; ++k) {
-    // Calm ticks: the governor kept its limit and pushed the tick's power
-    // into its windows; what remains of each stepped tick is the lane
-    // additions, in the stepper's order per lane.  Unrolled so that -O2
-    // builds keep the lanes in registers as well, not only -O3 ones.
-    const auto calm = static_cast<std::int64_t>(
-        gov.calm_run(stretch_v_[si], static_cast<std::size_t>(len - k)));
-    for (std::int64_t t = 0; t < calm; ++t) {
-#pragma GCC unroll 11
-      for (std::size_t j = 0; j < kLeapLanes; ++j) acc[j] += inc[j];
-    }
-    k += calm;
-    if (k == len) break;
-
-    // Flip tick k: the decision moves the limit.  integrate_socket_tick
-    // would apply it, re-apply the unchanged demand (a no-op), evaluate,
-    // add one single-segment tick of each lane and record the power; the
-    // lanes do exactly that at the new instant.
+  std::int64_t& budget = lane_budget_[si];
+  const auto mark_stepped = [this](std::int64_t k) {
     flip_bits_[static_cast<std::size_t>(k) / 64] |= std::uint64_t{1}
                                                     << (k % 64);
-    ++batch_stats_.flip_ticks;
-    rapls_[si]->tick();
-    gather_socket_increments(s, machine_.socket(s).evaluate());
-    std::copy_n(inc_lanes, kLeapLanes, inc.begin());
-    for (std::size_t j = 0; j < kLeapLanes; ++j) acc[j] += inc[j];
-    gov.record_power(stretch_v_[si], tick_s);
+  };
+
+  for (std::int64_t k = 0; k < len;) {
+    if (budget == 0) {
+      // The stretch starts, the budget ran out or a boundary tick just
+      // ran: look at the entry again, from the lanes' progress (lane 10,
+      // consumed_in_current).  Lane ticks follow at the current instant,
+      // so their increments, recorded power and trace row are gathered
+      // here; until then the row stays the boundary tick's.
+      budget = lane_budget(s, acc[10]);
+      if (budget > 0) {
+        gather_socket_increments(s, machine_.socket(s).evaluate());
+        std::copy_n(inc_lanes, kLeapLanes, inc.begin());
+      }
+    }
+    if (budget == 0) {
+      // Boundary tick k: the entry may end inside it, or the demand must
+      // be re-applied.  It is the stepper's own tick for this socket —
+      // segment split, entry advance, phase listeners, trace row — with
+      // the lanes written back around it; the other sockets never leave
+      // their lanes.
+      mark_stepped(k);
+      ++batch_stats_.boundary_ticks;
+      std::copy_n(acc.begin(), kLeapLanes, acc_lanes);
+      scatter_socket_lanes(s);
+      integrate_socket_tick(s, tick_s);
+      gather_socket_lanes(s);
+      std::copy_n(acc_lanes, kLeapLanes, acc.begin());
+      ++k;
+      continue;
+    }
+
+    // Lane ticks k..end-1, each pass a calm run and the flip tick that
+    // ends it, if any.
+    const std::int64_t end = k + std::min(budget, len - k);
+    budget -= end - k;
+    while (k < end) {
+      // Calm ticks: the governor kept its limit and pushed the tick's
+      // power into its windows; what remains of each stepped tick is the
+      // lane additions, in the stepper's order per lane.  Unrolled so
+      // that -O2 builds keep the lanes in registers as well, not only -O3
+      // ones.
+      const auto calm = static_cast<std::int64_t>(
+          gov.calm_run(stretch_v_[si], static_cast<std::size_t>(end - k)));
+      for (std::int64_t t = 0; t < calm; ++t) {
+#pragma GCC unroll 11
+        for (std::size_t j = 0; j < kLeapLanes; ++j) acc[j] += inc[j];
+      }
+      k += calm;
+      if (k == end) break;
+
+      // Flip tick k: the decision moves the limit.  integrate_socket_tick
+      // would apply it, re-apply the unchanged demand (a no-op), evaluate,
+      // add one single-segment tick of each lane and record the power;
+      // the lanes do exactly that at the new instant.
+      mark_stepped(k);
+      ++batch_stats_.flip_ticks;
+      rapls_[si]->tick();
+      gather_socket_increments(s, machine_.socket(s).evaluate());
+      std::copy_n(inc_lanes, kLeapLanes, inc.begin());
+      for (std::size_t j = 0; j < kLeapLanes; ++j) acc[j] += inc[j];
+      gov.record_power(stretch_v_[si], tick_s);
+      ++k;
+    }
   }
   std::copy_n(acc.begin(), kLeapLanes, acc_lanes);
 }

@@ -27,20 +27,27 @@
 // floating-point accumulations over flat structure-of-arrays lanes.
 // Tier 2 — the calm-tick stretch: under an active power cap the governor
 // windows drift (old samples evict) even while the applied frequency
-// limit holds, so the fixed point rarely exists; the engine then runs
-// the stretch socket-major, in chunks of up to kStretchChunk ticks.  Per
-// socket, FirmwareGovernor::calm_run executes calm ticks with the window
-// state in registers (window sum updates and the cell membership test
-// standing in for the P-state search), the 11 accumulator lanes advance
-// in locals, and a flip tick — one whose control decision moves the
-// limit — runs in the lanes as tick(), evaluate(), fresh increments, one
-// addition and record_power().  A per-tick flip bitmap rebuilds the
-// tick-major statistics afterwards.  A trace sink needs every socket's
-// row at every tick, so a traced run takes 1-tick chunks through the
-// same loop.  Both tiers perform the exact FP operations the stepped
-// engine performs and skip only work that is provably unobservable, so
-// every output stays byte-identical; event-dense stretches fall back to
-// exact stepping automatically.
+// limit holds, so the fixed point rarely exists; the engine then runs up
+// to the next periodic deadline, the watchdog or the run end,
+// socket-major, in chunks of up to kStretchChunk ticks.  Per socket,
+// FirmwareGovernor::calm_run executes calm ticks with the window state
+// in registers (window sum updates and the cell membership test standing
+// in for the P-state search), the 11 accumulator lanes advance in
+// locals, and a flip tick — one whose control decision moves the limit —
+// runs in the lanes as tick(), evaluate(), fresh increments, one
+// addition and record_power().  Entry boundaries are per socket: a lane
+// budget keeps each socket's lane ticks strictly inside its current
+// entry, and a socket whose budget runs out takes a boundary tick through
+// integrate_socket_tick while the other sockets stay in their lanes.  A
+// per-tick bitmap of flip and boundary ticks rebuilds the tick-major
+// statistics afterwards.  A trace sink needs every socket's row at every
+// tick, so a traced run takes 1-tick chunks through the same loop; a run
+// with phase listeners runs each boundary tick as a 1-tick chunk, so
+// listeners see the stepper's clock and socket order.  Both tiers
+// perform the exact FP operations the stepped engine performs and skip
+// only work that is provably unobservable, so every output stays
+// byte-identical; event-dense stretches fall back to exact stepping
+// automatically.
 #pragma once
 
 #include <cstddef>
@@ -102,9 +109,14 @@ struct BatchStats {
   /// segment splits (sequence-entry boundaries landing inside a tick).
   std::int64_t events_fired = 0;
   /// Socket-ticks a calm stretch advanced as flips (the governor moved
-  /// the limit), counted per socket.  A stretch tick with any flip is
-  /// one stepped tick; this counts the sockets that flipped on it.
+  /// the limit), counted per socket.  A stretch tick with any flip or
+  /// boundary tick is one stepped tick; this counts the sockets that
+  /// flipped on it.
   std::int64_t flip_ticks = 0;
+  /// Socket-ticks a calm stretch ran through integrate_socket_tick: a
+  /// sequence entry may end inside them, or the demand must be
+  /// re-applied.  Counted per socket, like flip_ticks.
+  std::int64_t boundary_ticks = 0;
 };
 
 /// Wall time and energy attributed to one phase of the workload on one
@@ -135,7 +147,8 @@ class Simulation {
 
   /// Most ticks one socket runs before fast_stretch moves to the next
   /// socket; sizes the flip bitmap (one bit per tick, 512 B).  Runs with
-  /// a trace sink take 1-tick chunks.
+  /// a trace sink take 1-tick chunks, and runs with phase listeners take
+  /// each tick on which a socket's lane budget is 0 as a 1-tick chunk.
   static constexpr std::int64_t kStretchChunk = 4096;
 
   /// Symmetric machine: every socket runs its share of the same
@@ -177,7 +190,10 @@ class Simulation {
   /// Notified when socket `s` enters (`entered`=true) or leaves a phase.
   /// `phase_idx` indexes workload(s).profile().phases(); resolve to a name
   /// with workload(s).profile().phase_name(phase_idx) when needed.  Used
-  /// by the partial-capping experiments (Fig. 1b/1c).
+  /// by the partial-capping experiments (Fig. 1b/1c).  A listener fires
+  /// inside a calm stretch, where the other sockets' state lives in the
+  /// engine's lanes: it may act on socket `s` (its MSRs, its power limit)
+  /// but not on the other sockets.
   using PhaseListener =
       std::function<void(int socket, std::size_t phase_idx, bool entered)>;
   void add_phase_listener(PhaseListener fn);
@@ -242,39 +258,58 @@ class Simulation {
   /// deadlines (minus the firing tick, which the exact stepper owns) and
   /// the max_seconds watchdog.  Never negative.
   std::int64_t event_bound_ticks() const;
+  /// Ticks that surely end with some workload unfinished: the largest,
+  /// over unfinished sockets, of a lower bound on ticks-to-finish at the
+  /// speed ceiling.  Bounds the stretch horizon, so no stretch contains
+  /// the tick on which the last socket finishes.  0 once all finished.
+  std::int64_t run_end_bound_ticks() const;
+  /// Ticks socket `s` may run in its lanes, given its current entry
+  /// progress `consumed_in_current` (a lane value inside a stretch):
+  /// 0 when the next tick must be a boundary tick — the applied demand
+  /// differs from the one the stepper would re-apply, or the entry may
+  /// end within the next two ticks at the speed ceiling — and unbounded
+  /// once the workload has finished and idles.
+  std::int64_t lane_budget(int s, double consumed_in_current) const;
   /// Event-leap planner: verifies every socket sits at a bitwise fixed
   /// point and min-reduces the per-socket / global event bounds (next
   /// periodic deadline, next sequence-entry boundary, max_seconds) over
   /// flat arrays.  Returns the leapable tick count, or 0 when stepping is
   /// required (off fixed point, event within kMinLeapTicks, leap off).
   std::int64_t compute_leap_gap() const;
-  /// Tier-2 fast path: runs up to the event horizon, socket-major in
-  /// chunks of at most kStretchChunk ticks (1 tick with a trace sink, so
-  /// every row sees all sockets).  Per socket and chunk, stretch_socket
+  /// Tier-2 fast path: runs up to a horizon that only the periodics, the
+  /// watchdog and the run end bound, socket-major in chunks of at most
+  /// kStretchChunk ticks.  Per socket and chunk, stretch_socket
   /// alternates FirmwareGovernor::calm_run with in-lane flip ticks and
-  /// marks each flip in flip_bits_; the chunk's bitmap then rebuilds the
-  /// tick-major statistics (a tick is leapt when no socket flipped on
-  /// it, and consecutive leapt ticks are one leap, carried across chunk
-  /// boundaries).  Returns false without advancing anything when the
-  /// preconditions fail (event imminent, demand residue, leap off).
+  /// exact boundary ticks, and marks each flip or boundary tick in
+  /// flip_bits_; the chunk's bitmap then rebuilds the tick-major
+  /// statistics (a tick is leapt when no socket flipped or crossed on it,
+  /// and consecutive leapt ticks are one leap, carried across chunk
+  /// boundaries).  A trace sink takes 1-tick chunks, so every row sees
+  /// all sockets; with phase listeners a chunk ends before the first
+  /// tick on which some socket's lane budget is 0, and that tick runs as
+  /// a chunk of its own.  Returns false without advancing anything when
+  /// the horizon is under kMinFastTicks or leaping is off.
   bool fast_stretch();
   /// One socket's share of a stretch chunk: `len` ticks with the lanes
-  /// in locals.  A flip tick stays in the lanes — tick(), evaluate(),
-  /// gather_socket_increments, one addition, record_power() — which is
-  /// exactly integrate_socket_tick because the stretch's entry checks
-  /// guarantee a single-segment tick at unchanged demand.
+  /// in locals, and a lane budget (lane_budget_) carried across chunks.
+  /// While the budget lasts the socket runs lane ticks: a flip tick stays
+  /// in the lanes — tick(), evaluate(), gather_socket_increments, one
+  /// addition, record_power() — which is exactly integrate_socket_tick
+  /// because the budget guarantees a single-segment tick at unchanged
+  /// demand.  When the budget runs out it is recomputed from the lanes'
+  /// entry progress; at 0 the socket takes a boundary tick: lanes written
+  /// back, integrate_socket_tick, lanes re-gathered.
   void stretch_socket(int s, std::int64_t len);
   /// Loads socket `s`'s accumulator lanes from the socket model, phase
-  /// totals and workload progress into leap_acc_, then its increments
-  /// (gather_socket_increments).  Shared by both leap tiers, once per
-  /// leap or stretch: a stretch's flip ticks refresh only the
-  /// increments, because the accumulators stay in stretch_socket's
-  /// locals for the whole chunk.
-  void gather_socket_lanes(int s, const hw::SocketInstant& inst);
-  /// The increment half of gather_socket_lanes: socket `s`'s per-tick
-  /// lane increments at `inst` into leap_inc_, plus the cached trace row
-  /// and the recorded tick power (stretch_v_).  Called again whenever
-  /// the socket's instant can have changed (a flip tick).
+  /// totals and workload progress into leap_acc_.  Shared by both leap
+  /// tiers, once per leap or stretch and after each boundary tick: a
+  /// stretch's flip ticks refresh only the increments, because the
+  /// accumulators stay in stretch_socket's locals for the whole chunk.
+  void gather_socket_lanes(int s);
+  /// Socket `s`'s per-tick lane increments at `inst` into leap_inc_, plus
+  /// the cached trace row and the recorded tick power (stretch_v_).
+  /// Called again whenever the socket's instant can have changed (a flip
+  /// tick) and before its first lane tick after a boundary tick.
   void gather_socket_increments(int s, const hw::SocketInstant& inst);
   /// Writes socket `s`'s advanced lanes back into the socket model,
   /// phase totals and workload progress.
@@ -315,6 +350,10 @@ class Simulation {
   /// Per-socket recorded tick power during a calm stretch — the exact
   /// value the stepped path would feed record_power().
   std::vector<double> stretch_v_;
+  /// Per-socket lane budget of the current stretch (see lane_budget):
+  /// lane ticks left before the socket's entry needs another look; 0
+  /// means look now.  Carried across chunks.
+  std::vector<std::int64_t> lane_budget_;
   /// Flip bitmap of the current stretch chunk: bit k set when some
   /// socket flipped on the chunk's tick k.  kStretchChunk bits, all
   /// clear between chunks.

@@ -91,6 +91,10 @@ WorkloadInstance::WorkloadInstance(const WorkloadProfile& profile,
         std::max(0.5, 1.0 + jitter_rng.gaussian(0.0, jitter_sigma));
     durations_.push_back(base * factor);
   }
+  suffix_seconds_.assign(durations_.size() + 1, 0.0);
+  for (std::size_t i = durations_.size(); i-- > 0;) {
+    suffix_seconds_[i] = suffix_seconds_[i + 1] + durations_[i];
+  }
 }
 
 void WorkloadInstance::advance(double nominal_seconds) {

@@ -104,8 +104,22 @@ class WorkloadInstance {
 
   /// Nominal seconds left in the current sequence entry.
   double remaining_in_phase() const {
+    return entry_seconds() - consumed_in_current_;
+  }
+
+  /// Jittered nominal duration of the current sequence entry; requires
+  /// !finished().
+  double entry_seconds() const {
     DUFP_EXPECT(!finished());
-    return durations_[position_] - consumed_in_current_;
+    return durations_[position_];
+  }
+
+  /// Nominal seconds left until the workload finishes: the current
+  /// entry's remainder plus every later entry's jittered duration (suffix
+  /// sums fixed at construction, so O(1)).  0 once finished.
+  double remaining_nominal_seconds() const {
+    return finished() ? 0.0
+                      : suffix_seconds_[position_] - consumed_in_current_;
   }
 
   /// Consumes `nominal_seconds` of progress, crossing sequence entries as
@@ -135,6 +149,8 @@ class WorkloadInstance {
  private:
   const WorkloadProfile& profile_;
   std::vector<double> durations_;  ///< jittered, index-aligned with sequence
+  /// suffix_seconds_[i]: sum of durations_[i..]; one trailing 0.
+  std::vector<double> suffix_seconds_;
   std::size_t position_ = 0;
   double consumed_in_current_ = 0.0;
   double consumed_total_ = 0.0;

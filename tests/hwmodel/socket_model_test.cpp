@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "msr/registers.h"
+#include "workloads/profiles.h"
+
 namespace dufp::hw {
 namespace {
 
@@ -148,6 +157,76 @@ TEST_F(SocketModelTest, CoreMhzForPowerRespectsCurrentUncore) {
   const double f_low_uncore = socket_.core_mhz_for_power(100.0);
   // Lower uncore leaves more budget for the cores.
   EXPECT_GT(f_low_uncore, f_full);
+}
+
+// The engine's leap and stretch bounds (kSpeedBoundMargin) assume no
+// operating point progresses faster than 1 / (sum of the demand weights).
+// Sweep every state the actuators can reach: each RAPL P-state limit,
+// each IA32_PERF_CTL request, each uncore window a 0x620 write can
+// program (every min/max ratio pair through the decoder and the setter,
+// reversed pairs included), under every phase demand of the ten paper
+// applications and the idle demand.
+TEST_F(SocketModelTest, SpeedNeverExceedsTheCeiling) {
+  std::set<std::pair<double, double>> windows;
+  for (std::uint64_t min_ratio = 0; min_ratio < 128; ++min_ratio) {
+    for (std::uint64_t max_ratio = 0; max_ratio < 128; ++max_ratio) {
+      const msr::UncoreRatioLimit lim =
+          msr::decode_uncore_ratio_limit(min_ratio << 8 | max_ratio);
+      socket_.set_uncore_window_mhz(msr::uncore_ratio_to_mhz(lim.min_ratio),
+                                    msr::uncore_ratio_to_mhz(lim.max_ratio));
+      windows.insert({socket_.uncore_window_min_mhz(),
+                      socket_.uncore_window_max_mhz()});
+    }
+  }
+  std::set<double> user_pstates;
+  for (unsigned ratio = 0; ratio < 256; ++ratio) {
+    socket_.set_user_pstate_limit_mhz(
+        msr::decode_perf_ctl(msr::encode_perf_ctl(ratio)) * 100.0);
+    user_pstates.insert(socket_.user_pstate_limit_mhz());
+  }
+  std::vector<PhaseDemand> demands{PhaseDemand::make_idle()};
+  for (const workloads::AppId app : workloads::all_apps()) {
+    for (const auto& phase : workloads::profile(app).phases()) {
+      demands.push_back(phase.demand());
+    }
+  }
+  // 13 uncore ratios give 91 ordered windows; 19 P-states.
+  ASSERT_EQ(windows.size(), 91u);
+  ASSERT_EQ(user_pstates.size(), 19u);
+
+  std::int64_t points = 0;
+  std::int64_t over = 0;
+  double max_speed = 0.0;
+  double max_ratio_to_ceiling = 0.0;
+  for (const auto& [lo, hi] : windows) {
+    socket_.set_uncore_window_mhz(lo, hi);
+    for (const PhaseDemand& d : demands) {
+      socket_.set_demand(d);
+      const double ceiling = 1.0 / (d.w_cpu + d.w_mem + d.w_unc + d.w_fixed);
+      for (double core = cfg_.core_min_mhz; core <= cfg_.core_max_mhz;
+           core += cfg_.core_step_mhz) {
+        socket_.set_core_freq_limit_mhz(core);
+        for (const double user : user_pstates) {
+          socket_.set_user_pstate_limit_mhz(user);
+          const double speed = socket_.evaluate().speed;
+          ++points;
+          // Round-off only: the dilation is four terms each at least its
+          // weight, summed in another order than the weights.
+          if (!(speed <= ceiling * (1.0 + 1e-12))) ++over;
+          max_speed = std::max(max_speed, speed);
+          max_ratio_to_ceiling =
+              std::max(max_ratio_to_ceiling, speed / ceiling);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(points, 91 * static_cast<std::int64_t>(demands.size()) * 19 * 19);
+  EXPECT_EQ(over, 0) << "operating points faster than 1/(sum of weights); "
+                        "largest speed/ceiling "
+                     << max_ratio_to_ceiling;
+  EXPECT_LT(max_speed, kSpeedBoundMargin);
+  // The sweep reached the reference point, where speed meets the ceiling.
+  EXPECT_GT(max_ratio_to_ceiling, 1.0 - 1e-12);
 }
 
 }  // namespace

@@ -97,7 +97,8 @@ TEST(AllocGuardTest, LeapAndStretchPathsAreAllocationFree) {
   // governors move their limits inside stretches, so the in-lane flip
   // ticks run under the guard too, and so do cold cell-edge builds: the
   // config's threshold table is built when the governor interns it, never
-  // on the in-run path.
+  // on the in-run path.  With no phase listener attached, the sockets
+  // cross their entries as boundary ticks inside full stretch chunks.
   const auto profile = golden_profile();
   const harness::RunConfig cfg = golden_config(profile);
   sim::SimulationOptions opts = cfg.sim;
@@ -139,6 +140,8 @@ TEST(AllocGuardTest, LeapAndStretchPathsAreAllocationFree) {
   EXPECT_GT(bs.leapt_ticks, 0) << "the guard never saw a fast-path tick";
   EXPECT_GT(bs.leaps, 0);
   EXPECT_GT(bs.flip_ticks, 0) << "the guard never saw a flip in a stretch";
+  EXPECT_GT(bs.boundary_ticks, 0)
+      << "the guard never saw a boundary tick in a stretch";
   EXPECT_GT(intervals, 0u);
 }
 

@@ -25,6 +25,7 @@
 #include "common/thread_pool.h"
 #include "harness/runner.h"
 #include "sim/trace.h"
+#include "telemetry/export.h"
 #include "workloads/workload.h"
 
 namespace dufp::perf_test {
@@ -158,6 +159,21 @@ inline std::string summary_text(const harness::RunResult& res) {
               static_cast<unsigned long long>(res.health.actuation_retries),
               static_cast<unsigned long long>(res.health.actuation_failures),
               static_cast<unsigned long long>(res.health.degradations));
+  return out;
+}
+
+/// summary_text plus, when telemetry is enabled, the run's Prometheus,
+/// Chrome-trace and JSONL exports: every deterministic byte of an
+/// untraced harness run.
+inline std::string result_bytes(const harness::RunResult& res) {
+  std::string out = summary_text(res);
+  if (res.telemetry.has_value()) {
+    std::ostringstream t;
+    telemetry::write_prometheus(res.telemetry->metrics, t);
+    telemetry::write_chrome_trace(*res.telemetry, t);
+    telemetry::write_jsonl(*res.telemetry, t);
+    out += t.str();
+  }
   return out;
 }
 

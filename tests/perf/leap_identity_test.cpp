@@ -26,25 +26,10 @@
 #include "golden_util.h"
 #include "sim/simulation.h"
 #include "sim/trace.h"
-#include "telemetry/export.h"
 #include "workloads/trace_replay.h"
 
 namespace dufp::perf_test {
 namespace {
-
-/// The %.17g summary digest and (when enabled) the three telemetry
-/// exports of one harness run.
-std::string result_bytes(const harness::RunResult& res) {
-  std::string out = summary_text(res);
-  if (res.telemetry.has_value()) {
-    std::ostringstream t;
-    telemetry::write_prometheus(res.telemetry->metrics, t);
-    telemetry::write_chrome_trace(*res.telemetry, t);
-    telemetry::write_jsonl(*res.telemetry, t);
-    out += t.str();
-  }
-  return out;
-}
 
 /// Every deterministic byte one traced harness run emits: result_bytes
 /// plus the trace CSV at full resolution.

@@ -237,6 +237,7 @@ void expect_same_stats(const BatchStats& a, const BatchStats& b) {
   EXPECT_EQ(a.max_leap, b.max_leap);
   EXPECT_EQ(a.events_fired, b.events_fired);
   EXPECT_EQ(a.flip_ticks, b.flip_ticks);
+  EXPECT_EQ(a.boundary_ticks, b.boundary_ticks);
 }
 
 /// Runs `cfg` untraced (full stretch chunks) and traced (1-tick chunks)
@@ -272,11 +273,12 @@ TEST(SimulationTest, StretchChunksCarryCalmRunsAcrossBoundaries) {
 
 TEST(SimulationTest, StretchChunksKeepStatsUnderFaultStorm) {
   // DUFP agents and a fault storm: caps move, sockets flip inside
-  // stretches, and phase boundaries cut them short.
+  // stretches, and sockets cross phase boundaries inside them.
   const auto profile = perf_test::golden_profile();
   const BatchStats bs = expect_stats_independent_of_chunking(
       perf_test::golden_storm_config(profile));
   EXPECT_GT(bs.flip_ticks, 0) << "no flip tick ran inside a stretch";
+  EXPECT_GT(bs.boundary_ticks, 0) << "no boundary tick ran inside a stretch";
   EXPECT_GT(bs.leaps, 0);
 }
 

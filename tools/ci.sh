@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The full pre-merge gate, in order:
 #   1. plain tier-1 (Release, -O2 -DNDEBUG — the configuration the
-#      tracked benchmark numbers come from);
+#      tracked benchmark numbers come from), plus the larger budget of
+#      the generated stepped-vs-leapt identity test;
 #   2. smokes of the sim_throughput and shard_scaling benches;
 #   3. one run of every paper bench, every example and perf_microbench
 #      at the smallest shape (policies are named by strings, so a
@@ -34,6 +35,10 @@ build_dir="${repo_root}/build-ci"
 cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build_dir}" -j"$(nproc)"
 ctest --test-dir "${build_dir}" -L tier1 --output-on-failure "$@"
+# Tier-1 runs 72 generated configurations leap-on against leap-off; the
+# DISABLED_ twin draws ten times as many past them (~20 s).
+"${build_dir}/tests/perf_leap_identity_test" --gtest_also_run_disabled_tests \
+    --gtest_filter='GeneratedLeapIdentityTest.DISABLED_*'
 
 echo "== sim_throughput smoke =="
 # DUFP_SMOKE: tiny profile, one repetition.  Validates that the bench
