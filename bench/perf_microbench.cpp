@@ -197,7 +197,7 @@ void run_agent_interval(benchmark::State& state, bool instrumented) {
   socket.set_demand(bench_demand());
   msr::SimulatedMsr dev(cfg.cores);
   rapl::RaplEngine engine(socket, dev);
-  powercap::PackageZone zone(dev, 0);
+  powercap::PackageZone zone(dev);
   powercap::UncoreControl uncore(dev);
   perfmon::SimCounterSource source(socket, dev);
 

@@ -22,7 +22,7 @@ int main() {
   hw::MachineModel model(machine);
   msr::SimulatedMsr dev(machine.socket.cores);
   rapl::RaplEngine engine(model.socket(0), dev);
-  powercap::PackageZone zone(dev, 0);
+  powercap::PackageZone zone(dev);
   powercap::UncoreControl uncore(dev);
 
   TextTable t({"cores", "uncore frequency (GHz)", "long term (W)",

@@ -44,7 +44,7 @@ Outcome run(double budget_w, bool balanced) {
   std::vector<powercap::PackageZone*> zone_ptrs;
   std::vector<const msr::MsrDevice*> msrs;
   for (int i = 0; i < s.socket_count(); ++i) {
-    zones.push_back(std::make_unique<powercap::PackageZone>(s.msr(i), i));
+    zones.push_back(std::make_unique<powercap::PackageZone>(s.msr(i)));
     zone_ptrs.push_back(zones.back().get());
     msrs.push_back(&s.msr(i));
   }
@@ -58,7 +58,7 @@ Outcome run(double budget_w, bool balanced) {
         machine.socket.core_base_mhz);
     auto* b = balancer.get();
     s.schedule_periodic(SimTime::from_millis(200),
-                        [b](SimTime now) { b->on_interval(now); });
+                        [b](SimTime) { b->on_interval(); });
   } else {
     const double each = budget_w / s.socket_count();
     for (auto* z : zone_ptrs) {

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   opts.seed = 11;
   sim::Simulation s(machine, prof, opts);
 
-  powercap::PackageZone zone(s.msr(0), 0);
+  powercap::PackageZone zone(s.msr(0));
   powercap::UncoreControl uncore(s.msr(0));
   perfmon::SimCounterSource source(s.socket(0), s.msr(0));
 

@@ -8,7 +8,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <string>
 
 #include "common/expect.h"
 
@@ -46,8 +45,6 @@ class SimTime {
     micros_ += d.micros_;
     return *this;
   }
-
-  std::string to_string() const;
 
  private:
   std::int64_t micros_ = 0;

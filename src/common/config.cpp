@@ -78,21 +78,4 @@ long long Config::get_int(std::string_view key, long long def) const {
   return static_cast<long long>(d);
 }
 
-bool Config::get_bool(std::string_view key, bool def) const {
-  const auto v = get(key);
-  if (!v) return def;
-  const std::string s = to_lower(trim(*v));
-  if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
-  if (s == "0" || s == "false" || s == "no" || s == "off") return false;
-  throw std::runtime_error("Config: key '" + std::string(key) +
-                           "' is not a boolean: " + *v);
-}
-
-std::vector<std::string> Config::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [k, _] : values_) out.push_back(k);
-  return out;
-}
-
 }  // namespace dufp

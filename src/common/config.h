@@ -8,7 +8,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace dufp {
 
@@ -33,10 +32,6 @@ class Config {
   std::string get_string(std::string_view key, std::string def) const;
   double get_double(std::string_view key, double def) const;
   long long get_int(std::string_view key, long long def) const;
-  bool get_bool(std::string_view key, bool def) const;
-
-  /// All keys, sorted (for help/debug output).
-  std::vector<std::string> keys() const;
 
  private:
   std::map<std::string, std::string> values_;  // lowercase keys

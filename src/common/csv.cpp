@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/table.h"
-
 namespace dufp {
 
 std::string csv_escape(const std::string& field) {
@@ -31,15 +29,6 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
   }
   *os_ << '\n';
   ++rows_;
-}
-
-void CsvWriter::write_row(const std::string& label,
-                          const std::vector<double>& values, int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size() + 1);
-  cells.push_back(label);
-  for (double v : values) cells.push_back(fmt_double(v, precision));
-  write_row(cells);
 }
 
 }  // namespace dufp

@@ -18,8 +18,6 @@ class CsvWriter {
   explicit CsvWriter(const std::string& path);
 
   void write_row(const std::vector<std::string>& cells);
-  void write_row(const std::string& label, const std::vector<double>& values,
-                 int precision = 6);
 
   std::size_t rows_written() const { return rows_; }
 

@@ -1,7 +1,6 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/expect.h"
@@ -13,26 +12,8 @@ void RunningStats::add(double x) {
   sum_ += x;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
-}
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void TimeWeightedMean::add(double value, double weight_seconds) {
-  DUFP_EXPECT(weight_seconds >= 0.0);
-  weighted_sum_ += value * weight_seconds;
-  weight_ += weight_seconds;
-}
-
-double TimeWeightedMean::mean() const {
-  return weight_ > 0.0 ? weighted_sum_ / weight_ : 0.0;
 }
 
 TrimmedSummary trimmed_summary(const std::vector<double>& key,
@@ -65,22 +46,6 @@ TrimmedSummary trimmed_summary(const std::vector<double>& key,
   s.used = hi - lo;
   s.mean = sum / static_cast<double>(s.used);
   return s;
-}
-
-TrimmedSummary trimmed_summary(const std::vector<double>& values) {
-  return trimmed_summary(values, values);
-}
-
-double percentile(std::vector<double> values, double p) {
-  DUFP_EXPECT(!values.empty());
-  DUFP_EXPECT(p >= 0.0 && p <= 100.0);
-  std::sort(values.begin(), values.end());
-  if (values.size() == 1) return values.front();
-  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
 }  // namespace dufp

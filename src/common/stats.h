@@ -8,7 +8,7 @@
 
 namespace dufp {
 
-/// Numerically stable running mean / variance / extrema (Welford).
+/// Numerically stable running mean / extrema (Welford's mean update).
 class RunningStats {
  public:
   void add(double x);
@@ -16,9 +16,6 @@ class RunningStats {
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
   double sum() const { return sum_; }
@@ -26,23 +23,9 @@ class RunningStats {
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Time-weighted average: accumulates integral(x dt) / total time.  Used
-/// for average power over variable-length intervals.
-class TimeWeightedMean {
- public:
-  void add(double value, double weight_seconds);
-  double mean() const;
-  double total_weight() const { return weight_; }
-
- private:
-  double weighted_sum_ = 0.0;
-  double weight_ = 0.0;
 };
 
 /// Summary of a repeated-runs experiment following the paper's protocol
@@ -61,11 +44,5 @@ struct TrimmedSummary {
 /// trimming occurs.
 TrimmedSummary trimmed_summary(const std::vector<double>& key,
                                const std::vector<double>& values);
-
-/// Convenience overload trimming on the values themselves.
-TrimmedSummary trimmed_summary(const std::vector<double>& values);
-
-/// Percentile (linear interpolation, p in [0,100]) of a copy of `values`.
-double percentile(std::vector<double> values, double p);
 
 }  // namespace dufp

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 
 #include "common/expect.h"
 
@@ -67,12 +66,6 @@ void TextTable::print(std::ostream& os) const {
   print_sep();
   for (const auto& row : rows_) print_row(row);
   print_sep();
-}
-
-std::string TextTable::to_string() const {
-  std::ostringstream oss;
-  print(oss);
-  return oss.str();
 }
 
 }  // namespace dufp

@@ -25,7 +25,6 @@ class TextTable {
   std::size_t row_count() const { return rows_.size(); }
 
   void print(std::ostream& os) const;
-  std::string to_string() const;
 
  private:
   std::vector<std::string> header_;

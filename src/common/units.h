@@ -46,9 +46,9 @@ constexpr double uj_to_joules(std::uint64_t uj) {
 /// Single-wrap assumption: valid whenever the counter is sampled at least
 /// once per wrap period, which RAPL's ~minutes-long energy wrap and a
 /// 200 ms controller trivially satisfy.  This is THE helper for every
-/// `energy_uj()` / raw-counter delta in the tree — naive `after - before`
-/// subtraction is wrong for ~2^-32 of samples and shows up as a huge
-/// negative (or, cast unsigned, astronomically positive) energy spike.
+/// raw-counter delta in the tree — naive `after - before` subtraction is
+/// wrong for ~2^-32 of samples and shows up as a huge negative (or, cast
+/// unsigned, astronomically positive) energy spike.
 constexpr std::uint64_t wrap_delta(std::uint64_t before, std::uint64_t after,
                                    std::uint64_t wrap_range) {
   if (wrap_range == 0 || after >= before) return after - before;

@@ -13,8 +13,9 @@
 // every policy — paper controller or zoo entry — gets identical
 // robustness behaviour for free.
 //
-// The Agent is substrate-agnostic: it sees only CounterSource, Zone and
-// MsrDevice interfaces, so the identical class would drive PAPI +
+// The Agent is substrate-agnostic: it reads a CounterSource and writes
+// through a PackageZone and an UncoreControl, both built over the
+// MsrDevice interface, so the identical class would drive PAPI +
 // powercap + /dev/cpu/*/msr on hardware.  In simulation,
 // harness::ControlPlane builds one per socket for runs and fleet nodes
 // alike.

@@ -95,23 +95,7 @@ void BudgetBalancer::set_machine_budget_w(double budget_w) {
   config_.machine_budget_w = budget_w;
 }
 
-void BudgetBalancer::set_telemetry(telemetry::Telemetry* telem) {
-  telem_ = telem;
-  if (telem_ == nullptr) return;
-  auto& reg = telem_->registry();
-  reg.attach("dufp_balancer_intervals_total",
-             "Balancing intervals that redistributed the budget", {},
-             intervals_ct_);
-  alloc_gauges_.resize(zones_.size());
-  for (std::size_t i = 0; i < zones_.size(); ++i) {
-    alloc_gauges_[i].set(allocation_[i]);
-    reg.attach("dufp_balancer_allocation_watts",
-               "Current per-socket share of the machine budget",
-               {{"socket", std::to_string(i)}}, alloc_gauges_[i]);
-  }
-}
-
-void BudgetBalancer::on_interval(SimTime now) {
+void BudgetBalancer::on_interval() {
   const std::size_t n = zones_.size();
 
   std::vector<double> freq_mhz(n, core_max_mhz_);
@@ -130,7 +114,7 @@ void BudgetBalancer::on_interval(SimTime now) {
     have_baseline_ = true;
     return;
   }
-  intervals_ct_.inc();
+  ++intervals_;
 
   // Weight each socket by its frequency depression; the budget above the
   // per-socket floors is split proportionally.
@@ -155,14 +139,6 @@ void BudgetBalancer::on_interval(SimTime now) {
                                  allocation_[i]);
     zones_[i]->set_power_limit_w(powercap::ConstraintId::short_term,
                                  allocation_[i]);
-    if (telem_ != nullptr) {
-      alloc_gauges_[i].set(allocation_[i]);
-      if (static_cast<int>(i) < telem_->socket_count()) {
-        telem_->socket(static_cast<int>(i))
-            .record(telemetry::EventKind::balancer_realloc, now, 0,
-                    allocation_[i], target);
-      }
-    }
   }
 }
 

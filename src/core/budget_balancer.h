@@ -16,10 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "common/clock.h"
 #include "msr/device.h"
 #include "powercap/zone.h"
-#include "telemetry/telemetry.h"
 
 namespace dufp::core {
 
@@ -58,7 +56,7 @@ class BudgetBalancer {
   /// One balancing interval: measure per-socket clocks, recompute the
   /// split, program the caps.  The first call only establishes counter
   /// baselines.
-  void on_interval(SimTime now);
+  void on_interval();
 
   /// Current allocation (watts per socket).
   const std::vector<double>& allocation_w() const { return allocation_; }
@@ -72,13 +70,8 @@ class BudgetBalancer {
 
   double machine_budget_w() const { return config_.machine_budget_w; }
 
-  std::uint64_t intervals() const { return intervals_ct_.value(); }
-
-  /// Attach the machine's telemetry plane (nullptr = null sink, the
-  /// default): registers the interval counter and a per-socket allocation
-  /// gauge, and records a balancer_realloc event on each socket's
-  /// recorder per balancing interval.
-  void set_telemetry(telemetry::Telemetry* telem);
+  /// Balancing intervals that redistributed the budget.
+  std::uint64_t intervals() const { return intervals_; }
 
  private:
   BalancerConfig config_;
@@ -91,9 +84,7 @@ class BudgetBalancer {
   std::vector<std::uint64_t> last_aperf_;
   std::vector<std::uint64_t> last_mperf_;
   std::vector<double> allocation_;
-  telemetry::Counter intervals_ct_;
-  telemetry::Telemetry* telem_ = nullptr;  ///< nullable
-  std::vector<telemetry::Gauge> alloc_gauges_;
+  std::uint64_t intervals_ = 0;
 };
 
 }  // namespace dufp::core

@@ -2,9 +2,9 @@
 // measurement interval and returns an actuation *intent* (PolicyDecision);
 // the per-socket Agent owns the hardware paths (retries, watchdog,
 // telemetry) and is the only thing that actuates.  Policies therefore
-// never touch a Zone or MSR directly, which is what lets the Agent give
-// every policy — the paper's controllers and the zoo alike — identical
-// robustness machinery for free.
+// never touch a PackageZone or MSR directly, which is what lets the Agent
+// give every policy — the paper's controllers and the zoo alike —
+// identical robustness machinery for free.
 //
 // The decision struct is deliberately the superset the legacy controllers
 // already produced (DufpController::Decision is an alias of it), so the

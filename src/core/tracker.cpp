@@ -17,12 +17,6 @@ PhaseClass PhaseTracker::classify(double oi) const {
   return oi < policy_.oi_memory_class ? PhaseClass::memory : PhaseClass::cpu;
 }
 
-void PhaseTracker::restart_phase() {
-  have_phase_ = false;
-  max_flops_ = 0.0;
-  max_bw_ = 0.0;
-}
-
 PhaseTracker::Update PhaseTracker::update(const perfmon::Sample& sample) {
   Update u;
   // Defense in depth behind the sampler's own validation: a garbage

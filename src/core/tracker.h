@@ -33,10 +33,6 @@ class PhaseTracker {
   /// Feeds one measurement interval.
   Update update(const perfmon::Sample& sample);
 
-  /// Forces a new phase (used when the controller resets on its own, e.g.
-  /// after the overshoot guard, so stale maxima don't linger).
-  void restart_phase();
-
   double max_flops() const { return max_flops_; }
   double max_bw() const { return max_bw_; }
 

@@ -73,13 +73,6 @@ std::vector<std::string> FaultOptions::validate() const {
   return problems;
 }
 
-bool FaultOptions::any_fault() const {
-  for (int i = 0; i < kFaultClassCount; ++i) {
-    if (params(static_cast<FaultClass>(i)).rate > 0.0) return true;
-  }
-  return locked_register != 0 || force_energy_wrap;
-}
-
 FaultPlan::FaultPlan(const FaultOptions& options, Rng rng)
     : options_(options), rng_(rng) {
   DUFP_EXPECT(options.validate().empty());

@@ -101,9 +101,6 @@ struct FaultOptions {
   /// Every problem found (empty = valid): rates outside [0, 1], bursts
   /// < 1, non-positive wrap lead.
   std::vector<std::string> validate() const;
-
-  /// True if any fault class or forced condition can actually fire.
-  bool any_fault() const;
 };
 
 class FaultPlan {

@@ -168,8 +168,6 @@ struct PreparedFleetNode::Impl {
 PreparedFleetNode::PreparedFleetNode(std::unique_ptr<Impl> impl)
     : impl_(std::move(impl)) {}
 PreparedFleetNode::PreparedFleetNode(PreparedFleetNode&&) noexcept = default;
-PreparedFleetNode& PreparedFleetNode::operator=(PreparedFleetNode&&) noexcept =
-    default;
 PreparedFleetNode::~PreparedFleetNode() = default;
 
 sim::Simulation& PreparedFleetNode::simulation() { return *impl_->sim; }
@@ -268,9 +266,9 @@ PreparedFleetNode prepare_fleet_node(const FleetSpec& spec, std::size_t node,
   // zones, and a faulted rebalance tick is skipped — the sockets keep
   // their previous caps until the next tick — rather than crashing the
   // node.
-  s.schedule_periodic(SimTime::from_millis(200), [balancer](SimTime now) {
+  s.schedule_periodic(SimTime::from_millis(200), [balancer](SimTime) {
     try {
-      balancer->on_interval(now);
+      balancer->on_interval();
     } catch (const msr::MsrError&) {
     }
   });

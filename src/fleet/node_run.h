@@ -87,7 +87,6 @@ FleetNodeResult run_fleet_node(const FleetSpec& spec, std::size_t node,
 class PreparedFleetNode {
  public:
   PreparedFleetNode(PreparedFleetNode&&) noexcept;
-  PreparedFleetNode& operator=(PreparedFleetNode&&) noexcept;
   ~PreparedFleetNode();
 
   sim::Simulation& simulation();

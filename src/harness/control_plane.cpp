@@ -25,7 +25,7 @@ ControlPlane::ControlPlane(sim::Simulation& sim,
           sim.msr(i), *plans_.back()));
       dev = fdevs_.back().get();  // still disarmed: wiring reads clean
     }
-    zones_.push_back(std::make_unique<powercap::PackageZone>(*dev, i));
+    zones_.push_back(std::make_unique<powercap::PackageZone>(*dev));
     uncores_.push_back(std::make_unique<powercap::UncoreControl>(*dev));
     sources_.push_back(
         std::make_unique<perfmon::SimCounterSource>(sim.socket(i), *dev));

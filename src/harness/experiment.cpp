@@ -81,14 +81,6 @@ double Evaluation::energy_change_pct(std::string_view policy,
                       baseline_.total_energy_j.mean);
 }
 
-Evaluation evaluate_app(workloads::AppId app,
-                        const std::vector<std::string>& policies,
-                        const std::vector<double>& tolerances,
-                        int repetitions, std::uint64_t seed) {
-  auto evals = evaluate_apps({app}, policies, tolerances, repetitions, seed);
-  return std::move(evals.front());
-}
-
 std::vector<AppGridCells> add_grid_cells(ExperimentPlan& plan,
                                          const std::vector<workloads::AppId>& apps,
                                          const std::vector<std::string>& policies,

@@ -63,20 +63,13 @@ class Evaluation {
   std::vector<EvaluationCell> cells_;
 };
 
-/// Runs the full grid for one application: baseline + {policies} x
-/// {tolerances}, `repetitions` runs each.  Thin wrapper over
-/// ExperimentPlan — every (config, seed) job of the grid is enumerated up
-/// front and executed across DUFP_THREADS workers, with results
-/// bit-identical to a serial run.
-Evaluation evaluate_app(workloads::AppId app,
-                        const std::vector<std::string>& policies,
-                        const std::vector<double>& tolerances,
-                        int repetitions, std::uint64_t seed = 1);
-
-/// Same grid for several applications scheduled as ONE job set — the
+/// Runs the full grid for each application: baseline + {policies} x
+/// {tolerances}, `repetitions` runs each, scheduled as ONE job set — the
 /// whole apps x (baseline + policies x tolerances) x repetitions matrix
 /// runs through a single ExperimentPlan, so parallelism spans apps, not
-/// just cells.  This is what the figure benches call.
+/// just cells.  Every (config, seed) job is enumerated up front and
+/// executed across DUFP_THREADS workers, with results bit-identical to a
+/// serial run.  This is what the figure benches call.
 std::vector<Evaluation> evaluate_apps(
     const std::vector<workloads::AppId>& apps,
     const std::vector<std::string>& policies,

@@ -13,7 +13,7 @@
 // bit-identical RepeatedResult / Evaluation values — covered by tier-1
 // tests.
 //
-// run_repeated / evaluate_app are thin wrappers over this class; new
+// run_repeated / evaluate_apps are thin wrappers over this class; new
 // callers (sweeps, ablations, multi-machine studies) can schedule
 // arbitrary job sets through the same API.
 #pragma once

@@ -140,7 +140,6 @@ struct PreparedRun::Impl {
 PreparedRun::PreparedRun(std::unique_ptr<Impl> impl)
     : impl_(std::move(impl)) {}
 PreparedRun::PreparedRun(PreparedRun&&) noexcept = default;
-PreparedRun& PreparedRun::operator=(PreparedRun&&) noexcept = default;
 PreparedRun::~PreparedRun() = default;
 
 sim::Simulation& PreparedRun::simulation() {

@@ -148,7 +148,6 @@ RunResult run_once(const RunConfig& config);
 class PreparedRun {
  public:
   PreparedRun(PreparedRun&&) noexcept;
-  PreparedRun& operator=(PreparedRun&&) noexcept;
   ~PreparedRun();
 
   sim::Simulation& simulation();

@@ -202,23 +202,6 @@ GridPlan build_plan(const GridSpec& spec) {
   return gp;
 }
 
-// -- shard assignment --------------------------------------------------------
-
-std::vector<std::size_t> shard_jobs_static(std::size_t job_count, int shards,
-                                           int shard) {
-  if (shards < 1 || shard < 0 || shard >= shards) {
-    throw std::invalid_argument(
-        strf("shard_jobs_static: shard %d of %d is out of range", shard,
-             shards));
-  }
-  std::vector<std::size_t> indices;
-  for (std::size_t j = static_cast<std::size_t>(shard); j < job_count;
-       j += static_cast<std::size_t>(shards)) {
-    indices.push_back(j);
-  }
-  return indices;
-}
-
 // -- shard worker ------------------------------------------------------------
 
 void run_shard(const GridSpec& spec, const ShardRunOptions& options,

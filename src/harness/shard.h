@@ -103,12 +103,6 @@ struct GridPlan {
 };
 GridPlan build_plan(const GridSpec& spec);
 
-/// Static round-robin assignment: the job indices owned by `shard` of
-/// `shards` (j % shards == shard).  Round-robin, not contiguous blocks,
-/// so repetitions of a long-running cell spread across shards.
-std::vector<std::size_t> shard_jobs_static(std::size_t job_count, int shards,
-                                           int shard);
-
 /// Executes this worker's share of the spec's jobs and streams the
 /// versioned JSONL (header line + one line per job) to `out`.
 void run_shard(const GridSpec& spec, const ShardRunOptions& options,

@@ -99,8 +99,8 @@ FileChunkClaimer::FileChunkClaimer(std::string dir, LeaseOptions lease)
       ttl_seconds_(lease.ttl_seconds) {}
 
 FileChunkClaimer::~FileChunkClaimer() {
-  // Close fds only: held leases stay on disk, exactly as after a crash.
-  // A clean shutdown that wants to hand chunks back calls release_all().
+  // Close fds only: held leases stay on disk, exactly as after a crash;
+  // the TTL hands them to the next claimer.
   for (const auto& [chunk, fd] : held_) ::close(fd);
 }
 
@@ -208,16 +208,6 @@ bool FileChunkClaimer::complete(int chunk) {
   return true;
 }
 
-void FileChunkClaimer::release_all() {
-  for (auto it = held_.begin(); it != held_.end();) {
-    if (still_owner(it->first)) {
-      ::unlink(claim_path(dir_, it->first).c_str());
-    }
-    ::close(it->second);
-    it = held_.erase(it);
-  }
-}
-
 // -- shard worker ------------------------------------------------------------
 
 namespace {
@@ -227,7 +217,7 @@ namespace {
 /// claimer heartbeats between records so a long chunk never looks dead.
 struct EmitContext {
   const ChaosPlan* chaos = nullptr;
-  ChunkClaimer* claimer = nullptr;
+  FileChunkClaimer* claimer = nullptr;
   std::uint64_t position = 0;
 };
 
@@ -321,6 +311,8 @@ void run_shard_wire(
       options.claimer->complete(c);
     }
   } else {
+    // Static mode: round-robin over the universe, not contiguous blocks,
+    // so repetitions of a long-running cell spread across shards.
     if (options.shards < 1 || options.shard < 0 ||
         options.shard >= options.shards) {
       throw std::invalid_argument(

@@ -54,35 +54,6 @@ class ShardFormatError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Claims chunks of the job list for dynamic load balancing.  try_claim
-/// must return true for at most one *live* owner per chunk across every
-/// cooperating worker (workers may race); the lease hooks below let a
-/// claimer recover chunks whose owner died.
-class ChunkClaimer {
- public:
-  virtual ~ChunkClaimer() = default;
-  virtual bool try_claim(int chunk) = 0;
-
-  /// Heartbeats every lease this claimer holds; called between result
-  /// records so a long grid never looks dead.  No-op by default.
-  virtual void renew() {}
-
-  /// True while this claimer still owns `chunk`'s lease.  A worker that
-  /// was stalled past the TTL may have had its lease stolen; it must
-  /// check before emitting the chunk's records (the thief re-runs them).
-  virtual bool still_owner(int /*chunk*/) { return true; }
-
-  /// Marks `chunk` finished (its records are durably emitted) and
-  /// releases the lease.  Returns false — and records nothing — when
-  /// ownership was lost, so a stale worker can never clobber the
-  /// thief's in-flight claim.  Completion records are idempotent:
-  /// completing an already-completed chunk is a no-op.
-  virtual bool complete(int chunk) {
-    (void)chunk;
-    return true;
-  }
-};
-
 /// Lease policy of a FileChunkClaimer.
 struct LeaseOptions {
   /// Unique id of this claimer (one per worker attempt).  Empty derives
@@ -96,7 +67,12 @@ struct LeaseOptions {
   double ttl_seconds = 30.0;
 };
 
-/// File-based lease claimer.  Chunk k's lease is `<dir>/chunk<k>.claim`,
+/// Claims chunks of the job list for dynamic load balancing: try_claim
+/// returns true for at most one *live* owner per chunk across every
+/// cooperating worker (workers may race), and the lease hooks below
+/// recover chunks whose owner died.
+///
+/// Chunk k's lease is `<dir>/chunk<k>.claim`,
 /// created with O_CREAT|O_EXCL (POSIX-atomic, so concurrent workers
 /// never double-claim) and carrying `owner=<id>` plus a monotonically
 /// increasing heartbeat counter.  The owner keeps the fd open; renew()
@@ -121,21 +97,29 @@ struct LeaseOptions {
 /// quarantined chunks as `chunk<k>.poison` (see ShardSupervisor), which
 /// try_claim refuses so a job that kills its workers cannot take the
 /// whole fleet down with it.
-class FileChunkClaimer final : public ChunkClaimer {
+class FileChunkClaimer {
  public:
   /// `dir` must exist and be shared by every cooperating worker.
   explicit FileChunkClaimer(std::string dir, LeaseOptions lease = {});
-  ~FileChunkClaimer() override;  // closes fds; leases stay on disk
+  ~FileChunkClaimer();  // closes fds; leases stay on disk
 
-  bool try_claim(int chunk) override;
-  void renew() override;
-  bool still_owner(int chunk) override;
-  bool complete(int chunk) override;
+  bool try_claim(int chunk);
 
-  /// Unlinks every lease this claimer still owns (clean handoff without
-  /// completion, e.g. a worker told to shut down).  Stolen or completed
-  /// chunks are skipped.
-  void release_all();
+  /// Heartbeats every lease this claimer holds; called between result
+  /// records so a long grid never looks dead.
+  void renew();
+
+  /// True while this claimer still owns `chunk`'s lease.  A worker that
+  /// was stalled past the TTL may have had its lease stolen; it must
+  /// check before emitting the chunk's records (the thief re-runs them).
+  bool still_owner(int chunk);
+
+  /// Marks `chunk` finished (its records are durably emitted) and
+  /// releases the lease.  Returns false — and records nothing — when
+  /// ownership was lost, so a stale worker can never clobber the
+  /// thief's in-flight claim.  Completion records are idempotent:
+  /// completing an already-completed chunk is a no-op.
+  bool complete(int chunk);
 
   const std::string& owner() const { return owner_; }
 
@@ -175,7 +159,7 @@ struct ShardRunOptions {
   /// chunks through `claimer` until none remain.  `shard`/`shards` then
   /// only label the output file.
   int chunk_size = 0;
-  ChunkClaimer* claimer = nullptr;  ///< required when chunk_size > 0
+  FileChunkClaimer* claimer = nullptr;  ///< required when chunk_size > 0
 
   /// Resume mode: restrict this run to exactly these job indices (a
   /// retry manifest's missing list).  Static assignment round-robins

@@ -12,18 +12,6 @@ MachineModel::MachineModel(const MachineConfig& config) : config_(config) {
   }
 }
 
-double MachineModel::total_pkg_power_w() const {
-  double sum = 0.0;
-  for (const auto& s : sockets_) sum += s->evaluate().pkg_power_w;
-  return sum;
-}
-
-double MachineModel::total_dram_power_w() const {
-  double sum = 0.0;
-  for (const auto& s : sockets_) sum += s->evaluate().dram_power_w;
-  return sum;
-}
-
 double MachineModel::total_pkg_energy_j() const {
   double sum = 0.0;
   for (const auto& s : sockets_) sum += s->pkg_energy_j();

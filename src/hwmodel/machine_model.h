@@ -27,11 +27,6 @@ class MachineModel {
     return *sockets_[static_cast<std::size_t>(i)];
   }
 
-  /// Aggregate instantaneous package power across sockets (each socket
-  /// evaluated at its current settings).
-  double total_pkg_power_w() const;
-  double total_dram_power_w() const;
-
   /// Aggregate accumulated energies.
   double total_pkg_energy_j() const;
   double total_dram_energy_j() const;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/expect.h"
-#include "common/units.h"
 
 namespace dufp::msr {
 namespace {
@@ -128,13 +127,6 @@ PowerInfo decode_power_info(std::uint64_t raw, const RaplUnits& u) {
   info.max_power_w =
       static_cast<double>(field_get(raw, 32, 15)) * u.watts_per_unit();
   return info;
-}
-
-double energy_counter_delta(std::uint32_t before, std::uint32_t after,
-                            const RaplUnits& u) {
-  const std::uint64_t delta =
-      wrap_delta(before, after, /*wrap_range=*/1ULL << 32);
-  return static_cast<double>(delta) * u.joules_per_unit();
 }
 
 std::uint64_t joules_to_energy_units(double joules, const RaplUnits& u) {

@@ -113,14 +113,9 @@ PowerInfo decode_power_info(std::uint64_t raw, const RaplUnits& u);
 
 // ---------------------------------------------------------------------------
 // Energy status counters (0x611 / 0x619): 32-bit, count energy units,
-// wrap modulo 2^32.  `energy_counter_delta` handles the wrap.
+// wrap modulo 2^32.  The counter source reports them in microjoules with
+// that wrap range, and the sampler's counter_delta handles the wrap.
 // ---------------------------------------------------------------------------
-
-/// Joules represented by a raw counter increment from `before` to `after`
-/// (single-wrap assumption — valid when sampled at least every few
-/// minutes, which a 200 ms controller trivially satisfies).
-double energy_counter_delta(std::uint32_t before, std::uint32_t after,
-                            const RaplUnits& u);
 
 /// Converts joules into raw counter units (used by the simulated backend).
 std::uint64_t joules_to_energy_units(double joules, const RaplUnits& u);

@@ -80,8 +80,4 @@ void SimulatedMsr::poke(std::uint32_t reg, std::uint64_t value) {
   find(reg).value = value;
 }
 
-bool SimulatedMsr::is_defined(std::uint32_t reg) const {
-  return regs_.count(reg) != 0;
-}
-
 }  // namespace dufp::msr

@@ -56,8 +56,6 @@ class SimulatedMsr final : public MsrDevice {
   std::uint64_t peek(std::uint32_t reg) const;
   void poke(std::uint32_t reg, std::uint64_t value);
 
-  bool is_defined(std::uint32_t reg) const;
-
   /// Count of wrmsr operations, for overhead accounting and tests.
   std::uint64_t write_count() const { return write_count_; }
   std::uint64_t read_count() const { return read_count_; }

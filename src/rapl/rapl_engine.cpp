@@ -93,8 +93,4 @@ void RaplEngine::install_registers() {
   });
 }
 
-msr::PowerLimit RaplEngine::package_limit() const {
-  return decode_power_limit(msr_.peek(kMsrPkgPowerLimit), units_);
-}
-
 }  // namespace dufp::rapl

@@ -43,9 +43,6 @@ class RaplEngine {
   const FirmwareGovernor& governor() const { return governor_; }
   FirmwareGovernor& governor() { return governor_; }
 
-  /// Currently programmed package limit (decoded).
-  msr::PowerLimit package_limit() const;
-
  private:
   void install_registers();
 

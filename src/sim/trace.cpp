@@ -16,18 +16,6 @@ void VectorTraceSink::on_tick(SimTime now,
   }
 }
 
-std::vector<double> VectorTraceSink::series(
-    int socket, double (*field)(const TickRecord&)) const {
-  std::vector<double> out;
-  out.reserve(entries_.size());
-  for (const auto& e : entries_) {
-    DUFP_EXPECT(socket >= 0 &&
-                socket < static_cast<int>(e.sockets.size()));
-    out.push_back(field(e.sockets[static_cast<std::size_t>(socket)]));
-  }
-  return out;
-}
-
 CsvTraceSink::CsvTraceSink(const std::string& path, int decimation)
     : writer_(path), decimation_(decimation) {
   DUFP_EXPECT(decimation >= 1);

@@ -45,10 +45,6 @@ class VectorTraceSink final : public TraceSink {
   };
   const std::vector<Entry>& entries() const { return entries_; }
 
-  /// Time-series of one field for one socket (for plotting / asserts).
-  std::vector<double> series(
-      int socket, double (*field)(const TickRecord&)) const;
-
  private:
   int decimation_;
   long tick_index_ = 0;

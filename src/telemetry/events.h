@@ -22,7 +22,9 @@ enum class EventKind : std::uint8_t {
   fail_open,            ///< watchdog entered the fail-safe state
   reengage_probe,       ///< a: 1 = probe succeeded, 0 = failed
   reengaged,            ///< socket back under control
-  balancer_realloc,     ///< a: new allocation (W), b: measured core MHz
+  /// Recorded by nothing; it holds its number because shard wire v2
+  /// encodes kinds as integers, so fault_injected must stay 10.
+  balancer_realloc,
   fault_injected,       ///< code: faults::FaultClass
   count_                ///< sentinel
 };

@@ -84,19 +84,6 @@ std::string prometheus_escape_label(std::string_view value) {
   return out;
 }
 
-bool valid_prometheus_name(std::string_view name) {
-  if (name.empty()) return false;
-  auto head = [](char c) {
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
-           c == ':';
-  };
-  if (!head(name[0])) return false;
-  for (const char c : name.substr(1)) {
-    if (!head(c) && !(c >= '0' && c <= '9')) return false;
-  }
-  return true;
-}
-
 std::string sanitize_prometheus_name(std::string_view name) {
   std::string out;
   out.reserve(name.size() + 1);
@@ -147,27 +134,6 @@ void write_prometheus(const std::vector<MetricSample>& metrics,
       write_series_line(os, name, m.labels, format_number(m.value));
     }
   }
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strf("\\u%04x", static_cast<unsigned>(c));
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 void write_chrome_trace(const TelemetrySnapshot& snap, std::ostream& os) {

@@ -24,12 +24,9 @@ void write_prometheus(const std::vector<MetricSample>& metrics,
 /// Label-value escaping: backslash, double-quote and newline.
 std::string prometheus_escape_label(std::string_view value);
 
-/// True iff `name` matches the metric-name grammar
-/// [a-zA-Z_:][a-zA-Z0-9_:]*.
-bool valid_prometheus_name(std::string_view name);
-
-/// Maps an arbitrary string onto the metric-name grammar (invalid
-/// characters become '_'; a leading digit gains a '_' prefix).
+/// Maps an arbitrary string onto the metric-name grammar
+/// [a-zA-Z_:][a-zA-Z0-9_:]* (invalid characters become '_'; a leading
+/// digit gains a '_' prefix).
 std::string sanitize_prometheus_name(std::string_view name);
 
 // -- Chrome trace-event JSON ------------------------------------------------
@@ -39,9 +36,6 @@ std::string sanitize_prometheus_name(std::string_view name);
 /// non-decreasing, plus process/thread metadata records.  Loads in
 /// about:tracing and Perfetto.
 void write_chrome_trace(const TelemetrySnapshot& snap, std::ostream& os);
-
-/// JSON string-body escaping (quotes, backslash, control characters).
-std::string json_escape(std::string_view s);
 
 // -- JSONL ------------------------------------------------------------------
 

@@ -49,13 +49,6 @@ void MetricsRegistry::add_entry(Entry e) {
   entries_.push_back(std::move(e));
 }
 
-Counter MetricsRegistry::counter(std::string_view name, std::string_view help,
-                                 LabelSet labels) {
-  Counter c;
-  attach(name, help, std::move(labels), c);
-  return c;
-}
-
 Gauge MetricsRegistry::gauge(std::string_view name, std::string_view help,
                              LabelSet labels) {
   Gauge g;
@@ -94,11 +87,6 @@ void MetricsRegistry::attach(std::string_view name, std::string_view help,
   Entry e{MetricType::histogram, intern(name), std::string(help),
           std::move(labels), Counter{}, Gauge{}, h};
   add_entry(std::move(e));
-}
-
-std::size_t MetricsRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
 }
 
 std::vector<MetricSample> MetricsRegistry::collect() const {

@@ -130,8 +130,6 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Create-and-attach convenience constructors.
-  Counter counter(std::string_view name, std::string_view help,
-                  LabelSet labels = {});
   Gauge gauge(std::string_view name, std::string_view help,
               LabelSet labels = {});
   Histogram histogram(std::string_view name, std::string_view help,
@@ -147,9 +145,6 @@ class MetricsRegistry {
               const Gauge& g);
   void attach(std::string_view name, std::string_view help, LabelSet labels,
               const Histogram& h);
-
-  /// Number of registered series.
-  std::size_t size() const;
 
   /// Reads every series.  Sorted by (name, labels) so output is
   /// deterministic regardless of registration order.

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/expect.h"
-#include "common/string_util.h"
 
 namespace dufp::workloads {
 namespace {
@@ -19,76 +16,6 @@ bool within(double a, double b, double tol) {
 }
 
 }  // namespace
-
-std::vector<TraceSample> parse_trace_csv(std::istream& in) {
-  std::vector<TraceSample> out;
-  std::string line;
-  std::size_t line_no = 0;
-
-  // Header: locate the required columns by name.
-  int col_seconds = -1;
-  int col_gflops = -1;
-  int col_gbps = -1;
-  int col_cpu = -1;
-  int col_mem = -1;
-  if (!std::getline(in, line)) {
-    throw std::runtime_error("trace: empty input");
-  }
-  ++line_no;
-  {
-    const auto cols = split(line, ',');
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-      const auto name = to_lower(trim(cols[i]));
-      const int idx = static_cast<int>(i);
-      if (name == "seconds") col_seconds = idx;
-      if (name == "gflops") col_gflops = idx;
-      if (name == "gbps") col_gbps = idx;
-      if (name == "cpu_activity") col_cpu = idx;
-      if (name == "mem_activity") col_mem = idx;
-    }
-  }
-  if (col_seconds < 0 || col_gflops < 0 || col_gbps < 0) {
-    throw std::runtime_error(
-        "trace: header must contain seconds,gflops,gbps");
-  }
-
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (trim(line).empty()) continue;
-    const auto cols = split(line, ',');
-    auto field = [&](int idx, double def, const char* what) {
-      if (idx < 0) return def;
-      if (idx >= static_cast<int>(cols.size())) {
-        throw std::runtime_error("trace line " + std::to_string(line_no) +
-                                 ": missing column " + what);
-      }
-      double v = 0.0;
-      if (!parse_double(cols[static_cast<std::size_t>(idx)], v)) {
-        throw std::runtime_error("trace line " + std::to_string(line_no) +
-                                 ": bad number in column " + what);
-      }
-      return v;
-    };
-    TraceSample s;
-    s.seconds = field(col_seconds, 0.0, "seconds");
-    s.gflops = field(col_gflops, 0.0, "gflops");
-    s.gbps = field(col_gbps, 0.0, "gbps");
-    s.cpu_activity = field(col_cpu, 0.9, "cpu_activity");
-    s.mem_activity = field(col_mem, 0.8, "mem_activity");
-    if (s.seconds <= 0.0) {
-      throw std::runtime_error("trace line " + std::to_string(line_no) +
-                               ": seconds must be positive");
-    }
-    out.push_back(s);
-  }
-  return out;
-}
-
-std::vector<TraceSample> load_trace_csv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("trace: cannot open " + path);
-  return parse_trace_csv(in);
-}
 
 WorkloadProfile profile_from_trace(const std::vector<TraceSample>& trace,
                                    const ReplayOptions& options,

@@ -1,19 +1,12 @@
 // Trace replay: build a WorkloadProfile from a measured time series.
 //
 // A user profiling a real application (e.g. with PAPI at DUF's own 200 ms
-// cadence) gets a CSV of per-interval FLOPS and bandwidth.  This module
+// cadence) gets a series of per-interval FLOPS and bandwidth.  This module
 // turns such a trace into a phase-graph model by segmenting the series
 // wherever the observable behaviour shifts, so controller studies can run
 // against measured applications, not just the ten built-in profiles.
-//
-// CSV format (header required, extra columns ignored):
-//   seconds,gflops,gbps[,cpu_activity][,mem_activity]
-// Each row describes one homogeneous slice of execution: `seconds` of
-// wall time at `gflops` FLOP rate and `gbps` DRAM traffic (per socket,
-// at the machine's reference operating point).
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -21,7 +14,9 @@
 
 namespace dufp::workloads {
 
-/// One trace row.
+/// One trace row: one homogeneous slice of execution, `seconds` of wall
+/// time at `gflops` FLOP rate and `gbps` DRAM traffic (per socket, at the
+/// machine's reference operating point).
 struct TraceSample {
   double seconds = 0.0;
   double gflops = 0.0;
@@ -43,11 +38,6 @@ struct ReplayOptions {
   /// Fixed (actuator-invariant) fraction assumed for every phase.
   double w_fixed = 0.08;
 };
-
-/// Parses the CSV format above; throws std::runtime_error with a line
-/// number on malformed input.
-std::vector<TraceSample> parse_trace_csv(std::istream& in);
-std::vector<TraceSample> load_trace_csv(const std::string& path);
 
 /// Segments the samples into phases and builds a runnable profile.
 /// Throws std::invalid_argument on an empty trace.

@@ -122,14 +122,4 @@ void WorkloadInstance::restore_progress(double consumed_in_current,
   consumed_total_ = consumed_total;
 }
 
-double WorkloadInstance::total_nominal_seconds() const {
-  double total = 0.0;
-  for (double d : durations_) total += d;
-  return total;
-}
-
-double WorkloadInstance::consumed_nominal_seconds() const {
-  return std::min(consumed_total_, total_nominal_seconds());
-}
-
 }  // namespace dufp::workloads

@@ -142,10 +142,6 @@ class WorkloadInstance {
   std::size_t position() const { return position_; }
   std::size_t total_steps() const { return durations_.size(); }
 
-  /// Jittered total duration (what a perfectly unthrottled run takes).
-  double total_nominal_seconds() const;
-  double consumed_nominal_seconds() const;
-
  private:
   const WorkloadProfile& profile_;
   std::vector<double> durations_;  ///< jittered, index-aligned with sequence

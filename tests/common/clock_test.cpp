@@ -38,10 +38,6 @@ TEST(SimTimeTest, ArithmeticAndOrdering) {
   EXPECT_EQ(c.micros(), 13'000);
 }
 
-TEST(SimTimeTest, ToStringFormatsSeconds) {
-  EXPECT_EQ(SimTime::from_seconds(1.25).to_string(), "1.250s");
-}
-
 TEST(SimClockTest, AdvancesMonotonically) {
   SimClock clock;
   EXPECT_EQ(clock.now(), SimTime::zero());

@@ -31,7 +31,6 @@ TEST(ConfigTest, MissingKeyReturnsDefault) {
   EXPECT_EQ(cfg.get_string("nope", "def"), "def");
   EXPECT_DOUBLE_EQ(cfg.get_double("nope", 1.5), 1.5);
   EXPECT_EQ(cfg.get_int("nope", 7), 7);
-  EXPECT_TRUE(cfg.get_bool("nope", true));
   EXPECT_FALSE(cfg.get("nope").has_value());
 }
 
@@ -54,32 +53,11 @@ TEST(ConfigTest, BadNumberThrowsNotDefaults) {
   EXPECT_THROW(cfg.get_int("x", 0), std::runtime_error);
 }
 
-TEST(ConfigTest, BoolParsing) {
-  const auto cfg = Config::parse(
-      "t1=1\nt2=true\nt3=YES\nt4=on\nf1=0\nf2=false\nf3=No\nf4=off\n");
-  for (const char* k : {"t1", "t2", "t3", "t4"}) {
-    EXPECT_TRUE(cfg.get_bool(k, false)) << k;
-  }
-  for (const char* k : {"f1", "f2", "f3", "f4"}) {
-    EXPECT_FALSE(cfg.get_bool(k, true)) << k;
-  }
-}
-
-TEST(ConfigTest, BadBoolThrows) {
-  const auto cfg = Config::parse("x = maybe\n");
-  EXPECT_THROW(cfg.get_bool("x", false), std::runtime_error);
-}
-
 TEST(ConfigTest, SetOverrides) {
   Config cfg;
   cfg.set("k", "1");
   cfg.set("K", "2");
   EXPECT_EQ(cfg.get_string("k", ""), "2");
-}
-
-TEST(ConfigTest, KeysSorted) {
-  const auto cfg = Config::parse("b=1\na=2\nc=3\n");
-  EXPECT_EQ(cfg.keys(), (std::vector<std::string>{"a", "b", "c"}));
 }
 
 TEST(ConfigTest, ValueWithEqualsSign) {

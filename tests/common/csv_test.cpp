@@ -35,13 +35,6 @@ TEST(CsvWriterTest, WritesRowsToStream) {
   EXPECT_EQ(w.rows_written(), 2u);
 }
 
-TEST(CsvWriterTest, NumericRowHelper) {
-  std::ostringstream oss;
-  CsvWriter w(oss);
-  w.write_row("CG", {1.5, 2.25}, 2);
-  EXPECT_EQ(oss.str(), "CG,1.50,2.25\n");
-}
-
 TEST(CsvWriterTest, FileTargetWorks) {
   const std::string path = testing::TempDir() + "/dufp_csv_test.csv";
   {

@@ -26,7 +26,9 @@ TEST(TextTableTest, NumericRowHelper) {
   TextTable t({"app", "x", "y"});
   t.add_row("CG", {1.234, 5.678}, 1);
   EXPECT_EQ(t.row_count(), 1u);
-  const std::string s = t.to_string();
+  std::ostringstream oss;
+  t.print(oss);
+  const std::string s = oss.str();
   EXPECT_NE(s.find("CG"), std::string::npos);
   EXPECT_NE(s.find("1.2"), std::string::npos);
   EXPECT_NE(s.find("5.7"), std::string::npos);
@@ -62,7 +64,9 @@ TEST(TextTableTest, ColumnsAligned) {
 TEST(TextTableTest, SeparatorsPresent) {
   TextTable t({"h"});
   t.add_row({"v"});
-  const std::string s = t.to_string();
+  std::ostringstream oss;
+  t.print(oss);
+  const std::string s = oss.str();
   EXPECT_EQ(s.find("+"), 0u);
   EXPECT_NE(s.find("| h"), std::string::npos);
   EXPECT_NE(s.find("| v"), std::string::npos);

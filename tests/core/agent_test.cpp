@@ -33,7 +33,7 @@ class AgentTest : public ::testing::Test {
       : socket_(cfg_, 0),
         dev_(cfg_.cores),
         engine_(socket_, dev_),
-        zone_(dev_, 0),
+        zone_(dev_),
         uncore_(dev_) {}
 
   Agent make_agent(const std::string& policy_name, double tolerance) {
@@ -200,7 +200,7 @@ class AgentWatchdogTest : public ::testing::Test {
         engine_(socket_, dev_),
         plan_(write_outage(), Rng(17)),
         fdev_(dev_, plan_),
-        zone_(fdev_, 0),
+        zone_(fdev_),
         uncore_(fdev_),
         source_(socket_, fdev_),
         default_uncore_min_(uncore_.window_min_mhz()),
@@ -333,7 +333,7 @@ TEST_F(AgentWatchdogTest, TransientWriteErrorsAreRetriedAndAbsorbed) {
   o.write_eio = {0.5, 1};  // every write flips a deterministic coin
   faults::FaultPlan flaky_plan(o, Rng(23));
   faults::FaultyMsrDevice flaky(dev_, flaky_plan);
-  powercap::PackageZone zone(flaky, 0);
+  powercap::PackageZone zone(flaky);
   powercap::UncoreControl uncore(flaky);
   PolicyConfig policy;
   policy.tolerated_slowdown = 0.10;

@@ -23,8 +23,8 @@ struct Rig {
         &workloads::profile(workloads::AppId::mg)};
     simulation = std::make_unique<sim::Simulation>(machine, apps, opts);
     for (int i = 0; i < 2; ++i) {
-      zones.push_back(std::make_unique<powercap::PackageZone>(
-          simulation->msr(i), i));
+      zones.push_back(
+          std::make_unique<powercap::PackageZone>(simulation->msr(i)));
     }
     BalancerConfig cfg;
     cfg.machine_budget_w = budget_w;
@@ -36,7 +36,7 @@ struct Rig {
         machine.socket.core_max_mhz, machine.socket.core_base_mhz);
     simulation->schedule_periodic(
         SimTime::from_millis(200),
-        [this](SimTime now) { balancer->on_interval(now); });
+        [this](SimTime) { balancer->on_interval(); });
   }
 
   std::unique_ptr<sim::Simulation> simulation;
@@ -91,7 +91,7 @@ TEST(BudgetBalancerTest, InvalidConfigRejected) {
   machine.sockets = 1;
   sim::SimulationOptions opts;
   sim::Simulation s(machine, workloads::profile(workloads::AppId::cg), opts);
-  powercap::PackageZone zone(s.msr(0), 0);
+  powercap::PackageZone zone(s.msr(0));
   BalancerConfig cfg;
   cfg.machine_budget_w = 30.0;  // below one socket's floor
   EXPECT_THROW(

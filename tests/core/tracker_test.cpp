@@ -157,15 +157,6 @@ TEST_F(PhaseTrackerTest, GarbageFirstSampleDoesNotSeedAPhase) {
   EXPECT_DOUBLE_EQ(first.flops_drop, 0.0);
 }
 
-TEST_F(PhaseTrackerTest, RestartPhaseForcesFreshMaxima) {
-  tracker_.update(sample(50, 25));
-  tracker_.restart_phase();
-  const auto u = tracker_.update(sample(10, 25));
-  EXPECT_FALSE(u.phase_change);  // first sample of the new phase
-  EXPECT_DOUBLE_EQ(u.flops_drop, 0.0);
-  EXPECT_DOUBLE_EQ(tracker_.max_flops(), 10e9);
-}
-
 TEST_F(PhaseTrackerTest, InvalidThresholdOrderingRejected) {
   PolicyConfig bad;
   bad.oi_highly_memory = 2.0;  // above the class boundary

@@ -92,7 +92,6 @@ TEST(FaultPlanTest, StormPresetIsValidAndHot) {
   const auto opts = FaultOptions::storm(0.05, 11);
   EXPECT_TRUE(opts.validate().empty());
   EXPECT_TRUE(opts.enabled);
-  EXPECT_TRUE(opts.any_fault());
   EXPECT_TRUE(opts.force_energy_wrap);
   EXPECT_DOUBLE_EQ(opts.read_eio.rate, 0.05);
   EXPECT_GT(opts.write_eperm.burst, 1);
@@ -128,7 +127,6 @@ TEST(FaultPlanTest, ConstructorRejectsInvalidOptions) {
 TEST(FaultPlanTest, DefaultOptionsAreQuiet) {
   const FaultOptions opts;
   EXPECT_FALSE(opts.enabled);
-  EXPECT_FALSE(opts.any_fault());
   EXPECT_TRUE(opts.validate().empty());
 }
 

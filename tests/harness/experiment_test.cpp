@@ -61,7 +61,8 @@ TEST(ExperimentTest, EvaluateAppEndToEndSmallGrid) {
   // the full grid machinery (the figure benches run the real thing).
   setenv("DUFP_SOCKETS", "1", 1);
   setenv("DUFP_QUIET", "1", 1);
-  const auto eval = evaluate_app(workloads::AppId::ep, {"DUF"}, {0.10}, 2, 3);
+  const auto eval =
+      evaluate_apps({workloads::AppId::ep}, {"DUF"}, {0.10}, 2, 3).front();
   unsetenv("DUFP_SOCKETS");
   unsetenv("DUFP_QUIET");
 

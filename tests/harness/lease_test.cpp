@@ -133,22 +133,6 @@ TEST(LeaseTest, PoisonedChunksAreRefusedAndReported) {
   EXPECT_EQ(a.poisoned_seen()[0], 2);
 }
 
-TEST(LeaseTest, ReleaseAllDropsOwnLeasesOnly) {
-  const std::string dir = temp_dir();
-  FileChunkClaimer a(dir, {"a", 1.0});
-  FileChunkClaimer b(dir, {"b", 1.0});
-  ASSERT_TRUE(a.try_claim(0));
-  ASSERT_TRUE(a.try_claim(1));
-  ASSERT_TRUE(b.try_claim(2));
-  a.release_all();
-  EXPECT_FALSE(fs::exists(FileChunkClaimer::claim_path(dir, 0)));
-  EXPECT_FALSE(fs::exists(FileChunkClaimer::claim_path(dir, 1)));
-  EXPECT_TRUE(fs::exists(FileChunkClaimer::claim_path(dir, 2)))
-      << "release_all must not touch another owner's lease";
-  FileChunkClaimer c(dir, {"c", 1.0});
-  EXPECT_TRUE(c.try_claim(0));  // released chunks are claimable again
-}
-
 TEST(LeaseTest, DefaultOwnerDerivesFromPid) {
   const std::string dir = temp_dir();
   FileChunkClaimer a(dir);  // PR-5 call shape still compiles and works

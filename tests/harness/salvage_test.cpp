@@ -237,6 +237,15 @@ TEST(SalvageGatherTest, JobFilterValidatesItsIndices) {
   EXPECT_THROW(run_shard(spec, opts, sink), std::invalid_argument);
   opts.job_filter = &out_of_range;
   EXPECT_THROW(run_shard(spec, opts, sink), std::invalid_argument);
+  // The static shard index is checked the same way: shard == shards and
+  // shards == 0 name no worker.
+  opts.job_filter = nullptr;
+  opts.shard = 2;
+  opts.shards = 2;
+  EXPECT_THROW(run_shard(spec, opts, sink), std::invalid_argument);
+  opts.shard = 0;
+  opts.shards = 0;
+  EXPECT_THROW(run_shard(spec, opts, sink), std::invalid_argument);
 }
 
 }  // namespace

@@ -188,23 +188,6 @@ TEST(ShardSpecTest, ReferenceFingerprintIsFrozen) {
             "21edcce3c4c0b5a6");
 }
 
-TEST(ShardAssignTest, StaticRoundRobinPartitionsEveryJobExactlyOnce) {
-  std::vector<int> owner(10, -1);
-  for (int k = 0; k < 3; ++k) {
-    for (const std::size_t j : shard_jobs_static(10, 3, k)) {
-      ASSERT_LT(j, owner.size());
-      EXPECT_EQ(owner[j], -1) << "job " << j << " assigned twice";
-      owner[j] = k;
-      EXPECT_EQ(j % 3, static_cast<std::size_t>(k));  // round-robin
-    }
-  }
-  for (std::size_t j = 0; j < owner.size(); ++j) {
-    EXPECT_NE(owner[j], -1) << "job " << j << " unassigned";
-  }
-  EXPECT_THROW(shard_jobs_static(10, 3, 3), std::invalid_argument);
-  EXPECT_THROW(shard_jobs_static(10, 0, 0), std::invalid_argument);
-}
-
 TEST(ShardAssignTest, FileChunkClaimerClaimsEachChunkOnce) {
   const std::string dir = temp_path("claims");
   std::filesystem::remove_all(dir);  // stale claims break reruns

@@ -53,9 +53,7 @@ TEST(MachineModelTest, TotalsSumOverSockets) {
     m.socket(i).accumulate(m.socket(i).evaluate(), 1.0);
   }
   const double per_socket = m.socket(0).evaluate().pkg_power_w;
-  EXPECT_NEAR(m.total_pkg_power_w(), 2.0 * per_socket, 1e-9);
   EXPECT_NEAR(m.total_pkg_energy_j(), 2.0 * per_socket, 1e-9);
-  EXPECT_GT(m.total_dram_power_w(), 0.0);
   EXPECT_NEAR(m.total_dram_energy_j(),
               2.0 * m.socket(0).evaluate().dram_power_w, 1e-9);
 }

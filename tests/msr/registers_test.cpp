@@ -127,20 +127,6 @@ TEST(PowerInfoTest, RoundTrip) {
   EXPECT_DOUBLE_EQ(back.max_power_w, 250.0);
 }
 
-TEST(EnergyCounterTest, SimpleDelta) {
-  const RaplUnits u;
-  EXPECT_DOUBLE_EQ(energy_counter_delta(0, 16384, u), 1.0);  // 2^14 units
-}
-
-TEST(EnergyCounterTest, WrapsAt32Bits) {
-  const RaplUnits u;
-  const std::uint32_t before = 0xFFFFFF00u;
-  const std::uint32_t after = 0x00000100u;
-  // 0x200 units across the wrap.
-  EXPECT_DOUBLE_EQ(energy_counter_delta(before, after, u),
-                   512.0 / 16384.0);
-}
-
 TEST(EnergyCounterTest, JoulesToUnits) {
   const RaplUnits u;
   EXPECT_EQ(joules_to_energy_units(1.0, u), 16384ull);

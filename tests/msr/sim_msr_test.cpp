@@ -105,13 +105,6 @@ TEST(SimulatedMsrTest, AccessCounters) {
   EXPECT_EQ(dev.write_count(), 1ull);
 }
 
-TEST(SimulatedMsrTest, IsDefined) {
-  SimulatedMsr dev(4);
-  dev.define_register(0x10, 0);
-  EXPECT_TRUE(dev.is_defined(0x10));
-  EXPECT_FALSE(dev.is_defined(0x11));
-}
-
 TEST(MsrErrorTest, MessageContainsRegisterHex) {
   const MsrError e(0x620, "nope");
   EXPECT_NE(std::string(e.what()).find("620"), std::string::npos);

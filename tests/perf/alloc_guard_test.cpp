@@ -106,7 +106,7 @@ TEST(AllocGuardTest, LeapAndStretchPathsAreAllocationFree) {
   ASSERT_TRUE(opts.time_leap);
   sim::Simulation s(cfg.machine, profile, opts);
   for (int i = 0; i < s.socket_count(); ++i) {
-    powercap::PackageZone zone(s.msr(i), 0);
+    powercap::PackageZone zone(s.msr(i));
     zone.set_power_limit_w(powercap::ConstraintId::long_term, 85.0);
     zone.set_power_limit_w(powercap::ConstraintId::short_term, 85.0);
   }

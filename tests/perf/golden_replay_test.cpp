@@ -3,56 +3,15 @@
 // inline and as a pooled job must match checked-in goldens byte for byte.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "golden_util.h"
 #include "workloads/trace_replay.h"
 
 namespace dufp::perf_test {
 namespace {
 
-// A measured-style trace: 30 rows of 0.2 s, cycling through six distinct
-// behaviours (compute-bound, bandwidth-bound, and mixes).  Consecutive
-// rows always differ by more than the 10% merge tolerance, so every row
-// becomes its own phase segment — the densest phase stream the replay
-// module can produce.
-constexpr const char* kDenseTraceCsv =
-    "seconds,gflops,gbps,cpu_activity,mem_activity\n"
-    "0.2,55.0,10.0,0.95,0.30\n"
-    "0.2,9.0,80.0,0.55,0.90\n"
-    "0.2,30.0,45.0,0.80,0.70\n"
-    "0.2,48.0,15.0,0.90,0.40\n"
-    "0.2,12.0,70.0,0.60,0.85\n"
-    "0.2,22.0,30.0,0.75,0.60\n"
-    "0.2,55.0,10.0,0.95,0.30\n"
-    "0.2,9.0,80.0,0.55,0.90\n"
-    "0.2,30.0,45.0,0.80,0.70\n"
-    "0.2,48.0,15.0,0.90,0.40\n"
-    "0.2,12.0,70.0,0.60,0.85\n"
-    "0.2,22.0,30.0,0.75,0.60\n"
-    "0.2,55.0,10.0,0.95,0.30\n"
-    "0.2,9.0,80.0,0.55,0.90\n"
-    "0.2,30.0,45.0,0.80,0.70\n"
-    "0.2,48.0,15.0,0.90,0.40\n"
-    "0.2,12.0,70.0,0.60,0.85\n"
-    "0.2,22.0,30.0,0.75,0.60\n"
-    "0.2,55.0,10.0,0.95,0.30\n"
-    "0.2,9.0,80.0,0.55,0.90\n"
-    "0.2,30.0,45.0,0.80,0.70\n"
-    "0.2,48.0,15.0,0.90,0.40\n"
-    "0.2,12.0,70.0,0.60,0.85\n"
-    "0.2,22.0,30.0,0.75,0.60\n"
-    "0.2,55.0,10.0,0.95,0.30\n"
-    "0.2,9.0,80.0,0.55,0.90\n"
-    "0.2,30.0,45.0,0.80,0.70\n"
-    "0.2,48.0,15.0,0.90,0.40\n"
-    "0.2,12.0,70.0,0.60,0.85\n"
-    "0.2,22.0,30.0,0.75,0.60\n";
-
+/// Thirty 0.2 s rows: five passes over dense_trace's six behaviours.
 workloads::WorkloadProfile replayed_profile() {
-  std::istringstream in(kDenseTraceCsv);
-  return workloads::profile_from_trace(workloads::parse_trace_csv(in), {},
-                                       "golden-replay");
+  return workloads::profile_from_trace(dense_trace(5), {}, "golden-replay");
 }
 
 /// The reference-run shape (4 sockets, DUFP at 10%, seed 7) on the

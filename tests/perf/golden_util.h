@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "harness/runner.h"
 #include "sim/trace.h"
 #include "telemetry/export.h"
+#include "workloads/trace_replay.h"
 #include "workloads/workload.h"
 
 namespace dufp::perf_test {
@@ -78,6 +80,24 @@ inline workloads::WorkloadProfile golden_profile() {
 
   w.loop(2, {"stride", "sweep", "mix"});
   return w;
+}
+
+/// A measured-style trace: `cycles` passes over six distinct 0.2 s
+/// behaviours (compute-bound, bandwidth-bound, and mixes).  Consecutive
+/// rows always differ by more than the 10% merge tolerance, so every row
+/// becomes its own phase segment — the densest phase stream the replay
+/// module can produce.
+inline std::vector<workloads::TraceSample> dense_trace(int cycles) {
+  // seconds, gflops, gbps, cpu_activity, mem_activity
+  const workloads::TraceSample kinds[] = {
+      {0.2, 55.0, 10.0, 0.95, 0.30}, {0.2, 9.0, 80.0, 0.55, 0.90},
+      {0.2, 30.0, 45.0, 0.80, 0.70}, {0.2, 48.0, 15.0, 0.90, 0.40},
+      {0.2, 12.0, 70.0, 0.60, 0.85}, {0.2, 22.0, 30.0, 0.75, 0.60}};
+  std::vector<workloads::TraceSample> trace;
+  for (int c = 0; c < cycles; ++c) {
+    trace.insert(trace.end(), std::begin(kinds), std::end(kinds));
+  }
+  return trace;
 }
 
 /// The reference run: 4 sockets, DUFP agents at the paper's interval, and

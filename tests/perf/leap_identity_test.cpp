@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <vector>
 
 #include "fleet/node_run.h"
@@ -99,23 +98,8 @@ TEST(LeapIdentityTest, TelemetryBytesIdentical) {
 // segment, the densest event stream the replay module produces — segment
 // splits land inside ticks and the leap horizon must respect each one.
 TEST(LeapIdentityTest, TraceReplayBytesIdentical) {
-  constexpr const char* kTraceCsv =
-      "seconds,gflops,gbps,cpu_activity,mem_activity\n"
-      "0.2,55.0,10.0,0.95,0.30\n"
-      "0.2,9.0,80.0,0.55,0.90\n"
-      "0.2,30.0,45.0,0.80,0.70\n"
-      "0.2,48.0,15.0,0.90,0.40\n"
-      "0.2,12.0,70.0,0.60,0.85\n"
-      "0.2,22.0,30.0,0.75,0.60\n"
-      "0.2,55.0,10.0,0.95,0.30\n"
-      "0.2,9.0,80.0,0.55,0.90\n"
-      "0.2,30.0,45.0,0.80,0.70\n"
-      "0.2,48.0,15.0,0.90,0.40\n"
-      "0.2,12.0,70.0,0.60,0.85\n"
-      "0.2,22.0,30.0,0.75,0.60\n";
-  std::istringstream in(kTraceCsv);
-  const workloads::WorkloadProfile profile = workloads::profile_from_trace(
-      workloads::parse_trace_csv(in), {}, "leap-replay");
+  const workloads::WorkloadProfile profile =
+      workloads::profile_from_trace(dense_trace(2), {}, "leap-replay");
   harness::RunConfig cfg;
   cfg.profile = &profile;
   cfg.machine.sockets = 4;

@@ -64,7 +64,7 @@ std::string run_storm_stream(const harness::RunConfig& base) {
     fdevs.push_back(std::make_unique<faults::FaultyMsrDevice>(
         s.msr(i), *plans.back()));
     zones.push_back(
-        std::make_unique<powercap::PackageZone>(*fdevs.back(), i));
+        std::make_unique<powercap::PackageZone>(*fdevs.back()));
   }
 
   s.add_phase_listener([&](int socket, std::size_t phase_idx, bool entered) {

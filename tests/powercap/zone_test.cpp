@@ -19,31 +19,14 @@ class ZoneTest : public ::testing::Test {
       : socket_(cfg_, 0),
         dev_(cfg_.cores),
         engine_(socket_, dev_),
-        pkg_(dev_, 0),
-        dram_(dev_, 0) {}
+        pkg_(dev_) {}
 
   hw::SocketConfig cfg_;
   hw::SocketModel socket_;
   msr::SimulatedMsr dev_;
   rapl::RaplEngine engine_;
   PackageZone pkg_;
-  DramZone dram_;
 };
-
-TEST_F(ZoneTest, NamesFollowIntelRaplConvention) {
-  EXPECT_EQ(pkg_.name(), "intel-rapl:0");
-  EXPECT_EQ(dram_.name(), "intel-rapl:0:0");
-  EXPECT_EQ(PackageZone(dev_, 2).name(), "intel-rapl:2");
-}
-
-TEST_F(ZoneTest, ConstraintNames) {
-  EXPECT_EQ(pkg_.num_constraints(), 2);
-  EXPECT_EQ(pkg_.constraint_name(0), "long_term");
-  EXPECT_EQ(pkg_.constraint_name(1), "short_term");
-  EXPECT_EQ(dram_.num_constraints(), 1);
-  EXPECT_EQ(dram_.constraint_name(0), "long_term");
-  EXPECT_THROW(pkg_.constraint_name(2), std::invalid_argument);
-}
 
 TEST_F(ZoneTest, DefaultLimitsMatchTableI) {
   EXPECT_DOUBLE_EQ(pkg_.power_limit_w(ConstraintId::long_term), 125.0);
@@ -82,70 +65,16 @@ TEST_F(ZoneTest, TimeWindows) {
   EXPECT_NEAR(pkg_.time_window_s(ConstraintId::long_term), 0.5, 0.1);
 }
 
-TEST_F(ZoneTest, EnergyCounterReflectsConsumption) {
-  hw::PhaseDemand d;
-  d.w_cpu = 0.8;
-  d.w_mem = 0.1;
-  d.w_fixed = 0.1;
-  d.cpu_activity = 1.0;
-  d.mem_activity = 0.5;
-  d.flops_rate_ref = 10e9;
-  d.bytes_rate_ref = 20e9;
-  socket_.set_demand(d);
-  const auto e0 = pkg_.energy_uj();
-  socket_.accumulate(socket_.evaluate(), 1.0);
-  const auto e1 = pkg_.energy_uj();
-  EXPECT_NEAR(uj_to_joules(e1 - e0), socket_.pkg_energy_j(), 0.01);
-
-  const auto d0 = dram_.energy_uj();
-  socket_.accumulate(socket_.evaluate(), 1.0);
-  EXPECT_GT(dram_.energy_uj(), d0);
-}
-
-TEST_F(ZoneTest, MaxEnergyRangeIs32BitTimesUnit) {
-  // 2^32 * (1/2^14) J = 262144 J = 2.62144e11 uJ.
-  EXPECT_EQ(pkg_.max_energy_range_uj(), 262'144'000'000ull);
-  EXPECT_EQ(dram_.max_energy_range_uj(), pkg_.max_energy_range_uj());
-}
-
-TEST_F(ZoneTest, EnableFlags) {
-  EXPECT_TRUE(pkg_.enabled());
-  pkg_.set_enabled(false);
-  EXPECT_FALSE(pkg_.enabled());
-  pkg_.set_enabled(true);
-  EXPECT_TRUE(pkg_.enabled());
-}
-
 TEST_F(ZoneTest, TdpReported) { EXPECT_DOUBLE_EQ(pkg_.tdp_w(), 125.0); }
-
-TEST_F(ZoneTest, DramZoneIsInert) {
-  EXPECT_FALSE(dram_.enabled());
-  dram_.set_enabled(true);  // no-op by design
-  EXPECT_FALSE(dram_.enabled());
-  dram_.set_power_limit_w(ConstraintId::long_term, 12.0);
-  EXPECT_DOUBLE_EQ(dram_.power_limit_w(ConstraintId::long_term), 12.0);
-  dram_.set_time_window_us(0, 1'000'000);
-  EXPECT_NEAR(static_cast<double>(dram_.time_window_us(0)), 1e6, 2e5);
-}
 
 TEST_F(ZoneTest, InvalidConstraintIndexThrows) {
   EXPECT_THROW(pkg_.power_limit_uw(2), std::invalid_argument);
-  EXPECT_THROW(dram_.power_limit_uw(1), std::invalid_argument);
   EXPECT_THROW(pkg_.set_power_limit_uw(5, 1), std::invalid_argument);
 }
 
 TEST_F(ZoneTest, NonPositiveWattLimitRejected) {
   EXPECT_THROW(pkg_.set_power_limit_w(ConstraintId::long_term, 0.0),
                std::invalid_argument);
-}
-
-TEST_F(ZoneTest, EnergyDeltaHandlesSingleWrap) {
-  const std::uint64_t range = pkg_.max_energy_range_uj();
-  EXPECT_EQ(pkg_.energy_delta_uj(100, 400), 300u);
-  // 500 uJ before the wrap point to 700 uJ after it: 1200 uJ elapsed.
-  EXPECT_EQ(pkg_.energy_delta_uj(range - 500, 700), 1200u);
-  // Naive subtraction would have produced a ~2.6e11 uJ monster here.
-  EXPECT_LT(pkg_.energy_delta_uj(range - 1, 0), range);
 }
 
 TEST_F(ZoneTest, LockedPowerLimitRegisterRejectsWrites) {

@@ -162,7 +162,7 @@ TEST(SimulationTest, StaticCapExtendsExecutionAndCutsPower) {
   const auto b = base.run();
 
   Simulation capped(one_socket(), prof, fast_options());
-  powercap::PackageZone zone(capped.msr(0), 0);
+  powercap::PackageZone zone(capped.msr(0));
   zone.set_power_limit_w(powercap::ConstraintId::long_term, 80.0);
   zone.set_power_limit_w(powercap::ConstraintId::short_term, 80.0);
   const auto c = capped.run();

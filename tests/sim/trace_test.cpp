@@ -38,24 +38,6 @@ TEST(VectorTraceSinkTest, DecimatesKeepingEveryNth) {
   EXPECT_EQ(sink.entries()[1].sockets[0].pkg_power_w, 4.0f);
 }
 
-TEST(VectorTraceSinkTest, SeriesExtractsField) {
-  VectorTraceSink sink(1);
-  for (int i = 0; i < 5; ++i) {
-    sink.on_tick(SimTime::from_millis(i), one_socket_record(float(i * 10)));
-  }
-  const auto series = sink.series(
-      0, [](const TickRecord& r) { return double(r.pkg_power_w); });
-  EXPECT_EQ(series, (std::vector<double>{0, 10, 20, 30, 40}));
-}
-
-TEST(VectorTraceSinkTest, SeriesChecksSocketIndex) {
-  VectorTraceSink sink(1);
-  sink.on_tick(SimTime::zero(), one_socket_record(1.0f));
-  EXPECT_THROW(
-      sink.series(1, [](const TickRecord& r) { return double(r.speed); }),
-      std::invalid_argument);
-}
-
 TEST(VectorTraceSinkTest, InvalidDecimationRejected) {
   EXPECT_THROW(VectorTraceSink(0), std::invalid_argument);
 }

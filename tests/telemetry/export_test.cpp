@@ -22,9 +22,9 @@ namespace {
 /// one fail-open dump.
 TelemetrySnapshot golden_snapshot() {
   MetricsRegistry reg;
-  Counter c = reg.counter("dufp_agent_intervals_total",
-                          "Control intervals executed.",
-                          {{"socket", "0"}, {"mode", "DUFP"}});
+  Counter c;
+  reg.attach("dufp_agent_intervals_total", "Control intervals executed.",
+             {{"socket", "0"}, {"mode", "DUFP"}}, c);
   c.inc(42);
   Gauge g = reg.gauge("dufp_run_pkg_power_watts",
                       "Average package power over the run.");
@@ -150,34 +150,17 @@ TEST(ExportTest, PrometheusLabelEscaping) {
   EXPECT_EQ(prometheus_escape_label("a\nb"), "a\\nb");
 }
 
-TEST(ExportTest, PrometheusNameGrammar) {
-  EXPECT_TRUE(valid_prometheus_name("dufp_agent_intervals_total"));
-  EXPECT_TRUE(valid_prometheus_name("a:b_c9"));
-  EXPECT_FALSE(valid_prometheus_name(""));
-  EXPECT_FALSE(valid_prometheus_name("9leading"));
-  EXPECT_FALSE(valid_prometheus_name("has-dash"));
-  EXPECT_FALSE(valid_prometheus_name("has space"));
-}
-
 TEST(ExportTest, SanitizeProducesValidNames) {
   EXPECT_EQ(sanitize_prometheus_name("dufp_ok"), "dufp_ok");
   EXPECT_EQ(sanitize_prometheus_name("has-dash"), "has_dash");
   EXPECT_EQ(sanitize_prometheus_name("9lead"), "_9lead");
-  EXPECT_TRUE(valid_prometheus_name(sanitize_prometheus_name("x y-z.9")));
-}
-
-TEST(ExportTest, JsonEscape) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
-  EXPECT_EQ(json_escape(std::string("a\x01") + "b"), "a\\u0001b");
+  EXPECT_EQ(sanitize_prometheus_name("x y-z.9"), "x_y_z_9");
 }
 
 TEST(ExportTest, EveryMetricNameInGoldenSetIsValid) {
   for (const auto& m : golden_snapshot().metrics) {
-    EXPECT_TRUE(valid_prometheus_name(sanitize_prometheus_name(m.name)))
-        << m.name;
+    // Already in the metric-name grammar: sanitizing changes nothing.
+    EXPECT_EQ(sanitize_prometheus_name(m.name), m.name);
   }
 }
 

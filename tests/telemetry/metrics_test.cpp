@@ -63,12 +63,12 @@ TEST(HistogramTest, NoBoundsMeansSingleInfBucket) {
 
 TEST(MetricsRegistryTest, CreateAndAttachSharesTheCell) {
   MetricsRegistry reg;
-  Counter c = reg.counter("dufp_x_total", "X events.");
-  c.inc(7);
+  Gauge g = reg.gauge("dufp_x", "X level.");
+  g.set(7.0);
   const auto samples = reg.collect();
   ASSERT_EQ(samples.size(), 1u);
-  EXPECT_EQ(samples[0].type, MetricType::counter);
-  EXPECT_EQ(samples[0].name, "dufp_x_total");
+  EXPECT_EQ(samples[0].type, MetricType::gauge);
+  EXPECT_EQ(samples[0].name, "dufp_x");
   EXPECT_DOUBLE_EQ(samples[0].value, 7.0);
 }
 
@@ -88,19 +88,21 @@ TEST(MetricsRegistryTest, AttachExistingInstrumentKeepsHistory) {
 
 TEST(MetricsRegistryTest, DuplicateSeriesThrows) {
   MetricsRegistry reg;
-  reg.counter("dufp_dup_total", "A.", {{"socket", "0"}});
-  EXPECT_THROW(reg.counter("dufp_dup_total", "A.", {{"socket", "0"}}),
+  Counter c;
+  reg.attach("dufp_dup_total", "A.", {{"socket", "0"}}, c);
+  EXPECT_THROW(reg.attach("dufp_dup_total", "A.", {{"socket", "0"}}, c),
                std::invalid_argument);
   // Same name with different labels is a distinct series.
-  EXPECT_NO_THROW(reg.counter("dufp_dup_total", "A.", {{"socket", "1"}}));
-  EXPECT_EQ(reg.size(), 2u);
+  EXPECT_NO_THROW(reg.attach("dufp_dup_total", "A.", {{"socket", "1"}}, c));
+  EXPECT_EQ(reg.collect().size(), 2u);
 }
 
 TEST(MetricsRegistryTest, CollectSortsByNameThenLabels) {
   MetricsRegistry reg;
-  reg.counter("dufp_b_total", "B.", {{"socket", "1"}});
+  Counter c;
+  reg.attach("dufp_b_total", "B.", {{"socket", "1"}}, c);
   reg.gauge("dufp_a", "A.");
-  reg.counter("dufp_b_total", "B.", {{"socket", "0"}});
+  reg.attach("dufp_b_total", "B.", {{"socket", "0"}}, c);
   const auto samples = reg.collect();
   ASSERT_EQ(samples.size(), 3u);
   EXPECT_EQ(samples[0].name, "dufp_a");

@@ -5,13 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 
-#include "core/budget_balancer.h"
 #include "faults/fault_plan.h"
 #include "harness/runner.h"
-#include "sim/simulation.h"
 #include "telemetry/telemetry.h"
 #include "workloads/profiles.h"
 
@@ -183,56 +180,6 @@ TEST(TelemetryRunTest, ConfigValidation) {
   }
   EXPECT_TRUE(prefixed);
   EXPECT_THROW(run_once(cfg), std::invalid_argument);
-}
-
-TEST(TelemetryRunTest, BudgetBalancerRegistersAndRecords) {
-  // The balancer rides the machine-level plane: interval counter,
-  // per-socket allocation gauges, balancer_realloc events.
-  hw::MachineConfig machine;
-  machine.sockets = 2;
-  sim::SimulationOptions opts;
-  opts.seed = 33;
-  std::vector<const workloads::WorkloadProfile*> apps{
-      &workloads::profile(workloads::AppId::hpl),
-      &workloads::profile(workloads::AppId::mg)};
-  sim::Simulation s(machine, apps, opts);
-  std::vector<std::unique_ptr<powercap::PackageZone>> zones;
-  for (int i = 0; i < 2; ++i) {
-    zones.push_back(std::make_unique<powercap::PackageZone>(s.msr(i), i));
-  }
-  core::BalancerConfig bal_cfg;
-  bal_cfg.machine_budget_w = 200.0;
-  core::BudgetBalancer balancer(
-      bal_cfg, {zones[0].get(), zones[1].get()}, {&s.msr(0), &s.msr(1)},
-      machine.socket.core_max_mhz, machine.socket.core_base_mhz);
-
-  telemetry::TelemetryConfig tcfg;
-  tcfg.enabled = true;
-  telemetry::Telemetry telem(tcfg, 2);
-  balancer.set_telemetry(&telem);
-  s.schedule_periodic(SimTime::from_millis(200),
-                      [&](SimTime now) { balancer.on_interval(now); });
-  for (int i = 0; i < 5'000 && s.step(); ++i) {
-  }
-  const auto snap = telem.snapshot();
-  EXPECT_EQ(metric_value(snap, "dufp_balancer_intervals_total"),
-            static_cast<double>(balancer.intervals()));
-  EXPECT_GT(balancer.intervals(), 0u);
-  double alloc_sum = 0.0;
-  for (const auto& m : snap.metrics) {
-    if (m.name == "dufp_balancer_allocation_watts") alloc_sum += m.value;
-  }
-  EXPECT_DOUBLE_EQ(alloc_sum,
-                   balancer.allocation_w()[0] + balancer.allocation_w()[1]);
-  // Both sockets' rings saw balancer_realloc events.
-  for (int i = 0; i < 2; ++i) {
-    const auto events = telem.socket(i).recorder().snapshot();
-    bool any = false;
-    for (const auto& e : events) {
-      any = any || e.kind == telemetry::EventKind::balancer_realloc;
-    }
-    EXPECT_TRUE(any) << "socket " << i;
-  }
 }
 
 TEST(TelemetryRunTest, DisabledConfigIsNeverConstructed) {

@@ -2,72 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 namespace dufp::workloads {
 namespace {
-
-std::vector<TraceSample> parse(const std::string& csv) {
-  std::istringstream in(csv);
-  return parse_trace_csv(in);
-}
-
-TEST(TraceParseTest, ParsesMinimalColumns) {
-  const auto t = parse(
-      "seconds,gflops,gbps\n"
-      "0.5,40,20\n"
-      "1.0,5,80\n");
-  ASSERT_EQ(t.size(), 2u);
-  EXPECT_DOUBLE_EQ(t[0].seconds, 0.5);
-  EXPECT_DOUBLE_EQ(t[0].gflops, 40.0);
-  EXPECT_DOUBLE_EQ(t[1].gbps, 80.0);
-  EXPECT_DOUBLE_EQ(t[0].cpu_activity, 0.9);  // default
-}
-
-TEST(TraceParseTest, OptionalActivityColumns) {
-  const auto t = parse(
-      "seconds,gflops,gbps,cpu_activity,mem_activity\n"
-      "0.5,40,20,1.0,0.3\n");
-  EXPECT_DOUBLE_EQ(t[0].cpu_activity, 1.0);
-  EXPECT_DOUBLE_EQ(t[0].mem_activity, 0.3);
-}
-
-TEST(TraceParseTest, ColumnsLocatedByNameNotPosition) {
-  const auto t = parse(
-      "gbps,seconds,gflops\n"
-      "20,0.5,40\n");
-  EXPECT_DOUBLE_EQ(t[0].gflops, 40.0);
-  EXPECT_DOUBLE_EQ(t[0].gbps, 20.0);
-}
-
-TEST(TraceParseTest, BlankLinesSkipped) {
-  const auto t = parse("seconds,gflops,gbps\n\n0.5,40,20\n\n");
-  EXPECT_EQ(t.size(), 1u);
-}
-
-TEST(TraceParseTest, MissingHeaderColumnRejected) {
-  std::istringstream in("seconds,gflops\n0.5,40\n");
-  EXPECT_THROW(parse_trace_csv(in), std::runtime_error);
-}
-
-TEST(TraceParseTest, BadNumberReportsLine) {
-  try {
-    parse("seconds,gflops,gbps\n0.5,forty,20\n");
-    FAIL();
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
-  }
-}
-
-TEST(TraceParseTest, NonPositiveDurationRejected) {
-  EXPECT_THROW(parse("seconds,gflops,gbps\n0,40,20\n"),
-               std::runtime_error);
-}
-
-TEST(TraceParseTest, MissingFileRejected) {
-  EXPECT_THROW(load_trace_csv("/nonexistent/trace.csv"),
-               std::runtime_error);
-}
 
 TEST(TraceReplayTest, EmptyTraceRejected) {
   EXPECT_THROW(profile_from_trace({}), std::invalid_argument);

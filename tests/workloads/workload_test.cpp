@@ -91,7 +91,7 @@ TEST(WorkloadInstanceTest, PartialAdvanceTracksRemaining) {
   WorkloadInstance inst(w, Rng(1), 0.0);
   inst.advance(0.25);
   EXPECT_NEAR(inst.remaining_in_phase(), 0.75, 1e-12);
-  EXPECT_NEAR(inst.consumed_nominal_seconds(), 0.25, 1e-12);
+  EXPECT_NEAR(inst.consumed_total(), 0.25, 1e-12);
 }
 
 TEST(WorkloadInstanceTest, FinishedInstanceIsIdle) {
@@ -113,7 +113,7 @@ TEST(WorkloadInstanceTest, NegativeAdvanceRejected) {
 TEST(WorkloadInstanceTest, ZeroJitterMatchesNominal) {
   const auto w = two_phase_profile();
   WorkloadInstance inst(w, Rng(1), 0.0);
-  EXPECT_DOUBLE_EQ(inst.total_nominal_seconds(),
+  EXPECT_DOUBLE_EQ(inst.remaining_nominal_seconds(),
                    w.nominal_total_seconds());
 }
 
@@ -121,9 +121,9 @@ TEST(WorkloadInstanceTest, JitterPerturbsDurations) {
   const auto w = two_phase_profile();
   WorkloadInstance a(w, Rng(1), 0.02);
   WorkloadInstance b(w, Rng(2), 0.02);
-  EXPECT_NE(a.total_nominal_seconds(), b.total_nominal_seconds());
+  EXPECT_NE(a.remaining_nominal_seconds(), b.remaining_nominal_seconds());
   // ... but only slightly.
-  EXPECT_NEAR(a.total_nominal_seconds(), w.nominal_total_seconds(),
+  EXPECT_NEAR(a.remaining_nominal_seconds(), w.nominal_total_seconds(),
               w.nominal_total_seconds() * 0.1);
 }
 
@@ -131,7 +131,8 @@ TEST(WorkloadInstanceTest, SameSeedReplaysExactly) {
   const auto w = two_phase_profile();
   WorkloadInstance a(w, Rng(7), 0.02);
   WorkloadInstance b(w, Rng(7), 0.02);
-  EXPECT_DOUBLE_EQ(a.total_nominal_seconds(), b.total_nominal_seconds());
+  EXPECT_DOUBLE_EQ(a.remaining_nominal_seconds(),
+                   b.remaining_nominal_seconds());
 }
 
 TEST(WorkloadInstanceTest, ExtremeJitterSigmaRejected) {

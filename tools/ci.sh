@@ -13,15 +13,17 @@
 #   6. the perf-ledger smoke (perfbench/run.py --smoke: pinned digests
 #      of all three workloads through both passes);
 #   7. the sim_throughput perf gate and the grid_throughput gate;
-#   8. tier-1 under UBSan, ASan and TSan.
+#   8. the symbol census (tools/symbol_census.py): no strong src/
+#      function that only tests reach, beyond its allowlist;
+#   9. tier-1 under UBSan, ASan and TSan.
 #
 #   tools/ci.sh            # everything
 #   tools/ci.sh -j8        # extra args forwarded to every ctest
 #
 # Each configuration uses its own build directory (build-ci,
-# build-ubsan, build-asan, build-tsan; the ledger builds under
-# build-ci/perfbench) so they never poison each other's caches.  Fails
-# on the first stage that fails.
+# build-census, build-ubsan, build-asan, build-tsan; the ledger builds
+# under build-ci/perfbench) so they never poison each other's caches.
+# Fails on the first stage that fails.
 #
 # The hot-path regression tests (byte-identity goldens, allocation guard)
 # carry the additional ctest label `perf`; after touching the engine,
@@ -435,6 +437,14 @@ cp "${perf_dir}/BENCH_sim_throughput.json" "${history_dir}/${sha}.json"
 cp "${perf_dir}/BENCH_grid_throughput.json" \
     "${history_dir}/${sha}.grid_throughput.json"
 echo "perf gate: archived ${history_dir}/${sha}.json and ${sha}.grid_throughput.json"
+
+echo "== symbol census =="
+# Builds the non-test targets at -O0 with one section per function,
+# links with --gc-sections, and fails on any strong src/ symbol that no
+# bench, example, CLI or the perf ledger reaches unless
+# tools/symbol_census_allowlist.txt names it with a reason, and on any
+# allowlist entry that is now reached or gone.
+"${repo_root}/tools/symbol_census.py" "${repo_root}/build-census"
 
 echo "== tier-1 under UBSan =="
 "${repo_root}/tools/run_tier1_ubsan.sh" "$@"
