@@ -131,11 +131,11 @@ int run_main() {
     sup.workers = workers;
     sup.chunk_size = 1;
     t0 = now_seconds();
-    const auto report = fleet::supervise_fleet_run(spec, sup);
+    const auto report = harness::supervise_shard_run(spec, sup);
     harness::GatherOptions gopts;
     gopts.partial = true;
     const auto gathered =
-        fleet::gather_fleet_report(spec, report.output_files, gopts);
+        harness::gather_shards_report(spec, report.output_files, gopts);
     if (!gathered.complete()) {
       std::fprintf(stderr, "fleet_scaling: %zu node(s) unrecovered under %s\n",
                    gathered.missing.size(), name.c_str());

@@ -1,17 +1,26 @@
-// dufp_shard_worker — one process of a sharded experiment-grid run.
+// dufp_shard_worker — one process of a sharded grid or fleet run.
+//
+// Every verb takes either kind of spec (only `plan` is grid-only): an
+// experiment grid (dufp-grid-spec, DESIGN.md § Sharded execution) or a
+// fleet (dufp-fleet-spec, DESIGN.md § Fleet-scale hierarchical power
+// budgeting), told apart by the "format" key of the --spec document or of
+// the --resume manifest.  A fleet job is one node simulation under the
+// hierarchical allocation plan; the wire/lease/salvage/resume/exit-code
+// contract is the same for both kinds.
 //
 // Subcommands (see tools/shard_run.sh for the orchestrated flow and
 // DESIGN.md § Sharded execution / § Failure model for the contract):
 //
-//   spec   [--reference | --spec FILE]
+//   spec   [--reference [grid|fleet] | --spec FILE]
 //          Print the canonical spec JSON (+ fingerprint to stderr).
-//          `--reference` (default) emits the built-in reference grid —
-//          the starting point for writing custom specs.
+//          `--reference` (the default; kind grid unless named) emits a
+//          built-in reference spec — the starting point for writing
+//          custom specs.
 //
 //   plan   --spec FILE
-//          Print the job table (job, cell, repetition, label, seed) the
-//          spec enumerates — identical in every process, which is what
-//          makes job indices portable shard identities.
+//          Print a grid's job table (job, cell, repetition, seed) —
+//          identical in every process, which is what makes job indices
+//          portable shard identities.
 //
 //   run    (--spec FILE | --resume MANIFEST) --out FILE
 //          [--shard K --shards N] [--threads T]
@@ -20,7 +29,7 @@
 //          Execute this worker's share of the jobs and stream the
 //          versioned JSONL to --out: a header line (wire version 2),
 //          then one {"job":J,"result":{...}} record per job, doubles as
-//          hex bit patterns.  Each record is self-contained: its
+//          hex bit patterns.  Each grid record is self-contained: its
 //          telemetry names every metric family once in its own help
 //          table, omits zero fields, and carries flight events and
 //          dumps only for job 0.  The stream goes to `FILE.partial`
@@ -40,35 +49,34 @@
 //          Merge shard JSONL files: validates headers/fingerprints
 //          (a file of another wire version exits 3), demands every job
 //          exactly once, aggregates bit-identically to a serial run,
-//          and writes PREFIX.csv (+ PREFIX.prom and job 0's
-//          PREFIX.job0.* exports when the spec has telemetry on).  With
-//          --partial it salvages every complete record from damaged
-//          files, tolerates idempotent duplicates, and — when jobs are
-//          still missing — writes a versioned retry manifest to
-//          PREFIX.retry.json and exits 6 instead of failing.
+//          and writes the outputs: for a grid PREFIX.csv (+ PREFIX.prom
+//          and job 0's PREFIX.job0.* exports when the spec has
+//          telemetry on), for a fleet PREFIX.alloc.csv (per-epoch
+//          allocation trace), PREFIX.summary.csv (fleet scorecard) and
+//          PREFIX.prom (fleet telemetry).  With --partial it salvages
+//          every complete record from damaged files, tolerates
+//          idempotent duplicates, and — when jobs are still missing —
+//          writes a versioned retry manifest to PREFIX.retry.json and
+//          exits 6 instead of failing.
 //
 //   serial --spec FILE --out PREFIX [--threads T]
-//          Run the whole grid in this process and write the same
+//          Run the whole spec in this process and write the same
 //          outputs — the byte-identical reference for `gather`.
 //
 //   supervise --spec FILE --out-dir DIR [--workers N] [--chunk-size C]
 //          [--threads T] [--lease-ttl S] [--max-restarts R]
 //          [--deadline S] [--gather PREFIX]
-//          Run the grid under the fault-tolerant ShardSupervisor:
+//          Run the spec under the fault-tolerant ShardSupervisor:
 //          dynamic-mode workers are forked, monitored, restarted with
 //          exponential backoff when they crash, and a chunk that kills
 //          its worker twice is quarantined.  With --gather, finishes
 //          with a partial gather of everything the workers produced.
 //
-//   fleet-spec / fleet-run / fleet-gather / fleet-serial / fleet-supervise
-//          The same five verbs over a *fleet* spec (src/fleet): a job is
-//          one node simulation under the hierarchical allocation plan,
-//          and the wire/lease/salvage/resume/exit-code contract is
-//          identical.  Outputs are PREFIX.alloc.csv (per-epoch
-//          allocation trace), PREFIX.summary.csv (fleet scorecard) and
-//          PREFIX.prom (fleet telemetry); an incomplete fleet-gather
-//          writes PREFIX.retry.json (a dufp-fleet-retry manifest that
-//          fleet-run --resume executes) and exits 6.
+// --threads sizes a grid worker's thread pool; fleet node runs are
+// single-threaded, so a fleet spec refuses the flag.  Flags are strict:
+// a flag the verb does not take, a flag given twice, a stray argument,
+// or a number that is not the whole token or is out of the flag's range
+// is a usage error.
 //
 // Exit codes (stable contract, used by tools/ and the supervisor):
 //   0  success
@@ -83,19 +91,23 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iostream>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/string_util.h"
 #include "fleet/shard.h"
-#include "fleet/spec.h"
 #include "harness/options.h"
 #include "harness/shard.h"
 #include "harness/supervisor.h"
@@ -103,7 +115,10 @@
 
 namespace {
 
+namespace json = dufp::json;
 using dufp::strf;
+using dufp::fleet::FleetOutputs;
+using dufp::fleet::FleetSpec;
 using dufp::harness::GatherOptions;
 using dufp::harness::GridOutputs;
 using dufp::harness::GridSpec;
@@ -129,7 +144,8 @@ struct CliError : std::runtime_error {
   std::fprintf(stderr, "dufp_shard_worker: %s\n", what.c_str());
   std::fprintf(
       stderr,
-      "usage: dufp_shard_worker spec [--reference|--spec FILE]\n"
+      "usage: dufp_shard_worker spec [--reference [grid|fleet] | --spec"
+      " FILE]\n"
       "       dufp_shard_worker plan --spec FILE\n"
       "       dufp_shard_worker run (--spec FILE | --resume MANIFEST)"
       " --out FILE\n"
@@ -145,80 +161,153 @@ struct CliError : std::runtime_error {
       "           [--chunk-size C] [--threads T] [--lease-ttl S]"
       " [--max-restarts R]\n"
       "           [--deadline S] [--gather PREFIX]\n"
-      "       dufp_shard_worker fleet-spec [--reference|--spec FILE]\n"
-      "       dufp_shard_worker fleet-run (--spec FILE | --resume MANIFEST)"
-      " --out FILE\n"
-      "           [--shard K --shards N] [--chunk-size C --claim-dir DIR]"
-      " [--owner ID]\n"
-      "           [--lease-ttl S] [--attempt A]\n"
-      "       dufp_shard_worker fleet-gather --spec FILE --out PREFIX"
-      " [--partial] FILES...\n"
-      "       dufp_shard_worker fleet-serial --spec FILE --out PREFIX\n"
-      "       dufp_shard_worker fleet-supervise --spec FILE --out-dir DIR"
-      " [--workers N]\n"
-      "           [--chunk-size C] [--lease-ttl S] [--max-restarts R]"
-      " [--deadline S]\n"
-      "           [--gather PREFIX]\n"
+      "a spec FILE is a grid or a fleet (its \"format\" key says which);"
+      " --threads is\n"
+      "for grids only (fleet node runs are single-threaded)\n"
       "exit codes: 0 ok, 1 internal, 2 usage, 3 spec mismatch, 4 job"
       " failure,\n"
       "            5 I/O failure, 6 incomplete (retry manifest written)\n");
   std::exit(kExitUsage);
 }
 
+/// What a flag takes after its name.
+enum class Takes { value, nothing, optional_value };
+
+struct Flag {
+  const char* name;
+  Takes takes = Takes::value;
+};
+
 struct Args {
   std::map<std::string, std::string> options;
   std::vector<std::string> positional;
+
+  bool has(const std::string& key) const { return options.count(key) != 0; }
+
+  const std::string& require(const std::string& key) const {
+    const auto it = options.find(key);
+    if (it == options.end()) usage_error("--" + key + " is required");
+    return it->second;
+  }
 };
 
-Args parse_args(int argc, char** argv, int first) {
+struct Verb {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<Flag> flags;
+  bool takes_files = false;  ///< positional FILES... (gather only)
+};
+
+/// Parses argv[2..] against `verb`'s flags; anything else is a usage
+/// error naming it.
+Args parse_args(const Verb& verb, int argc, char** argv) {
   Args args;
-  for (int i = first; i < argc; ++i) {
+  const auto is_flag = [](const std::string& s) {
+    return s.rfind("--", 0) == 0;
+  };
+  for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      const std::string key = arg.substr(2);
-      if (key == "reference" || key == "partial") {
-        args.options.emplace(key, "1");
-        continue;
+    if (!is_flag(arg)) {
+      if (!verb.takes_files) {
+        usage_error(std::string(verb.name) + " takes no argument '" + arg +
+                    "'");
       }
-      if (i + 1 >= argc) usage_error("missing value for --" + key);
-      args.options[key] = argv[++i];
-    } else {
       args.positional.push_back(arg);
+      continue;
+    }
+    const std::string key = arg.substr(2);
+    const auto flag = std::find_if(
+        verb.flags.begin(), verb.flags.end(),
+        [&key](const Flag& f) { return key == f.name; });
+    if (flag == verb.flags.end()) {
+      usage_error(std::string(verb.name) + " does not take --" + key);
+    }
+    std::string value;
+    if (flag->takes != Takes::nothing && i + 1 < argc &&
+        !is_flag(argv[i + 1])) {
+      value = argv[++i];
+    } else if (flag->takes == Takes::value) {
+      usage_error("missing value for --" + key);
+    }
+    if (!args.options.emplace(key, value).second) {
+      usage_error("--" + key + " given twice");
     }
   }
   return args;
 }
 
-int get_int(const Args& args, const std::string& key, int fallback) {
+/// The integer value of --key (`fallback` when absent): the whole token
+/// must be an integer >= `min`.
+int get_int(const Args& args, const std::string& key, int fallback, int min) {
   const auto it = args.options.find(key);
   if (it == args.options.end()) return fallback;
-  try {
-    return std::stoi(it->second);
-  } catch (const std::exception&) {
-    usage_error("--" + key + " wants an integer, got '" + it->second + "'");
+  const std::string& text = it->second;
+  int value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() || value < min) {
+    usage_error(strf("--%s wants an integer >= %d, got '%s'", key.c_str(),
+                     min, text.c_str()));
   }
+  return value;
 }
 
+/// The number value of --key (`fallback` when absent): the whole token
+/// must be a finite number.
 double get_double(const Args& args, const std::string& key, double fallback) {
   const auto it = args.options.find(key);
   if (it == args.options.end()) return fallback;
-  double out = 0.0;
-  if (!dufp::parse_double(it->second, out)) {
-    usage_error("--" + key + " wants a number, got '" + it->second + "'");
+  const std::string& text = it->second;
+  double value = 0.0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() ||
+      !std::isfinite(value)) {
+    usage_error(strf("--%s wants a number, got '%s'", key.c_str(),
+                     text.c_str()));
   }
-  return out;
+  return value;
 }
 
-GridSpec load_spec(const Args& args) {
-  const auto it = args.options.find("spec");
-  if (it == args.options.end()) usage_error("--spec FILE is required");
-  return GridSpec::load(it->second);
+/// --threads for a grid worker's thread pool.
+int threads_flag(const GridSpec&, const Args& args) {
+  return get_int(args, "threads", 1, 1);
 }
 
-std::string require_out(const Args& args) {
-  const auto it = args.options.find("out");
-  if (it == args.options.end()) usage_error("--out is required");
-  return it->second;
+/// Fleet node runs are single-threaded: refuse --threads rather than
+/// ignore it.
+int threads_flag(const FleetSpec&, const Args& args) {
+  if (args.has("threads")) {
+    usage_error("--threads does not apply to a fleet spec (its node runs "
+                "are single-threaded)");
+  }
+  return 1;
+}
+
+json::Value read_document(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) throw std::runtime_error("cannot open " + path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return json::parse(buf.str());
+}
+
+/// Calls `fn` with the document at `path` parsed as `Fleet` when its
+/// "format" key is `fleet_format`, else as `Grid` (whose from_json
+/// rejects every format but its own).
+template <class Grid, class Fleet, class Fn>
+int with_kind(const std::string& path, const char* fleet_format, Fn fn) {
+  const json::Value doc = read_document(path);
+  if (doc.at("format").as_string() == fleet_format) {
+    return fn(Fleet::from_json(doc));
+  }
+  return fn(Grid::from_json(doc));
+}
+
+template <class Fn>
+int with_spec(const Args& args, Fn fn) {
+  return with_kind<GridSpec, FleetSpec>(
+      args.require("spec"), dufp::fleet::kFleetSpecFormat, fn);
 }
 
 /// DUFP_CHAOS / DUFP_CHAOS_SEED through the strict aggregated-validation
@@ -231,33 +320,59 @@ dufp::harness::ChaosOptions chaos_from_env() {
   return chaos;
 }
 
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream f(path, std::ios::binary);
+  if (!f.good()) throw CliError(kExitIo, "cannot write " + path);
+  f << text;
+}
+
+void write_output(const std::string& path, const std::string& text) {
+  write_file(path, text);
+  std::fprintf(stderr, "[shard_worker] wrote %s\n", path.c_str());
+}
+
+// -- what differs between the kinds ------------------------------------------
+
 void write_outputs(const GridSpec& spec, const GridOutputs& out,
                    const std::string& prefix) {
-  const std::string csv_path = prefix + ".csv";
-  {
-    std::ofstream csv(csv_path, std::ios::binary);
-    if (!csv.good()) {
-      throw CliError(kExitIo, "cannot write " + csv_path);
-    }
-    csv << out.evaluation_csv;
-  }
-  std::fprintf(stderr, "[shard_worker] wrote %s\n", csv_path.c_str());
-  if (spec.telemetry) {
-    const std::string prom_path = prefix + ".prom";
-    std::ofstream prom(prom_path, std::ios::binary);
-    if (!prom.good()) {
-      throw CliError(kExitIo, "cannot write " + prom_path);
-    }
-    prom << out.merged_prometheus;
-    std::fprintf(stderr, "[shard_worker] wrote %s\n", prom_path.c_str());
-    if (out.job0_telemetry.has_value()) {
-      for (const auto& path :
-           dufp::telemetry::export_run(*out.job0_telemetry, prefix + ".job0")) {
-        std::fprintf(stderr, "[shard_worker] wrote %s\n", path.c_str());
-      }
+  write_output(prefix + ".csv", out.evaluation_csv);
+  if (!spec.telemetry) return;
+  write_output(prefix + ".prom", out.merged_prometheus);
+  if (out.job0_telemetry.has_value()) {
+    for (const auto& path :
+         dufp::telemetry::export_run(*out.job0_telemetry, prefix + ".job0")) {
+      std::fprintf(stderr, "[shard_worker] wrote %s\n", path.c_str());
     }
   }
 }
+
+void write_outputs(const FleetSpec&, const FleetOutputs& out,
+                   const std::string& prefix) {
+  write_output(prefix + ".alloc.csv", out.allocation_csv);
+  write_output(prefix + ".summary.csv", out.summary_csv);
+  write_output(prefix + ".prom", out.prometheus);
+}
+
+GridOutputs finalize(const GridSpec& spec,
+                     std::vector<dufp::harness::RunResult> results) {
+  return dufp::harness::finalize_grid(spec, std::move(results));
+}
+
+FleetOutputs finalize(
+    const FleetSpec& spec,
+    const std::vector<dufp::fleet::FleetNodeResult>& results) {
+  return dufp::fleet::finalize_fleet(spec, results);
+}
+
+GridOutputs run_serial(const GridSpec& spec, int threads) {
+  return dufp::harness::run_grid_serial(spec, threads);
+}
+
+FleetOutputs run_serial(const FleetSpec& spec, int /*threads*/) {
+  return dufp::fleet::run_fleet_serial(spec);
+}
+
+// -- verbs -------------------------------------------------------------------
 
 /// fsync + atomic rename: the visible output file either has every
 /// record its worker produced or does not exist at all.
@@ -280,19 +395,63 @@ void publish_output(const std::string& partial_path,
   }
 }
 
-int cmd_spec(const Args& args) {
-  GridSpec spec = GridSpec::reference();
-  if (const auto it = args.options.find("spec"); it != args.options.end()) {
-    spec = GridSpec::load(it->second);
+/// Writes a complete gather's outputs under `prefix`, or an incomplete
+/// one's retry manifest to PREFIX.retry.json (exit 6).
+template <class Spec>
+int finish_gather(const Spec& spec, dufp::harness::GatherReport<Spec> report,
+                  const std::string& prefix) {
+  for (const auto& note : report.notes) {
+    std::fprintf(stderr, "[shard_worker] salvage: %s:%d: %s\n",
+                 note.file.c_str(), note.line, note.what.c_str());
   }
-  std::printf("%s\n", spec.canonical_text().c_str());
-  std::fprintf(stderr, "[shard_worker] fingerprint %016llx\n",
-               static_cast<unsigned long long>(spec.fingerprint()));
+  if (report.duplicates != 0) {
+    std::fprintf(stderr,
+                 "[shard_worker] salvage: %zu idempotent duplicate record(s) "
+                 "dropped\n",
+                 report.duplicates);
+  }
+  if (!report.complete()) {
+    const std::string manifest_path = prefix + ".retry.json";
+    write_file(manifest_path,
+               dufp::harness::make_retry_manifest(spec, report)
+                       .canonical_text() +
+                   '\n');
+    std::fprintf(stderr,
+                 "[shard_worker] incomplete: %zu of %zu jobs missing; retry "
+                 "manifest -> %s (run `dufp_shard_worker run --resume %s "
+                 "--out FILE`, then gather again with that FILE added)\n",
+                 report.missing.size(), report.job_count,
+                 manifest_path.c_str(), manifest_path.c_str());
+    return kExitIncomplete;
+  }
+  write_outputs(spec, finalize(spec, std::move(report.results)), prefix);
   return kExitOk;
 }
 
+int cmd_spec(const Args& args) {
+  const auto print = [](const auto& spec) {
+    std::printf("%s\n", spec.canonical_text().c_str());
+    std::fprintf(stderr, "[shard_worker] fingerprint %s\n",
+                 dufp::harness::fingerprint_hex(spec.fingerprint()).c_str());
+    return kExitOk;
+  };
+  if (args.has("spec")) {
+    if (args.has("reference")) {
+      usage_error("--reference and --spec are exclusive");
+    }
+    return with_spec(args, print);
+  }
+  const auto it = args.options.find("reference");
+  const std::string kind =
+      it == args.options.end() || it->second.empty() ? "grid" : it->second;
+  if (kind == "grid") return print(GridSpec::reference());
+  if (kind == "fleet") return print(FleetSpec::reference());
+  usage_error("--reference wants grid or fleet, got '" + kind + "'");
+}
+
 int cmd_plan(const Args& args) {
-  const GridSpec spec = load_spec(args);
+  const GridSpec spec =
+      GridSpec::from_json(read_document(args.require("spec")));
   const auto gp = dufp::harness::build_plan(spec);
   std::printf("job,cell,repetition,seed\n");
   for (std::size_t i = 0; i < gp.plan.job_count(); ++i) {
@@ -305,54 +464,41 @@ int cmd_plan(const Args& args) {
   return kExitOk;
 }
 
-int cmd_run(const Args& args) {
-  const bool resume = args.options.count("resume") != 0;
-  if (resume && args.options.count("spec") != 0) {
-    // Both would be ambiguous unless they agree; demand agreement.
-    const GridSpec flag_spec = load_spec(args);
-    const RetryManifest m = RetryManifest::load(args.options.at("resume"));
-    if (flag_spec.fingerprint() != m.spec.fingerprint()) {
-      throw ShardFormatError(
-          "run: --spec and --resume disagree (different fingerprints)");
-    }
-  }
-  RetryManifest manifest;
-  GridSpec spec;
-  if (resume) {
-    manifest = RetryManifest::load(args.options.at("resume"));
-    spec = manifest.spec;
-    std::fprintf(stderr, "[shard_worker] resume: %zu missing jobs\n",
-                 manifest.missing.size());
-  } else {
-    spec = load_spec(args);
-  }
-  const std::string out_path = require_out(args);
+/// Executes this worker's share of `spec` (only `filter`'s jobs when
+/// resuming) and publishes the stream to --out.
+template <class Spec>
+int run_worker(const Spec& spec, const std::vector<std::size_t>* filter,
+               const Args& args) {
+  const std::string out_path = args.require("out");
   const std::string partial_path = out_path + ".partial";
 
   dufp::harness::ShardRunOptions options;
-  options.shard = get_int(args, "shard", 0);
-  options.shards = get_int(args, "shards", 1);
-  options.threads = get_int(args, "threads", 1);
-  options.chunk_size = get_int(args, "chunk-size", 0);
+  options.shards = get_int(args, "shards", 1, 1);
+  options.shard = get_int(args, "shard", 0, 0);
+  if (options.shard >= options.shards) {
+    usage_error(strf("--shard %d must be below --shards %d", options.shard,
+                     options.shards));
+  }
+  options.threads = threads_flag(spec, args);
   options.chaos = chaos_from_env();
   options.chaos.worker = options.shard;
-  options.chaos.attempt = get_int(args, "attempt", 0);
-  if (resume) options.job_filter = &manifest.missing;
+  options.chaos.attempt = get_int(args, "attempt", 0, 0);
+  options.job_filter = filter;
 
+  dufp::harness::LeaseOptions lease;
+  if (args.has("owner")) lease.owner = args.require("owner");
+  lease.ttl_seconds = get_double(args, "lease-ttl", 30.0);
   std::unique_ptr<dufp::harness::FileChunkClaimer> claimer;
-  if (options.chunk_size > 0) {
-    const auto it = args.options.find("claim-dir");
-    if (it == args.options.end()) {
-      usage_error("--chunk-size needs --claim-dir");
-    }
-    dufp::harness::LeaseOptions lease;
-    if (const auto o = args.options.find("owner"); o != args.options.end()) {
-      lease.owner = o->second;
-    }
-    lease.ttl_seconds = get_double(args, "lease-ttl", 30.0);
-    claimer = std::make_unique<dufp::harness::FileChunkClaimer>(it->second,
-                                                                lease);
+  if (args.has("chunk-size")) {
+    options.chunk_size = get_int(args, "chunk-size", 0, 1);
+    if (!args.has("claim-dir")) usage_error("--chunk-size needs --claim-dir");
+    claimer = std::make_unique<dufp::harness::FileChunkClaimer>(
+        args.require("claim-dir"), lease);
     options.claimer = claimer.get();
+  }
+  if (filter != nullptr) {
+    std::fprintf(stderr, "[shard_worker] resume: %zu missing jobs\n",
+                 filter->size());
   }
 
   {
@@ -379,352 +525,125 @@ int cmd_run(const Args& args) {
   return kExitOk;
 }
 
+int cmd_run(const Args& args) {
+  if (!args.has("resume")) {
+    return with_spec(args, [&args](const auto& spec) {
+      return run_worker(spec, nullptr, args);
+    });
+  }
+  return with_kind<RetryManifest<GridSpec>, RetryManifest<FleetSpec>>(
+      args.require("resume"), FleetSpec::kRetryFormat,
+      [&args](const auto& manifest) {
+        if (args.has("spec")) {
+          // Both would be ambiguous unless they agree; demand agreement.
+          with_spec(args, [&manifest](const auto& flag_spec) {
+            if (flag_spec.fingerprint() != manifest.spec.fingerprint()) {
+              throw ShardFormatError(
+                  "run: --spec and --resume disagree (different "
+                  "fingerprints)");
+            }
+            return kExitOk;
+          });
+        }
+        return run_worker(manifest.spec, &manifest.missing, args);
+      });
+}
+
 int cmd_gather(const Args& args) {
-  const GridSpec spec = load_spec(args);
-  const std::string prefix = require_out(args);
-  if (args.positional.empty()) {
-    usage_error("gather needs at least one shard file");
-  }
-  GatherOptions gopts;
-  gopts.partial = args.options.count("partial") != 0;
-  auto report =
-      dufp::harness::gather_shards_report(spec, args.positional, gopts);
-  for (const auto& note : report.notes) {
-    std::fprintf(stderr, "[shard_worker] salvage: %s:%d: %s\n",
-                 note.file.c_str(), note.line, note.what.c_str());
-  }
-  if (report.duplicates != 0) {
-    std::fprintf(stderr,
-                 "[shard_worker] salvage: %zu idempotent duplicate record(s) "
-                 "dropped\n",
-                 report.duplicates);
-  }
-  if (!report.complete()) {
-    const auto manifest = dufp::harness::make_retry_manifest(spec, report);
-    const std::string manifest_path = prefix + ".retry.json";
-    std::ofstream out(manifest_path, std::ios::binary);
-    if (!out.good()) {
-      throw CliError(kExitIo, "cannot write " + manifest_path);
+  return with_spec(args, [&args](const auto& spec) {
+    const std::string& prefix = args.require("out");
+    if (args.positional.empty()) {
+      usage_error("gather needs at least one shard file");
     }
-    out << manifest.canonical_text() << '\n';
-    std::fprintf(stderr,
-                 "[shard_worker] incomplete: %zu of %zu jobs missing; retry "
-                 "manifest -> %s (run `dufp_shard_worker run --resume %s "
-                 "--out FILE`, then gather again with that FILE added)\n",
-                 report.missing.size(), report.job_count,
-                 manifest_path.c_str(), manifest_path.c_str());
-    return kExitIncomplete;
-  }
-  write_outputs(spec,
-                dufp::harness::finalize_grid(spec, std::move(report.results)),
-                prefix);
-  return kExitOk;
+    GatherOptions gopts;
+    gopts.partial = args.has("partial");
+    return finish_gather(
+        spec, dufp::harness::gather_shards_report(spec, args.positional, gopts),
+        prefix);
+  });
 }
 
 int cmd_serial(const Args& args) {
-  const GridSpec spec = load_spec(args);
-  const std::string prefix = require_out(args);
-  const int threads = get_int(args, "threads", 1);
-  write_outputs(spec, dufp::harness::run_grid_serial(spec, threads), prefix);
-  return kExitOk;
+  return with_spec(args, [&args](const auto& spec) {
+    const std::string& prefix = args.require("out");
+    write_outputs(spec, run_serial(spec, threads_flag(spec, args)), prefix);
+    return kExitOk;
+  });
 }
 
 int cmd_supervise(const Args& args) {
-  const GridSpec spec = load_spec(args);
-  const auto it = args.options.find("out-dir");
-  if (it == args.options.end()) usage_error("--out-dir DIR is required");
+  return with_spec(args, [&args](const auto& spec) {
+    dufp::harness::SupervisorOptions options;
+    options.out_dir = args.require("out-dir");
+    options.workers = get_int(args, "workers", 2, 1);
+    options.threads = threads_flag(spec, args);
+    options.chunk_size = get_int(args, "chunk-size", 1, 1);
+    options.lease_ttl_seconds = get_double(args, "lease-ttl", 30.0);
+    options.max_restarts = get_int(args, "max-restarts", 2, 0);
+    options.worker_deadline_seconds = get_double(args, "deadline", 0.0);
+    options.chaos = chaos_from_env();
+    options.quiet = std::getenv("DUFP_QUIET") != nullptr;
 
-  dufp::harness::SupervisorOptions options;
-  options.out_dir = it->second;
-  options.workers = get_int(args, "workers", 2);
-  options.threads = get_int(args, "threads", 1);
-  options.chunk_size = get_int(args, "chunk-size", 1);
-  options.lease_ttl_seconds = get_double(args, "lease-ttl", 30.0);
-  options.max_restarts = get_int(args, "max-restarts", 2);
-  options.worker_deadline_seconds = get_double(args, "deadline", 0.0);
-  options.chaos = chaos_from_env();
-  options.quiet = std::getenv("DUFP_QUIET") != nullptr;
-
-  const auto report = dufp::harness::supervise_shard_run(spec, options);
-  std::fprintf(stderr,
-               "[shard_worker] supervise: %zu attempt(s), %d restart(s), %d "
-               "deadline kill(s), %d lease(s) reap-released, %zu poisoned "
-               "chunk(s), chunks %s\n",
-               report.attempts.size(), report.restarts, report.deadline_kills,
-               report.leases_released, report.poisoned_chunks.size(),
-               report.all_chunks_done ? "all done" : "INCOMPLETE");
-  for (const auto& f : report.output_files) {
-    std::printf("%s\n", f.c_str());  // machine-consumable: gather input set
-  }
-  if (report.fatal) {
-    throw ShardFormatError(
-        "supervise: a worker hit a non-retryable configuration error");
-  }
-  if (const auto g = args.options.find("gather"); g != args.options.end()) {
-    GatherOptions gopts;
-    gopts.partial = true;
-    auto gathered =
-        dufp::harness::gather_shards_report(spec, report.output_files, gopts);
-    if (!gathered.complete()) {
-      const auto manifest =
-          dufp::harness::make_retry_manifest(spec, gathered);
-      const std::string manifest_path = g->second + ".retry.json";
-      std::ofstream out(manifest_path, std::ios::binary);
-      if (!out.good()) {
-        throw CliError(kExitIo, "cannot write " + manifest_path);
-      }
-      out << manifest.canonical_text() << '\n';
-      std::fprintf(stderr,
-                   "[shard_worker] supervise: %zu job(s) unrecovered; retry "
-                   "manifest -> %s\n",
-                   gathered.missing.size(), manifest_path.c_str());
-      return kExitIncomplete;
+    const auto report = dufp::harness::supervise_shard_run(spec, options);
+    std::fprintf(stderr,
+                 "[shard_worker] supervise: %zu attempt(s), %d restart(s), "
+                 "%d deadline kill(s), %d lease(s) reap-released, %zu "
+                 "poisoned chunk(s), chunks %s\n",
+                 report.attempts.size(), report.restarts,
+                 report.deadline_kills, report.leases_released,
+                 report.poisoned_chunks.size(),
+                 report.all_chunks_done ? "all done" : "INCOMPLETE");
+    for (const auto& f : report.output_files) {
+      std::printf("%s\n", f.c_str());  // machine-consumable: gather input set
     }
-    write_outputs(
-        spec, dufp::harness::finalize_grid(spec, std::move(gathered.results)),
-        g->second);
-    return kExitOk;
-  }
-  return report.all_chunks_done ? kExitOk : kExitIncomplete;
-}
-
-// -- fleet subcommands -------------------------------------------------------
-
-using dufp::fleet::FleetOutputs;
-using dufp::fleet::FleetRetryManifest;
-using dufp::fleet::FleetSpec;
-
-FleetSpec load_fleet_spec(const Args& args) {
-  const auto it = args.options.find("spec");
-  if (it == args.options.end()) usage_error("--spec FILE is required");
-  return FleetSpec::load(it->second);
-}
-
-void write_fleet_outputs(const FleetOutputs& out, const std::string& prefix) {
-  const std::vector<std::pair<std::string, const std::string*>> files = {
-      {prefix + ".alloc.csv", &out.allocation_csv},
-      {prefix + ".summary.csv", &out.summary_csv},
-      {prefix + ".prom", &out.prometheus},
-  };
-  for (const auto& [path, text] : files) {
-    std::ofstream f(path, std::ios::binary);
-    if (!f.good()) {
-      throw CliError(kExitIo, "cannot write " + path);
-    }
-    f << *text;
-    std::fprintf(stderr, "[shard_worker] wrote %s\n", path.c_str());
-  }
-}
-
-int cmd_fleet_spec(const Args& args) {
-  FleetSpec spec = FleetSpec::reference();
-  if (const auto it = args.options.find("spec"); it != args.options.end()) {
-    spec = FleetSpec::load(it->second);
-  }
-  std::printf("%s\n", spec.canonical_text().c_str());
-  std::fprintf(stderr, "[shard_worker] fingerprint %016llx\n",
-               static_cast<unsigned long long>(spec.fingerprint()));
-  return kExitOk;
-}
-
-int cmd_fleet_run(const Args& args) {
-  const bool resume = args.options.count("resume") != 0;
-  if (resume && args.options.count("spec") != 0) {
-    const FleetSpec flag_spec = load_fleet_spec(args);
-    const FleetRetryManifest m =
-        FleetRetryManifest::load(args.options.at("resume"));
-    if (flag_spec.fingerprint() != m.spec.fingerprint()) {
+    if (report.fatal) {
       throw ShardFormatError(
-          "fleet-run: --spec and --resume disagree (different fingerprints)");
+          "supervise: a worker hit a non-retryable configuration error");
     }
-  }
-  FleetRetryManifest manifest;
-  FleetSpec spec;
-  if (resume) {
-    manifest = FleetRetryManifest::load(args.options.at("resume"));
-    spec = manifest.spec;
-    std::fprintf(stderr, "[shard_worker] resume: %zu missing node(s)\n",
-                 manifest.missing.size());
-  } else {
-    spec = load_fleet_spec(args);
-  }
-  const std::string out_path = require_out(args);
-  const std::string partial_path = out_path + ".partial";
-
-  dufp::harness::ShardRunOptions options;
-  options.shard = get_int(args, "shard", 0);
-  options.shards = get_int(args, "shards", 1);
-  options.chunk_size = get_int(args, "chunk-size", 0);
-  options.chaos = chaos_from_env();
-  options.chaos.worker = options.shard;
-  options.chaos.attempt = get_int(args, "attempt", 0);
-  if (resume) options.job_filter = &manifest.missing;
-
-  std::unique_ptr<dufp::harness::FileChunkClaimer> claimer;
-  if (options.chunk_size > 0) {
-    const auto it = args.options.find("claim-dir");
-    if (it == args.options.end()) {
-      usage_error("--chunk-size needs --claim-dir");
+    if (!args.has("gather")) {
+      return report.all_chunks_done ? kExitOk : kExitIncomplete;
     }
-    dufp::harness::LeaseOptions lease;
-    if (const auto o = args.options.find("owner"); o != args.options.end()) {
-      lease.owner = o->second;
-    }
-    lease.ttl_seconds = get_double(args, "lease-ttl", 30.0);
-    claimer = std::make_unique<dufp::harness::FileChunkClaimer>(it->second,
-                                                                lease);
-    options.claimer = claimer.get();
-  }
-
-  {
-    std::ofstream out(partial_path, std::ios::binary);
-    if (!out.good()) {
-      throw CliError(kExitIo, "cannot write " + partial_path);
-    }
-    try {
-      dufp::fleet::run_fleet_shard(spec, options, out);
-    } catch (const ShardFormatError&) {
-      throw;  // -> kExitSpec
-    } catch (const std::invalid_argument&) {
-      throw;  // caller error -> internal/usage surface
-    } catch (const std::exception& e) {
-      throw CliError(kExitJob, strf("node execution failed: %s", e.what()));
-    }
-    if (!out.good()) {
-      throw CliError(kExitIo, "short write to " + partial_path);
-    }
-  }
-  publish_output(partial_path, out_path);
-  std::fprintf(stderr, "[shard_worker] fleet shard %d/%d done -> %s\n",
-               options.shard, options.shards, out_path.c_str());
-  return kExitOk;
-}
-
-int cmd_fleet_gather(const Args& args) {
-  const FleetSpec spec = load_fleet_spec(args);
-  const std::string prefix = require_out(args);
-  if (args.positional.empty()) {
-    usage_error("fleet-gather needs at least one shard file");
-  }
-  GatherOptions gopts;
-  gopts.partial = args.options.count("partial") != 0;
-  auto report =
-      dufp::fleet::gather_fleet_report(spec, args.positional, gopts);
-  for (const auto& note : report.notes) {
-    std::fprintf(stderr, "[shard_worker] salvage: %s:%d: %s\n",
-                 note.file.c_str(), note.line, note.what.c_str());
-  }
-  if (report.duplicates != 0) {
-    std::fprintf(stderr,
-                 "[shard_worker] salvage: %zu idempotent duplicate record(s) "
-                 "dropped\n",
-                 report.duplicates);
-  }
-  if (!report.complete()) {
-    const auto manifest =
-        dufp::fleet::make_fleet_retry_manifest(spec, report);
-    const std::string manifest_path = prefix + ".retry.json";
-    std::ofstream out(manifest_path, std::ios::binary);
-    if (!out.good()) {
-      throw CliError(kExitIo, "cannot write " + manifest_path);
-    }
-    out << manifest.canonical_text() << '\n';
-    std::fprintf(stderr,
-                 "[shard_worker] incomplete: %zu of %zu node(s) missing; "
-                 "retry manifest -> %s (run `dufp_shard_worker fleet-run "
-                 "--resume %s --out FILE`, then fleet-gather again with that "
-                 "FILE added)\n",
-                 report.missing.size(), report.job_count,
-                 manifest_path.c_str(), manifest_path.c_str());
-    return kExitIncomplete;
-  }
-  write_fleet_outputs(dufp::fleet::finalize_fleet(spec, report.results),
-                      prefix);
-  return kExitOk;
-}
-
-int cmd_fleet_serial(const Args& args) {
-  const FleetSpec spec = load_fleet_spec(args);
-  const std::string prefix = require_out(args);
-  write_fleet_outputs(dufp::fleet::run_fleet_serial(spec), prefix);
-  return kExitOk;
-}
-
-int cmd_fleet_supervise(const Args& args) {
-  const FleetSpec spec = load_fleet_spec(args);
-  const auto it = args.options.find("out-dir");
-  if (it == args.options.end()) usage_error("--out-dir DIR is required");
-
-  dufp::harness::SupervisorOptions options;
-  options.out_dir = it->second;
-  options.workers = get_int(args, "workers", 2);
-  options.chunk_size = get_int(args, "chunk-size", 1);
-  options.lease_ttl_seconds = get_double(args, "lease-ttl", 30.0);
-  options.max_restarts = get_int(args, "max-restarts", 2);
-  options.worker_deadline_seconds = get_double(args, "deadline", 0.0);
-  options.chaos = chaos_from_env();
-  options.quiet = std::getenv("DUFP_QUIET") != nullptr;
-
-  const auto report = dufp::fleet::supervise_fleet_run(spec, options);
-  std::fprintf(stderr,
-               "[shard_worker] fleet-supervise: %zu attempt(s), %d "
-               "restart(s), %d deadline kill(s), %d lease(s) reap-released, "
-               "%zu poisoned chunk(s), chunks %s\n",
-               report.attempts.size(), report.restarts, report.deadline_kills,
-               report.leases_released, report.poisoned_chunks.size(),
-               report.all_chunks_done ? "all done" : "INCOMPLETE");
-  for (const auto& f : report.output_files) {
-    std::printf("%s\n", f.c_str());  // machine-consumable: gather input set
-  }
-  if (report.fatal) {
-    throw ShardFormatError(
-        "fleet-supervise: a worker hit a non-retryable configuration error");
-  }
-  if (const auto g = args.options.find("gather"); g != args.options.end()) {
     GatherOptions gopts;
     gopts.partial = true;
-    auto gathered =
-        dufp::fleet::gather_fleet_report(spec, report.output_files, gopts);
-    if (!gathered.complete()) {
-      const auto manifest =
-          dufp::fleet::make_fleet_retry_manifest(spec, gathered);
-      const std::string manifest_path = g->second + ".retry.json";
-      std::ofstream out(manifest_path, std::ios::binary);
-      if (!out.good()) {
-        throw CliError(kExitIo, "cannot write " + manifest_path);
-      }
-      out << manifest.canonical_text() << '\n';
-      std::fprintf(stderr,
-                   "[shard_worker] fleet-supervise: %zu node(s) unrecovered; "
-                   "retry manifest -> %s\n",
-                   gathered.missing.size(), manifest_path.c_str());
-      return kExitIncomplete;
-    }
-    write_fleet_outputs(dufp::fleet::finalize_fleet(spec, gathered.results),
-                        g->second);
-    return kExitOk;
-  }
-  return report.all_chunks_done ? kExitOk : kExitIncomplete;
+    return finish_gather(spec,
+                         dufp::harness::gather_shards_report(
+                             spec, report.output_files, gopts),
+                         args.require("gather"));
+  });
 }
+
+const Verb kVerbs[] = {
+    {"spec", cmd_spec, {{"reference", Takes::optional_value}, {"spec"}}},
+    {"plan", cmd_plan, {{"spec"}}},
+    {"run",
+     cmd_run,
+     {{"spec"}, {"resume"}, {"out"}, {"shard"}, {"shards"}, {"threads"},
+      {"chunk-size"}, {"claim-dir"}, {"owner"}, {"lease-ttl"}, {"attempt"}}},
+    {"gather",
+     cmd_gather,
+     {{"spec"}, {"out"}, {"partial", Takes::nothing}},
+     /*takes_files=*/true},
+    {"serial", cmd_serial, {{"spec"}, {"out"}, {"threads"}}},
+    {"supervise",
+     cmd_supervise,
+     {{"spec"}, {"out-dir"}, {"workers"}, {"chunk-size"}, {"threads"},
+      {"lease-ttl"}, {"max-restarts"}, {"deadline"}, {"gather"}}},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) usage_error("missing subcommand");
-  const std::string cmd = argv[1];
-  const Args args = parse_args(argc, argv, 2);
+  const std::string name = argv[1];
+  const auto verb =
+      std::find_if(std::begin(kVerbs), std::end(kVerbs),
+                   [&name](const Verb& v) { return name == v.name; });
+  if (verb == std::end(kVerbs)) {
+    usage_error("unknown subcommand '" + name + "'");
+  }
+  const Args args = parse_args(*verb, argc, argv);
   try {
-    if (cmd == "spec") return cmd_spec(args);
-    if (cmd == "plan") return cmd_plan(args);
-    if (cmd == "run") return cmd_run(args);
-    if (cmd == "gather") return cmd_gather(args);
-    if (cmd == "serial") return cmd_serial(args);
-    if (cmd == "supervise") return cmd_supervise(args);
-    if (cmd == "fleet-spec") return cmd_fleet_spec(args);
-    if (cmd == "fleet-run") return cmd_fleet_run(args);
-    if (cmd == "fleet-gather") return cmd_fleet_gather(args);
-    if (cmd == "fleet-serial") return cmd_fleet_serial(args);
-    if (cmd == "fleet-supervise") return cmd_fleet_supervise(args);
+    return verb->run(args);
   } catch (const CliError& e) {
     std::fprintf(stderr, "dufp_shard_worker: %s\n", e.what());
     return e.code;
@@ -735,5 +654,4 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "dufp_shard_worker: %s\n", e.what());
     return kExitInternal;
   }
-  usage_error("unknown subcommand '" + cmd + "'");
 }

@@ -119,6 +119,11 @@ const Items& Value::as_array() const {
   return *items_;
 }
 
+const Members& Value::as_object() const {
+  if (kind_ != Kind::object) fail("not an object");
+  return *members_;
+}
+
 const Value* Value::find(std::string_view key) const {
   if (kind_ != Kind::object) return nullptr;
   for (const auto& [k, v] : *members_) {

@@ -62,6 +62,7 @@ class Value {
   double as_double() const;
   const std::string& as_string() const;
   const Items& as_array() const;
+  const Members& as_object() const;
 
   /// Object lookup; returns nullptr when absent (or not an object).
   const Value* find(std::string_view key) const;

@@ -1,6 +1,5 @@
 #include "fleet/shard.h"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,148 +11,9 @@ namespace dufp::fleet {
 
 namespace {
 
-using json::Value;
-
 std::string g17(double v) { return strf("%.17g", v); }
 
 }  // namespace
-
-harness::WireIdentity fleet_wire_identity(const FleetSpec& spec) {
-  harness::WireIdentity id;
-  id.format = kFleetResultFormat;
-  id.spec_name = spec.name;
-  id.fingerprint_hex = strf(
-      "%016llx", static_cast<unsigned long long>(spec.fingerprint()));
-  id.job_count = spec.topology.node_count();
-  const FleetTopology topo = spec.topology;
-  id.job_label = [topo](std::size_t job) { return topo.node_label(job); };
-  return id;
-}
-
-void run_fleet_shard(const FleetSpec& spec,
-                     const harness::ShardRunOptions& options,
-                     std::ostream& out) {
-  const AllocationPlan plan = plan_allocations(spec);
-  harness::run_shard_wire(
-      fleet_wire_identity(spec), options,
-      [&spec, &plan](const std::vector<std::size_t>& nodes) {
-        const std::vector<FleetNodeResult> results =
-            run_fleet_nodes(spec, nodes, plan);
-        std::vector<Value> payloads;
-        payloads.reserve(results.size());
-        for (const FleetNodeResult& r : results) {
-          payloads.push_back(encode_node_result(r));
-        }
-        return payloads;
-      },
-      out);
-}
-
-FleetGatherReport gather_fleet_report(const FleetSpec& spec,
-                                      const std::vector<std::string>& files,
-                                      const harness::GatherOptions& options) {
-  FleetGatherReport report;
-  report.results.resize(spec.topology.node_count());
-  const harness::WireGatherReport wire = harness::gather_wire(
-      fleet_wire_identity(spec), files, options,
-      [&report](std::size_t job, const Value& result) {
-        report.results[job] = decode_node_result(result);
-      });
-  report.job_count = wire.job_count;
-  report.have = wire.have;
-  report.missing = wire.missing;
-  report.records = wire.records;
-  report.duplicates = wire.duplicates;
-  report.notes = wire.notes;
-  report.header_shards = wire.header_shards;
-  return report;
-}
-
-// -- retry manifest ----------------------------------------------------------
-
-json::Value FleetRetryManifest::to_json() const {
-  Value o = Value::make_object();
-  o.add("format", Value::make_string(kFleetRetryFormat));
-  o.add("version", Value::make_i64(harness::kShardDocumentVersion));
-  o.add("spec", spec.to_json());
-  o.add("spec_fingerprint",
-        Value::make_string(strf("%016llx", static_cast<unsigned long long>(
-                                               spec.fingerprint()))));
-  Value arr = Value::make_array();
-  for (const std::size_t j : missing) arr.push_back(Value::make_u64(j));
-  o.add("missing_jobs", std::move(arr));
-  return o;
-}
-
-std::string FleetRetryManifest::canonical_text() const {
-  return to_json().dump();
-}
-
-FleetRetryManifest FleetRetryManifest::from_json(const json::Value& v) {
-  if (v.at("format").as_string() != kFleetRetryFormat) {
-    throw harness::ShardFormatError("FleetRetryManifest: not a " +
-                                    std::string(kFleetRetryFormat) +
-                                    " document");
-  }
-  if (v.at("version").as_i64() != harness::kShardDocumentVersion) {
-    throw harness::ShardFormatError(strf(
-        "FleetRetryManifest: unsupported version %lld (this build speaks %d)",
-        static_cast<long long>(v.at("version").as_i64()),
-        harness::kShardDocumentVersion));
-  }
-  FleetRetryManifest m;
-  m.spec = FleetSpec::from_json(v.at("spec"));
-  const std::string want = strf(
-      "%016llx", static_cast<unsigned long long>(m.spec.fingerprint()));
-  if (v.at("spec_fingerprint").as_string() != want) {
-    throw harness::ShardFormatError(
-        "FleetRetryManifest: embedded spec does not match its recorded "
-        "fingerprint (manifest was edited or corrupted)");
-  }
-  const std::size_t jobs = m.spec.topology.node_count();
-  for (const Value& j : v.at("missing_jobs").as_array()) {
-    m.missing.push_back(j.as_u64());
-  }
-  if (m.missing.empty()) {
-    throw harness::ShardFormatError(
-        "FleetRetryManifest: missing_jobs is empty");
-  }
-  for (std::size_t i = 0; i < m.missing.size(); ++i) {
-    if (m.missing[i] >= jobs ||
-        (i > 0 && m.missing[i] <= m.missing[i - 1])) {
-      throw harness::ShardFormatError(
-          "FleetRetryManifest: missing_jobs must be strictly ascending and "
-          "in range");
-    }
-  }
-  return m;
-}
-
-FleetRetryManifest FleetRetryManifest::parse(std::string_view text) {
-  return from_json(json::parse(text));
-}
-
-FleetRetryManifest FleetRetryManifest::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    throw std::runtime_error("FleetRetryManifest: cannot open " + path);
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return parse(buf.str());
-}
-
-FleetRetryManifest make_fleet_retry_manifest(
-    const FleetSpec& spec, const FleetGatherReport& report) {
-  if (report.complete()) {
-    throw std::logic_error(
-        "make_fleet_retry_manifest: gather is complete, nothing to retry");
-  }
-  FleetRetryManifest m;
-  m.spec = spec;
-  m.missing = report.missing;
-  return m;
-}
 
 // -- finalize ----------------------------------------------------------------
 
@@ -303,15 +163,6 @@ FleetOutputs run_fleet_serial(const FleetSpec& spec) {
   std::vector<std::size_t> nodes(spec.topology.node_count());
   for (std::size_t n = 0; n < nodes.size(); ++n) nodes[n] = n;
   return finalize_fleet(spec, run_fleet_nodes(spec, nodes, plan));
-}
-
-harness::SupervisorReport supervise_fleet_run(
-    const FleetSpec& spec, const harness::SupervisorOptions& options) {
-  harness::SupervisedWork work;
-  work.job_count = spec.topology.node_count();
-  work.run = [&spec](const harness::ShardRunOptions& opts,
-                     std::ostream& out) { run_fleet_shard(spec, opts, out); };
-  return harness::supervise_work(work, options);
 }
 
 }  // namespace dufp::fleet

@@ -1,10 +1,10 @@
-// The fleet's binding of the payload-agnostic wire layer (harness/wire.h):
-// a fleet job is one *node* simulation — run_fleet_node under the shared
-// allocation plan — and the wire carries FleetNodeResult payloads with
-// the same header keys, lease protocol, exactly-once gather and
-// salvage/resume semantics the experiment grids use, so every operational
-// tool (supervisor, retry manifests, `gather --partial`) works unchanged
-// at fleet scale.
+// The fleet kind of the shard layer (harness/shard.h): a fleet job is one
+// *node* simulation — run_fleet_node under the shared allocation plan —
+// and the wire carries FleetNodeResult payloads.  run_shard,
+// gather_shards_report, RetryManifest, `run --resume` and
+// supervise_shard_run are the grids' own code, typed by FleetSpec through
+// ShardJobs<FleetSpec> below, so every operational tool (supervisor,
+// retry manifests, `gather --partial`) works unchanged at fleet scale.
 //
 // Serial and sharded executions are byte-identical by construction:
 // Phase A (plan_allocations) is a pure function of the spec that every
@@ -14,71 +14,14 @@
 
 #include <cstddef>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/json.h"
 #include "fleet/node_run.h"
 #include "fleet/plan.h"
 #include "fleet/spec.h"
-#include "harness/supervisor.h"
-#include "harness/wire.h"
+#include "harness/shard.h"
 
 namespace dufp::fleet {
-
-/// The spec's wire identity: kFleetResultFormat, the spec name and
-/// fingerprint, one job per node, and rack/node attribution for missing
-/// jobs ("job 5 = rack 1 / node 1 (shard 0)").
-harness::WireIdentity fleet_wire_identity(const FleetSpec& spec);
-
-/// Executes this worker's share of the fleet's node jobs and streams the
-/// versioned JSONL (header line + one line per node) to `out`.  The
-/// allocation plan is recomputed in-process from the spec.
-void run_fleet_shard(const FleetSpec& spec,
-                     const harness::ShardRunOptions& options,
-                     std::ostream& out);
-
-/// Everything a fleet gather pass learned; results[j] is node j's result
-/// iff have[j].
-struct FleetGatherReport {
-  std::size_t job_count = 0;
-  std::vector<FleetNodeResult> results;
-  std::vector<bool> have;
-  std::vector<std::size_t> missing;  ///< sorted ascending
-  std::size_t records = 0;
-  std::size_t duplicates = 0;
-  std::vector<harness::GatherNote> notes;
-  int header_shards = 0;
-
-  bool complete() const { return missing.empty(); }
-};
-
-/// Reads fleet wire files back into per-node results.  Same contract as
-/// harness::gather_shards_report: strict mode throws at the first
-/// problem, partial mode salvages; missing-job errors carry the
-/// rack/node attribution from fleet_wire_identity.
-FleetGatherReport gather_fleet_report(
-    const FleetSpec& spec, const std::vector<std::string>& files,
-    const harness::GatherOptions& options = {});
-
-/// The fleet re-run contract, mirroring harness::RetryManifest: the full
-/// spec (resume needs no side channel), its fingerprint (tamper guard),
-/// and the sorted missing node list.
-struct FleetRetryManifest {
-  FleetSpec spec;
-  std::vector<std::size_t> missing;  ///< sorted, unique, in range
-
-  json::Value to_json() const;
-  std::string canonical_text() const;
-  static FleetRetryManifest from_json(const json::Value& v);
-  static FleetRetryManifest parse(std::string_view text);
-  static FleetRetryManifest load(const std::string& path);
-};
-
-/// The manifest for an incomplete gather.  Throws std::logic_error if
-/// the report is complete.
-FleetRetryManifest make_fleet_retry_manifest(const FleetSpec& spec,
-                                             const FleetGatherReport& report);
 
 /// Everything a gathered fleet produces, in deterministic bytes — the
 /// byte surface the fleet determinism suite compares across serial /
@@ -115,9 +58,26 @@ FleetOutputs finalize_fleet(const FleetSpec& spec,
 /// sharded paths must match byte for byte.
 FleetOutputs run_fleet_serial(const FleetSpec& spec);
 
-/// Supervised sharded execution (fork/reap/restart/poison, see
-/// harness/supervisor.h) of the fleet's node jobs.
-harness::SupervisorReport supervise_fleet_run(
-    const FleetSpec& spec, const harness::SupervisorOptions& options);
-
 }  // namespace dufp::fleet
+
+namespace dufp::harness {
+
+/// Fleet jobs: one per node, all under the allocation plan recomputed
+/// once per worker.  Node runs are single-threaded; `threads` is unused.
+template <>
+struct ShardJobs<fleet::FleetSpec> {
+  using Result = fleet::FleetNodeResult;
+  static constexpr auto encode = fleet::encode_node_result;
+  static constexpr auto decode = fleet::decode_node_result;
+
+  ShardJobs(const fleet::FleetSpec& spec_in, int /*threads*/)
+      : spec(spec_in), plan(fleet::plan_allocations(spec_in)) {}
+  std::vector<Result> run(const std::vector<std::size_t>& nodes) const {
+    return fleet::run_fleet_nodes(spec, nodes, plan);
+  }
+
+  const fleet::FleetSpec& spec;
+  fleet::AllocationPlan plan;
+};
+
+}  // namespace dufp::harness

@@ -1,14 +1,11 @@
 #include "fleet/spec.h"
 
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/string_util.h"
 #include "core/policy_registry.h"
 #include "fleet/allocator.h"
 #include "fleet/traffic.h"
-#include "harness/wire.h"
 
 namespace dufp::fleet {
 
@@ -57,16 +54,7 @@ std::uint64_t FleetSpec::fingerprint() const {
 }
 
 FleetSpec FleetSpec::from_json(const json::Value& v) {
-  if (v.at("format").as_string() != kFleetSpecFormat) {
-    throw harness::ShardFormatError(
-        "FleetSpec: not a " + std::string(kFleetSpecFormat) + " document");
-  }
-  if (v.at("version").as_i64() != harness::kShardDocumentVersion) {
-    throw harness::ShardFormatError(
-        strf("FleetSpec: unsupported version %lld (this build speaks %d)",
-             static_cast<long long>(v.at("version").as_i64()),
-             harness::kShardDocumentVersion));
-  }
+  harness::check_document(v, FleetSpec{}.to_json(), "FleetSpec");
   FleetSpec spec;
   spec.name = v.at("name").as_string();
   spec.topology.racks = static_cast<int>(v.at("racks").as_i64());
@@ -81,7 +69,11 @@ FleetSpec FleetSpec::from_json(const json::Value& v) {
   spec.traffic_profile = v.at("traffic").as_string();
   spec.traffic_seed = v.at("traffic_seed").as_u64();
   spec.seed = v.at("seed").as_u64();
-  spec.app = workloads::app_by_name(v.at("app").as_string());
+  try {
+    spec.app = workloads::app_by_name(v.at("app").as_string());
+  } catch (const std::invalid_argument& e) {
+    throw harness::ShardFormatError(std::string("FleetSpec: ") + e.what());
+  }
   spec.policy = v.at("policy").as_string();
   spec.tolerated_slowdown = v.at("tolerance").as_double();
   spec.min_cap_w = v.at("min_cap_w").as_double();
@@ -102,20 +94,6 @@ FleetSpec FleetSpec::from_json(const json::Value& v) {
   spec.allocator = FleetAllocatorRegistry::instance().at(spec.allocator).name;
   spec.policy = core::PolicyRegistry::instance().at(spec.policy).name;
   return spec;
-}
-
-FleetSpec FleetSpec::parse(std::string_view text) {
-  return from_json(json::parse(text));
-}
-
-FleetSpec FleetSpec::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    throw std::runtime_error("FleetSpec: cannot open " + path);
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return parse(buf.str());
 }
 
 FleetSpec FleetSpec::reference() {
@@ -180,6 +158,18 @@ std::vector<std::string> FleetSpec::validate() const {
     problems.push_back("fault_rate must be in [0, 1]");
   }
   return problems;
+}
+
+harness::WireIdentity FleetSpec::wire_identity() const {
+  harness::WireIdentity id;
+  id.format = kFleetResultFormat;
+  id.spec_name = name;
+  id.fingerprint_hex = harness::fingerprint_hex(fingerprint());
+  id.job_count = topology.node_count();
+  id.job_label = [topo = topology](std::size_t job) {
+    return topo.node_label(job);
+  };
+  return id;
 }
 
 }  // namespace dufp::fleet

@@ -10,21 +10,20 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/json.h"
 #include "fleet/topology.h"
+#include "harness/wire.h"
 #include "workloads/profiles.h"
 
 namespace dufp::fleet {
 
-/// Fleet format identities.  The spec and the retry manifest are
+/// Fleet format identities.  The spec and its retry manifest are
 /// versioned by harness::kShardDocumentVersion, the result stream by
 /// harness::kShardWireVersion, alongside the grid formats.
 inline constexpr const char* kFleetSpecFormat = "dufp-fleet-spec";
 inline constexpr const char* kFleetResultFormat = "dufp-fleet-result";
-inline constexpr const char* kFleetRetryFormat = "dufp-fleet-retry";
 
 struct FleetSpec {
   std::string name = "fleet";
@@ -63,16 +62,20 @@ struct FleetSpec {
   /// resolved to max_cap_w x socket_count.
   double resolved_budget_w() const;
 
-  /// Canonical JSON (fixed key order, %.17g doubles); parse() of the
+  /// The "format" of a fleet's retry manifests (harness::RetryManifest).
+  static constexpr const char* kRetryFormat = "dufp-fleet-retry";
+
+  /// Canonical JSON (fixed key order, %.17g doubles); from_json() of the
   /// output reproduces the spec exactly.
   json::Value to_json() const;
   std::string canonical_text() const;
   /// FNV-1a over canonical_text(); stamped into every fleet shard file.
   std::uint64_t fingerprint() const;
 
+  /// Throws harness::ShardFormatError for a wrong format or version, an
+  /// unknown key, or an invalid spec (every validate() problem,
+  /// aggregated).
   static FleetSpec from_json(const json::Value& v);
-  static FleetSpec parse(std::string_view text);
-  static FleetSpec load(const std::string& path);
 
   /// The small reference fleet the quickstart and CI smoke use:
   /// 2 racks x 2 nodes x 4 sockets, 4 epochs.
@@ -82,6 +85,11 @@ struct FleetSpec {
   /// topology bounds, allocator / traffic / policy resolved against
   /// their registries, budget >= the fleet-wide floor, cap ordering.
   std::vector<std::string> validate() const;
+
+  /// The spec's wire identity: kFleetResultFormat, the spec name and
+  /// fingerprint, one job per node, and rack/node attribution for missing
+  /// jobs ("job 5 = rack 1 / node 1 (shard 0)").
+  harness::WireIdentity wire_identity() const;
 };
 
 }  // namespace dufp::fleet

@@ -1,13 +1,11 @@
 #include "harness/shard.h"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/string_util.h"
 #include "core/policy_registry.h"
-#include "harness/shard_codec.h"
 #include "telemetry/export.h"
 #include "workloads/profiles.h"
 
@@ -59,21 +57,15 @@ std::uint64_t GridSpec::fingerprint() const {
 }
 
 GridSpec GridSpec::from_json(const json::Value& v) {
-  if (v.at("format").as_string() != kGridSpecFormat) {
-    throw ShardFormatError("GridSpec: not a " + std::string(kGridSpecFormat) +
-                           " document");
-  }
-  if (v.at("version").as_i64() != kShardDocumentVersion) {
-    throw ShardFormatError(
-        strf("GridSpec: unsupported version %lld (this build speaks %d)",
-             static_cast<long long>(v.at("version").as_i64()),
-             kShardDocumentVersion));
-  }
+  check_document(v, GridSpec{}.to_json(), "GridSpec");
   GridSpec spec;
   spec.name = v.at("name").as_string();
-  spec.apps.clear();
-  for (const Value& app : v.at("apps").as_array()) {
-    spec.apps.push_back(workloads::app_by_name(app.as_string()));
+  try {
+    for (const Value& app : v.at("apps").as_array()) {
+      spec.apps.push_back(workloads::app_by_name(app.as_string()));
+    }
+  } catch (const std::invalid_argument& e) {
+    throw ShardFormatError(std::string("GridSpec: ") + e.what());
   }
   for (const Value& mode : v.at("modes").as_array()) {
     spec.policies.push_back(mode.as_string());
@@ -102,20 +94,6 @@ GridSpec GridSpec::from_json(const json::Value& v) {
     policy = core::PolicyRegistry::instance().at(policy).name;
   }
   return spec;
-}
-
-GridSpec GridSpec::parse(std::string_view text) {
-  return from_json(json::parse(text));
-}
-
-GridSpec GridSpec::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    throw std::runtime_error("GridSpec: cannot open " + path);
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return parse(buf.str());
 }
 
 GridSpec GridSpec::reference() {
@@ -173,8 +151,7 @@ WireIdentity GridSpec::wire_identity() const {
   WireIdentity id;
   id.format = kShardResultFormat;
   id.spec_name = name;
-  id.fingerprint_hex =
-      strf("%016llx", static_cast<unsigned long long>(fingerprint()));
+  id.fingerprint_hex = fingerprint_hex(fingerprint());
   id.job_count = build_plan(*this).plan.job_count();
   return id;
 }
@@ -200,139 +177,6 @@ GridPlan build_plan(const GridSpec& spec) {
         return cfg;
       });
   return gp;
-}
-
-// -- shard worker ------------------------------------------------------------
-
-void run_shard(const GridSpec& spec, const ShardRunOptions& options,
-               std::ostream& out) {
-  const GridPlan gp = build_plan(spec);
-  WireIdentity id = spec.wire_identity();
-  id.job_count = gp.plan.job_count();  // reuse the plan built above
-  const int threads = options.threads;
-  run_shard_wire(
-      id, options,
-      [&gp, threads](const std::vector<std::size_t>& indices) {
-        const auto results = gp.plan.run_jobs(indices, threads);
-        std::vector<Value> payloads;
-        payloads.reserve(results.size());
-        for (const RunResult& r : results) {
-          payloads.push_back(encode_run_result(r));
-        }
-        return payloads;
-      },
-      out);
-}
-
-// -- gather ------------------------------------------------------------------
-
-GatherReport gather_shards_report(const GridSpec& spec,
-                                  const std::vector<std::string>& files,
-                                  const GatherOptions& options) {
-  const WireIdentity id = spec.wire_identity();
-
-  GatherReport report;
-  report.results.resize(id.job_count);
-  WireGatherReport wire = gather_wire(
-      id, files, options, [&report](std::size_t job, const Value& result) {
-        report.results[job] = decode_run_result(result);
-      });
-
-  report.job_count = wire.job_count;
-  report.have = std::move(wire.have);
-  report.missing = std::move(wire.missing);
-  report.records = wire.records;
-  report.duplicates = wire.duplicates;
-  report.notes = std::move(wire.notes);
-  report.header_shards = wire.header_shards;
-  return report;
-}
-
-std::vector<RunResult> gather_shards(const GridSpec& spec,
-                                     const std::vector<std::string>& files) {
-  return std::move(gather_shards_report(spec, files, {}).results);
-}
-
-// -- retry manifest ----------------------------------------------------------
-
-json::Value RetryManifest::to_json() const {
-  Value o = Value::make_object();
-  o.add("format", Value::make_string(kRetryManifestFormat));
-  o.add("version", Value::make_i64(kShardDocumentVersion));
-  o.add("spec", spec.to_json());
-  o.add("spec_fingerprint",
-        Value::make_string(strf("%016llx", static_cast<unsigned long long>(
-                                               spec.fingerprint()))));
-  Value arr = Value::make_array();
-  for (const std::size_t j : missing) arr.push_back(Value::make_u64(j));
-  o.add("missing_jobs", std::move(arr));
-  return o;
-}
-
-std::string RetryManifest::canonical_text() const { return to_json().dump(); }
-
-RetryManifest RetryManifest::from_json(const json::Value& v) {
-  if (v.at("format").as_string() != kRetryManifestFormat) {
-    throw ShardFormatError("RetryManifest: not a " +
-                           std::string(kRetryManifestFormat) + " document");
-  }
-  if (v.at("version").as_i64() != kShardDocumentVersion) {
-    throw ShardFormatError(
-        strf("RetryManifest: unsupported version %lld (this build speaks %d)",
-             static_cast<long long>(v.at("version").as_i64()),
-             kShardDocumentVersion));
-  }
-  RetryManifest m;
-  m.spec = GridSpec::from_json(v.at("spec"));
-  const std::string want = strf(
-      "%016llx", static_cast<unsigned long long>(m.spec.fingerprint()));
-  if (v.at("spec_fingerprint").as_string() != want) {
-    throw ShardFormatError(
-        "RetryManifest: embedded spec does not match its recorded "
-        "fingerprint (manifest was edited or corrupted)");
-  }
-  const std::size_t jobs = build_plan(m.spec).plan.job_count();
-  for (const Value& j : v.at("missing_jobs").as_array()) {
-    m.missing.push_back(j.as_u64());
-  }
-  if (m.missing.empty()) {
-    throw ShardFormatError("RetryManifest: missing_jobs is empty");
-  }
-  for (std::size_t i = 0; i < m.missing.size(); ++i) {
-    if (m.missing[i] >= jobs ||
-        (i > 0 && m.missing[i] <= m.missing[i - 1])) {
-      throw ShardFormatError(
-          "RetryManifest: missing_jobs must be strictly ascending and in "
-          "range");
-    }
-  }
-  return m;
-}
-
-RetryManifest RetryManifest::parse(std::string_view text) {
-  return from_json(json::parse(text));
-}
-
-RetryManifest RetryManifest::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    throw std::runtime_error("RetryManifest: cannot open " + path);
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return parse(buf.str());
-}
-
-RetryManifest make_retry_manifest(const GridSpec& spec,
-                                  const GatherReport& report) {
-  if (report.complete()) {
-    throw std::logic_error(
-        "make_retry_manifest: gather is complete, nothing to retry");
-  }
-  RetryManifest m;
-  m.spec = spec;
-  m.missing = report.missing;
-  return m;
 }
 
 // -- finalize ----------------------------------------------------------------

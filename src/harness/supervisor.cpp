@@ -327,14 +327,4 @@ SupervisorReport supervise_work(const SupervisedWork& work,
   return report;
 }
 
-SupervisorReport supervise_shard_run(const GridSpec& spec,
-                                     const SupervisorOptions& options) {
-  SupervisedWork work;
-  work.job_count = build_plan(spec).plan.job_count();
-  work.run = [&spec](const ShardRunOptions& opts, std::ostream& out) {
-    run_shard(spec, opts, out);
-  };
-  return supervise_work(work, options);
-}
-
 }  // namespace dufp::harness

@@ -76,9 +76,9 @@ struct SupervisorOptions {
 
 /// What the supervisor runs, independent of the payload kind: the size
 /// of the job universe (for chunk accounting) and the worker body that
-/// executes one attempt's share and streams its wire file.  The grid
-/// path wraps run_shard here; src/fleet wraps its node runner — both
-/// get the identical fork/reap/restart/poison machinery.
+/// executes one attempt's share and streams its wire file.
+/// supervise_shard_run wraps run_shard here for every spec kind, so grids
+/// and fleets get the identical fork/reap/restart/poison machinery.
 struct SupervisedWork {
   /// Full job count of the underlying plan (before any job_filter).
   std::size_t job_count = 0;
@@ -125,9 +125,17 @@ struct SupervisorReport {
 SupervisorReport supervise_work(const SupervisedWork& work,
                                 const SupervisorOptions& options);
 
-/// supervise_work bound to an experiment grid (run_shard as the worker
-/// body).
-SupervisorReport supervise_shard_run(const GridSpec& spec,
-                                     const SupervisorOptions& options);
+/// supervise_work bound to a spec of either kind (run_shard as the
+/// worker body).
+template <class Spec>
+SupervisorReport supervise_shard_run(const Spec& spec,
+                                     const SupervisorOptions& options) {
+  SupervisedWork work;
+  work.job_count = spec.wire_identity().job_count;
+  work.run = [&spec](const ShardRunOptions& opts, std::ostream& out) {
+    run_shard(spec, opts, out);
+  };
+  return supervise_work(work, options);
+}
 
 }  // namespace dufp::harness

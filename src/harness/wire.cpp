@@ -34,6 +34,40 @@ using json::Value;
 
 }  // namespace
 
+// -- work documents ----------------------------------------------------------
+
+std::string fingerprint_hex(std::uint64_t fingerprint) {
+  return strf("%016llx", static_cast<unsigned long long>(fingerprint));
+}
+
+void check_document(const Value& doc, const Value& canonical,
+                    std::string_view what) {
+  const std::string prefix = std::string(what) + ": ";
+  const std::string& format = canonical.at("format").as_string();
+  if (doc.at("format").as_string() != format) {
+    throw ShardFormatError(prefix + "not a " + format + " document");
+  }
+  const std::int64_t version = doc.at("version").as_i64();
+  if (version != kShardDocumentVersion) {
+    throw ShardFormatError(
+        prefix + strf("unsupported version %lld (this build speaks %d)",
+                      static_cast<long long>(version), kShardDocumentVersion));
+  }
+  std::string unknown;
+  for (const auto& [key, value] : doc.as_object()) {
+    if (canonical.find(key) != nullptr) continue;
+    if (!unknown.empty()) unknown += ", ";
+    json::escape_string(key, unknown);
+  }
+  if (unknown.empty()) return;
+  std::string known;
+  for (const auto& [key, value] : canonical.as_object()) {
+    known += (known.empty() ? "" : ", ") + key;
+  }
+  throw ShardFormatError(prefix + "unknown key(s) " + unknown + " (known: " +
+                         known + ")");
+}
+
 // -- lease-based chunk claims ------------------------------------------------
 //
 // Lease record layout (fixed width so renew() can rewrite in place with

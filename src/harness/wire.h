@@ -2,9 +2,9 @@
 // about streaming versioned JSONL shard files, claiming chunks through
 // leases, and gathering records back exactly-once is independent of
 // *what* a job computes.  This header owns that machinery; harness/shard.h
-// binds it to experiment grids (GridSpec/RunResult) and src/fleet binds
-// it to fleet node simulations — both speak the identical wire dialect
-// (same header keys, same error surface, same duplicate/determinism
+// types it per spec kind (experiment grids here, fleet node simulations
+// in src/fleet) — both kinds speak the identical wire dialect (same
+// header keys, same error surface, same duplicate/determinism
 // guarantees), so operational tooling works on either kind of file.
 //
 // A wire file is:
@@ -24,6 +24,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
@@ -38,7 +39,7 @@ namespace dufp::harness {
 inline constexpr int kShardWireVersion = 2;
 
 /// Version of the documents that describe work rather than results:
-/// GridSpec, FleetSpec and both retry manifests.  Kept apart from the
+/// GridSpec, FleetSpec and their retry manifests.  Kept apart from the
 /// wire version because it is part of each spec's canonical text, so a
 /// bump would move every spec fingerprint (the reference grid's
 /// 21edcce3c4c0b5a6 is pinned by a test).
@@ -53,6 +54,19 @@ class ShardFormatError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// A spec fingerprint as wire headers and retry manifests carry it:
+/// 16 lowercase hex digits.
+std::string fingerprint_hex(std::uint64_t fingerprint);
+
+/// The checks every work document (a spec or a retry manifest) shares:
+/// `doc` must carry the "format" of `canonical` (the writer's own output
+/// for this document type), version kShardDocumentVersion, and no key
+/// that `canonical` lacks — a key no reader consumes would otherwise be
+/// dropped in silence.  Throws one ShardFormatError prefixed with
+/// `what`; the unknown keys are all listed.
+void check_document(const json::Value& doc, const json::Value& canonical,
+                    std::string_view what);
 
 /// Lease policy of a FileChunkClaimer.
 struct LeaseOptions {

@@ -44,7 +44,7 @@ std::vector<std::string> run_static_shards(const FleetSpec& spec,
     options.shard = shard;
     options.shards = shards;
     std::ostringstream out;
-    run_fleet_shard(spec, options, out);
+    harness::run_shard(spec, options, out);
     files.push_back(out.str());
   }
   return files;
@@ -66,7 +66,7 @@ FleetOutputs gather_and_finalize(const FleetSpec& spec,
                                  bool partial = false) {
   harness::GatherOptions options;
   options.partial = partial;
-  const FleetGatherReport report = gather_fleet_report(spec, files, options);
+  const auto report = harness::gather_shards_report(spec, files, options);
   EXPECT_TRUE(report.complete());
   return finalize_fleet(spec, report.results);
 }
@@ -104,7 +104,7 @@ TEST(FleetShardTest, DynamicChunkClaimingMatchesSerialBytes) {
     options.chunk_size = 1;
     options.claimer = &claimer;
     std::ostringstream out;
-    run_fleet_shard(spec, options, out);
+    harness::run_shard(spec, options, out);
     blobs.push_back(out.str());
   }
   const std::string dir = temp_dir("wire");
@@ -132,7 +132,7 @@ TEST(FleetShardTest, MissingJobsNameRackAndNode) {
   blobs.pop_back();  // shard 1 (nodes 1 and 3) never reported
   const std::string dir = temp_dir("wire");
   try {
-    gather_fleet_report(spec, write_files(dir, blobs));
+    harness::gather_shards_report(spec, write_files(dir, blobs));
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     const std::string msg = e.what();
@@ -157,21 +157,21 @@ TEST(FleetShardTest, SalvageAndResumeReproduceTheFullRunBytes) {
   auto files = write_files(dir, blobs);
   harness::GatherOptions partial;
   partial.partial = true;
-  const FleetGatherReport report = gather_fleet_report(spec, files, partial);
+  const auto report = harness::gather_shards_report(spec, files, partial);
   EXPECT_FALSE(report.complete());
   EXPECT_EQ(report.missing, (std::vector<std::size_t>{1, 3}));
 
   // The manifest round-trips and drives a resume run of just the holes.
-  const FleetRetryManifest manifest = make_fleet_retry_manifest(spec, report);
-  const FleetRetryManifest back =
-      FleetRetryManifest::parse(manifest.canonical_text());
+  const auto manifest = harness::make_retry_manifest(spec, report);
+  const auto back = harness::RetryManifest<FleetSpec>::from_json(
+      json::parse(manifest.canonical_text()));
   EXPECT_EQ(back.missing, manifest.missing);
   EXPECT_EQ(back.spec.fingerprint(), spec.fingerprint());
 
   harness::ShardRunOptions resume;
   resume.job_filter = &back.missing;
   std::ostringstream out;
-  run_fleet_shard(back.spec, resume, out);
+  harness::run_shard(back.spec, resume, out);
   files.push_back(dir + "/resume.jsonl");
   std::ofstream(files.back(), std::ios::binary) << out.str();
 
@@ -180,9 +180,7 @@ TEST(FleetShardTest, SalvageAndResumeReproduceTheFullRunBytes) {
 
 TEST(FleetShardTest, RetryManifestTamperGuard) {
   const FleetSpec spec = small_spec();
-  FleetRetryManifest manifest;
-  manifest.spec = spec;
-  manifest.missing = {1, 3};
+  harness::RetryManifest<FleetSpec> manifest{spec, {1, 3}};
   std::string text = manifest.canonical_text();
 
   // Editing the embedded spec without refreshing the fingerprint is a
@@ -192,7 +190,7 @@ TEST(FleetShardTest, RetryManifestTamperGuard) {
   text.replace(pos, std::string("\"fleet-reference\"").size(),
                "\"fleet-doctored!\"");
   try {
-    FleetRetryManifest::parse(text);
+    harness::RetryManifest<FleetSpec>::from_json(json::parse(text));
     FAIL() << "expected ShardFormatError";
   } catch (const harness::ShardFormatError& e) {
     EXPECT_NE(std::string(e.what())
@@ -202,12 +200,14 @@ TEST(FleetShardTest, RetryManifestTamperGuard) {
   }
 
   // Out-of-order or out-of-range missing lists are rejected too.
-  FleetRetryManifest bad = manifest;
+  harness::RetryManifest<FleetSpec> bad = manifest;
   bad.missing = {3, 1};
-  EXPECT_THROW(FleetRetryManifest::parse(bad.canonical_text()),
+  EXPECT_THROW(harness::RetryManifest<FleetSpec>::from_json(
+                   json::parse(bad.canonical_text())),
                harness::ShardFormatError);
   bad.missing = {1, 99};
-  EXPECT_THROW(FleetRetryManifest::parse(bad.canonical_text()),
+  EXPECT_THROW(harness::RetryManifest<FleetSpec>::from_json(
+                   json::parse(bad.canonical_text())),
                harness::ShardFormatError);
 }
 

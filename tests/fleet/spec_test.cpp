@@ -21,7 +21,7 @@ TEST(FleetSpecTest, CanonicalTextRoundTripsExactly) {
   spec.global_budget_w = 9000.0;
   spec.fault_rate = 0.125;
   const std::string text = spec.canonical_text();
-  const FleetSpec back = FleetSpec::parse(text);
+  const FleetSpec back = FleetSpec::from_json(json::parse(text));
   EXPECT_EQ(back.canonical_text(), text);
   EXPECT_EQ(back.fingerprint(), spec.fingerprint());
 }
@@ -29,7 +29,8 @@ TEST(FleetSpecTest, CanonicalTextRoundTripsExactly) {
 TEST(FleetSpecTest, ParseCanonicalizesAliasAndCaseSpellings) {
   FleetSpec spec = FleetSpec::reference();
   spec.allocator = "FAIR";  // fastcap alias, wrong case
-  const FleetSpec back = FleetSpec::parse(spec.canonical_text());
+  const FleetSpec back =
+      FleetSpec::from_json(json::parse(spec.canonical_text()));
   EXPECT_EQ(back.allocator, "fastcap");
 }
 
@@ -50,14 +51,16 @@ TEST(FleetSpecTest, WrongFormatAndVersionRejected) {
   ASSERT_NE(fpos, std::string::npos);
   wrong_format.replace(fpos, std::string("\"dufp-fleet-spec\"").size(),
                        "\"dufp-shard-spec\"");
-  EXPECT_THROW(FleetSpec::parse(wrong_format), harness::ShardFormatError);
+  EXPECT_THROW(FleetSpec::from_json(json::parse(wrong_format)),
+               harness::ShardFormatError);
 
   std::string wrong_version = text;
   const auto vpos = wrong_version.find("\"version\":1");
   ASSERT_NE(vpos, std::string::npos);
   wrong_version.replace(vpos, std::string("\"version\":1").size(),
                         "\"version\":999");
-  EXPECT_THROW(FleetSpec::parse(wrong_version), harness::ShardFormatError);
+  EXPECT_THROW(FleetSpec::from_json(json::parse(wrong_version)),
+               harness::ShardFormatError);
 }
 
 TEST(FleetSpecTest, ValidateAggregatesEveryProblem) {
@@ -100,6 +103,45 @@ TEST(FleetSpecTest, BudgetBelowTheFleetFloorRejected) {
 
 TEST(FleetSpecTest, ReferenceSpecIsValid) {
   EXPECT_TRUE(FleetSpec::reference().validate().empty());
+}
+
+TEST(FleetSpecTest, ReferenceFingerprintIsFrozen) {
+  // Fleet wire files and retry manifests stamp this fingerprint; a
+  // gatherer or a resume from another build must agree on it.
+  const FleetSpec spec = FleetSpec::reference();
+  EXPECT_EQ(spec.canonical_text(),
+            "{\"format\":\"dufp-fleet-spec\",\"version\":1,"
+            "\"name\":\"fleet-reference\",\"racks\":2,"
+            "\"nodes_per_rack\":2,\"sockets_per_node\":4,"
+            "\"allocator\":\"proportional\",\"global_budget_w\":1560,"
+            "\"epochs\":4,\"epoch_seconds\":1,\"traffic\":\"diurnal\","
+            "\"traffic_seed\":1,\"seed\":1,\"app\":\"CG\","
+            "\"policy\":\"DUFP\",\"tolerance\":0.10000000000000001,"
+            "\"min_cap_w\":65,\"max_cap_w\":125,\"fault_rate\":0,"
+            "\"fault_seed\":0}");
+  EXPECT_EQ(harness::fingerprint_hex(spec.fingerprint()), "24791608c3f775ba");
+}
+
+TEST(FleetSpecTest, UnknownKeysAndAppsAreFormatErrors) {
+  // "traffic_profile" is the C++ field's name; the JSON key is "traffic".
+  // A reader that skipped it would run the diurnal default in silence.
+  std::string text = FleetSpec::reference().canonical_text();
+  text.insert(text.size() - 1, ",\"traffic_profile\":\"flat\",\"rack\":3");
+  try {
+    FleetSpec::from_json(json::parse(text));
+    FAIL() << "expected ShardFormatError";
+  } catch (const harness::ShardFormatError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown key(s) \"traffic_profile\", \"rack\""),
+              std::string::npos)
+        << what;
+  }
+  text = FleetSpec::reference().canonical_text();
+  const auto pos = text.find("\"CG\"");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 4, "\"XX\"");
+  EXPECT_THROW(FleetSpec::from_json(json::parse(text)),
+               harness::ShardFormatError);
 }
 
 }  // namespace

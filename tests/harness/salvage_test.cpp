@@ -184,7 +184,8 @@ TEST(SalvageGatherTest, RetryManifestRoundTripsAndRejectsTampering) {
 
   const RetryManifest manifest = make_retry_manifest(spec, report);
   EXPECT_EQ(manifest.missing, report.missing);
-  const RetryManifest back = RetryManifest::parse(manifest.canonical_text());
+  const auto back = RetryManifest<GridSpec>::from_json(
+      json::parse(manifest.canonical_text()));
   EXPECT_EQ(back.missing, manifest.missing);
   EXPECT_EQ(back.spec.fingerprint(), spec.fingerprint());
 
@@ -194,7 +195,8 @@ TEST(SalvageGatherTest, RetryManifestRoundTripsAndRejectsTampering) {
   const auto pos = text.find("\"spec_fingerprint\":\"");
   ASSERT_NE(pos, std::string::npos);
   text[pos + std::string("\"spec_fingerprint\":\"").size()] ^= 1;
-  EXPECT_THROW(RetryManifest::parse(text), std::runtime_error);
+  EXPECT_THROW(RetryManifest<GridSpec>::from_json(json::parse(text)),
+               std::runtime_error);
 
   // A complete report has nothing to retry.
   GatherReport done = gather_shards_report(spec, {whole}, opts);

@@ -130,7 +130,8 @@ TEST(ShardDeterminismTest, IdenticalUnderFaultStorm) {
 
 TEST(ShardSpecTest, CanonicalTextRoundTripsAndFingerprintIsStable) {
   const GridSpec spec = storm_spec();
-  const GridSpec back = GridSpec::parse(spec.canonical_text());
+  const GridSpec back =
+      GridSpec::from_json(json::parse(spec.canonical_text()));
   EXPECT_EQ(back.canonical_text(), spec.canonical_text());
   EXPECT_EQ(back.fingerprint(), spec.fingerprint());
   // Any spec field change must change the fingerprint (shard files from
@@ -143,15 +144,17 @@ TEST(ShardSpecTest, CanonicalTextRoundTripsAndFingerprintIsStable) {
 TEST(ShardSpecTest, RejectsInvalidSpecs) {
   GridSpec spec = small_spec();
   spec.policies = {"default"};
-  EXPECT_THROW(GridSpec::parse(spec.canonical_text()), std::runtime_error);
-  EXPECT_THROW(GridSpec::parse("{\"format\":\"other\"}"), std::runtime_error);
+  EXPECT_THROW(GridSpec::from_json(json::parse(spec.canonical_text())),
+               std::runtime_error);
+  EXPECT_THROW(GridSpec::from_json(json::parse("{\"format\":\"other\"}")),
+               std::runtime_error);
 }
 
 TEST(ShardSpecTest, AggregatesUnknownAndDuplicatePolicyProblems) {
   GridSpec spec = small_spec();
   spec.policies = {"DUF", "duf", "sasquatch"};
   try {
-    GridSpec::parse(spec.canonical_text());
+    GridSpec::from_json(json::parse(spec.canonical_text()));
     FAIL() << "expected an aggregated policy-list error";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
@@ -166,8 +169,27 @@ TEST(ShardSpecTest, AggregatesUnknownAndDuplicatePolicyProblems) {
 TEST(ShardSpecTest, ParseCanonicalizesAliasSpellings) {
   GridSpec spec = small_spec();
   spec.policies = {"dufpf", "Cuttlefish"};
-  const GridSpec back = GridSpec::parse(spec.canonical_text());
+  const GridSpec back =
+      GridSpec::from_json(json::parse(spec.canonical_text()));
   EXPECT_EQ(back.policies, (std::vector<std::string>{"DUFP-F", "cuttlefish"}));
+}
+
+TEST(ShardSpecTest, UnknownKeysAndAppsAreFormatErrors) {
+  std::string text = small_spec().canonical_text();
+  text.insert(text.size() - 1, ",\"threads\":4");
+  try {
+    GridSpec::from_json(json::parse(text));
+    FAIL() << "expected ShardFormatError";
+  } catch (const ShardFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key(s) \"threads\""),
+              std::string::npos)
+        << e.what();
+  }
+  text = small_spec().canonical_text();
+  const auto pos = text.find("\"CG\"");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 4, "\"XX\"");
+  EXPECT_THROW(GridSpec::from_json(json::parse(text)), ShardFormatError);
 }
 
 TEST(ShardSpecTest, ReferenceFingerprintIsFrozen) {

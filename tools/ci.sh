@@ -9,7 +9,8 @@
 #      misspelt name fails only at run time);
 #   4. the chaos-recovery and supervise drills (kill -> salvage ->
 #      resume, bytes identical to serial);
-#   5. tournament, fleet and fleet_scaling smokes;
+#   5. tournament and fleet_scaling smokes (the fleet CLI loop is the
+#      tier-1 ShardWorkerCliTest.GridAndFleetShareTheVerbs);
 #   6. the perf-ledger smoke (perfbench/run.py --smoke: pinned digests
 #      of all three workloads through both passes);
 #   7. the sim_throughput perf gate and the grid_throughput gate;
@@ -246,58 +247,6 @@ for r in rows:
     int(r["violations"]); float(r["mean_energy_change_pct"])
 print(f"tournament smoke: {len(rows)} policies ranked, CSV OK")
 EOF
-
-echo "== fleet smoke =="
-# Fleet-scale hierarchical budgeting (DESIGN.md § Fleet-scale
-# hierarchical power budgeting): the 2x2-rack reference fleet through
-# every execution path.  The serial run is the golden; a 2-shard static
-# run must gather to byte-identical outputs; dropping a shard must exit
-# 6 and write a retry manifest whose resume run completes the bytes.
-# All exit codes are asserted exactly.
-fleet_dir="${build_dir}/fleet-out"
-rm -rf "${fleet_dir}"
-mkdir -p "${fleet_dir}"
-"${shard_worker}" fleet-spec > "${fleet_dir}/spec.json" 2> /dev/null
-DUFP_QUIET=1 "${shard_worker}" fleet-serial --spec "${fleet_dir}/spec.json" \
-    --out "${fleet_dir}/serial" 2> /dev/null
-for shard in 0 1; do
-  DUFP_QUIET=1 "${shard_worker}" fleet-run --spec "${fleet_dir}/spec.json" \
-      --out "${fleet_dir}/w${shard}.jsonl" --shard "${shard}" --shards 2 \
-      2> /dev/null
-done
-"${shard_worker}" fleet-gather --spec "${fleet_dir}/spec.json" \
-    --out "${fleet_dir}/gathered" \
-    "${fleet_dir}/w0.jsonl" "${fleet_dir}/w1.jsonl" 2> /dev/null
-for suffix in alloc.csv summary.csv prom; do
-  cmp "${fleet_dir}/gathered.${suffix}" "${fleet_dir}/serial.${suffix}" || {
-    echo "fleet smoke: DETERMINISM VIOLATION: sharded ${suffix} differs" \
-         "from serial" >&2
-    exit 1
-  }
-done
-# Salvage + resume: shard 1's nodes are missing, the partial gather must
-# say so via exit 6 + a manifest, and the resume run must fill the gap.
-status=0
-"${shard_worker}" fleet-gather --spec "${fleet_dir}/spec.json" \
-    --out "${fleet_dir}/partial" --partial \
-    "${fleet_dir}/w0.jsonl" 2> /dev/null || status=$?
-[[ "${status}" -eq 6 && -f "${fleet_dir}/partial.retry.json" ]] || {
-  echo "fleet smoke: partial fleet-gather should exit 6 + write a retry" \
-       "manifest (exit ${status})" >&2
-  exit 1
-}
-DUFP_QUIET=1 "${shard_worker}" fleet-run \
-    --resume "${fleet_dir}/partial.retry.json" \
-    --out "${fleet_dir}/rescue.jsonl" 2> /dev/null
-"${shard_worker}" fleet-gather --spec "${fleet_dir}/spec.json" \
-    --out "${fleet_dir}/partial" \
-    "${fleet_dir}/w0.jsonl" "${fleet_dir}/rescue.jsonl" 2> /dev/null
-cmp "${fleet_dir}/partial.alloc.csv" "${fleet_dir}/serial.alloc.csv" || {
-  echo "fleet smoke: DETERMINISM VIOLATION: resumed gather differs from" \
-       "serial" >&2
-  exit 1
-}
-echo "fleet smoke: serial = sharded = salvage+resume, bytes identical"
 
 echo "== fleet_scaling smoke =="
 # Every registered fleet allocator on the 2x2x2 smoke fleet, serial vs

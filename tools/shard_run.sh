@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Orchestrates a local multi-process sharded grid run (DESIGN.md
+# Orchestrates a local multi-process sharded grid or fleet run (DESIGN.md
 # § Sharded execution).  The same spec + JSONL contract works across
 # machines: run `dufp_shard_worker run` per machine, move the shard
 # files anywhere (scp, object store, ...), and `gather` on any host.
@@ -12,9 +12,9 @@
 #
 # Options:
 #   -n SHARDS   worker process count                  (default 2)
-#   -s SPEC     grid spec JSON (default: built-in reference grid)
+#   -s SPEC     grid or fleet spec JSON (default: built-in reference grid)
 #   -o OUTDIR   output directory                      (default out/shard)
-#   -t THREADS  in-process threads per worker         (default 1)
+#   -t THREADS  in-process threads per worker  (default 1; grid specs only)
 #   -d CHUNK    dynamic chunk-claiming mode with this chunk size
 #               (default: static round-robin)
 #   -b BINARY   dufp_shard_worker path     (default build/cli/dufp_shard_worker)
@@ -27,7 +27,7 @@ repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 shards=2
 spec=""
 out_dir="${repo_root}/out/shard"
-threads=1
+threads=""
 chunk=0
 check=0
 worker="${repo_root}/build/cli/dufp_shard_worker"
@@ -81,11 +81,14 @@ if [[ -z "${spec}" ]]; then
 fi
 
 extra_args=()
+if [[ -n "${threads}" ]]; then
+  extra_args+=(--threads "${threads}")
+fi
 if [[ "${chunk}" -gt 0 ]]; then
   claim_dir="${out_dir}/claims"
   rm -rf "${claim_dir}"
   mkdir -p "${claim_dir}"
-  extra_args=(--chunk-size "${chunk}" --claim-dir "${claim_dir}")
+  extra_args+=(--chunk-size "${chunk}" --claim-dir "${claim_dir}")
   echo "shard_run: dynamic mode, chunk size ${chunk}"
 fi
 
@@ -96,7 +99,7 @@ for ((k = 0; k < shards; ++k)); do
   file="${out_dir}/shard${k}.jsonl"
   files+=("${file}")
   "${worker}" run --spec "${spec}" --out "${file}" \
-    --shard "${k}" --shards "${shards}" --threads "${threads}" \
+    --shard "${k}" --shards "${shards}" \
     "${extra_args[@]}" &
   pids+=($!)
 done
@@ -111,7 +114,7 @@ if [[ "${failed}" -ne 0 ]]; then
 fi
 
 "${worker}" gather --spec "${spec}" --out "${out_dir}/gathered" "${files[@]}"
-echo "shard_run: gathered ${shards} shards -> ${out_dir}/gathered.csv"
+echo "shard_run: gathered ${shards} shards -> ${out_dir}/gathered.*"
 
 if [[ "${check}" -eq 1 ]]; then
   echo "shard_run: cross-checking against a serial in-process run"
