@@ -15,9 +15,11 @@
 // invocation and pooled_vs_uncached is the median of the per-pair
 // ratios, so co-tenant load drifting over the run hits both legs alike.
 // Cell-edge economics (cold builds, threshold probes, way hits and
-// evictions) are reported per job and summed per leg.  Unlike the times
-// they are deterministic, and since no edge is shared between runs each
-// job's counts are its own whichever worker ran it, so CI gates on them
+// evictions) are reported per job and summed per leg, and so are the
+// calm stretches' flip ticks and the flip ticks that left the governor's
+// kernel to fill a state's entry.  Unlike the times they are
+// deterministic, and since no edge is shared between runs each job's
+// counts are its own whichever worker ran it, so CI gates on them
 // exactly.
 //
 // On a single-CPU host the pooled leg is skipped and recorded as
@@ -64,11 +66,13 @@ double median(std::vector<double> v) {
 }
 
 /// One executed grid leg: wall clock, cell-edge economics per job and
-/// summed, and the finalized byte surface.
+/// summed, flip counts summed, and the finalized byte surface.
 struct Leg {
   double wall_seconds = 0.0;
   std::vector<std::uint64_t> job_cold_builds;
   rapl::CellStats cells;  ///< summed over every job
+  std::int64_t flip_ticks = 0;  ///< BatchStats::flip_ticks, summed
+  std::int64_t flip_fills = 0;  ///< BatchStats::flip_fills, summed
   std::string bytes;      ///< evaluation CSV + merged Prometheus
 };
 
@@ -87,6 +91,8 @@ Leg run_leg(const harness::GridSpec& spec, const harness::GridPlan& gp,
   for (const auto& res : results) {
     leg.job_cold_builds.push_back(res.cell_stats.cold_builds);
     leg.cells.add(res.cell_stats);
+    leg.flip_ticks += res.batch_stats.flip_ticks;
+    leg.flip_fills += res.batch_stats.flip_fills;
   }
   const auto outputs = harness::finalize_grid(spec, std::move(results));
   leg.bytes = outputs.evaluation_csv + outputs.merged_prometheus;
@@ -120,7 +126,14 @@ void append_leg_json(std::string& json, const char* key, const Leg& leg,
       wall_seconds > 0.0 ? static_cast<double>(jobs) / wall_seconds : 0.0,
       identical ? "true" : "false");
   json += cells_json(leg.cells, "    ");
-  json += "\n  }";
+  json += strf(
+      ",\n"
+      "    \"flips\": {\n"
+      "      \"flip_ticks\": %lld,\n"
+      "      \"flip_fills\": %lld\n"
+      "    }\n  }",
+      static_cast<long long>(leg.flip_ticks),
+      static_cast<long long>(leg.flip_fills));
 }
 
 void append_per_job_json(std::string& json, const char* key, const Leg& leg) {
@@ -200,7 +213,7 @@ int run_main() {
   }
 
   std::string json = "{\n";
-  json += "  \"schema_version\": 3,\n";
+  json += "  \"schema_version\": 4,\n";
   json += "  \"bench\": \"grid_throughput\",\n";
   json += strf("  \"smoke\": %s,\n", smoke ? "true" : "false");
   json += strf(

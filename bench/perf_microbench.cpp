@@ -4,9 +4,11 @@
 // execute hundreds of millions of socket-ticks.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/agent.h"
 #include "core/dufp.h"
@@ -120,44 +122,57 @@ void BM_GovernorTick(benchmark::State& state) {
 }
 BENCHMARK(BM_GovernorTick);
 
-/// The tier-2 kernel alone: ns per calm tick of FirmwareGovernor::calm_run
-/// on full windows under a binding cap.  The cap sits a sixth of the way
-/// from the 2.0 GHz state's power to the 2.1 GHz state's, so the governor
-/// settles at 2.0 GHz and every later tick is calm: each iteration is one
-/// calm run of 4096 ticks that evicts and pushes real window samples.
-/// Any flip tick (tick() + record_power(), the engine's share) runs
-/// outside the timed region.
+/// A governor on full windows under a cap `fraction` of the way from the
+/// 2.0 GHz state's power to the 2.1 GHz state's, with its applied
+/// state's entry filled as the engine fills it.
+struct KernelRig {
+  explicit KernelRig(double fraction) : socket(cfg, 0), gov(socket, params) {
+    socket.set_demand(bench_demand());
+    const double p_lo = socket.package_power_at(2000.0);
+    const double p_hi = socket.package_power_at(2100.0);
+    msr::PowerLimit pl = gov.limit();
+    pl.long_term_w = p_lo + (p_hi - p_lo) * fraction;
+    pl.short_term_w = pl.long_term_w;
+    gov.set_limit(pl);
+    for (int i = 0; i < 3000; ++i) step();  // windows full, cap biting
+  }
+  /// A flip tick as the engine runs one the kernel leaves: tick() +
+  /// record_power(), then the new state's entry filled.
+  void step() {
+    gov.tick();
+    const double v = socket.evaluate().pkg_power_w;
+    gov.record_power(v, params.tick_s);
+    gov.fill_flip_entry(v, lanes);
+  }
+  hw::SocketConfig cfg;
+  rapl::GovernorParams params;
+  hw::SocketModel socket;
+  rapl::FirmwareGovernor gov;
+  std::array<double, rapl::FirmwareGovernor::kFlipLanes> lanes{};
+};
+
+/// The tier-2 kernel's calm ticks alone: ns per calm tick of
+/// FirmwareGovernor::calm_run on full windows under a binding cap.  The
+/// cap sits a sixth of the way from the 2.0 GHz state's power to the
+/// 2.1 GHz state's, so the governor settles at 2.0 GHz and every later
+/// tick is calm: each iteration is one calm run of 4096 ticks that evicts
+/// and pushes real window samples.  The kernel gets no room to log a
+/// flip, so any flip tick ends the call and runs outside the timed region.
 void BM_CalmRun(benchmark::State& state) {
   constexpr std::size_t kRun = 4096;
-  const hw::SocketConfig cfg;
-  hw::SocketModel socket(cfg, 0);
-  socket.set_demand(bench_demand());
-  const rapl::GovernorParams params;
-  rapl::FirmwareGovernor gov(socket, params);
-  const double p_lo = socket.package_power_at(2000.0);
-  const double p_hi = socket.package_power_at(2100.0);
-  msr::PowerLimit pl = gov.limit();
-  pl.long_term_w = p_lo + (p_hi - p_lo) / 6.0;
-  pl.short_term_w = pl.long_term_w;
-  gov.set_limit(pl);
-  const auto step = [&] {
-    gov.tick();
-    gov.record_power(socket.evaluate().pkg_power_w, params.tick_s);
-  };
-  for (int i = 0; i < 3000; ++i) step();  // windows full, cap biting
+  KernelRig rig(1.0 / 6.0);
   double timed_s = 0.0;
   std::int64_t calm = 0;
   for (auto _ : state) {
-    const double v = socket.evaluate().pkg_power_w;
     const auto t0 = std::chrono::steady_clock::now();
-    const std::size_t k = gov.calm_run(v, kRun);
+    const auto run = rig.gov.calm_run(kRun, {});
     const auto t1 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(k);
+    benchmark::DoNotOptimize(run.ticks);
     const double s = std::chrono::duration<double>(t1 - t0).count();
     state.SetIterationTime(s);
     timed_s += s;
-    calm += static_cast<std::int64_t>(k);
-    if (k < kRun) step();
+    calm += static_cast<std::int64_t>(run.ticks);
+    if (run.ticks < kRun) rig.step();
   }
   state.SetItemsProcessed(calm);
   state.counters["ns_per_calm_tick"] =
@@ -166,6 +181,41 @@ void BM_CalmRun(benchmark::State& state) {
       static_cast<double>(calm) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_CalmRun)->UseManualTime();
+
+/// The tier-2 kernel under a dithering cap, flips included: the cap sits
+/// halfway between the 2.0 and 2.1 GHz states' powers, so the governor
+/// keeps flipping between them, and each iteration is one call of up to
+/// 4096 ticks that takes those flips from the governor's entries.  Only a flip
+/// into a state with no entry yet ends the call; it runs outside the
+/// timed region and fills the entry.
+void BM_CalmRunFlipping(benchmark::State& state) {
+  constexpr std::size_t kRun = 4096;
+  KernelRig rig(0.5);
+  std::vector<rapl::FirmwareGovernor::Flip> log(kRun);
+  double timed_s = 0.0;
+  std::int64_t ticks = 0;
+  std::int64_t flips = 0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto run = rig.gov.calm_run(kRun, log);
+    const auto t1 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(run.ticks);
+    benchmark::DoNotOptimize(log.data());
+    const double s = std::chrono::duration<double>(t1 - t0).count();
+    state.SetIterationTime(s);
+    timed_s += s;
+    ticks += static_cast<std::int64_t>(run.ticks);
+    flips += static_cast<std::int64_t>(run.flips);
+    if (run.ticks < kRun) rig.step();
+  }
+  state.SetItemsProcessed(ticks);
+  state.counters["ns_per_tick"] =
+      ticks > 0 ? 1e9 * timed_s / static_cast<double>(ticks) : 0.0;
+  state.counters["flips_per_1k_ticks"] =
+      ticks > 0 ? 1e3 * static_cast<double>(flips) / static_cast<double>(ticks)
+                : 0.0;
+}
+BENCHMARK(BM_CalmRunFlipping)->UseManualTime();
 
 void BM_DufpDecide(benchmark::State& state) {
   core::PolicyConfig policy;

@@ -83,9 +83,11 @@
 //   1  internal error (unexpected exception)
 //   2  usage error (bad flags)
 //   3  spec/format mismatch (wrong format, version, fingerprint, or an
-//      invalid spec/manifest)
+//      invalid spec/manifest: not JSON, a key missing, unknown or of the
+//      wrong type, a value out of range)
 //   4  job execution failure (the simulation itself threw)
-//   5  I/O failure (cannot open/write/fsync/rename an output)
+//   5  I/O failure (cannot open a spec or manifest, cannot
+//      open/write/fsync/rename an output)
 //   6  incomplete gather (--partial salvaged what it could and wrote a
 //      retry manifest) or incomplete supervision
 #include <fcntl.h>
@@ -102,6 +104,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -284,24 +287,34 @@ int threads_flag(const FleetSpec&, const Args& args) {
   return 1;
 }
 
-json::Value read_document(const std::string& path) {
+/// The text of the document at `path`; a file that cannot be opened is
+/// an I/O failure.
+std::string read_document(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in.good()) throw std::runtime_error("cannot open " + path);
+  if (!in.good()) throw CliError(kExitIo, "cannot open " + path);
   std::stringstream buf;
   buf << in.rdbuf();
-  return json::parse(buf.str());
+  return buf.str();
 }
 
 /// Calls `fn` with the document at `path` parsed as `Fleet` when its
 /// "format" key is `fleet_format`, else as `Grid` (whose from_json
-/// rejects every format but its own).
+/// rejects every format but its own).  Anything wrong with the document
+/// is a ShardFormatError; `fn` runs outside that mapping.
 template <class Grid, class Fleet, class Fn>
 int with_kind(const std::string& path, const char* fleet_format, Fn fn) {
-  const json::Value doc = read_document(path);
-  if (doc.at("format").as_string() == fleet_format) {
-    return fn(Fleet::from_json(doc));
-  }
-  return fn(Grid::from_json(doc));
+  const std::string text = read_document(path);
+  std::optional<Grid> grid;
+  std::optional<Fleet> fleet;
+  dufp::harness::parse_document([&] {
+    const json::Value doc = json::parse(text);
+    if (doc.at("format").as_string() == fleet_format) {
+      fleet.emplace(Fleet::from_json(doc));
+    } else {
+      grid.emplace(Grid::from_json(doc));
+    }
+  });
+  return fleet.has_value() ? fn(*fleet) : fn(*grid);
 }
 
 template <class Fn>
@@ -450,8 +463,9 @@ int cmd_spec(const Args& args) {
 }
 
 int cmd_plan(const Args& args) {
-  const GridSpec spec =
-      GridSpec::from_json(read_document(args.require("spec")));
+  const std::string text = read_document(args.require("spec"));
+  const GridSpec spec = dufp::harness::parse_document(
+      [&text] { return GridSpec::from_json(json::parse(text)); });
   const auto gp = dufp::harness::build_plan(spec);
   std::printf("job,cell,repetition,seed\n");
   for (std::size_t i = 0; i < gp.plan.job_count(); ++i) {

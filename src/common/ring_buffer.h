@@ -92,14 +92,15 @@ class RingBuffer {
   /// write position in a register.  While the ring is full every slot is
   /// allocated, the oldest element sits at head(), and each push()
   /// overwrites slot head() and steps it (wrapping at capacity()).  A
-  /// caller that wrote k values that way into slots() then calls
-  /// commit_pushes(k), which leaves the ring exactly as k push() calls.
+  /// caller that wrote values that way into slots() and stepped its own
+  /// copy of head() to `head` then calls commit_head(head), which leaves
+  /// the ring exactly as that many push() calls.
   T* slots() { return buf_.data(); }
   std::size_t head() const { return head_; }
-  void commit_pushes(std::size_t k) {
-    DUFP_EXPECT(full());
-    head_ = (head_ + k % capacity_) % capacity_;
-    tail_ = head_;
+  void commit_head(std::size_t head) {
+    DUFP_EXPECT(full() && head < capacity_);
+    head_ = head;
+    tail_ = head;
   }
 
   /// Visit all elements oldest → newest.
@@ -153,6 +154,11 @@ class WindowedMean {
   std::size_t size() const { return ring_.size(); }
   std::size_t capacity() const { return ring_.capacity(); }
   bool full() const { return ring_.full(); }
+  /// The running sum mean() divides, and the samples oldest → newest:
+  /// with size() and run_length(), the whole observable state (tests
+  /// compare windows through them bit for bit).
+  double sum() const { return sum_; }
+  double from_oldest(std::size_t i) const { return ring_.from_oldest(i); }
   void clear() {
     ring_.clear();
     sum_ = 0.0;
@@ -160,19 +166,31 @@ class WindowedMean {
     run_value_ = 0.0;
   }
 
-  /// A full window copied into locals for a run of add(v) calls with one
-  /// value v: the running sum, the write position and the slot pointer
-  /// stay in registers, and commit() writes them back once.  add()
-  /// performs WindowedMean::add's floating-point operations in its order
-  /// (evict the oldest, store, add), so after k calls the sum holds the
-  /// bits k calls of WindowedMean::add(v) would leave.
+  /// A full window copied into locals for a run of add() calls: the
+  /// running sum, the write position and the slot pointer stay in
+  /// registers, and commit() writes them back once.  Each add performs
+  /// WindowedMean::add's floating-point operations in its order (evict the
+  /// oldest, store, add), so after any sequence of adds the sum holds the
+  /// bits the same WindowedMean::add calls would leave.
   class Cursor {
    public:
+    /// add(v) of the value the cursor holds: cursor(v)'s, or the last one
+    /// add(double) passed.
     void add() {
       sum_ -= slots_[head_];
       slots_[head_] = v_;
       sum_ += v_;
       if (++head_ == capacity_) head_ = 0;
+      ++adds_;
+    }
+    /// add(v) of a value that may differ from the one held; later add()s
+    /// repeat it.
+    void add(double v) {
+      if (!bit_equal(v, v_)) {
+        v_ = v;
+        run_start_ = adds_;
+      }
+      add();
     }
     /// mean() of the window the adds so far would leave.
     double mean() const { return sum_ / size_; }
@@ -194,28 +212,36 @@ class WindowedMean {
     double sum_;
     double size_;  ///< size() of a full window, as mean() divides by it
     double v_;
+    std::size_t adds_ = 0;
+    /// Adds made before the first of the trailing run of v_ (0 while every
+    /// add so far was v_).
+    std::size_t run_start_ = 0;
   };
 
-  /// Starts a run of add(v) on a full window.
+  /// Starts a run of adds on a full window; add() repeats `v`.
   Cursor cursor(double v) {
     DUFP_EXPECT(full());
     return Cursor(ring_.slots(), ring_.capacity(), ring_.head(), sum_, v);
   }
 
-  /// Commits `k` Cursor::add() calls made since cursor(v): afterwards the
-  /// window (samples, sum, trailing run) equals k calls of add(v).  Only
-  /// valid while no other add() has touched the window since cursor().
-  void commit(const Cursor& c, std::size_t k) {
+  /// Commits the adds made through `c` since cursor(): afterwards the
+  /// window (samples, sum, trailing run) equals the same add() calls.
+  /// Only valid while no other add() has touched the window since
+  /// cursor().
+  void commit(const Cursor& c) {
+    const std::size_t k = c.adds_;
     if (k == 0) return;
-    ring_.commit_pushes(k);
+    ring_.commit_head(c.head_);
     sum_ = c.sum_;
-    // k identical samples either extend the trailing run or start one;
-    // either way it is capped at capacity, as k single adds would cap it.
-    if (run_length_ > 0 && bit_equal(c.v_, run_value_)) {
+    // The adds end in a run of k - run_start_ bitwise-identical samples.
+    // When that run is all of them it extends the window's trailing run
+    // if the values match; either way the run is capped at capacity, as
+    // single adds would cap it.
+    if (c.run_start_ == 0 && run_length_ > 0 && bit_equal(c.v_, run_value_)) {
       run_length_ = std::min(ring_.capacity(), run_length_ + k);
     } else {
       run_value_ = c.v_;
-      run_length_ = std::min(ring_.capacity(), k);
+      run_length_ = std::min(ring_.capacity(), k - c.run_start_);
     }
   }
 

@@ -68,6 +68,24 @@ std::string fingerprint_hex(std::uint64_t fingerprint);
 void check_document(const json::Value& doc, const json::Value& canonical,
                     std::string_view what);
 
+/// Returns parse(), which reads a work document another process wrote —
+/// json::parse of its text, then a spec's or retry manifest's from_json —
+/// with every std::runtime_error it throws as a ShardFormatError.
+/// common/json reports malformed text, a missing key and a value of the
+/// wrong JSON type as plain runtime errors; through here they are what
+/// they are, a bad document (the CLI's exit 3), like every defect
+/// check_document and from_json find.
+template <class Parse>
+decltype(auto) parse_document(Parse&& parse) {
+  try {
+    return parse();
+  } catch (const ShardFormatError&) {
+    throw;
+  } catch (const std::runtime_error& e) {
+    throw ShardFormatError(e.what());
+  }
+}
+
 /// Lease policy of a FileChunkClaimer.
 struct LeaseOptions {
   /// Unique id of this claimer (one per worker attempt).  Empty derives

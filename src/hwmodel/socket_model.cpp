@@ -61,14 +61,6 @@ double SocketModel::effective_uncore_mhz() const {
 }
 
 SocketInstant SocketModel::evaluate_slow() const {
-  for (const InstantWay& w : instant_ways_) {
-    if (w.valid && w.core_limit == core_freq_limit_mhz_ &&
-        w.user_pstate == user_pstate_mhz_ && w.version == state_version_) {
-      cached_instant_ = w.instant;
-      cache_valid_ = true;
-      return cached_instant_;
-    }
-  }
   SocketInstant out;
   out.core_mhz = effective_core_mhz();
   out.uncore_mhz = effective_uncore_mhz();
@@ -81,12 +73,6 @@ SocketInstant SocketModel::evaluate_slow() const {
   out.dram_power_w = power_model_.dram_power_w(out.bytes_rate);
   cached_instant_ = out;
   cache_valid_ = true;
-  InstantWay& way = instant_ways_[instant_rr_++ % kInstantWays];
-  way.core_limit = core_freq_limit_mhz_;
-  way.user_pstate = user_pstate_mhz_;
-  way.version = state_version_;
-  way.instant = out;
-  way.valid = true;
   return out;
 }
 

@@ -108,9 +108,8 @@ class SocketModel {
 
   /// Monotone counter bumped whenever demand or the uncore window — the
   /// inputs of core_mhz_for_power besides the target — actually change.
-  /// Callers that cache anything derived from the power-to-frequency
-  /// inverse (the governor's cell ways and calm cell) key their caches on
-  /// it.
+  /// Callers that cache anything derived from the socket state (the
+  /// governor's state ways) key their caches on it.
   std::uint64_t state_version() const { return state_version_; }
 
   // -- ground-truth accounting ---------------------------------------------------
@@ -190,8 +189,7 @@ class SocketModel {
   }
 
  private:
-  /// Cache-miss tail of evaluate(): victim-cache scan, then the full
-  /// model evaluation.
+  /// Cache-miss tail of evaluate(): the full model evaluation.
   SocketInstant evaluate_slow() const;
   SocketConfig config_;
   int socket_id_;
@@ -206,24 +204,6 @@ class SocketModel {
 
   mutable SocketInstant cached_instant_{};
   mutable bool cache_valid_ = false;
-
-  // Victim cache behind the single-entry memo: a RAPL governor hunting
-  // between two neighbouring P-states alternates a small set of operating
-  // points, and re-entering one should not pay a full model evaluation.
-  // Keyed on everything evaluate() reads: the two frequency limits plus
-  // the state version (which covers demand and the uncore window).  The
-  // cached struct is returned bit-for-bit, so the extra ways are as
-  // invisible to the determinism contract as the single-entry memo.
-  struct InstantWay {
-    double core_limit = 0.0;
-    double user_pstate = 0.0;
-    std::uint64_t version = 0;
-    SocketInstant instant{};
-    bool valid = false;
-  };
-  static constexpr std::size_t kInstantWays = 4;
-  mutable InstantWay instant_ways_[kInstantWays];
-  mutable std::uint8_t instant_rr_ = 0;
 
   // See state_version(); bumped by the demand and uncore-window setters.
   std::uint64_t state_version_ = 1;

@@ -1,7 +1,9 @@
 #include "msr/registers.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/expect.h"
 
@@ -52,24 +54,41 @@ RaplUnits decode_rapl_units(std::uint64_t raw) {
 
 std::uint32_t encode_time_window(double seconds, const RaplUnits& u) {
   DUFP_EXPECT(seconds >= 0.0);
+  // Candidate i = 4Y + Z is the window of field Y | Z << 5: 2^Y (1 + Z/4)
+  // time units, computed exactly (the time unit is a power of two), so the
+  // 128 candidates grow strictly with i.  The field is the first candidate
+  // of least rounded error |window - seconds|.  Those errors fall while
+  // the candidates lie below the request and rise from the first one at
+  // or above it (index j), so the least is at j or j - 1.
+  constexpr std::uint32_t kCandidates = 128;
   const double tu = u.seconds_per_unit();
-  // window = 2^Y * (1 + Z/4) * tu.  Search the 4 Z values for each Y and
-  // keep the closest representable window; the field is tiny (128 combos)
-  // so exhaustive search is the clearest correct implementation.
-  std::uint32_t best_field = 0;
-  double best_err = std::numeric_limits<double>::infinity();
-  double pow2 = 1.0;  // exact 2^y, doubled per iteration (no libm call)
-  for (std::uint32_t y = 0; y < 32; ++y, pow2 *= 2.0) {
-    for (std::uint32_t z = 0; z < 4; ++z) {
-      const double w = pow2 * (1.0 + static_cast<double>(z) / 4.0) * tu;
-      const double err = std::abs(w - seconds);
-      if (err < best_err) {
-        best_err = err;
-        best_field = y | (z << 5);
-      }
-    }
+  const auto window = [tu](std::uint32_t i) {
+    return static_cast<double>(std::uint64_t{1} << (i / 4)) *
+           (1.0 + static_cast<double>(i % 4) / 4.0) * tu;
+  };
+  const auto error = [&](std::uint32_t i) {
+    return std::abs(window(i) - seconds);
+  };
+  std::uint32_t j = 0;
+  if (seconds > window(kCandidates - 1)) {
+    j = kCandidates;
+  } else if (seconds > window(0)) {
+    // seconds / tu is exact and lies in (1, 2^32), so its binary exponent
+    // e is Y of the candidate at or below it: j lies in [4e, 4e + 4].
+    const auto e = static_cast<std::uint32_t>(
+        (std::bit_cast<std::uint64_t>(seconds / tu) >> 52) - 1023);
+    j = 4 * e;
+    while (window(j) < seconds) ++j;
   }
-  return best_field;
+  std::uint32_t best = j;
+  if (j == kCandidates || (j > 0 && error(j - 1) <= error(j))) {
+    // Rounding can leave equal errors below the request (a request of
+    // 1e300 absorbs every candidate): ties go to the first, as a strict
+    // scan in field order would keep it.
+    best = j - 1;
+    while (best > 0 && error(best - 1) == error(best)) --best;
+  }
+  return best / 4 | (best % 4) << 5;
 }
 
 double decode_time_window(std::uint32_t field, const RaplUnits& u) {

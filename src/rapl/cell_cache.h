@@ -41,14 +41,17 @@ namespace dufp::rapl {
 /// grid).  Cheap enough to keep always-on; the grid-throughput bench and
 /// the perf ledger read it.
 struct CellStats {
-  std::uint64_t cold_builds = 0;    ///< edges built on a way miss
+  /// Edges built: the first time a socket state's row needed the edge.
+  std::uint64_t cold_builds = 0;
   std::uint64_t probes = 0;         ///< threshold probes inside them
   /// Always 0: edges are no longer shared between governors.  Kept only
   /// because perfbench/ledger.cpp still reports it; the benchmark-only
   /// follow-up that drops the ledger's rapl.shared_* rows removes it.
   std::uint64_t shared_hits = 0;
-  std::uint64_t way_evictions = 0;  ///< valid ways overwritten on refill
-  std::uint64_t local_hits = 0;     ///< served from the governor's own ways
+  std::uint64_t way_evictions = 0;  ///< valid state ways overwritten
+  /// Socket-state changes whose new state was found again in the
+  /// governor's own ways.
+  std::uint64_t local_hits = 0;
 
   void add(const CellStats& o) {
     cold_builds += o.cold_builds;

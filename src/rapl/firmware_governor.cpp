@@ -49,8 +49,10 @@ FirmwareGovernor::FirmwareGovernor(hw::SocketModel& socket,
       params_(params),
       long_window_(window_ticks(1.0)),
       short_window_(window_ticks(0.01)),
-      current_limit_mhz_(socket.config().core_max_mhz) {
+      pstate_(pstate_count(socket.config()) - 1) {
   DUFP_EXPECT(params.tick_s > 0.0);
+  DUFP_EXPECT(params.throttle_slew_mhz >= 0.0 &&
+              params.unthrottle_slew_mhz >= 0.0);
   // Start from the hardware default constraints.
   msr::PowerLimit def;
   def.long_term_w = socket.config().long_term_default_w;
@@ -62,11 +64,12 @@ FirmwareGovernor::FirmwareGovernor(hw::SocketModel& socket,
   def.short_term_enabled = true;
   def.short_term_clamped = true;
   set_limit(def);
-  // Cell-edge cache slots for every P-state, allocated up front so the
-  // decision paths stay allocation-free in steady state.
+  // A row for every way, allocated up front so the decision paths stay
+  // allocation-free in steady state.
   const auto& cfg = socket.config();
   const std::size_t n_states = pstate_count(cfg);
-  cells_.resize(n_states * kCellWays);
+  rows_.resize(n_states * kStateWays);
+  for (std::size_t w = 0; w < kStateWays; ++w) ways_[w].row = w * n_states;
   // The config's threshold table is built (or found) now, so the in-run
   // cache paths stay allocation-free (the alloc-guard contract).
   scale_thresholds_ = SharedCellCache::instance().scale_thresholds(cfg);
@@ -75,6 +78,38 @@ FirmwareGovernor::FirmwareGovernor(hw::SocketModel& socket,
   // hardware grids), or the search's top clamp could return an off-grid
   // frequency no cell represents.
   DUFP_EXPECT(pstate_mhz(cfg, n_states - 1) == cfg.core_max_mhz);
+
+  // The decision's slew limits and quantization in index space: run the
+  // MHz expressions of planned_from_allowance once per applied state.
+  // Every grid state must quantize to itself, so a walk that stops inside
+  // the slew window needs no rounding.
+  const auto index_of = [&](double target_mhz) {
+    const double q = socket.quantize_core_mhz(target_mhz);
+    const auto idx = static_cast<std::size_t>(
+        std::lround((q - cfg.core_min_mhz) / cfg.core_step_mhz));
+    DUFP_EXPECT(idx < n_states && pstate_mhz(cfg, idx) == q);
+    return idx;
+  };
+  slew_.resize(n_states);
+  for (std::size_t p = 0; p < n_states; ++p) {
+    const double cur = pstate_mhz(cfg, p);
+    DUFP_EXPECT(index_of(cur) == p);
+    Slew& sl = slew_[p];
+    sl.up_reach = p;
+    while (sl.up_reach + 1 < n_states &&
+           pstate_mhz(cfg, sl.up_reach) < cur + params_.unthrottle_slew_mhz) {
+      ++sl.up_reach;
+    }
+    sl.up_final = index_of(std::min(pstate_mhz(cfg, sl.up_reach),
+                                    cur + params_.unthrottle_slew_mhz));
+    sl.down_reach = p;
+    while (sl.down_reach > 0 &&
+           pstate_mhz(cfg, sl.down_reach) > cur - params_.throttle_slew_mhz) {
+      --sl.down_reach;
+    }
+    sl.down_final = index_of(std::max(pstate_mhz(cfg, sl.down_reach),
+                                      cur - params_.throttle_slew_mhz));
+  }
 }
 
 std::size_t FirmwareGovernor::window_ticks(double window_s) const {
@@ -105,17 +140,114 @@ double FirmwareGovernor::current_allowance() const {
   return allowance_from(limit_, params_.headroom_gain, long_avg, short_avg);
 }
 
+inline FirmwareGovernor::StateEntry* FirmwareGovernor::state_row() const {
+  const StateWay& front = ways_.front();
+  if (front.version != socket_.state_version() ||
+      front.user_mhz != socket_.user_pstate_limit_mhz()) {
+    find_state();
+  }
+  return rows_.data() + ways_.front().row;
+}
+
+void FirmwareGovernor::find_state() const {
+  const std::uint64_t version = socket_.state_version();
+  const hw::PhaseDemand& demand = socket_.demand();
+  const double umin = socket_.uncore_window_min_mhz();
+  const double umax = socket_.uncore_window_max_mhz();
+  constexpr double kUnset = std::numeric_limits<double>::quiet_NaN();
+  const std::size_t n = slew_.size();
+  // A state version names one socket state, so a front way whose version
+  // matches is current and only the user limit moved.  Otherwise the
+  // state may still be one seen before — match by content, re-confirm,
+  // and move it to the front.
+  std::size_t w = 0;
+  if (ways_[0].version != version) {
+    while (w < kStateWays &&
+           !(ways_[w].valid && ways_[w].unc_min == umin &&
+             ways_[w].unc_max == umax && ways_[w].demand == demand)) {
+      ++w;
+    }
+    if (w < kStateWays) {
+      ++cell_stats_.local_hits;
+    } else {
+      // Never-seen state for this governor: the least recently used way
+      // takes it with an empty row.
+      w = kStateWays - 1;
+      StateWay& way = ways_[w];
+      if (way.valid) ++cell_stats_.way_evictions;
+      way.unc_min = umin;
+      way.unc_max = umax;
+      way.demand = demand;
+      way.valid = true;
+      for (std::size_t j = 0; j < n; ++j) {
+        rows_[way.row + j].edge = kUnset;
+        rows_[way.row + j].recorded_w = kUnset;
+      }
+    }
+    ways_[w].version = version;
+    std::rotate(ways_.begin(), ways_.begin() + static_cast<std::ptrdiff_t>(w),
+                ways_.begin() + static_cast<std::ptrdiff_t>(w) + 1);
+  }
+  // Edges do not depend on the user P-state limit, operating points do.
+  StateWay& front = ways_.front();
+  const double user_mhz = socket_.user_pstate_limit_mhz();
+  if (front.user_mhz != user_mhz) {
+    for (std::size_t j = 0; j < n; ++j) rows_[front.row + j].recorded_w = kUnset;
+    front.user_mhz = user_mhz;
+  }
+}
+
+inline double FirmwareGovernor::row_edge(StateEntry* row, std::size_t j) const {
+  double& e = row[j].edge;
+  if (std::isnan(e)) [[unlikely]] {
+    e = lowest_allowance_reaching(j);
+    ++cell_stats_.cold_builds;
+  }
+  return e;
+}
+
+std::size_t FirmwareGovernor::next_pstate(double allowance_w, std::size_t p,
+                                          StateEntry* row) const {
+  // Locate the allowance's cell — the P-state the search would return —
+  // starting from p's own cell (where a calm tick lands in one or two
+  // comparisons) and walking only as far as the slew limits can matter:
+  // past them the clamp fixes the outcome regardless of how much further
+  // the search result lies.  A non-finite allowance plans core_max, which
+  // the up-slew clamps to where the walk up would stop.
+  const Slew& sl = slew_[p];
+  std::size_t k = p;
+  if (!std::isfinite(allowance_w)) {
+    k = sl.up_reach;
+  } else if (allowance_w >= row_edge(row, k)) {
+    while (k < sl.up_reach && allowance_w >= row_edge(row, k + 1)) ++k;
+  } else {
+    while (k > sl.down_reach) {
+      --k;
+      if (allowance_w >= row_edge(row, k)) break;
+    }
+  }
+  // Slew limiting and quantization: only the walk's last state can lie
+  // past a slew limit.
+  if (k < p) return k == sl.down_reach ? sl.down_final : k;
+  if (k > p) return k == sl.up_reach ? sl.up_final : k;
+  return p;
+}
+
 void FirmwareGovernor::tick() {
-  current_limit_mhz_ = planned_limit_mhz();
-  socket_.set_core_freq_limit_mhz(current_limit_mhz_);
+  pstate_ = planned_pstate();
+  socket_.set_core_freq_limit_mhz(current_limit_mhz());
 }
 
 double FirmwareGovernor::planned_limit_mhz() const {
-  return planned_cached(current_allowance());
+  return pstate_mhz(socket_.config(), planned_pstate());
 }
 
 double FirmwareGovernor::planned_limit_reference_mhz() const {
   return planned_from_allowance(current_allowance());
+}
+
+std::size_t FirmwareGovernor::planned_pstate() const {
+  return next_pstate(current_allowance(), pstate_, state_row());
 }
 
 double FirmwareGovernor::planned_from_allowance(double allowance_w) const {
@@ -129,11 +261,11 @@ double FirmwareGovernor::planned_from_allowance(double allowance_w) const {
   }
 
   // Slew limiting.
-  if (target < current_limit_mhz_) {
-    target = std::max(target, current_limit_mhz_ - params_.throttle_slew_mhz);
-  } else if (target > current_limit_mhz_) {
-    target =
-        std::min(target, current_limit_mhz_ + params_.unthrottle_slew_mhz);
+  const double current = current_limit_mhz();
+  if (target < current) {
+    target = std::max(target, current - params_.throttle_slew_mhz);
+  } else if (target > current) {
+    target = std::min(target, current + params_.unthrottle_slew_mhz);
   }
   return socket_.quantize_core_mhz(target);
 }
@@ -141,7 +273,7 @@ double FirmwareGovernor::planned_from_allowance(double allowance_w) const {
 bool FirmwareGovernor::steady_state(double pkg_power_w) const {
   return long_window_.steady_under(pkg_power_w) &&
          short_window_.steady_under(pkg_power_w) &&
-         planned_limit_mhz() == current_limit_mhz_;
+         planned_pstate() == pstate_;
 }
 
 double FirmwareGovernor::lowest_allowance_reaching(std::size_t idx) const {
@@ -204,152 +336,82 @@ double FirmwareGovernor::lowest_allowance_reaching(std::size_t idx) const {
   return edge;
 }
 
-double FirmwareGovernor::cell_edge(std::size_t idx) const {
-  DUFP_EXPECT(idx * kCellWays < cells_.size());
-  CellSlot* ways = cells_.data() + idx * kCellWays;
-  const std::uint64_t ver = socket_.state_version();
-  // The ways are kept in recency order (front = most recently used), so
-  // the common case — socket state unmoved since the front slot was last
-  // confirmed — is a single integer compare.
-  const auto promote = [&](std::size_t w) -> double {
-    if (w != 0) {
-      const CellSlot hit = ways[w];
-      for (std::size_t i = w; i > 0; --i) ways[i] = ways[i - 1];
-      ways[0] = hit;
-    }
-    return ways[0].edge;
-  };
-  for (std::size_t w = 0; w < kCellWays; ++w) {
-    if (ways[w].valid && ways[w].version == ver) {
-      ++cell_stats_.local_hits;
-      return promote(w);
-    }
-  }
-  // The state moved (uncore retune, phase change); it may still be one
-  // seen before — DUFP controllers sweep the uncore window range and
-  // workloads revisit phases, so match by content and re-confirm.
-  const hw::PhaseDemand& d = socket_.demand();
-  const double umin = socket_.uncore_window_min_mhz();
-  const double umax = socket_.uncore_window_max_mhz();
-  for (std::size_t w = 0; w < kCellWays; ++w) {
-    if (ways[w].valid && ways[w].unc_min == umin && ways[w].unc_max == umax &&
-        ways[w].demand == d) {
-      ways[w].version = ver;
-      ++cell_stats_.local_hits;
-      return promote(w);
-    }
-  }
-  // Never-seen state for *this* governor: build the edge into the least
-  // recently used way.
-  CellSlot& slot = ways[kCellWays - 1];
-  if (slot.valid) ++cell_stats_.way_evictions;
-  const double edge = lowest_allowance_reaching(idx);
-  ++cell_stats_.cold_builds;
-  slot.edge = edge;
-  slot.version = ver;
-  slot.unc_min = umin;
-  slot.unc_max = umax;
-  slot.demand = d;
-  slot.valid = true;
-  return promote(kCellWays - 1);
+void FirmwareGovernor::fill_flip_entry(
+    double recorded_w, std::span<const double, kFlipLanes> lanes) {
+  DUFP_EXPECT(recorded_w >= 0.0);
+  StateEntry& e = state_row()[pstate_];
+  e.recorded_w = recorded_w;
+  std::copy(lanes.begin(), lanes.end(), e.lanes.begin());
 }
 
-double FirmwareGovernor::planned_cached(double allowance_w) const {
-  const auto& cfg = socket_.config();
-  double target = cfg.core_max_mhz;
-  if (std::isfinite(allowance_w)) {
-    // Locate the allowance's cell — the P-state the search would return —
-    // starting from the applied limit's cell (where a calm tick lands in
-    // one or two comparisons) and walking only as far as the slew limits
-    // can matter: past them the clamp fixes the outcome regardless of
-    // how much further the search result lies.
-    const std::size_t n = cells_.size() / kCellWays;
-    auto k = static_cast<std::size_t>(std::lround(
-        (current_limit_mhz_ - cfg.core_min_mhz) / cfg.core_step_mhz));
-    if (allowance_w >= cell_edge(k)) {
-      while (k + 1 < n &&
-             pstate_mhz(cfg, k) <
-                 current_limit_mhz_ + params_.unthrottle_slew_mhz &&
-             allowance_w >= cell_edge(k + 1)) {
-        ++k;
-      }
-    } else {
-      while (k > 0 &&
-             pstate_mhz(cfg, k) >
-                 current_limit_mhz_ - params_.throttle_slew_mhz) {
-        --k;
-        if (allowance_w >= cell_edge(k)) break;
-      }
-    }
-    target = pstate_mhz(cfg, k);
-  }
-
-  // Slew limiting and quantization, shared verbatim with the reference
-  // decision (planned_from_allowance).
-  if (target < current_limit_mhz_) {
-    target = std::max(target, current_limit_mhz_ - params_.throttle_slew_mhz);
-  } else if (target > current_limit_mhz_) {
-    target =
-        std::min(target, current_limit_mhz_ + params_.unthrottle_slew_mhz);
-  }
-  return socket_.quantize_core_mhz(target);
-}
-
-std::size_t FirmwareGovernor::calm_run(double recorded_w,
-                                       std::size_t max_ticks) {
-  // Calm ticks leave the limit and the socket state alone, so the cell
-  // checked here stays valid for the whole run.
-  if (calm_limit_ != current_limit_mhz_ ||
-      calm_version_ != socket_.state_version()) {
-    refresh_calm_cell();
-  }
-  const double lo = calm_lo_;
-  const double hi = calm_hi_;
-  const bool top = calm_top_;
+FirmwareGovernor::CalmRun FirmwareGovernor::calm_run(std::size_t max_ticks,
+                                                     std::span<Flip> flips) {
+  // Nothing inside the kernel moves the socket state, so the row found
+  // here holds for the whole call.
+  DUFP_EXPECT(max_ticks <= std::numeric_limits<std::uint32_t>::max());
+  StateEntry* const row = state_row();
+  const std::size_t n = slew_.size();
+  std::size_t p = pstate_;
+  const double v = row[p].recorded_w;
+  DUFP_EXPECT(!std::isnan(v));
+  double lo = row_edge(row, p);
+  bool top = p + 1 == n;
+  double hi = top ? 0.0 : row_edge(row, p + 1);
 
   // While a window fills, add() changes its divisor and may grow its
-  // storage: the per-tick body, one add() per window.
+  // storage: the per-tick body, one add() per window, and the first flip
+  // is the caller's.
   std::size_t k = 0;
   for (; k < max_ticks && !(long_window_.full() && short_window_.full());
        ++k) {
-    if (!in_calm_cell(current_allowance(), lo, hi, top)) return k;
-    long_window_.add(recorded_w);
-    short_window_.add(recorded_w);
+    if (!in_calm_cell(current_allowance(), lo, hi, top)) return {k, 0};
+    long_window_.add(v);
+    short_window_.add(v);
   }
-  if (k == max_ticks) return k;
+  if (k == max_ticks) return {k, 0};
 
   // Both windows full: the same allowance expression over register-held
   // sums.  The limit and gain are copied into locals too — the slot
   // stores could alias the members, which would force a reload per tick.
   const msr::PowerLimit limit = limit_;
   const double gain = params_.headroom_gain;
-  WindowedMean::Cursor lw = long_window_.cursor(recorded_w);
-  WindowedMean::Cursor sw = short_window_.cursor(recorded_w);
-  const std::size_t room = max_ticks - k;
-  std::size_t j = 0;
-  for (; j < room; ++j) {
+  WindowedMean::Cursor lw = long_window_.cursor(v);
+  WindowedMean::Cursor sw = short_window_.cursor(v);
+  std::size_t logged = 0;
+  for (; k < max_ticks; ++k) {
     const double a = allowance_from(limit, gain, lw.mean(), sw.mean());
-    if (!in_calm_cell(a, lo, hi, top)) break;
-    lw.add();
-    sw.add();
+    if (in_calm_cell(a, lo, hi, top)) {
+      lw.add();
+      sw.add();
+      continue;
+    }
+    // Flip tick k: tick() would apply state q, and record_power() push
+    // q's recorded power.
+    if (logged == flips.size()) break;
+    const std::size_t q = next_pstate(a, p, row);
+    const double vq = row[q].recorded_w;
+    if (std::isnan(vq)) break;
+    flips[logged++] = {static_cast<std::uint32_t>(k),
+                       static_cast<std::uint32_t>(q)};
+    p = q;
+    lw.add(vq);
+    sw.add(vq);
+    // The next tick's calm test needs q's cell.  A call that ends here
+    // leaves it to the next call, which may run under another socket
+    // state, so no edge is built that no decision needs.
+    if (k + 1 < max_ticks) {
+      lo = row_edge(row, q);
+      top = q + 1 == n;
+      hi = top ? 0.0 : row_edge(row, q + 1);
+    }
   }
-  long_window_.commit(lw, j);
-  short_window_.commit(sw, j);
-  return k + j;
-}
-
-void FirmwareGovernor::refresh_calm_cell() {
-  // The applied limit's cell edges, flattened into members so the calm
-  // test itself is two comparisons; revalidated by (limit, state version).
-  const auto& cfg = socket_.config();
-  const std::size_t n = cells_.size() / kCellWays;
-  const auto idx = static_cast<std::size_t>(std::lround(
-      (current_limit_mhz_ - cfg.core_min_mhz) / cfg.core_step_mhz));
-  calm_lo_ = cell_edge(idx);
-  calm_top_ = idx + 1 >= n;
-  calm_hi_ = calm_top_ ? 0.0 : cell_edge(idx + 1);
-  calm_limit_ = current_limit_mhz_;
-  calm_version_ = socket_.state_version();
+  long_window_.commit(lw);
+  short_window_.commit(sw);
+  if (p != pstate_) {
+    pstate_ = p;
+    socket_.set_core_freq_limit_mhz(current_limit_mhz());
+  }
+  return {k, logged};
 }
 
 }  // namespace dufp::rapl

@@ -14,9 +14,10 @@
 //    average must drain and the P-state slews down step by step.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/ring_buffer.h"
@@ -43,6 +44,25 @@ struct GovernorParams {
 
 class FirmwareGovernor {
  public:
+  /// Lanes of the simulation engine's per-tick increments (sim::Simulation's
+  /// accumulator lanes) kept per P-state for calm_run's flips
+  /// (fill_flip_entry).  The governor stores them for the engine's replay
+  /// and never reads them.
+  static constexpr std::size_t kFlipLanes = 11;
+
+  /// One flip tick calm_run took: its index counted from the call's first
+  /// tick, and the P-state (index above core_min) it moved the limit to.
+  struct Flip {
+    std::uint32_t tick = 0;
+    std::uint32_t pstate = 0;
+  };
+
+  /// What one calm_run call did.
+  struct CalmRun {
+    std::size_t ticks = 0;  ///< ticks run, calm and flip alike
+    std::size_t flips = 0;  ///< flip-log entries written
+  };
+
   FirmwareGovernor(hw::SocketModel& socket, const GovernorParams& params);
 
   /// Installs new constraints (from an MSR 0x610 write).  Re-sizes the
@@ -71,7 +91,9 @@ class FirmwareGovernor {
   const WindowedMean& short_window() const { return short_window_; }
 
   /// Frequency limit currently applied (MHz).
-  double current_limit_mhz() const { return current_limit_mhz_; }
+  double current_limit_mhz() const {
+    return pstate_mhz(socket_.config(), pstate_);
+  }
 
   /// True when the governor is at a bitwise fixed point under a constant
   /// recorded package power of `pkg_power_w`: both averaging windows are
@@ -92,25 +114,46 @@ class FirmwareGovernor {
            short_window_.run_length() >= short_window_.capacity();
   }
 
-  /// Calm-run kernel of the simulation engine's tier-2 stretch.  Runs up
-  /// to `max_ticks` calm ticks under a constant recorded package power
-  /// and returns how many it ran.  A calm tick is one whose control
-  /// decision keeps the applied frequency limit: its tick() would be a
-  /// no-op write, so only record_power(recorded_w)'s window pushes are
-  /// observable, and the kernel performs exactly those.  The first tick
-  /// whose decision would move the limit (a flip tick) ends the run
-  /// untouched; the returned count is its index, and the caller runs it
-  /// as tick() + record_power().  After calm_run(v, N) returns k, the
-  /// governor is bit-identical to k cycles of tick() + record_power(v).
+  /// The simulation engine's tier-2 kernel.  Runs up to `max_ticks` cycles
+  /// of tick() + record_power(v(p)), where v(p) is the recorded power of
+  /// the P-state p the tick applies, as fill_flip_entry filled it for the
+  /// socket's current state, and reports how many it ran.
   ///
-  /// The decision is the cell-table decision tick() itself uses (see
+  /// A calm tick keeps the applied limit: its tick() would be a no-op
+  /// write, so only its window pushes are observable, and the kernel
+  /// performs exactly those.  The decision is tick()'s own (see
   /// planned_limit_mhz): the allowance must stay inside the applied
-  /// limit's own cell, two comparisons against cached edges.  Once both
-  /// windows are full, their sums, write positions and slot pointers
-  /// live in registers (WindowedMean::Cursor) and are committed once at
-  /// the end; while a window is still filling, each tick takes the plain
-  /// add() path, since the divisor and the storage can still change.
-  std::size_t calm_run(double recorded_w, std::size_t max_ticks);
+  /// state's cell, two comparisons against cached edges.  A flip tick
+  /// moves the limit: the kernel finds the new state with tick()'s walk,
+  /// slew and quantization code, pushes the new state's recorded power
+  /// and logs the flip in `flips`.  It stops before a flip it cannot take
+  /// — the new state's entry is not filled, a window is still filling, or
+  /// the log is full — and that tick is the caller's: tick(), then
+  /// record_power(v) and fill_flip_entry at the new state.  After
+  /// calm_run returns {k, f}, the governor and its socket's core limit
+  /// are bit-identical to k such cycles.
+  ///
+  /// Once both windows are full their sums, write positions and slot
+  /// pointers live in registers (WindowedMean::Cursor) and are committed
+  /// once at the end; while a window is still filling, each tick takes the
+  /// plain add() path, since the divisor and the storage can still change.
+  /// Requires the applied P-state's entry filled.
+  CalmRun calm_run(std::size_t max_ticks, std::span<Flip> flips);
+
+  /// Fills the applied P-state's entry for the socket's current state:
+  /// `recorded_w` is the power record_power() is fed there, `lanes` the
+  /// engine's per-tick increments there.  Entries are kept per socket
+  /// state (uncore window, demand and user P-state limit: what an
+  /// operating point depends on besides the core limit), so a state the
+  /// socket returns to finds them filled.
+  void fill_flip_entry(double recorded_w,
+                       std::span<const double, kFlipLanes> lanes);
+
+  /// The lanes filled for P-state `pstate` under the socket's current
+  /// state; the engine replays them for the flips calm_run logged.
+  const double* flip_lanes(std::size_t pstate) const {
+    return rows_[ways_.front().row + pstate].lanes.data();
+  }
 
   /// The control decision of tick() without the actuation: the quantized
   /// frequency limit the governor would apply given the current windows.
@@ -119,14 +162,17 @@ class FirmwareGovernor {
   /// partitions into cells on which the search output is constant (it is
   /// a monotone step function of the allowance), and the exact cell
   /// edges — the precise doubles where the search output flips — are
-  /// cached per P-state, keyed on the uncore window and the phase demand
-  /// (the search's only other inputs).  Locating the allowance's cell
-  /// costs a few comparisons.  An edge is built when a socket state is
-  /// not in the governor's ways, in closed form: the allowance where the
-  /// target scale meets the config's threshold for the state
-  /// (SharedCellCache::scale_thresholds), walked to the exact double
-  /// where the threshold probe — which answers exactly as the search
-  /// would — flips, in about four probes.
+  /// cached per P-state in the row of a socket state, keyed on the uncore
+  /// window and the phase demand (the search's only other inputs).
+  /// Locating the allowance's cell costs a few comparisons, and the slew
+  /// limits and quantization are applied in P-state index space from a
+  /// per-state table built at construction, so no rounding call runs.
+  /// An edge is built the first time a state's row needs it, in closed
+  /// form: the
+  /// allowance where the target scale meets the config's threshold for
+  /// the state (SharedCellCache::scale_thresholds), walked to the exact
+  /// double where the threshold probe — which answers exactly as the
+  /// search would — flips, in about four probes.
   double planned_limit_mhz() const;
 
   /// Reference implementation of the same decision via a fresh P-state
@@ -136,55 +182,90 @@ class FirmwareGovernor {
   double planned_limit_reference_mhz() const;
 
   /// Cell-table economics of this governor since construction: cold edge
-  /// builds, probes spent inside them, way hits and evictions.  They
+  /// builds, probes spent inside them, socket states found in the ways
+  /// and ways evicted.  They
   /// depend on this governor's history alone, never on other governors
   /// in the process.  A pure observer — reading it never perturbs the
   /// cache.
   const CellStats& cell_stats() const { return cell_stats_; }
 
  private:
-  /// One cached edge of the allowance→P-state partition: the exact
-  /// double where the P-state search first reaches the state `idx` steps
-  /// above core_min.  Keyed on the inputs the search depends on besides
-  /// the allowance, so edges survive a DUFP controller hunting the
-  /// uncore window and workloads revisiting phases; kCellWays
-  /// alternatives per state cover a controller alternating between a few
-  /// operating points without thrash.
-  struct CellSlot {
-    std::uint64_t version = 0;  ///< state version at last confirmation
-    double unc_min = 0.0;       ///< uncore window the edge was built for
-    double unc_max = 0.0;
-    hw::PhaseDemand demand;     ///< demand the edge was built for
+  /// Where the decision's slew limits and quantization land, in P-state
+  /// index space, for one applied state p: the walk from p reaches no
+  /// lower than `down_reach` and no higher than `up_reach`, and only
+  /// those two states can lie past a slew limit, where the clamped,
+  /// quantized target is `down_final` / `up_final`.  Every state between
+  /// them is its own quantized target.  Built at construction with the
+  /// decision's own MHz expressions, so the index-space decision is the
+  /// MHz one bit for bit.
+  struct Slew {
+    std::size_t down_reach = 0;
+    std::size_t down_final = 0;
+    std::size_t up_reach = 0;
+    std::size_t up_final = 0;
+  };
+
+  /// What the governor keeps about one P-state under one socket state.
+  /// NaN marks what is not built or filled yet.
+  struct StateEntry {
+    /// The cell edge: the exact double where the P-state search first
+    /// reaches the state; -inf when every allowance does, +inf when none
+    /// does.
     double edge = 0.0;
+    /// What record_power() is fed at the state (fill_flip_entry).
+    double recorded_w = 0.0;
+    std::array<double, kFlipLanes> lanes{};
+  };
+
+  /// One socket state the governor has met: the inputs an operating
+  /// point depends on besides the core limit, and the state's row of
+  /// entries, one per P-state, in rows_.  Edges depend on the uncore
+  /// window and the demand; recorded powers and lanes also on the user
+  /// P-state limit, which the socket's state version does not cover.
+  struct StateWay {
+    std::uint64_t version = 0;  ///< state version at last confirmation
+    double unc_min = 0.0;
+    double unc_max = 0.0;
+    hw::PhaseDemand demand;
+    double user_mhz = 0.0;  ///< limit the row's powers and lanes hold for
+    std::size_t row = 0;    ///< first entry of the row in rows_
     bool valid = false;
   };
-  /// A DUFP controller's uncore hunt sweeps a dozen or more windows, but
-  /// a closed-form build costs about as much as scanning and shifting 24
-  /// ways, so the ways need not cover the whole sweep: the ledger reads
-  /// no slower at 8 ways than at 24, and a miss costs less (DESIGN.md
-  /// §7b).  Hits are moved to the front, keeping the common case one
-  /// compare.
-  static constexpr std::size_t kCellWays = 8;
+  /// Socket states kept, in recency order.  Workloads alternate between
+  /// phases and DUFP controllers sweep the uncore window, so a state
+  /// comes back, and with its row its edges, powers and lanes: nothing is
+  /// rebuilt or refilled on a return.  Sixteen build fewer edges than
+  /// eight on the ledger workloads (DESIGN.md §7b).
+  static constexpr std::size_t kStateWays = 16;
 
   /// Instantaneous allowance from the current window averages — the
   /// first half of the control decision; an empty window averages at its
   /// own limit.
   double current_allowance() const;
-  /// Refills the flat calm-cell members (calm_lo_/calm_hi_/calm_top_)
-  /// from the cell table for the currently applied limit.
-  void refresh_calm_cell();
   /// Reference second half of the decision: fresh P-state search
   /// (SocketModel::core_mhz_for_power floored onto the grid), slew,
   /// quantization.
   double planned_from_allowance(double allowance_w) const;
-  /// Cell-table second half: bit-identical to planned_from_allowance by
-  /// construction (exact cached edges; slew/quantization shared).
-  double planned_cached(double allowance_w) const;
+  /// The P-state tick() applies next.
+  std::size_t planned_pstate() const;
+  /// The decision's second half from applied state p, shared by tick()
+  /// and calm_run: the cell walk over `row`'s edges, then slew and
+  /// quantization through slew_.  Bit-identical to planned_from_allowance
+  /// by construction: exact edges, and slew_ built from the same
+  /// expressions.
+  std::size_t next_pstate(double allowance_w, std::size_t p,
+                          StateEntry* row) const;
 
-  /// Edge of cell `idx` for the socket's current state (lazily built on
-  /// a way miss, cached in cells_).  -inf when every allowance reaches
-  /// the state, +inf when none does.
-  double cell_edge(std::size_t idx) const;
+  /// The current socket state's row.  The common case — the front way's
+  /// version and user limit match — is two compares; otherwise
+  /// find_state.
+  StateEntry* state_row() const;
+  /// Moves the current socket state's way to the front: found by content
+  /// and re-confirmed, or claimed from the least recently used way with
+  /// an empty row.  A new user P-state limit empties the row's powers.
+  void find_state() const;
+  /// Row entry j's edge, built on first use.
+  double row_edge(StateEntry* row, std::size_t j) const;
   /// Smallest allowance for which the P-state search reaches grid state
   /// `idx`: the closed-form estimate fixed_w + T[idx] · dyn_at_ref_w,
   /// walked over the double lattice to the exact double where the
@@ -198,26 +279,21 @@ class FirmwareGovernor {
   msr::PowerLimit limit_;
   WindowedMean long_window_;
   WindowedMean short_window_;
-  double current_limit_mhz_;
-  /// Cell-edge cache, kCellWays recency-ordered slots per P-state
-  /// (planned_limit_mhz is const — the lazily built cache is an
-  /// invisible memo).
-  mutable std::vector<CellSlot> cells_;
+  /// Applied P-state, steps above core_min.
+  std::size_t pstate_;
+  /// Per applied P-state: where the slew limits land (see Slew).
+  std::vector<Slew> slew_;
+  /// The socket-state ways and their rows (kStateWays × P-states),
+  /// allocated at construction.  Mutable: the decision paths are const,
+  /// and the lazily built cache is an invisible memo.
+  mutable std::array<StateWay, kStateWays> ways_{};
+  mutable std::vector<StateEntry> rows_;
   /// This socket config's threshold table, fetched at construction so
   /// the in-run cache paths never allocate or lock.
   const double* scale_thresholds_ = nullptr;
   /// Economics counters (see cell_stats()); mutable for the same reason
-  /// cells_ is — the decision paths are const.
+  /// the ways are.
   mutable CellStats cell_stats_;
-
-  /// The applied limit's own cell, flattened into members so the calm
-  /// test is two comparisons with no cache lookup; revalidated by
-  /// (limit, socket state version).
-  mutable double calm_lo_ = 0.0;
-  mutable double calm_hi_ = 0.0;
-  mutable bool calm_top_ = false;  ///< limit is the top state: no upper edge
-  mutable double calm_limit_ = -1.0;
-  mutable std::uint64_t calm_version_ = 0;
 };
 
 }  // namespace dufp::rapl

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "common/expect.h"
@@ -89,9 +90,9 @@ Simulation::Simulation(
   // and leap alike) stay allocation-free.
   leap_acc_.resize(static_cast<std::size_t>(n) * kLeapLanes, 0.0);
   leap_inc_.resize(static_cast<std::size_t>(n) * kLeapLanes, 0.0);
-  stretch_v_.resize(static_cast<std::size_t>(n), 0.0);
   lane_budget_.resize(static_cast<std::size_t>(n), 0);
   flip_bits_.resize(static_cast<std::size_t>(kStretchChunk) / 64, 0);
+  flip_log_.resize(static_cast<std::size_t>(kStretchChunk));
 }
 
 const std::vector<PhaseTotals>& Simulation::phase_totals(int i) const {
@@ -399,8 +400,8 @@ void Simulation::gather_socket_lanes(int s) {
   }
 }
 
-void Simulation::gather_socket_increments(int s,
-                                          const hw::SocketInstant& inst) {
+double Simulation::gather_socket_increments(int s,
+                                            const hw::SocketInstant& inst) {
   const auto si = static_cast<std::size_t>(s);
   const double tick_s = options_.tick.seconds();
   double* inc = leap_inc_.data() + si * kLeapLanes;
@@ -433,8 +434,18 @@ void Simulation::gather_socket_increments(int s,
                      rapls_[si]->governor().limit(), tick_records_[si]);
   }
   // The exact value the stepped path would feed record_power(): energy of
-  // the tick's single segment divided back by the tick length.
-  stretch_v_[si] = (inst.pkg_power_w * tick_s) / tick_s;
+  // the tick's single segment divided back by the tick length.  With the
+  // increments it is the governor's entry for the applied P-state, so
+  // calm_run can later flip into this state in its kernel.  The entry is
+  // kept per socket state, which also covers the finished flag the
+  // increments depend on: a finishing workload's next tick is a boundary
+  // tick that applies the idle demand, before any lane tick.
+  const double recorded_w = (inst.pkg_power_w * tick_s) / tick_s;
+  rapls_[si]->governor().fill_flip_entry(
+      recorded_w,
+      std::span<const double, rapl::FirmwareGovernor::kFlipLanes>(
+          inc, kLeapLanes));
+  return recorded_w;
 }
 
 void Simulation::scatter_socket_lanes(int s) {
@@ -629,7 +640,7 @@ void Simulation::stretch_socket(int s, std::int64_t len) {
   const double tick_s = options_.tick.seconds();
   rapl::FirmwareGovernor& gov = rapls_[si]->governor();
   double* acc_lanes = leap_acc_.data() + si * kLeapLanes;
-  const double* inc_lanes = leap_inc_.data() + si * kLeapLanes;
+  double* inc_lanes = leap_inc_.data() + si * kLeapLanes;
   std::array<double, kLeapLanes> acc;
   std::array<double, kLeapLanes> inc;
   std::copy_n(acc_lanes, kLeapLanes, acc.begin());
@@ -639,6 +650,19 @@ void Simulation::stretch_socket(int s, std::int64_t len) {
     flip_bits_[static_cast<std::size_t>(k) / 64] |= std::uint64_t{1}
                                                     << (k % 64);
   };
+  // What remains of `n` stepped ticks at one operating point once the
+  // governor has run them: the lane additions, in the stepper's order per
+  // lane.  Unrolled so that -O2 builds keep the lanes in registers as
+  // well, not only -O3 ones.
+  const auto add_ticks = [&acc, &inc](std::size_t n) {
+    for (std::size_t t = 0; t < n; ++t) {
+#pragma GCC unroll 11
+      for (std::size_t j = 0; j < kLeapLanes; ++j) acc[j] += inc[j];
+    }
+  };
+  // A flip calm_run took moved the operating point away from the one
+  // leap_inc_ and the trace row were gathered at.
+  bool moved = false;
 
   for (std::int64_t k = 0; k < len;) {
     if (budget == 0) {
@@ -651,6 +675,7 @@ void Simulation::stretch_socket(int s, std::int64_t len) {
       if (budget > 0) {
         gather_socket_increments(s, machine_.socket(s).evaluate());
         std::copy_n(inc_lanes, kLeapLanes, inc.begin());
+        moved = false;
       }
     }
     if (budget == 0) {
@@ -666,44 +691,64 @@ void Simulation::stretch_socket(int s, std::int64_t len) {
       integrate_socket_tick(s, tick_s);
       gather_socket_lanes(s);
       std::copy_n(acc_lanes, kLeapLanes, acc.begin());
+      moved = false;
       ++k;
       continue;
     }
 
-    // Lane ticks k..end-1, each pass a calm run and the flip tick that
-    // ends it, if any.
+    // Lane ticks k..end-1.  Each pass is one calm_run — calm ticks and the
+    // flips it takes — and the flip tick that ends it, if any.
     const std::int64_t end = k + std::min(budget, len - k);
     budget -= end - k;
     while (k < end) {
-      // Calm ticks: the governor kept its limit and pushed the tick's
-      // power into its windows; what remains of each stepped tick is the
-      // lane additions, in the stepper's order per lane.  Unrolled so
-      // that -O2 builds keep the lanes in registers as well, not only -O3
-      // ones.
-      const auto calm = static_cast<std::int64_t>(
-          gov.calm_run(stretch_v_[si], static_cast<std::size_t>(end - k)));
-      for (std::int64_t t = 0; t < calm; ++t) {
-#pragma GCC unroll 11
-        for (std::size_t j = 0; j < kLeapLanes; ++j) acc[j] += inc[j];
+      const rapl::FirmwareGovernor::CalmRun run =
+          gov.calm_run(static_cast<std::size_t>(end - k), flip_log_);
+      // Replay the lanes segment by segment: each logged flip tick runs
+      // at its new P-state, whose increments the governor holds.
+      std::size_t t = 0;
+      for (std::size_t f = 0; f < run.flips; ++f) {
+        const rapl::FirmwareGovernor::Flip flip = flip_log_[f];
+        add_ticks(flip.tick - t);
+        std::copy_n(gov.flip_lanes(flip.pstate), kLeapLanes, inc.begin());
+        add_ticks(1);
+        mark_stepped(k + flip.tick);
+        t = flip.tick + 1;
       }
-      k += calm;
+      add_ticks(run.ticks - t);
+      batch_stats_.flip_ticks += static_cast<std::int64_t>(run.flips);
+      moved = moved || run.flips > 0;
+      k += static_cast<std::int64_t>(run.ticks);
       if (k == end) break;
 
-      // Flip tick k: the decision moves the limit.  integrate_socket_tick
-      // would apply it, re-apply the unchanged demand (a no-op), evaluate,
-      // add one single-segment tick of each lane and record the power;
-      // the lanes do exactly that at the new instant.
+      // Flip tick k, which the kernel could not take: the new P-state's
+      // entry is not filled under this socket state, or a window is still
+      // filling.  integrate_socket_tick would apply the decision,
+      // re-apply the unchanged demand (a no-op), evaluate, add one
+      // single-segment tick of each lane and record the power; the lanes
+      // do exactly that at the new instant, and the gather fills the
+      // entry.
       mark_stepped(k);
       ++batch_stats_.flip_ticks;
+      ++batch_stats_.flip_fills;
       rapls_[si]->tick();
-      gather_socket_increments(s, machine_.socket(s).evaluate());
+      const double recorded_w =
+          gather_socket_increments(s, machine_.socket(s).evaluate());
       std::copy_n(inc_lanes, kLeapLanes, inc.begin());
-      for (std::size_t j = 0; j < kLeapLanes; ++j) acc[j] += inc[j];
-      gov.record_power(stretch_v_[si], tick_s);
+      add_ticks(1);
+      gov.record_power(recorded_w, tick_s);
+      moved = false;
       ++k;
     }
   }
   std::copy_n(acc.begin(), kLeapLanes, acc_lanes);
+  if (moved) {
+    // The next chunk starts from the increments of the P-state the kernel
+    // left, and a sink reads that state's row at this chunk's end.
+    std::copy_n(inc.begin(), kLeapLanes, inc_lanes);
+    if (trace_ != nullptr) {
+      gather_socket_increments(s, machine_.socket(s).evaluate());
+    }
+  }
 }
 
 bool Simulation::advance_once() {

@@ -32,10 +32,14 @@
 // socket-major, in chunks of up to kStretchChunk ticks.  Per socket,
 // FirmwareGovernor::calm_run executes calm ticks with the window state
 // in registers (window sum updates and the cell membership test standing
-// in for the P-state search), the 11 accumulator lanes advance in
-// locals, and a flip tick — one whose control decision moves the limit —
-// runs in the lanes as tick(), evaluate(), fresh increments, one
-// addition and record_power().  Entry boundaries are per socket: a lane
+// in for the P-state search), and flip ticks — ones whose control
+// decision moves the limit — too: the governor keeps, per socket state
+// and P-state, the recorded power and the 11 lane increments, and logs
+// each flip it takes.  The lanes advance in locals, replayed segment by
+// segment along that log; a flip into a state with nothing kept yet
+// leaves the kernel once, runs in the lanes as tick(), evaluate(), fresh
+// increments, one addition and record_power(), and fills the governor's
+// entry.  Entry boundaries are per socket: a lane
 // budget keeps each socket's lane ticks strictly inside its current
 // entry, and a socket whose budget runs out takes a boundary tick through
 // integrate_socket_tick while the other sockets stay in their lanes.  A
@@ -117,6 +121,12 @@ struct BatchStats {
   /// sequence entry may end inside them, or the demand must be
   /// re-applied.  Counted per socket, like flip_ticks.
   std::int64_t boundary_ticks = 0;
+  /// The flip ticks that left FirmwareGovernor::calm_run's kernel to fill
+  /// the governor's entry for the new P-state (a first visit under the
+  /// socket's state, or a window still filling); the rest flipped inside
+  /// the kernel.  An engine-cost figure, like every field here, and
+  /// outside the byte-identity surface.
+  std::int64_t flip_fills = 0;
 };
 
 /// Wall time and energy attributed to one phase of the workload on one
@@ -279,8 +289,9 @@ class Simulation {
   /// Tier-2 fast path: runs up to a horizon that only the periodics, the
   /// watchdog and the run end bound, socket-major in chunks of at most
   /// kStretchChunk ticks.  Per socket and chunk, stretch_socket
-  /// alternates FirmwareGovernor::calm_run with in-lane flip ticks and
-  /// exact boundary ticks, and marks each flip or boundary tick in
+  /// alternates FirmwareGovernor::calm_run (calm and flip ticks) with the
+  /// flip ticks it leaves to the lanes and exact boundary ticks, and
+  /// marks each flip or boundary tick in
   /// flip_bits_; the chunk's bitmap then rebuilds the tick-major
   /// statistics (a tick is leapt when no socket flipped or crossed on it,
   /// and consecutive leapt ticks are one leap, carried across chunk
@@ -292,25 +303,31 @@ class Simulation {
   bool fast_stretch();
   /// One socket's share of a stretch chunk: `len` ticks with the lanes
   /// in locals, and a lane budget (lane_budget_) carried across chunks.
-  /// While the budget lasts the socket runs lane ticks: a flip tick stays
-  /// in the lanes — tick(), evaluate(), gather_socket_increments, one
-  /// addition, record_power() — which is exactly integrate_socket_tick
-  /// because the budget guarantees a single-segment tick at unchanged
-  /// demand.  When the budget runs out it is recomputed from the lanes'
-  /// entry progress; at 0 the socket takes a boundary tick: lanes written
-  /// back, integrate_socket_tick, lanes re-gathered.
+  /// While the budget lasts the socket runs lane ticks: calm_run takes
+  /// the calm ticks and the flips into states whose entries it holds, and
+  /// the lanes replay its flip log segment by segment; a flip it leaves
+  /// stays in the lanes — tick(), evaluate(), gather_socket_increments
+  /// (which fills the entry), one addition, record_power().  Both are
+  /// exactly integrate_socket_tick because the budget guarantees a
+  /// single-segment tick at unchanged demand.  When the budget runs out
+  /// it is recomputed from the lanes' entry progress; at 0 the socket
+  /// takes a boundary tick: lanes written back, integrate_socket_tick,
+  /// lanes re-gathered.  At the chunk's end the increments (and, with a
+  /// sink, the trace row) of the state the kernel left are written back.
   void stretch_socket(int s, std::int64_t len);
   /// Loads socket `s`'s accumulator lanes from the socket model, phase
   /// totals and workload progress into leap_acc_.  Shared by both leap
   /// tiers, once per leap or stretch and after each boundary tick: a
-  /// stretch's flip ticks refresh only the increments, because the
+  /// stretch's flip ticks swap only the increments, because the
   /// accumulators stay in stretch_socket's locals for the whole chunk.
   void gather_socket_lanes(int s);
-  /// Socket `s`'s per-tick lane increments at `inst` into leap_inc_, plus
-  /// the cached trace row and the recorded tick power (stretch_v_).
-  /// Called again whenever the socket's instant can have changed (a flip
-  /// tick) and before its first lane tick after a boundary tick.
-  void gather_socket_increments(int s, const hw::SocketInstant& inst);
+  /// Socket `s`'s per-tick lane increments at `inst` into leap_inc_ and
+  /// the cached trace row; returns the recorded tick power.  The power and
+  /// increments also fill the governor's entry for the applied P-state
+  /// (FirmwareGovernor::fill_flip_entry).  Called again whenever the
+  /// socket's instant can have changed outside the kernel and before its
+  /// first lane tick after a boundary tick.
+  double gather_socket_increments(int s, const hw::SocketInstant& inst);
   /// Writes socket `s`'s advanced lanes back into the socket model,
   /// phase totals and workload progress.
   void scatter_socket_lanes(int s);
@@ -344,12 +361,10 @@ class Simulation {
   /// lane; the leap loop is then a single flat `acc[j] += inc[j]` pass
   /// per tick over all sockets — vectorizable, allocation-free, and
   /// executing exactly the additions the stepped engine would.
-  static constexpr std::size_t kLeapLanes = 11;
+  static constexpr std::size_t kLeapLanes =
+      rapl::FirmwareGovernor::kFlipLanes;
   std::vector<double> leap_acc_;
   std::vector<double> leap_inc_;
-  /// Per-socket recorded tick power during a calm stretch — the exact
-  /// value the stepped path would feed record_power().
-  std::vector<double> stretch_v_;
   /// Per-socket lane budget of the current stretch (see lane_budget):
   /// lane ticks left before the socket's entry needs another look; 0
   /// means look now.  Carried across chunks.
@@ -358,6 +373,9 @@ class Simulation {
   /// socket flipped on the chunk's tick k.  kStretchChunk bits, all
   /// clear between chunks.
   std::vector<std::uint64_t> flip_bits_;
+  /// The flips one FirmwareGovernor::calm_run call took, for the lane
+  /// replay: kStretchChunk entries, so a chunk never fills it.
+  std::vector<rapl::FirmwareGovernor::Flip> flip_log_;
   bool started_ = false;
 };
 

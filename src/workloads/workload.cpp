@@ -82,6 +82,11 @@ WorkloadInstance::WorkloadInstance(const WorkloadProfile& profile,
     : profile_(profile) {
   DUFP_EXPECT(jitter_sigma >= 0.0 && jitter_sigma < 0.3);
   profile.validate();
+  demands_.reserve(profile.phases().size() + 1);
+  for (const PhaseSpec& phase : profile.phases()) {
+    demands_.push_back(phase.demand());
+  }
+  demands_.push_back(hw::PhaseDemand::make_idle());
   durations_.reserve(profile.sequence().size());
   for (std::size_t idx : profile.sequence()) {
     const double base = profile.phase(idx).nominal_seconds;

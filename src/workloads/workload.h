@@ -84,14 +84,16 @@ class WorkloadInstance {
   // The accessors below run once per socket per simulated tick; they are
   // defined here so the engine's per-tick loop inlines them.
 
-  /// Current phase spec / demand; requires !finished().
+  /// Current phase spec; requires !finished().
   const PhaseSpec& current_phase() const {
     DUFP_EXPECT(!finished());
     return profile_.phase(profile_.sequence()[position_]);
   }
-  hw::PhaseDemand current_demand() const {
-    if (finished()) return hw::PhaseDemand::make_idle();
-    return current_phase().demand();
+  /// Current phase's demand, the idle demand once finished.  Each phase's
+  /// PhaseSpec::demand() is built once, at construction.
+  const hw::PhaseDemand& current_demand() const {
+    return demands_[finished() ? demands_.size() - 1
+                               : profile_.sequence()[position_]];
   }
 
   /// Index (into profile().phases()) of the current phase; requires
@@ -144,6 +146,8 @@ class WorkloadInstance {
 
  private:
   const WorkloadProfile& profile_;
+  /// PhaseSpec::demand() per phase index, then the idle demand.
+  std::vector<hw::PhaseDemand> demands_;
   std::vector<double> durations_;  ///< jittered, index-aligned with sequence
   /// suffix_seconds_[i]: sum of durations_[i..]; one trailing 0.
   std::vector<double> suffix_seconds_;

@@ -6,7 +6,9 @@
 # every output file must be byte-identical to `serial`'s.  Then the
 # strict rejections: exit 2 for a flag the verb does not take, an integer
 # that is not the whole token or is out of range, and --threads on a
-# fleet; exit 3 for a spec key no reader consumes.
+# fleet; exit 3 for a spec key no reader consumes, a document that is
+# not JSON and a spec without a key; exit 5 for a spec that cannot be
+# opened.
 #
 #   cli_kinds_test.sh DUFP_SHARD_WORKER WORK_DIR
 set -euo pipefail
@@ -107,3 +109,19 @@ grep -q '"traffic_profile"' "${dir}/stderr.txt" ||
 sed 's/"telemetry":false/&,"threads":4/' "${grid}" > "${dir}/grid_typo.json"
 expect_exit 3 "${worker}" serial --spec "${dir}/grid_typo.json" --out "${out}"
 grep -q '"threads"' "${dir}/stderr.txt" || fail "the error must name the unknown key"
+
+# A manifest cut short is not JSON, and a spec without "seed" lacks a key:
+# both are bad documents (exit 3), not internal errors.
+head -c 200 "${dir}/grid.partial.retry.json" > "${dir}/cut.retry.json"
+expect_exit 3 "${worker}" run --resume "${dir}/cut.retry.json" \
+    --out "${out}.jsonl"
+grep -q "unexpected end of input" "${dir}/stderr.txt" ||
+  fail "the error must say the manifest ends early"
+sed 's/"seed":[0-9]*,//' "${grid}" > "${dir}/grid_no_seed.json"
+if grep -q '"seed"' "${dir}/grid_no_seed.json"; then
+  fail "the seed key is still there"
+fi
+expect_exit 3 "${worker}" serial --spec "${dir}/grid_no_seed.json" --out "${out}"
+grep -q "seed" "${dir}/stderr.txt" || fail "the error must name the missing key"
+expect_exit 5 "${worker}" serial --spec "${dir}/no_such_spec.json" --out "${out}"
+[[ -z "$(ls "${out}"* 2> /dev/null)" ]] || fail "a rejected command wrote output"

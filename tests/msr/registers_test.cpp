@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
 
 namespace dufp::msr {
 namespace {
@@ -50,6 +54,61 @@ TEST(TimeWindowTest, PaperDefaultWindows) {
   // 10 ms short-term window: closest representable is 2^3 * 1.25 / 1024.
   const auto f2 = encode_time_window(0.01, u);
   EXPECT_NEAR(decode_time_window(f2, u), 0.01, 0.002);
+}
+
+/// The exhaustive search encode_time_window replaced: every (Y, Z) in
+/// field order, keeping the first of least error.
+std::uint32_t exhaustive_encode(double seconds, const RaplUnits& u) {
+  const double tu = u.seconds_per_unit();
+  std::uint32_t best_field = 0;
+  double best_err = std::numeric_limits<double>::infinity();
+  double pow2 = 1.0;
+  for (std::uint32_t y = 0; y < 32; ++y, pow2 *= 2.0) {
+    for (std::uint32_t z = 0; z < 4; ++z) {
+      const double w = pow2 * (1.0 + static_cast<double>(z) / 4.0) * tu;
+      const double err = std::abs(w - seconds);
+      if (err < best_err) {
+        best_err = err;
+        best_field = y | (z << 5);
+      }
+    }
+  }
+  return best_field;
+}
+
+TEST(TimeWindowTest, EncodeMatchesTheExhaustiveSearch) {
+  std::mt19937_64 rng(20261019);
+  for (const unsigned bits : {0u, 3u, 10u, 15u}) {
+    RaplUnits u;
+    u.time_unit_bits = bits;
+    std::vector<double> inputs = {0.0,
+                                  std::numeric_limits<double>::denorm_min(),
+                                  1e-310,
+                                  std::numeric_limits<double>::min(),
+                                  1e300,
+                                  std::numeric_limits<double>::max(),
+                                  std::numeric_limits<double>::infinity()};
+    // Every exact window, one ulp either side, and the midpoints between
+    // neighbours, where the tie-break decides.
+    double previous = 0.0;
+    for (std::uint32_t i = 0; i < 128; ++i) {  // candidate 4Y + Z
+      const double w = decode_time_window(i / 4 | (i % 4) << 5, u);
+      inputs.push_back(w);
+      inputs.push_back(std::nextafter(w, 0.0));
+      inputs.push_back(std::nextafter(w, 1e300));
+      inputs.push_back(previous + (w - previous) / 2.0);
+      previous = w;
+    }
+    // Log-uniform requests over the whole range and beyond.
+    std::uniform_real_distribution<double> exponent(-40.0, 40.0);
+    for (int k = 0; k < 20000; ++k) {
+      inputs.push_back(std::exp2(exponent(rng)));
+    }
+    for (const double s : inputs) {
+      ASSERT_EQ(encode_time_window(s, u), exhaustive_encode(s, u))
+          << "seconds " << s << " time unit bits " << bits;
+    }
+  }
 }
 
 TEST(TimeWindowTest, FieldIsSevenBits) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -209,6 +210,20 @@ struct Rig {
     gov.tick();
     gov.record_power(socket.evaluate().pkg_power_w, params.tick_s);
   }
+  /// What the engine does at an applied P-state before calm_run: fills
+  /// its entry.  The lanes stand in for the engine's increments; the
+  /// governor only stores them.
+  void fill() {
+    const hw::SocketInstant inst = socket.evaluate();
+    gov.fill_flip_entry(inst.pkg_power_w, lanes_at(inst));
+  }
+  static std::array<double, FirmwareGovernor::kFlipLanes> lanes_at(
+      const hw::SocketInstant& inst) {
+    std::array<double, FirmwareGovernor::kFlipLanes> lanes{};
+    lanes[0] = inst.pkg_power_w;
+    lanes[4] = inst.core_mhz;
+    return lanes;
+  }
   hw::SocketConfig cfg;
   GovernorParams params;
   hw::SocketModel socket;
@@ -217,10 +232,16 @@ struct Rig {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
+/// Every observable of a window: sum, size, trailing run and each sample
+/// in order (which pins where the next add writes).
 void expect_same_window(const WindowedMean& a, const WindowedMean& b) {
+  EXPECT_EQ(bits(a.sum()), bits(b.sum()));
   EXPECT_EQ(bits(a.mean()), bits(b.mean()));
-  EXPECT_EQ(a.size(), b.size());
   EXPECT_EQ(a.run_length(), b.run_length());
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(bits(a.from_oldest(i)), bits(b.from_oldest(i))) << "sample " << i;
+  }
 }
 
 void expect_same_governor(const FirmwareGovernor& a,
@@ -231,33 +252,43 @@ void expect_same_governor(const FirmwareGovernor& a,
   EXPECT_EQ(bits(a.current_limit_mhz()), bits(b.current_limit_mhz()));
 }
 
-/// Runs calm_run(v, n) on `a` and the per-tick reference on `b` (same
-/// state, same v) up to the reference's first flip; both must agree on
-/// where it is and on every observable before it.  Returns the count.
+void expect_same_rig(const Rig& a, const Rig& b) {
+  expect_same_governor(a.gov, b.gov);
+  EXPECT_EQ(bits(a.socket.core_freq_limit_mhz()),
+            bits(b.socket.core_freq_limit_mhz()));
+  EXPECT_EQ(bits(a.socket.core_freq_limit_mhz()),
+            bits(a.gov.current_limit_mhz()));
+}
+
+/// Runs calm_run(n) with no room to log a flip on `a` and the per-tick
+/// reference on `b` (same state) up to the reference's first flip; both
+/// must agree on where it is and on every observable before it.  Returns
+/// the count.
 std::size_t expect_calm_run_matches(Rig& a, Rig& b, std::size_t n) {
-  const double v = a.socket.evaluate().pkg_power_w;
-  EXPECT_EQ(bits(v), bits(b.socket.evaluate().pkg_power_w));
+  EXPECT_EQ(bits(a.socket.evaluate().pkg_power_w),
+            bits(b.socket.evaluate().pkg_power_w));
   const double limit_before = a.gov.current_limit_mhz();
-  const std::size_t k = a.gov.calm_run(v, n);
+  a.fill();
+  const FirmwareGovernor::CalmRun run = a.gov.calm_run(n, {});
+  EXPECT_EQ(run.flips, 0u);
   std::size_t ref = 0;
   while (ref < n && b.gov.planned_limit_mhz() == b.gov.current_limit_mhz()) {
-    b.gov.tick();
-    b.gov.record_power(v, b.params.tick_s);
+    b.step();
     ++ref;
   }
-  EXPECT_EQ(k, ref) << "calm_run stopped at a different tick";
-  expect_same_governor(a.gov, b.gov);
+  EXPECT_EQ(run.ticks, ref) << "calm_run stopped at a different tick";
+  expect_same_rig(a, b);
   // The flip tick is the caller's: the applied limit has not moved, and
   // the decision the caller's tick() will take moves it.
   EXPECT_EQ(bits(a.gov.current_limit_mhz()), bits(limit_before));
-  if (k < n) {
+  if (run.ticks < n) {
     EXPECT_NE(a.gov.planned_limit_mhz(), a.gov.current_limit_mhz());
   }
-  return k;
+  return run.ticks;
 }
 
-/// Drives `a` the way the engine's stretch does (calm_run, then the flip
-/// tick as tick() + record_power()) and `b` tick by tick, for `ticks`
+/// Drives `a` with calm_run taking no flip (each flip tick is the
+/// caller's tick() + record_power()) and `b` tick by tick, for `ticks`
 /// ticks; returns the number of flips.
 std::size_t drive_like_engine(Rig& a, Rig& b, std::size_t ticks) {
   std::size_t flips = 0;
@@ -266,11 +297,61 @@ std::size_t drive_like_engine(Rig& a, Rig& b, std::size_t ticks) {
     if (t == ticks) break;
     a.step();
     b.step();
-    expect_same_governor(a.gov, b.gov);
+    expect_same_rig(a, b);
     ++flips;
     ++t;
   }
   return flips;
+}
+
+/// What a flipping drive saw.
+struct FlipDrive {
+  std::size_t kernel_flips = 0;  ///< flips calm_run took
+  std::size_t fills = 0;         ///< flip ticks left to the caller
+};
+
+/// Drives `a` the way the engine's stretch does — calm_run with a flip
+/// log, and each flip it leaves as tick() + record_power() + fill — and
+/// `b` tick by tick, for `ticks` ticks.  Every logged flip must be a tick
+/// on which the reference moved its limit to the logged state, the
+/// logged state's lanes must be the ones filled there, and after every
+/// call both rigs must agree bit for bit.
+FlipDrive drive_flipping(Rig& a, Rig& b, std::size_t ticks) {
+  FlipDrive out;
+  std::vector<FirmwareGovernor::Flip> log(ticks);
+  for (std::size_t t = 0; t < ticks;) {
+    a.fill();
+    const FirmwareGovernor::CalmRun run = a.gov.calm_run(ticks - t, log);
+    std::size_t f = 0;
+    for (std::size_t i = 0; i < run.ticks; ++i) {
+      const bool flip =
+          b.gov.planned_limit_mhz() != b.gov.current_limit_mhz();
+      b.step();
+      EXPECT_EQ(flip, f < run.flips && log[f].tick == i) << "tick " << t + i;
+      if (f < run.flips && log[f].tick == i) {
+        EXPECT_EQ(bits(pstate_mhz(a.cfg, log[f].pstate)),
+                  bits(b.gov.current_limit_mhz()));
+        const auto want = Rig::lanes_at(b.socket.evaluate());
+        EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                               a.gov.flip_lanes(log[f].pstate)));
+        ++f;
+      }
+    }
+    EXPECT_EQ(f, run.flips);
+    expect_same_rig(a, b);
+    if (testing::Test::HasFailure()) return out;
+    out.kernel_flips += run.flips;
+    t += run.ticks;
+    if (t == ticks) break;
+    // A flip the kernel left: the reference moves its limit here too.
+    EXPECT_NE(b.gov.planned_limit_mhz(), b.gov.current_limit_mhz());
+    a.step();
+    b.step();
+    expect_same_rig(a, b);
+    ++out.fills;
+    ++t;
+  }
+  return out;
 }
 
 msr::PowerLimit capped(const FirmwareGovernor& gov, double w,
@@ -337,7 +418,82 @@ TEST(GovernorCalmRunTest, TopStateCellHasNoUpperEdge) {
   ASSERT_EQ(a.gov.current_limit_mhz(), a.cfg.core_max_mhz);
   EXPECT_EQ(expect_calm_run_matches(a, b, 5000), 5000u);
   EXPECT_TRUE(a.gov.windows_uniform());
-  EXPECT_EQ(a.gov.calm_run(a.socket.evaluate().pkg_power_w, 0), 0u);
+  EXPECT_EQ(a.gov.calm_run(0, {}).ticks, 0u);
+}
+
+/// A cap between two neighbouring P-states' powers: the governor dithers
+/// between them, so flips are frequent and revisit the same states.
+msr::PowerLimit dithering(const Rig& rig) {
+  hw::SocketModel probe(rig.cfg, 0);
+  probe.set_demand(rig.socket.demand());
+  const double p_lo = probe.package_power_at(2000.0);
+  const double p_hi = probe.package_power_at(2100.0);
+  msr::PowerLimit pl = rig.gov.limit();
+  pl.long_term_w = p_lo + (p_hi - p_lo) / 2.0;
+  pl.short_term_w = pl.long_term_w;
+  return pl;
+}
+
+TEST(GovernorCalmRunTest, FlipsInsideTheKernelMatchPerTick) {
+  Rig a(hot_demand());
+  Rig b(hot_demand());
+  a.gov.set_limit(dithering(a));
+  b.gov.set_limit(dithering(b));
+  for (int i = 0; i < 2500; ++i) {
+    a.step();
+    b.step();
+  }
+  ASSERT_TRUE(a.gov.long_window().full() && a.gov.short_window().full());
+  const FlipDrive d = drive_flipping(a, b, 6000);
+  // First visits to each dithered state leave the kernel once; every
+  // later flip into them stays inside.
+  EXPECT_GT(d.fills, 0u);
+  EXPECT_GT(d.kernel_flips, 10 * d.fills);
+}
+
+TEST(GovernorCalmRunTest, FlippingRunStartsWithFillingWindows) {
+  // Fresh governors: the first calls run the per-tick body while the
+  // windows fill, leaving each flip there to the caller, then hand over
+  // to the register-resident loop that takes flips itself.
+  Rig a(hot_demand());
+  Rig b(hot_demand());
+  a.gov.set_limit(dithering(a));
+  b.gov.set_limit(dithering(b));
+  ASSERT_EQ(a.gov.long_window().size(), 0u);
+  const FlipDrive d = drive_flipping(a, b, 4000);
+  EXPECT_TRUE(a.gov.long_window().full());
+  EXPECT_GT(d.fills, 0u);
+  EXPECT_GT(d.kernel_flips, 0u);
+}
+
+TEST(GovernorCalmRunTest, UserPStateChangeRefillsTheFlipTable) {
+  // A user P-state limit at the lower dithered state makes the upper one
+  // draw the lower one's power, without bumping the socket's state
+  // version.  Entries filled before the change would feed the windows the
+  // old power; the table must empty and refill instead.
+  Rig a(hot_demand());
+  Rig b(hot_demand());
+  a.gov.set_limit(dithering(a));
+  b.gov.set_limit(dithering(b));
+  for (int i = 0; i < 2500; ++i) {
+    a.step();
+    b.step();
+  }
+  const FlipDrive before = drive_flipping(a, b, 3000);
+  ASSERT_GT(before.kernel_flips, 0u);
+  // Change it at the lower state, so the next flip goes into the upper
+  // one, whose entry the old key filled.
+  for (int i = 0; i < 1000 && a.gov.current_limit_mhz() != 2000.0; ++i) {
+    a.step();
+    b.step();
+  }
+  ASSERT_EQ(a.gov.current_limit_mhz(), 2000.0);
+  const std::uint64_t version = a.socket.state_version();
+  a.socket.set_user_pstate_limit_mhz(2000.0);
+  b.socket.set_user_pstate_limit_mhz(2000.0);
+  ASSERT_EQ(a.socket.state_version(), version);
+  const FlipDrive after = drive_flipping(a, b, 3000);
+  EXPECT_GT(after.fills, 0u) << "no entry was refilled";
 }
 
 // ---------------------------------------------------------------------------

@@ -318,7 +318,7 @@ assert serial >= min_serial, (
 print(f"perf gate: serial_vs_baseline {serial:.2f}x >= {min_serial}x")
 EOF
 
-echo "== grid_throughput gate (pooled runs, cell-edge counts) =="
+echo "== grid_throughput gate (pooled runs, cell-edge and flip counts) =="
 # The tournament-shaped smoke grid (95 jobs) two ways: uncached (the
 # sequential leg, a run_once loop) and pooled (2 threads), the pooled
 # leg byte-compared against uncached through the finalized evaluation
@@ -327,9 +327,12 @@ echo "== grid_throughput gate (pooled runs, cell-edge counts) =="
 # Counts are deterministic, so they gate exactly.  Cold cell-edge builds
 # must stay a few probes each (probes <= 5 x cold builds; a closed-form
 # build takes about four, a seeded bisection took ~26), so they never
-# dominate a run again.  And every run builds its own edges, so the
-# pooled leg's per-job cold builds equal the sequential leg's whichever
-# worker ran which job.
+# dominate a run again.  Flip ticks must mostly stay inside the
+# governor's calm-run kernel: the ticks that leave it to fill a socket
+# state's entry stay at most a quarter of all flip ticks, so the in-kernel
+# path cannot quietly decay into the fill path.  And every run builds its
+# own edges, so the pooled leg's per-job cold builds and its flip counts
+# equal the sequential leg's whichever worker ran which job.
 # Time gates on pooled_vs_uncached, the median of 5 alternating
 # uncached/pooled pairs inside the one invocation; the floor defaults to
 # 1.5x.  The ratio measures the pool's second CPU: 1.8-2.1x on a 4-vCPU
@@ -348,7 +351,7 @@ min_grid = float(sys.argv[2])
 for key in ("schema_version", "bench", "smoke", "config", "uncached",
             "pooled", "speedup", "per_job"):
     assert key in doc, f"missing key: {key}"
-assert doc["schema_version"] == 3
+assert doc["schema_version"] == 4
 builds = doc["uncached"]["cells"]["cold_builds"]
 probes = doc["uncached"]["cells"]["probes"]
 assert builds > 0, "sequential leg built no cell edge: nothing to gate"
@@ -357,6 +360,14 @@ assert probes <= 5 * builds, (
     f"than 5 per build")
 print(f"grid gate: {builds} cold edge builds, {probes} probes "
       f"({probes / builds:.2f} per build <= 5)")
+flips = doc["uncached"]["flips"]["flip_ticks"]
+fills = doc["uncached"]["flips"]["flip_fills"]
+assert flips > 0, "sequential leg took no flip tick: nothing to gate"
+assert 4 * fills <= flips, (
+    f"grid gate: {fills} of {flips} flip ticks left the calm-run kernel "
+    f"to fill an entry, more than a quarter")
+print(f"grid gate: {fills} of {flips} flip ticks filled an entry "
+      f"({fills / flips:.1%} <= 25%)")
 pooled = doc["pooled"]
 if "skipped_reason" in pooled:
     assert pooled["skipped_reason"] == "host_cpus==1"
@@ -367,9 +378,12 @@ else:
     assert doc["per_job"]["pooled"] == doc["per_job"]["uncached"], (
         f"grid gate: the pooled leg built {pooled['cells']['cold_builds']} "
         f"cell edges, the sequential leg {builds}, or they differ per job")
+    assert pooled["flips"] == doc["uncached"]["flips"], (
+        f"grid gate: pooled flips {pooled['flips']} != sequential "
+        f"{doc['uncached']['flips']}")
     print(f"grid gate: pooled cold edge builds "
-          f"{pooled['cells']['cold_builds']} = sequential, per job, "
-          f"bytes identical")
+          f"{pooled['cells']['cold_builds']} = sequential, per job, flip "
+          f"counts = sequential, bytes identical")
     ratio = doc["speedup"]["pooled_vs_uncached"]
     assert ratio >= min_grid, (
         f"grid gate: pooled_vs_uncached {ratio:.2f}x < floor {min_grid}x")
