@@ -4,10 +4,7 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "common/expect.h"
-#include "common/string_util.h"
 #include "harness/options.h"
-#include "harness/plan.h"
 
 namespace dufp::harness {
 
@@ -81,42 +78,6 @@ double Evaluation::energy_change_pct(std::string_view policy,
                       baseline_.total_energy_j.mean);
 }
 
-std::vector<AppGridCells> add_grid_cells(ExperimentPlan& plan,
-                                         const std::vector<workloads::AppId>& apps,
-                                         const std::vector<std::string>& policies,
-                                         const std::vector<double>& tolerances,
-                                         int repetitions, std::uint64_t seed,
-                                         const BaseConfigFn& base_config) {
-  std::vector<AppGridCells> index;
-  index.reserve(apps.size());
-
-  for (workloads::AppId app : apps) {
-    const auto& prof = workloads::profile(app);
-    RunConfig base = base_config(prof);
-    base.seed = seed;
-
-    AppGridCells ac;
-    ac.app = app;
-    RunConfig def = base;
-    def.policy_name.clear();
-    ac.baseline = plan.add_cell(def, repetitions,
-                                workloads::app_name(app) + ": baseline");
-    for (const std::string& policy : policies) {
-      for (double tol : tolerances) {
-        RunConfig cfg = base;
-        cfg.policy_name = policy;
-        cfg.tolerated_slowdown = tol;
-        ac.cells.push_back(plan.add_cell(
-            cfg, repetitions,
-            workloads::app_name(app) + ": " + policy + " @ " +
-                std::to_string(static_cast<int>(tol * 100 + 0.5)) + "%"));
-      }
-    }
-    index.push_back(std::move(ac));
-  }
-  return index;
-}
-
 std::vector<Evaluation> assemble_evaluations(
     const ExperimentPlan& plan, const std::vector<AppGridCells>& index,
     const std::vector<std::string>& policies,
@@ -138,29 +99,6 @@ std::vector<Evaluation> assemble_evaluations(
     evals.emplace_back(ac.app, plan.result(ac.baseline), std::move(cells));
   }
   return evals;
-}
-
-std::vector<Evaluation> evaluate_apps(
-    const std::vector<workloads::AppId>& apps,
-    const std::vector<std::string>& policies,
-    const std::vector<double>& tolerances, int repetitions,
-    std::uint64_t seed) {
-  // Enumerate the whole apps x (baseline + policies x tolerances) grid as
-  // one job set; cell ids are recorded per app so the evaluations can be
-  // reassembled after the single parallel run.
-  ExperimentPlan plan;
-  const auto index =
-      add_grid_cells(plan, apps, policies, tolerances, repetitions, seed,
-                     [](const workloads::WorkloadProfile& prof) {
-                       return default_run_config(prof);
-                     });
-
-  const int threads = BenchOptions::from_env().resolved_threads();
-  note_progress(strf("%zu jobs across %zu cells on %d threads",
-                     plan.job_count(), plan.cell_count(), threads));
-  plan.run(threads);
-
-  return assemble_evaluations(plan, index, policies, tolerances);
 }
 
 void note_progress(const std::string& what) {

@@ -1,10 +1,10 @@
-// Figure-level experiment orchestration: evaluate an application under
-// the default configuration and a list of policies named by registry
-// name (the figures use "DUF" and "DUFP") across tolerated slowdowns,
-// and derive the percentage metrics the paper's figures plot.
+// Figure-level experiment results: an application's evaluation under the
+// default configuration and a list of policies named by registry name
+// (the figures use "DUF" and "DUFP") across tolerated slowdowns, and the
+// percentage metrics the paper's figures plot.  Grids are described and
+// run as a harness::GridSpec (harness/shard.h).
 #pragma once
 
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -63,51 +63,18 @@ class Evaluation {
   std::vector<EvaluationCell> cells_;
 };
 
-/// Runs the full grid for each application: baseline + {policies} x
-/// {tolerances}, `repetitions` runs each, scheduled as ONE job set — the
-/// whole apps x (baseline + policies x tolerances) x repetitions matrix
-/// runs through a single ExperimentPlan, so parallelism spans apps, not
-/// just cells.  Every (config, seed) job is enumerated up front and
-/// executed across DUFP_THREADS workers, with results bit-identical to a
-/// serial run.  This is what the figure benches call.
-std::vector<Evaluation> evaluate_apps(
-    const std::vector<workloads::AppId>& apps,
-    const std::vector<std::string>& policies,
-    const std::vector<double>& tolerances, int repetitions,
-    std::uint64_t seed = 1);
-
 // -- grid enumeration shared with the shard layer ----------------------------
 
 /// Cell ids of one application's slice of a grid plan, as laid out by
-/// add_grid_cells.
+/// build_plan (harness/shard.h).
 struct AppGridCells {
   workloads::AppId app = workloads::AppId::cg;
   ExperimentPlan::CellId baseline = 0;
   std::vector<ExperimentPlan::CellId> cells;  ///< policy-major, tolerances inner
 };
 
-/// Produces each app's base RunConfig (machine size, faults, telemetry —
-/// everything but policy/tolerance/seed, which the grid fills in).
-using BaseConfigFn =
-    std::function<RunConfig(const workloads::WorkloadProfile&)>;
-
-/// Enumerates the apps x (baseline + policies x tolerances) grid into
-/// `plan`, one cell per grid point with `repetitions` jobs each.  Cell
-/// order — and hence the job enumeration (see ExperimentPlan::JobRef) —
-/// is: per app in list order, baseline first, then policy-major with
-/// tolerances inner.  Deterministic: two processes calling this with
-/// equal arguments build byte-equal plans, which is what lets shard
-/// workers and the gatherer agree on job identities without talking to
-/// each other.
-std::vector<AppGridCells> add_grid_cells(ExperimentPlan& plan,
-                                         const std::vector<workloads::AppId>& apps,
-                                         const std::vector<std::string>& policies,
-                                         const std::vector<double>& tolerances,
-                                         int repetitions, std::uint64_t seed,
-                                         const BaseConfigFn& base_config);
-
 /// Reads a finished plan back into per-app Evaluations (inverse of
-/// add_grid_cells' layout).
+/// build_plan's layout).
 std::vector<Evaluation> assemble_evaluations(
     const ExperimentPlan& plan, const std::vector<AppGridCells>& index,
     const std::vector<std::string>& policies,

@@ -13,9 +13,9 @@
 // bit-identical RepeatedResult / Evaluation values — covered by tier-1
 // tests.
 //
-// run_repeated / evaluate_apps are thin wrappers over this class; new
-// callers (sweeps, ablations, multi-machine studies) can schedule
-// arbitrary job sets through the same API.
+// run_repeated and build_plan (harness/shard.h) are thin wrappers over
+// this class; new callers (sweeps, ablations, multi-machine studies) can
+// schedule arbitrary job sets through the same API.
 #pragma once
 
 #include <cstddef>

@@ -160,22 +160,39 @@ WireIdentity GridSpec::wire_identity() const {
 
 GridPlan build_plan(const GridSpec& spec) {
   GridPlan gp;
-  // Deliberately NOT default_run_config: that reads the environment
-  // (DUFP_SOCKETS / DUFP_FAULT_RATE / ...), and a spec-driven plan must
-  // be identical in every process regardless of its environment.
-  const GridSpec& s = spec;
-  gp.index = add_grid_cells(
-      gp.plan, spec.apps, spec.policies, spec.tolerances, spec.repetitions,
-      spec.seed, [&s](const workloads::WorkloadProfile& prof) {
-        RunConfig cfg;
-        cfg.profile = &prof;
-        cfg.machine.sockets = s.sockets;
-        if (s.fault_rate > 0.0) {
-          cfg.faults = faults::FaultOptions::storm(s.fault_rate, s.fault_seed);
-        }
-        cfg.telemetry.enabled = s.telemetry;
-        return cfg;
-      });
+  gp.index.reserve(spec.apps.size());
+  for (workloads::AppId app : spec.apps) {
+    // Deliberately NOT default_run_config: that reads the environment
+    // (DUFP_SOCKETS / DUFP_FAULT_RATE / ...), and a spec-driven plan must
+    // be identical in every process regardless of its environment.
+    const auto& prof = workloads::profile(app);
+    RunConfig base;
+    base.profile = &prof;
+    base.machine.sockets = spec.sockets;
+    if (spec.fault_rate > 0.0) {
+      base.faults =
+          faults::FaultOptions::storm(spec.fault_rate, spec.fault_seed);
+    }
+    base.telemetry.enabled = spec.telemetry;
+    base.seed = spec.seed;
+
+    AppGridCells ac;
+    ac.app = app;
+    ac.baseline = gp.plan.add_cell(base, spec.repetitions,
+                                   workloads::app_name(app) + ": baseline");
+    for (const std::string& policy : spec.policies) {
+      for (double tol : spec.tolerances) {
+        RunConfig cfg = base;
+        cfg.policy_name = policy;
+        cfg.tolerated_slowdown = tol;
+        ac.cells.push_back(gp.plan.add_cell(
+            cfg, spec.repetitions,
+            workloads::app_name(app) + ": " + policy + " @ " +
+                std::to_string(static_cast<int>(tol * 100 + 0.5)) + "%"));
+      }
+    }
+    gp.index.push_back(std::move(ac));
+  }
   return gp;
 }
 

@@ -256,11 +256,19 @@ struct GridSpec {
 };
 
 /// The spec's plan plus the per-app cell index needed to reassemble
-/// Evaluations.  Deterministic pure function of the spec.
+/// Evaluations.
 struct GridPlan {
   ExperimentPlan plan;
   std::vector<AppGridCells> index;
 };
+
+/// Enumerates the apps x (baseline + policies x tolerances) grid, one
+/// cell per grid point with `repetitions` jobs each.  Cell order, and
+/// hence the job enumeration (see ExperimentPlan::JobRef), is: per app in
+/// list order, baseline first, then policy-major with tolerances inner.
+/// A pure function of the spec: two processes with equal specs build
+/// equal plans, which is what lets shard workers and the gatherer agree
+/// on job identities without talking to each other.
 GridPlan build_plan(const GridSpec& spec);
 
 /// Grid jobs: the plan, built once per worker, runs each batch on

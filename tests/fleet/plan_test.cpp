@@ -149,7 +149,7 @@ class MaliciousAllocator final : public FleetAllocator {
   explicit MaliciousAllocator(Mode mode) : mode_(mode) {}
 
   std::vector<double> allocate(
-      double budget_w, const std::vector<ChildSignal>& children) override {
+      double /*budget_w*/, const std::vector<ChildSignal>& children) override {
     std::vector<double> alloc;
     for (const auto& c : children) alloc.push_back(c.min_w);
     switch (mode_) {

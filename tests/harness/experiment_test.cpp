@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/shard.h"
+
 namespace dufp::harness {
 namespace {
 
@@ -57,14 +59,17 @@ TEST(ExperimentTest, MissingCellThrows) {
 }
 
 TEST(ExperimentTest, EvaluateAppEndToEndSmallGrid) {
-  // One app, one mode, one tolerance, two repetitions — a smoke test of
-  // the full grid machinery (the figure benches run the real thing).
-  setenv("DUFP_SOCKETS", "1", 1);
-  setenv("DUFP_QUIET", "1", 1);
-  const auto eval =
-      evaluate_apps({workloads::AppId::ep}, {"DUF"}, {0.10}, 2, 3).front();
-  unsetenv("DUFP_SOCKETS");
-  unsetenv("DUFP_QUIET");
+  // One app, one policy, one tolerance, two repetitions on one socket — a
+  // smoke test of the full grid machinery (bench/paper runs the real
+  // thing).
+  GridSpec spec;
+  spec.apps = {workloads::AppId::ep};
+  spec.policies = {"DUF"};
+  spec.tolerances = {0.10};
+  spec.repetitions = 2;
+  spec.seed = 3;
+  spec.sockets = 1;
+  const auto eval = run_grid_serial(spec).evaluations.front();
 
   // EP under DUF: significant power savings, tiny slowdown.
   EXPECT_GT(eval.pkg_power_savings_pct("DUF", 0.10), 8.0);

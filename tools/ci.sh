@@ -3,25 +3,29 @@
 #   1. plain tier-1 (Release, -O2 -DNDEBUG — the configuration the
 #      tracked benchmark numbers come from), plus the larger budget of
 #      the generated stepped-vs-leapt identity test;
-#   2. smokes of the sim_throughput and shard_scaling benches;
-#   3. one run of every paper bench, every example and perf_microbench
-#      at the smallest shape (policies are named by strings, so a
-#      misspelt name fails only at run time);
-#   4. the chaos-recovery and supervise drills (kill -> salvage ->
+#   2. an x86-64-v3 (FMA) Release build with -DDUFP_WERROR=ON: the perf
+#      label and the generated twin, so the -ffp-contract=off contract
+#      and a warning-free tree both hold;
+#   3. smokes of the sim_throughput and shard_scaling benches;
+#   4. one run of the paper driver (every section), every example and
+#      perf_microbench at the smallest shape (policies are named by
+#      strings, so a misspelt name fails only at run time), and the
+#      driver's exit 2 for an unknown section;
+#   5. the chaos-recovery and supervise drills (kill -> salvage ->
 #      resume, bytes identical to serial);
-#   5. tournament and fleet_scaling smokes (the fleet CLI loop is the
+#   6. tournament and fleet_scaling smokes (the fleet CLI loop is the
 #      tier-1 ShardWorkerCliTest.GridAndFleetShareTheVerbs);
-#   6. the perf-ledger smoke (perfbench/run.py --smoke: pinned digests
+#   7. the perf-ledger smoke (perfbench/run.py --smoke: pinned digests
 #      of all three workloads through both passes);
-#   7. the sim_throughput perf gate and the grid_throughput gate;
-#   8. the symbol census (tools/symbol_census.py): no strong src/
+#   8. the sim_throughput perf gate and the grid_throughput gate;
+#   9. the symbol census (tools/symbol_census.py): no strong src/
 #      function that only tests reach, beyond its allowlist;
-#   9. tier-1 under UBSan, ASan and TSan.
+#  10. tier-1 under UBSan, ASan and TSan.
 #
 #   tools/ci.sh            # everything
 #   tools/ci.sh -j8        # extra args forwarded to every ctest
 #
-# Each configuration uses its own build directory (build-ci,
+# Each configuration uses its own build directory (build-ci, build-v3,
 # build-census, build-ubsan, build-asan, build-tsan; the ledger builds
 # under build-ci/perfbench) so they never poison each other's caches.
 # Fails on the first stage that fails.
@@ -41,6 +45,20 @@ ctest --test-dir "${build_dir}" -L tier1 --output-on-failure "$@"
 # Tier-1 runs 72 generated configurations leap-on against leap-off; the
 # DISABLED_ twin draws ten times as many past them (~20 s).
 "${build_dir}/tests/perf_leap_identity_test" --gtest_also_run_disabled_tests \
+    --gtest_filter='GeneratedLeapIdentityTest.DISABLED_*'
+
+echo "== x86-64-v3 build with -Werror: the floating-point contract =="
+# A target with FMA, where byte identity holds only because
+# src/common/CMakeLists.txt sets -ffp-contract=off (GCC's C++ default
+# fuses a*b + c).  Every warning is an error here.  The hot-path goldens
+# (label perf) and the generated stepped-vs-leapt twin must still pass;
+# the host must run x86-64-v3 code (AVX2, FMA).
+v3_dir="${repo_root}/build-v3"
+cmake -B "${v3_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release \
+    -DDUFP_WERROR=ON -DCMAKE_CXX_FLAGS=-march=x86-64-v3
+cmake --build "${v3_dir}" -j"$(nproc)"
+ctest --test-dir "${v3_dir}" -L perf --output-on-failure "$@"
+"${v3_dir}/tests/perf_leap_identity_test" --gtest_also_run_disabled_tests \
     --gtest_filter='GeneratedLeapIdentityTest.DISABLED_*'
 
 echo "== sim_throughput smoke =="
@@ -98,10 +116,12 @@ for key in ("processes_2", "processes_4"):
 print("shard_scaling smoke: JSON OK, gathered bytes identical")
 EOF
 
-echo "== paper benches, examples and microbench smoke =="
+echo "== paper driver, examples and microbench smoke =="
 # Each binary runs once at the smallest shape (1 repetition, 1 socket)
 # and must exit 0.  They name their policies by registry strings, which
-# no compiler checks, so this is where a misspelt name would fail.
+# no compiler checks, so this is where a misspelt name would fail.  The
+# paper driver runs every section; its bytes at this shape are the
+# tier-1 PaperDriverTest golden.
 bins_dir="${smoke_dir}/bins"
 rm -rf "${bins_dir}"
 mkdir -p "${bins_dir}"
@@ -112,19 +132,20 @@ run_smoke() {
     exit 1
   }
 }
-for b in table1_architecture fig1a_static_capping fig1b_phase_capping \
-    fig1c_partial_cap_time fig3a_slowdown fig3b_processor_power \
-    fig3c_energy fig4_dram_power fig5_frequency_trace ablation_interval \
-    ablation_min_cap ablation_cap_step ablation_freq_control baseline_dnpc \
-    fault_storm; do
-  run_smoke "${build_dir}/bench/${b}"
-done
+run_smoke "${build_dir}/bench/paper"
+status=0
+"${build_dir}/bench/paper" no_such_section > /dev/null 2>&1 || status=$?
+[[ "${status}" -eq 2 ]] || {
+  echo "bins smoke: paper with an unknown section exited ${status}, want 2" >&2
+  exit 1
+}
 for e in quickstart capping_study custom_workload phase_explorer \
     trace_replay_demo budget_balancer_demo; do
   run_smoke "${build_dir}/examples/${e}"
 done
 run_smoke "${build_dir}/bench/perf_microbench" --benchmark_min_time=0.001
-echo "bins smoke: 15 paper benches, 6 examples and perf_microbench exited 0"
+echo "bins smoke: paper (15 sections; an unknown one exits 2), 6 examples" \
+     "and perf_microbench exited 0"
 
 echo "== chaos recovery smoke =="
 # The failure-model gate (DESIGN.md § Failure model & recovery): a

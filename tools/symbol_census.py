@@ -46,6 +46,11 @@ def build(build_dir):
          f"-DCMAKE_CXX_FLAGS={FLAGS}",
          f"-DCMAKE_EXE_LINKER_FLAGS={LINK_FLAGS}"],
         stdout=subprocess.DEVNULL)
+    # The build never deletes the program of a target the tree no longer
+    # has, and such a leftover would count what it links as reached: drop
+    # every program, so the build relinks exactly the current ones.
+    for p in programs(build_dir):
+        p.unlink()
     run(["cmake", "--build", str(build_dir), f"-j{os.cpu_count() or 1}"],
         stdout=subprocess.DEVNULL)
 
