@@ -286,11 +286,13 @@ std::string health_summary(const harness::HealthTotals& h) {
 // Read back through the same MSR/powercap interfaces the runtime uses, not
 // hard-coded, so the table doubles as a smoke test of the register
 // plumbing.
-void table1(Context&) {
+void table1(Context& ctx) {
   print_banner("Table I: target architecture characteristics",
                "Table I (Sec. IV-A)");
 
+  // The machine the banner names.
   hw::MachineConfig machine;
+  machine.sockets = ctx.opts.sockets;
   hw::MachineModel model(machine);
   msr::SimulatedMsr dev(machine.socket.cores);
   rapl::RaplEngine engine(model.socket(0), dev);

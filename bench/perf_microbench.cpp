@@ -217,6 +217,50 @@ void BM_CalmRunFlipping(benchmark::State& state) {
 }
 BENCHMARK(BM_CalmRunFlipping)->UseManualTime();
 
+/// The dithering rig with the cap moved every 200 ticks, the agent's
+/// interval, among three values 1 W apart: each iteration sets the next
+/// cap and runs the 200 ticks under it, so the first calm_run after a
+/// move derives the thresholds of the states it meets inside the timed
+/// region.  A flip into a state with no entry yet ends a call; it runs
+/// outside the timed region, and the next call takes the interval's rest.
+void BM_CalmRunCapSteps(benchmark::State& state) {
+  constexpr std::size_t kInterval = 200;
+  KernelRig rig(0.5);
+  const msr::PowerLimit base = rig.gov.limit();
+  std::vector<rapl::FirmwareGovernor::Flip> log(kInterval);
+  double timed_s = 0.0;
+  std::int64_t ticks = 0;
+  int move = 0;
+  for (auto _ : state) {
+    msr::PowerLimit pl = base;
+    const double dw = static_cast<double>(move++ % 3 - 1);
+    pl.long_term_w += dw;
+    pl.short_term_w += dw;
+    rig.gov.set_limit(pl);
+    double s = 0.0;
+    for (std::size_t done = 0; done < kInterval;) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto run = rig.gov.calm_run(kInterval - done, log);
+      const auto t1 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(run.ticks);
+      benchmark::DoNotOptimize(log.data());
+      s += std::chrono::duration<double>(t1 - t0).count();
+      ticks += static_cast<std::int64_t>(run.ticks);
+      done += run.ticks;
+      if (done < kInterval) {
+        rig.step();
+        ++done;
+      }
+    }
+    state.SetIterationTime(s);
+    timed_s += s;
+  }
+  state.SetItemsProcessed(ticks);
+  state.counters["ns_per_tick"] =
+      ticks > 0 ? 1e9 * timed_s / static_cast<double>(ticks) : 0.0;
+}
+BENCHMARK(BM_CalmRunCapSteps)->UseManualTime();
+
 void BM_DufpDecide(benchmark::State& state) {
   core::PolicyConfig policy;
   policy.tolerated_slowdown = 0.10;

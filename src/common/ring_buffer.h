@@ -12,7 +12,8 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/expect.h"
@@ -127,149 +128,224 @@ class RingBuffer {
   std::size_t size_ = 0;
 };
 
+/// `w` in 2^-30 W quanta, the unit the RAPL windows count in, rounded to
+/// nearest, ties to even.  Adding and
+/// subtracting 2^52 rounds a non-negative double below 2^52 to an integer
+/// in the FPU's own rounding mode; std::nearbyint would be a libm call at
+/// the default x86-64 target.  Requires 0 <= w < 2^22 W, so the scaled
+/// value stays below 2^52.
+inline std::int64_t to_quanta(double w) {
+  DUFP_EXPECT(w >= 0.0 && w < 0x1p22);
+  const double scaled = w * 0x1p30;
+  return static_cast<std::int64_t>((scaled + 0x1p52) - 0x1p52);
+}
+
+/// The mean, in watts, of `size` samples summing to `sum_q` quanta: an
+/// exact scaling, then one rounded division.  While the sum is below 2^53
+/// quanta (2^23 W·samples) these are the bits a double running sum over
+/// the same samples divides to, since that sum is exact there too.
+inline double quanta_mean(std::int64_t sum_q, std::size_t size) {
+  return static_cast<double>(sum_q) * 0x1p-30 / static_cast<double>(size);
+}
+
 /// Windowed arithmetic mean over the last `capacity` samples, O(1) update.
+/// Samples are quanta (to_quanta), so the running sum is an exact integer:
+/// it depends only on the samples the window holds, never on the order
+/// they arrived in.
 ///
-/// Also tracks the length of the trailing run of bitwise-identical samples
-/// so the simulation's event-leaping fast path can detect, in O(1), that
-/// adding the same value again is a complete no-op (see steady_under).
+/// Also tracks the length of the trailing run of identical samples so the
+/// simulation's event-leaping fast path can detect, in O(1), that adding
+/// the same value again is a complete no-op (see steady_under).
 class WindowedMean {
  public:
   explicit WindowedMean(std::size_t capacity) : ring_(capacity) {}
 
-  void add(double v) {
+  /// Pushes one sample of `w` watts, held as to_quanta(w).
+  void add(double w) { add_quanta(to_quanta(w)); }
+
+  /// Pushes one sample of `q` quanta, evicting the oldest when full.
+  ///
+  /// The sum cannot overflow on a simulated run: a run pushes at most
+  /// max_seconds / tick samples (3.6M at the engine's defaults), and no
+  /// sample exceeds the power model's peak package power, a few hundred
+  /// watts (149 W over the ten apps' phases), so a sum stays below
+  /// 3.6e6 x 2^9 W x 2^30 < 2^61 quanta.  A window longer than its run
+  /// never fills and so only ever takes this path, which checks the bound
+  /// instead of wrapping.
+  void add_quanta(std::int64_t q) {
     if (ring_.full()) sum_ -= ring_.oldest();
-    ring_.push(v);
-    sum_ += v;
-    if (run_length_ > 0 && bit_equal(v, run_value_)) {
+    DUFP_EXPECT(q >= 0 &&
+                q <= std::numeric_limits<std::int64_t>::max() - sum_);
+    ring_.push(q);
+    sum_ += q;
+    if (run_length_ > 0 && q == run_value_) {
       if (run_length_ < ring_.capacity()) ++run_length_;
     } else {
-      run_value_ = v;
+      run_value_ = q;
       run_length_ = 1;
     }
   }
 
   double mean() const {
-    return ring_.empty() ? 0.0 : sum_ / static_cast<double>(ring_.size());
+    return ring_.empty() ? 0.0 : quanta_mean(sum_, ring_.size());
   }
   std::size_t size() const { return ring_.size(); }
   std::size_t capacity() const { return ring_.capacity(); }
   bool full() const { return ring_.full(); }
-  /// The running sum mean() divides, and the samples oldest → newest:
-  /// with size() and run_length(), the whole observable state (tests
-  /// compare windows through them bit for bit).
-  double sum() const { return sum_; }
-  double from_oldest(std::size_t i) const { return ring_.from_oldest(i); }
+  /// The running sum in quanta, and the samples oldest → newest: with
+  /// size() and run_length(), the whole observable state (tests compare
+  /// windows through them).
+  std::int64_t sum() const { return sum_; }
+  std::int64_t from_oldest(std::size_t i) const {
+    return ring_.from_oldest(i);
+  }
   void clear() {
     ring_.clear();
-    sum_ = 0.0;
+    sum_ = 0;
     run_length_ = 0;
-    run_value_ = 0.0;
+    run_value_ = 0;
   }
 
-  /// A full window copied into locals for a run of add() calls: the
-  /// running sum, the write position and the slot pointer stay in
-  /// registers, and commit() writes them back once.  Each add performs
-  /// WindowedMean::add's floating-point operations in its order (evict the
-  /// oldest, store, add), so after any sequence of adds the sum holds the
-  /// bits the same WindowedMean::add calls would leave.
+  /// A full window copied into locals for a run of add_quanta() calls:
+  /// the running sum, the write position and the slot pointer stay in
+  /// registers, and commit() writes them back once.  After any sequence
+  /// of adds the window holds what the same add_quanta() calls would
+  /// leave.
   class Cursor {
    public:
-    /// add(v) of the value the cursor holds: cursor(v)'s, or the last one
-    /// add(double) passed.
+    /// add_quanta(q) of the value the cursor holds: cursor(q)'s, or the
+    /// last one add(std::int64_t) passed.
     void add() {
-      sum_ -= slots_[head_];
+      sum_ += v_ - slots_[head_];
       slots_[head_] = v_;
-      sum_ += v_;
       if (++head_ == capacity_) head_ = 0;
       ++adds_;
+      ++run_;
     }
-    /// add(v) of a value that may differ from the one held; later add()s
-    /// repeat it.
-    void add(double v) {
-      if (!bit_equal(v, v_)) {
-        v_ = v;
-        run_start_ = adds_;
+    /// add_quanta(q) of a value that may differ from the one held; later
+    /// add()s repeat it.
+    void add(std::int64_t q) {
+      if (q != v_) {
+        // Before the first add the newest sample is the window's own.
+        v_ = q;
+        run_ = adds_ == 0 ? window_->run_of(q) : 0;
       }
       add();
     }
-    /// mean() of the window the adds so far would leave.
-    double mean() const { return sum_ / size_; }
+    /// sum() of the window the adds so far would leave.
+    std::int64_t sum() const { return sum_; }
+
+    /// True when every slot holds the held value: at least capacity adds
+    /// of it since it last changed, the window's own trailing run of it
+    /// counted.  Each further add then evicts what it inserts, so the sum
+    /// stays fixed.
+    bool uniform() const { return run_ >= capacity_; }
+
+    /// `n` add()s on a uniform window: only the write position moves.
+    void repeat(std::size_t n) {
+      DUFP_EXPECT(uniform());
+      head_ = (head_ + n % capacity_) % capacity_;
+      adds_ += n;
+      run_ += n;
+    }
+
+    /// add()s while the sum before the add lies in (lower, upper], at most
+    /// `n`; returns how many ran.  The slot loop runs to the wrap or the
+    /// last add, whichever comes first, so it tests no wrap per add, and
+    /// it tests the range as one unsigned compare: a sum s >= 0 lies in it
+    /// exactly when s − (lower + 1) < upper − lower, modulo 2^64.
+    std::size_t add_while_in(std::int64_t lower, std::int64_t upper,
+                             std::size_t n) {
+      if (upper <= lower) return 0;
+      std::int64_t* const slots = slots_;
+      const std::int64_t v = v_;
+      const std::uint64_t base = static_cast<std::uint64_t>(lower) + 1;
+      const std::uint64_t width =
+          static_cast<std::uint64_t>(upper) - static_cast<std::uint64_t>(lower);
+      std::uint64_t off = static_cast<std::uint64_t>(sum_) - base;
+      std::size_t h = head_;
+      std::size_t done = 0;
+      while (done < n) {
+        const std::size_t end = h + std::min(capacity_ - h, n - done);
+        std::size_t i = h;
+        for (; i < end && off < width; ++i) {
+          off += static_cast<std::uint64_t>(v - slots[i]);
+          slots[i] = v;
+        }
+        done += i - h;
+        h = i == capacity_ ? 0 : i;
+        if (i < end) break;
+      }
+      sum_ = static_cast<std::int64_t>(off + base);
+      head_ = h;
+      adds_ += done;
+      run_ += done;
+      return done;
+    }
 
    private:
     friend class WindowedMean;
-    Cursor(double* slots, std::size_t capacity, std::size_t head, double sum,
-           double v)
-        : slots_(slots),
-          capacity_(capacity),
-          head_(head),
-          sum_(sum),
-          size_(static_cast<double>(capacity)),
-          v_(v) {}
+    Cursor(WindowedMean& window, std::int64_t v)
+        : slots_(window.ring_.slots()),
+          capacity_(window.ring_.capacity()),
+          head_(window.ring_.head()),
+          sum_(window.sum_),
+          v_(v),
+          run_(window.run_of(v)),
+          window_(&window) {}
 
-    double* slots_;
+    std::int64_t* slots_;
     std::size_t capacity_;
     std::size_t head_;
-    double sum_;
-    double size_;  ///< size() of a full window, as mean() divides by it
-    double v_;
+    std::int64_t sum_;
+    std::int64_t v_;
     std::size_t adds_ = 0;
-    /// Adds made before the first of the trailing run of v_ (0 while every
-    /// add so far was v_).
-    std::size_t run_start_ = 0;
+    /// Length of the trailing run of v_ in the window the adds would
+    /// leave, uncapped.
+    std::size_t run_;
+    const WindowedMean* window_;
   };
 
-  /// Starts a run of adds on a full window; add() repeats `v`.
-  Cursor cursor(double v) {
+  /// Starts a run of adds on a full window; add() repeats `q`.
+  Cursor cursor(std::int64_t q) {
     DUFP_EXPECT(full());
-    return Cursor(ring_.slots(), ring_.capacity(), ring_.head(), sum_, v);
+    return Cursor(*this, q);
   }
 
   /// Commits the adds made through `c` since cursor(): afterwards the
-  /// window (samples, sum, trailing run) equals the same add() calls.
-  /// Only valid while no other add() has touched the window since
+  /// window (samples, sum, trailing run) equals the same add_quanta()
+  /// calls.  Only valid while no other add has touched the window since
   /// cursor().
   void commit(const Cursor& c) {
-    const std::size_t k = c.adds_;
-    if (k == 0) return;
+    if (c.adds_ == 0) return;
     ring_.commit_head(c.head_);
     sum_ = c.sum_;
-    // The adds end in a run of k - run_start_ bitwise-identical samples.
-    // When that run is all of them it extends the window's trailing run
-    // if the values match; either way the run is capped at capacity, as
-    // single adds would cap it.
-    if (c.run_start_ == 0 && run_length_ > 0 && bit_equal(c.v_, run_value_)) {
-      run_length_ = std::min(ring_.capacity(), run_length_ + k);
-    } else {
-      run_value_ = c.v_;
-      run_length_ = std::min(ring_.capacity(), k - c.run_start_);
-    }
+    run_value_ = c.v_;
+    run_length_ = std::min(ring_.capacity(), c.run_);
   }
 
-  /// Length of the trailing run of bitwise-identical samples (capped at
+  /// Length of the trailing run of identical samples (capped at
   /// capacity).  O(1) pre-gate for steady_under.
   std::size_t run_length() const { return run_length_; }
 
-  /// True when add(v) — repeated any number of times — would leave every
-  /// observable of this window (mean, size, sum) bitwise unchanged: the
-  /// window is full, every stored sample is bitwise `v` (so each future
-  /// add evicts exactly what it inserts), and the running sum is a fixed
-  /// point of the evict-then-insert update.
-  bool steady_under(double v) const {
-    return ring_.full() && run_length_ >= ring_.capacity() &&
-           bit_equal(v, run_value_) && (sum_ - v) + v == sum_;
+  /// True when add_quanta(q) — repeated any number of times — would leave
+  /// every observable of this window (mean, size, sum) unchanged: the
+  /// window is full and every stored sample is `q`, so each future add
+  /// evicts exactly what it inserts.
+  bool steady_under(std::int64_t q) const {
+    return ring_.full() && run_length_ >= ring_.capacity() && q == run_value_;
   }
 
  private:
-  /// Bitwise equality: stricter than ==, so +0.0 / -0.0 (whose additive
-  /// behaviour differs) never alias and NaN never reports steady.
-  static bool bit_equal(double a, double b) {
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  /// Length of the trailing run of `q`: 0 unless the newest samples are q.
+  std::size_t run_of(std::int64_t q) const {
+    return q == run_value_ ? run_length_ : 0;
   }
 
-  RingBuffer<double> ring_;
-  double sum_ = 0.0;
-  double run_value_ = 0.0;       ///< value of the trailing identical run
-  std::size_t run_length_ = 0;   ///< capped at capacity()
+  RingBuffer<std::int64_t> ring_;
+  std::int64_t sum_ = 0;
+  std::int64_t run_value_ = 0;  ///< value of the trailing identical run
+  std::size_t run_length_ = 0;  ///< capped at capacity()
 };
 
 }  // namespace dufp

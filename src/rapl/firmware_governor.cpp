@@ -11,37 +11,110 @@ namespace dufp::rapl {
 
 namespace {
 
-/// The allowance expression given the two window averages.  The limit
-/// and gain are parameters so that the calm-run kernel can pass local
-/// copies it keeps in registers; every caller shares this one
-/// floating-point expression.
+constexpr std::int64_t kEverySum = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kNoSum = std::numeric_limits<std::int64_t>::min();
+
+/// One constraint's term given its window average: the one floating-point
+/// expression every form of the decision shares.
+double term_at(double limit_w, double gain, double avg_w) {
+  return limit_w + gain * (limit_w - avg_w);
+}
+
+/// A constraint takes part in the decision only when enabled with a
+/// positive limit.
+bool binds(bool enabled, double limit_w) { return enabled && limit_w > 0.0; }
+
+/// The allowance given the two window averages: the smaller of the binding
+/// constraints' terms, +inf when none binds.
 double allowance_from(const msr::PowerLimit& limit, double gain,
                       double long_avg_w, double short_avg_w) {
   double allowance = std::numeric_limits<double>::infinity();
-  if (limit.long_term_enabled && limit.long_term_w > 0.0) {
+  if (binds(limit.long_term_enabled, limit.long_term_w)) {
     allowance =
-        std::min(allowance,
-                 limit.long_term_w + gain * (limit.long_term_w - long_avg_w));
+        std::min(allowance, term_at(limit.long_term_w, gain, long_avg_w));
   }
-  if (limit.short_term_enabled && limit.short_term_w > 0.0) {
-    allowance = std::min(
-        allowance,
-        limit.short_term_w + gain * (limit.short_term_w - short_avg_w));
+  if (binds(limit.short_term_enabled, limit.short_term_w)) {
+    allowance =
+        std::min(allowance, term_at(limit.short_term_w, gain, short_avg_w));
   }
   return allowance;
 }
 
-/// True when `allowance_w` lies in the applied limit's cell [lo, hi), so
-/// the decision keeps the limit; the top state's cell has no upper edge.
-/// A non-finite allowance plans core_max in the reference decision; +inf
-/// matches the test exactly (it passes only for the top state), and the
-/// never-occurring NaN / -inf fail every comparison and merely end a
-/// calm run.
-bool in_calm_cell(double allowance_w, double lo, double hi, bool top) {
-  return allowance_w >= lo && (top || allowance_w < hi);
+/// One constraint's threshold (see sum_thresholds).
+std::int64_t largest_sum_reaching(double limit_w, double gain,
+                                  std::size_t span, double edge_w) {
+  if (edge_w == -std::numeric_limits<double>::infinity()) return kEverySum;
+  if (edge_w == std::numeric_limits<double>::infinity()) return kNoSum;
+  const auto reaches = [&](std::int64_t s) {
+    return allowance_term(limit_w, gain, s, span) >= edge_w;
+  };
+  // limit + gain·(limit − s/(span·2^30)) >= edge solved for s; with no
+  // gain the term is the limit whatever the sum, and the probes below
+  // find that out from s = 0.
+  double estimate = 0.0;
+  if (gain > 0.0) {
+    estimate = static_cast<double>(span) * 0x1p30 *
+               (limit_w + (limit_w - edge_w) / gain);
+  }
+  std::int64_t s0 = 0;
+  if (estimate >= 0x1p63) {
+    s0 = kEverySum;
+  } else if (estimate > 0.0) {
+    s0 = static_cast<std::int64_t>(estimate);
+  }
+  // Gallop from the estimate to a bracket reaches(lo) && !reaches(hi),
+  // doubling the step; the term is monotone, so the ends of the sum range
+  // settle the sentinels.  Then bisect: the rounding the estimate skipped
+  // moves the answer by a quantum or so on the RAPL windows, by more on
+  // fault-sized ones.
+  std::int64_t lo = s0;
+  std::int64_t hi = s0;
+  if (reaches(s0)) {
+    for (std::uint64_t step = 1;; step *= 2) {
+      if (lo == kEverySum) return kEverySum;
+      hi = step >= static_cast<std::uint64_t>(kEverySum - lo)
+               ? kEverySum
+               : lo + static_cast<std::int64_t>(step);
+      if (!reaches(hi)) break;
+      lo = hi;
+    }
+  } else {
+    for (std::uint64_t step = 1;; step *= 2) {
+      if (hi == 0) return kNoSum;
+      lo = step >= static_cast<std::uint64_t>(hi)
+               ? 0
+               : hi - static_cast<std::int64_t>(step);
+      if (reaches(lo)) break;
+      hi = lo;
+    }
+  }
+  while (hi - lo > 1) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    (reaches(mid) ? lo : hi) = mid;
+  }
+  return lo;
 }
 
 }  // namespace
+
+double allowance_term(double limit_w, double gain, std::int64_t sum_q,
+                      std::size_t span) {
+  return term_at(limit_w, gain, quanta_mean(sum_q, span));
+}
+
+SumThresholds sum_thresholds(const msr::PowerLimit& limit, double gain,
+                             std::size_t long_span, std::size_t short_span,
+                             double edge_w) {
+  SumThresholds t{kEverySum, kEverySum};
+  if (binds(limit.long_term_enabled, limit.long_term_w)) {
+    t.long_q = largest_sum_reaching(limit.long_term_w, gain, long_span, edge_w);
+  }
+  if (binds(limit.short_term_enabled, limit.short_term_w)) {
+    t.short_q =
+        largest_sum_reaching(limit.short_term_w, gain, short_span, edge_w);
+  }
+  return t;
+}
 
 FirmwareGovernor::FirmwareGovernor(hw::SocketModel& socket,
                                    const GovernorParams& params)
@@ -118,9 +191,16 @@ std::size_t FirmwareGovernor::window_ticks(double window_s) const {
 }
 
 void FirmwareGovernor::set_limit(const msr::PowerLimit& limit) {
-  limit_ = limit;
   const std::size_t lw = window_ticks(limit.long_term_window_s);
   const std::size_t sw = window_ticks(limit.short_term_window_s);
+  if (limit.long_term_w != limit_.long_term_w ||
+      limit.short_term_w != limit_.short_term_w ||
+      limit.long_term_enabled != limit_.long_term_enabled ||
+      limit.short_term_enabled != limit_.short_term_enabled ||
+      lw != long_window_.capacity() || sw != short_window_.capacity()) {
+    ++limit_epoch_;
+  }
+  limit_ = limit;
   // Re-create windows only when the span changed; otherwise preserve the
   // accumulated history (a cap change must not forget recent consumption,
   // or a decrease would be toothless for a full window).
@@ -180,8 +260,10 @@ void FirmwareGovernor::find_state() const {
       way.demand = demand;
       way.valid = true;
       for (std::size_t j = 0; j < n; ++j) {
-        rows_[way.row + j].edge = kUnset;
-        rows_[way.row + j].recorded_w = kUnset;
+        StateEntry& e = rows_[way.row + j];
+        e.edge = kUnset;
+        e.recorded_q = -1;
+        e.epoch = 0;
       }
     }
     ways_[w].version = version;
@@ -192,7 +274,7 @@ void FirmwareGovernor::find_state() const {
   StateWay& front = ways_.front();
   const double user_mhz = socket_.user_pstate_limit_mhz();
   if (front.user_mhz != user_mhz) {
-    for (std::size_t j = 0; j < n; ++j) rows_[front.row + j].recorded_w = kUnset;
+    for (std::size_t j = 0; j < n; ++j) rows_[front.row + j].recorded_q = -1;
     front.user_mhz = user_mhz;
   }
 }
@@ -206,24 +288,34 @@ inline double FirmwareGovernor::row_edge(StateEntry* row, std::size_t j) const {
   return e;
 }
 
-std::size_t FirmwareGovernor::next_pstate(double allowance_w, std::size_t p,
-                                          StateEntry* row) const {
+inline SumThresholds FirmwareGovernor::row_thresholds(StateEntry* row,
+                                                     std::size_t j) const {
+  StateEntry& e = row[j];
+  if (e.epoch != limit_epoch_) [[unlikely]] {
+    e.thresholds = sum_thresholds(limit_, params_.headroom_gain,
+                                  long_window_.capacity(),
+                                  short_window_.capacity(), row_edge(row, j));
+    e.epoch = limit_epoch_;
+  }
+  return e.thresholds;
+}
+
+template <typename Reaches>
+std::size_t FirmwareGovernor::next_pstate(std::size_t p,
+                                          Reaches reaches) const {
   // Locate the allowance's cell — the P-state the search would return —
   // starting from p's own cell (where a calm tick lands in one or two
-  // comparisons) and walking only as far as the slew limits can matter:
+  // questions) and walking only as far as the slew limits can matter:
   // past them the clamp fixes the outcome regardless of how much further
-  // the search result lies.  A non-finite allowance plans core_max, which
-  // the up-slew clamps to where the walk up would stop.
+  // the search result lies.
   const Slew& sl = slew_[p];
   std::size_t k = p;
-  if (!std::isfinite(allowance_w)) {
-    k = sl.up_reach;
-  } else if (allowance_w >= row_edge(row, k)) {
-    while (k < sl.up_reach && allowance_w >= row_edge(row, k + 1)) ++k;
+  if (reaches(k)) {
+    while (k < sl.up_reach && reaches(k + 1)) ++k;
   } else {
     while (k > sl.down_reach) {
       --k;
-      if (allowance_w >= row_edge(row, k)) break;
+      if (reaches(k)) break;
     }
   }
   // Slew limiting and quantization: only the walk's last state can lie
@@ -246,8 +338,19 @@ double FirmwareGovernor::planned_limit_reference_mhz() const {
   return planned_from_allowance(current_allowance());
 }
 
+inline bool FirmwareGovernor::allowance_reaches(double allowance_w,
+                                                StateEntry* row,
+                                                std::size_t j) const {
+  // A non-finite allowance plans core_max: it reaches every state, so the
+  // walk stops where the up-slew clamps, and no edge is built for it.
+  return !std::isfinite(allowance_w) || allowance_w >= row_edge(row, j);
+}
+
 std::size_t FirmwareGovernor::planned_pstate() const {
-  return next_pstate(current_allowance(), pstate_, state_row());
+  const double a = current_allowance();
+  StateEntry* const row = state_row();
+  return next_pstate(
+      pstate_, [&](std::size_t j) { return allowance_reaches(a, row, j); });
 }
 
 double FirmwareGovernor::planned_from_allowance(double allowance_w) const {
@@ -271,8 +374,8 @@ double FirmwareGovernor::planned_from_allowance(double allowance_w) const {
 }
 
 bool FirmwareGovernor::steady_state(double pkg_power_w) const {
-  return long_window_.steady_under(pkg_power_w) &&
-         short_window_.steady_under(pkg_power_w) &&
+  const std::int64_t q = to_quanta(pkg_power_w);
+  return long_window_.steady_under(q) && short_window_.steady_under(q) &&
          planned_pstate() == pstate_;
 }
 
@@ -338,9 +441,8 @@ double FirmwareGovernor::lowest_allowance_reaching(std::size_t idx) const {
 
 void FirmwareGovernor::fill_flip_entry(
     double recorded_w, std::span<const double, kFlipLanes> lanes) {
-  DUFP_EXPECT(recorded_w >= 0.0);
   StateEntry& e = state_row()[pstate_];
-  e.recorded_w = recorded_w;
+  e.recorded_q = to_quanta(recorded_w);
   std::copy(lanes.begin(), lanes.end(), e.lanes.begin());
 }
 
@@ -352,66 +454,100 @@ FirmwareGovernor::CalmRun FirmwareGovernor::calm_run(std::size_t max_ticks,
   StateEntry* const row = state_row();
   const std::size_t n = slew_.size();
   std::size_t p = pstate_;
-  const double v = row[p].recorded_w;
-  DUFP_EXPECT(!std::isnan(v));
-  double lo = row_edge(row, p);
-  bool top = p + 1 == n;
-  double hi = top ? 0.0 : row_edge(row, p + 1);
+  std::int64_t v = row[p].recorded_q;
+  DUFP_EXPECT(v >= 0);
+  std::size_t k = 0;
+  std::size_t logged = 0;
+  // Every return applies the state the last flip moved to.
+  const auto finish = [&] {
+    if (p != pstate_) {
+      pstate_ = p;
+      socket_.set_core_freq_limit_mhz(current_limit_mhz());
+    }
+    return CalmRun{k, logged};
+  };
 
   // While a window fills, add() changes its divisor and may grow its
-  // storage: the per-tick body, one add() per window, and the first flip
-  // is the caller's.
-  std::size_t k = 0;
+  // storage: the per-tick body in tick()'s allowance form, one add() per
+  // window.
   for (; k < max_ticks && !(long_window_.full() && short_window_.full());
        ++k) {
-    if (!in_calm_cell(current_allowance(), lo, hi, top)) return {k, 0};
-    long_window_.add(v);
-    short_window_.add(v);
+    const double a = current_allowance();
+    const auto reaches = [&](std::size_t j) {
+      return allowance_reaches(a, row, j);
+    };
+    if (!reaches(p) || (p + 1 < n && reaches(p + 1))) {
+      if (logged == flips.size()) return finish();
+      const std::size_t q = next_pstate(p, reaches);
+      if (row[q].recorded_q < 0) return finish();
+      flips[logged++] = {static_cast<std::uint32_t>(k),
+                         static_cast<std::uint32_t>(q)};
+      p = q;
+      v = row[q].recorded_q;
+    }
+    long_window_.add_quanta(v);
+    short_window_.add_quanta(v);
   }
-  if (k == max_ticks) return {k, 0};
+  if (k == max_ticks) return finish();
 
-  // Both windows full: the same allowance expression over register-held
-  // sums.  The limit and gain are copied into locals too — the slot
-  // stores could alias the members, which would force a reload per tick.
-  const msr::PowerLimit limit = limit_;
-  const double gain = params_.headroom_gain;
+  // Both windows full: the sums, in registers, against the thresholds of
+  // the applied state (lo) and the one above it (hi).  The allowance lies
+  // in the applied state's cell when it reaches lo's edge and not hi's.
   WindowedMean::Cursor lw = long_window_.cursor(v);
   WindowedMean::Cursor sw = short_window_.cursor(v);
-  std::size_t logged = 0;
-  for (; k < max_ticks; ++k) {
-    const double a = allowance_from(limit, gain, lw.mean(), sw.mean());
-    if (in_calm_cell(a, lo, hi, top)) {
-      lw.add();
-      sw.add();
-      continue;
+  SumThresholds lo = row_thresholds(row, p);
+  bool top = p + 1 == n;
+  SumThresholds hi = top ? SumThresholds{} : row_thresholds(row, p + 1);
+  while (k < max_ticks) {
+    if (sw.uniform()) {
+      // The short sum stays put, so the cell is a range of long sums.
+      const std::int64_t ss = sw.sum();
+      const std::int64_t upper = ss <= lo.short_q ? lo.long_q : kNoSum;
+      const std::int64_t lower = top || ss > hi.short_q ? kNoSum : hi.long_q;
+      const std::size_t m = lw.add_while_in(lower, upper, max_ticks - k);
+      sw.repeat(m);
+      k += m;
+      if (k == max_ticks) break;
+    } else {
+      const std::int64_t ls = lw.sum();
+      const std::int64_t ss = sw.sum();
+      if (ls <= lo.long_q && ss <= lo.short_q &&
+          (top || ls > hi.long_q || ss > hi.short_q)) {
+        lw.add();
+        sw.add();
+        ++k;
+        continue;
+      }
     }
     // Flip tick k: tick() would apply state q, and record_power() push
     // q's recorded power.
     if (logged == flips.size()) break;
-    const std::size_t q = next_pstate(a, p, row);
-    const double vq = row[q].recorded_w;
-    if (std::isnan(vq)) break;
+    const std::int64_t ls = lw.sum();
+    const std::int64_t ss = sw.sum();
+    const std::size_t q = next_pstate(p, [&](std::size_t j) {
+      const SumThresholds t = row_thresholds(row, j);
+      return ls <= t.long_q && ss <= t.short_q;
+    });
+    const std::int64_t vq = row[q].recorded_q;
+    if (vq < 0) break;
     flips[logged++] = {static_cast<std::uint32_t>(k),
                        static_cast<std::uint32_t>(q)};
     p = q;
     lw.add(vq);
     sw.add(vq);
+    ++k;
     // The next tick's calm test needs q's cell.  A call that ends here
     // leaves it to the next call, which may run under another socket
     // state, so no edge is built that no decision needs.
-    if (k + 1 < max_ticks) {
-      lo = row_edge(row, q);
+    if (k < max_ticks) {
+      lo = row_thresholds(row, q);
       top = q + 1 == n;
-      hi = top ? 0.0 : row_edge(row, q + 1);
+      hi = top ? SumThresholds{} : row_thresholds(row, q + 1);
     }
   }
   long_window_.commit(lw);
   short_window_.commit(sw);
-  if (p != pstate_) {
-    pstate_ = p;
-    socket_.set_core_freq_limit_mhz(current_limit_mhz());
-  }
-  return {k, logged};
+  return finish();
 }
 
 }  // namespace dufp::rapl

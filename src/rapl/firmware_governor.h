@@ -42,6 +42,33 @@ struct GovernorParams {
   double unthrottle_slew_mhz = 100.0;
 };
 
+/// One constraint's term of the allowance, limit + gain·(limit − mean),
+/// over a full window of `span` samples summing to `sum_q` quanta.  The
+/// decision's allowance is the smaller of the terms of the constraints
+/// that bind (enabled, with a positive limit), +inf when none does.  A
+/// term falls weakly as the sum grows (gain >= 0).
+double allowance_term(double limit_w, double gain, std::int64_t sum_q,
+                      std::size_t span);
+
+/// Where the allowance reaches an edge, as window sums: over full windows
+/// of `long_span` and `short_span` samples, the allowance under `limit`
+/// is at or above `edge_w` exactly when long sum <= long_q and short sum
+/// <= short_q.
+struct SumThresholds {
+  std::int64_t long_q = 0;
+  std::int64_t short_q = 0;
+};
+
+/// Each threshold is the largest sum s >= 0 at which its constraint's term
+/// still reaches the edge: INT64_MAX when every sum does (a -inf edge
+/// among them) or the constraint does not bind, INT64_MIN when none does
+/// (a +inf edge among them).  Found from the closed form
+/// span·2^30·(limit + (limit − edge)/gain), settled on the exact integer
+/// with the term itself: a gallop, then a bisection.
+SumThresholds sum_thresholds(const msr::PowerLimit& limit, double gain,
+                             std::size_t long_span, std::size_t short_span,
+                             double edge_w);
+
 class FirmwareGovernor {
  public:
   /// Lanes of the simulation engine's per-tick increments (sim::Simulation's
@@ -75,10 +102,10 @@ class FirmwareGovernor {
   /// Call once per tick, before the socket is evaluated.
   void tick();
 
-  /// Feeds the power actually drawn over the tick just simulated.
+  /// Feeds the power actually drawn over the tick just simulated; the
+  /// windows count it in quanta (to_quanta).
   void record_power(double pkg_power_w, double dt_s) {
     DUFP_EXPECT(dt_s > 0.0);
-    DUFP_EXPECT(pkg_power_w >= 0.0);
     long_window_.add(pkg_power_w);
     short_window_.add(pkg_power_w);
   }
@@ -97,16 +124,16 @@ class FirmwareGovernor {
 
   /// True when the governor is at a bitwise fixed point under a constant
   /// recorded package power of `pkg_power_w`: both averaging windows are
-  /// full of exactly that value with a round-off-stable running sum, and
-  /// re-running the control decision would reproduce the currently
-  /// applied frequency limit bit for bit.  While this holds, a
+  /// full of exactly that value's quanta, and re-running the control
+  /// decision would reproduce the currently applied frequency limit bit
+  /// for bit.  While this holds, a
   /// tick()+record_power(pkg_power_w) cycle changes no observable
   /// governor or socket state — the precondition the simulation's
   /// event-leaping fast path relies on to skip the control loop entirely.
   bool steady_state(double pkg_power_w) const;
 
   /// O(1) pre-gate for steady_state: both windows consist entirely of one
-  /// bitwise-identical value.  Cheap enough to poll every tick.
+  /// value.  Cheap enough to poll every tick.
   bool windows_uniform() const {
     return long_window_.full() &&
            long_window_.run_length() >= long_window_.capacity() &&
@@ -123,21 +150,26 @@ class FirmwareGovernor {
   /// write, so only its window pushes are observable, and the kernel
   /// performs exactly those.  The decision is tick()'s own (see
   /// planned_limit_mhz): the allowance must stay inside the applied
-  /// state's cell, two comparisons against cached edges.  A flip tick
-  /// moves the limit: the kernel finds the new state with tick()'s walk,
-  /// slew and quantization code, pushes the new state's recorded power
-  /// and logs the flip in `flips`.  It stops before a flip it cannot take
-  /// — the new state's entry is not filled, a window is still filling, or
-  /// the log is full — and that tick is the caller's: tick(), then
+  /// state's cell.  A flip tick moves the limit: the kernel finds the new
+  /// state with tick()'s walk, slew and quantization code, pushes the new
+  /// state's recorded power and logs the flip in `flips`.  It stops before
+  /// a flip it cannot take — the new state's entry is not filled, or the
+  /// log is full — and that tick is the caller's: tick(), then
   /// record_power(v) and fill_flip_entry at the new state.  After
   /// calm_run returns {k, f}, the governor and its socket's core limit
   /// are bit-identical to k such cycles.
   ///
+  /// While a window fills, each tick takes tick()'s allowance form and the
+  /// plain add() path, since the divisor and the storage can still change.
   /// Once both windows are full their sums, write positions and slot
   /// pointers live in registers (WindowedMean::Cursor) and are committed
-  /// once at the end; while a window is still filling, each tick takes the
-  /// plain add() path, since the divisor and the storage can still change.
-  /// Requires the applied P-state's entry filled.
+  /// once at the end, and "the allowance reaches state j" is two integer
+  /// compares of the window sums against j's thresholds
+  /// (sum_thresholds), so neither a calm tick nor a flip divides.
+  /// While the short window holds one value throughout its sum is fixed,
+  /// and the calm test is a range test on the long sum alone
+  /// (WindowedMean::Cursor::add_while_in).  Requires the applied
+  /// P-state's entry filled.
   CalmRun calm_run(std::size_t max_ticks, std::span<Flip> flips);
 
   /// Fills the applied P-state's entry for the socket's current state:
@@ -206,14 +238,18 @@ class FirmwareGovernor {
   };
 
   /// What the governor keeps about one P-state under one socket state.
-  /// NaN marks what is not built or filled yet.
   struct StateEntry {
     /// The cell edge: the exact double where the P-state search first
     /// reaches the state; -inf when every allowance does, +inf when none
-    /// does.
+    /// does, NaN until built.
     double edge = 0.0;
-    /// What record_power() is fed at the state (fill_flip_entry).
-    double recorded_w = 0.0;
+    /// What record_power() is fed at the state, in quanta
+    /// (fill_flip_entry); -1 until filled.
+    std::int64_t recorded_q = -1;
+    /// Where the allowance reaches the edge, as window sums, under the
+    /// limit of epoch `epoch` (row_thresholds).
+    SumThresholds thresholds;
+    std::uint64_t epoch = 0;
     std::array<double, kFlipLanes> lanes{};
   };
 
@@ -249,12 +285,18 @@ class FirmwareGovernor {
   /// The P-state tick() applies next.
   std::size_t planned_pstate() const;
   /// The decision's second half from applied state p, shared by tick()
-  /// and calm_run: the cell walk over `row`'s edges, then slew and
-  /// quantization through slew_.  Bit-identical to planned_from_allowance
-  /// by construction: exact edges, and slew_ built from the same
-  /// expressions.
-  std::size_t next_pstate(double allowance_w, std::size_t p,
-                          StateEntry* row) const;
+  /// and calm_run: the cell walk, asking reaches(j) for "the allowance
+  /// reaches state j", then slew and quantization through slew_.  tick()
+  /// answers with the allowance against the row's edges, calm_run with
+  /// the window sums against the row's thresholds.  Bit-identical to
+  /// planned_from_allowance by construction: exact edges, exact
+  /// thresholds, and slew_ built from the same expressions.
+  template <typename Reaches>
+  std::size_t next_pstate(std::size_t p, Reaches reaches) const;
+  /// tick()'s answer to next_pstate's question: the allowance against
+  /// row entry j's edge.
+  bool allowance_reaches(double allowance_w, StateEntry* row,
+                         std::size_t j) const;
 
   /// The current socket state's row.  The common case — the front way's
   /// version and user limit match — is two compares; otherwise
@@ -266,6 +308,9 @@ class FirmwareGovernor {
   void find_state() const;
   /// Row entry j's edge, built on first use.
   double row_edge(StateEntry* row, std::size_t j) const;
+  /// Row entry j's thresholds under the current limit, built on first use
+  /// in the limit's epoch.
+  SumThresholds row_thresholds(StateEntry* row, std::size_t j) const;
   /// Smallest allowance for which the P-state search reaches grid state
   /// `idx`: the closed-form estimate fixed_w + T[idx] · dyn_at_ref_w,
   /// walked over the double lattice to the exact double where the
@@ -277,6 +322,10 @@ class FirmwareGovernor {
   hw::SocketModel& socket_;
   GovernorParams params_;
   msr::PowerLimit limit_;
+  /// Bumped by set_limit whenever a limit, an enable bit or a window span
+  /// changes, which is all a threshold depends on besides its edge; an
+  /// entry's thresholds hold while their epoch matches.
+  std::uint64_t limit_epoch_ = 1;
   WindowedMean long_window_;
   WindowedMean short_window_;
   /// Applied P-state, steps above core_min.

@@ -721,12 +721,11 @@ void Simulation::stretch_socket(int s, std::int64_t len) {
       if (k == end) break;
 
       // Flip tick k, which the kernel could not take: the new P-state's
-      // entry is not filled under this socket state, or a window is still
-      // filling.  integrate_socket_tick would apply the decision,
-      // re-apply the unchanged demand (a no-op), evaluate, add one
-      // single-segment tick of each lane and record the power; the lanes
-      // do exactly that at the new instant, and the gather fills the
-      // entry.
+      // entry is not filled under this socket state.
+      // integrate_socket_tick would apply the decision, re-apply the
+      // unchanged demand (a no-op), evaluate, add one single-segment tick
+      // of each lane and record the power; the lanes do exactly that at
+      // the new instant, and the gather fills the entry.
       mark_stepped(k);
       ++batch_stats_.flip_ticks;
       ++batch_stats_.flip_fills;

@@ -123,9 +123,8 @@ struct BatchStats {
   std::int64_t boundary_ticks = 0;
   /// The flip ticks that left FirmwareGovernor::calm_run's kernel to fill
   /// the governor's entry for the new P-state (a first visit under the
-  /// socket's state, or a window still filling); the rest flipped inside
-  /// the kernel.  An engine-cost figure, like every field here, and
-  /// outside the byte-identity surface.
+  /// socket's state); the rest flipped inside the kernel.  An engine-cost
+  /// figure, like every field here, and outside the byte-identity surface.
   std::int64_t flip_fills = 0;
 };
 

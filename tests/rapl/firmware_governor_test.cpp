@@ -7,6 +7,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -202,7 +204,8 @@ TEST(GovernorWindowTest, FaultSizedLongWindowMatchesASmallReference) {
 
 /// A socket and its governor, so two rigs can start from identical state.
 struct Rig {
-  explicit Rig(const hw::PhaseDemand& d) : socket(cfg, 0), gov(socket, params) {
+  explicit Rig(const hw::PhaseDemand& d, const GovernorParams& p = {})
+      : params(p), socket(cfg, 0), gov(socket, params) {
     socket.set_demand(d);
   }
   /// Reference tick: what the engine's exact stepper does.
@@ -308,6 +311,8 @@ std::size_t drive_like_engine(Rig& a, Rig& b, std::size_t ticks) {
 struct FlipDrive {
   std::size_t kernel_flips = 0;  ///< flips calm_run took
   std::size_t fills = 0;         ///< flip ticks left to the caller
+  /// Tick of the first flip calm_run took, counted from the drive's start.
+  std::size_t first_kernel_flip = std::numeric_limits<std::size_t>::max();
 };
 
 /// Drives `a` the way the engine's stretch does — calm_run with a flip
@@ -329,6 +334,7 @@ FlipDrive drive_flipping(Rig& a, Rig& b, std::size_t ticks) {
       b.step();
       EXPECT_EQ(flip, f < run.flips && log[f].tick == i) << "tick " << t + i;
       if (f < run.flips && log[f].tick == i) {
+        out.first_kernel_flip = std::min(out.first_kernel_flip, t + i);
         EXPECT_EQ(bits(pstate_mhz(a.cfg, log[f].pstate)),
                   bits(b.gov.current_limit_mhz()));
         const auto want = Rig::lanes_at(b.socket.evaluate());
@@ -453,8 +459,8 @@ TEST(GovernorCalmRunTest, FlipsInsideTheKernelMatchPerTick) {
 
 TEST(GovernorCalmRunTest, FlippingRunStartsWithFillingWindows) {
   // Fresh governors: the first calls run the per-tick body while the
-  // windows fill, leaving each flip there to the caller, then hand over
-  // to the register-resident loop that takes flips itself.
+  // windows fill, taking each flip into a filled entry there too, then
+  // hand over to the register-resident loop.
   Rig a(hot_demand());
   Rig b(hot_demand());
   a.gov.set_limit(dithering(a));
@@ -464,6 +470,76 @@ TEST(GovernorCalmRunTest, FlippingRunStartsWithFillingWindows) {
   EXPECT_TRUE(a.gov.long_window().full());
   EXPECT_GT(d.fills, 0u);
   EXPECT_GT(d.kernel_flips, 0u);
+  EXPECT_LT(d.first_kernel_flip, a.gov.long_window().capacity())
+      << "no flip was taken while the long window filled";
+}
+
+/// Moves the cap every 200 ticks (the agent's interval) among three
+/// values around `base`, so each cap comes back with a limit epoch of its
+/// own, and drives `a` like the engine against `b` tick by tick.
+/// Returns the flips the kernel took.
+std::size_t drive_cap_steps(Rig& a, Rig& b, const msr::PowerLimit& base,
+                            double step_w, int steps) {
+  std::size_t kernel_flips = 0;
+  for (int i = 0; i < steps; ++i) {
+    msr::PowerLimit pl = base;
+    pl.long_term_w += step_w * static_cast<double>(i % 3 - 1);
+    pl.short_term_w += step_w * static_cast<double>(i % 3 - 1);
+    a.gov.set_limit(pl);
+    b.gov.set_limit(pl);
+    kernel_flips += drive_flipping(a, b, 200).kernel_flips;
+    if (testing::Test::HasFailure()) break;
+  }
+  return kernel_flips;
+}
+
+TEST(GovernorCalmRunTest, CapMovingEvery200TicksMatchesPerTick) {
+  Rig a(hot_demand());
+  Rig b(hot_demand());
+  const msr::PowerLimit base = dithering(a);
+  a.gov.set_limit(base);
+  b.gov.set_limit(base);
+  for (int i = 0; i < 2500; ++i) {
+    a.step();
+    b.step();
+  }
+  EXPECT_GT(drive_cap_steps(a, b, base, 1.5, 30), 100u);
+}
+
+TEST(GovernorCalmRunTest, OneConstraintDisabledMatchesPerTick) {
+  // Short-term off (the long window alone decides), then long-term off.
+  for (const bool short_on : {false, true}) {
+    Rig a(hot_demand());
+    Rig b(hot_demand());
+    msr::PowerLimit pl = dithering(a);
+    pl.short_term_enabled = short_on;
+    pl.long_term_enabled = !short_on;
+    a.gov.set_limit(pl);
+    b.gov.set_limit(pl);
+    for (int i = 0; i < 2500; ++i) {
+      a.step();
+      b.step();
+    }
+    EXPECT_GT(drive_flipping(a, b, 4000).kernel_flips, 10u) << short_on;
+  }
+}
+
+TEST(GovernorCalmRunTest, ZeroGainMatchesPerTick) {
+  // Without gain the allowance is the smaller limit whatever the windows
+  // hold, so every threshold is "every sum" or "no sum", and only a cap
+  // move flips the state.
+  GovernorParams params;
+  params.headroom_gain = 0.0;
+  Rig a(hot_demand(), params);
+  Rig b(hot_demand(), params);
+  const msr::PowerLimit base = dithering(a);
+  a.gov.set_limit(base);
+  b.gov.set_limit(base);
+  for (int i = 0; i < 2500; ++i) {
+    a.step();
+    b.step();
+  }
+  EXPECT_GT(drive_cap_steps(a, b, base, 10.0, 12), 0u);
 }
 
 TEST(GovernorCalmRunTest, UserPStateChangeRefillsTheFlipTable) {
@@ -647,6 +723,115 @@ TEST(GovernorCellTableTest, MatchesTheReferenceSearchAtEveryFlip) {
   const CellStats& stats = gov.cell_stats();
   EXPECT_GT(stats.cold_builds, 0u);
   EXPECT_LE(stats.probes, 5 * stats.cold_builds);
+}
+
+// ---------------------------------------------------------------------------
+// The calm kernel's thresholds against the allowance they stand for.
+
+/// The allowance as tick() forms it over full windows: the smaller term
+/// of the binding constraints, +inf when none binds.
+double allowance_over_sums(const msr::PowerLimit& pl, double gain,
+                           std::int64_t long_q, std::size_t long_span,
+                           std::int64_t short_q, std::size_t short_span) {
+  double a = std::numeric_limits<double>::infinity();
+  if (pl.long_term_enabled && pl.long_term_w > 0.0) {
+    a = std::min(a, allowance_term(pl.long_term_w, gain, long_q, long_span));
+  }
+  if (pl.short_term_enabled && pl.short_term_w > 0.0) {
+    a = std::min(a,
+                 allowance_term(pl.short_term_w, gain, short_q, short_span));
+  }
+  return a;
+}
+
+/// Sums at which to ask both forms: the threshold and its neighbours
+/// (inside [0, INT64_MAX]), and random sums, small and physical.
+std::vector<std::int64_t> probe_sums(std::int64_t t, std::size_t span,
+                                     std::mt19937_64& gen) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::vector<std::int64_t> out;
+  for (int d = -2; d <= 2; ++d) {
+    if (t == std::numeric_limits<std::int64_t>::min()) {
+      if (d >= 0) out.push_back(d);
+    } else if (!(d < 0 && t < -d) && !(d > 0 && t > kMax - d)) {
+      out.push_back(t + d);
+    }
+  }
+  // Up to a window full of 400 W samples.
+  const double full = static_cast<double>(span) * 400.0 * 0x1p30;
+  const double cap = std::min(full, 0x1p62);
+  out.push_back(static_cast<std::int64_t>(
+      std::uniform_real_distribution<double>(0.0, cap)(gen)));
+  out.push_back(static_cast<std::int64_t>(gen() % 4096));
+  return out;
+}
+
+TEST(GovernorThresholdTest, SumsAtTheThresholdsAnswerLikeTheAllowance) {
+  // Edges: the governor's own flip points under a few socket states,
+  // random watts (negative ones included), and the two infinities.
+  std::mt19937_64 gen(27);
+  std::vector<double> edges = {-std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::infinity()};
+  {
+    GovernorParams no_slew;
+    no_slew.throttle_slew_mhz = 1e6;
+    no_slew.unthrottle_slew_mhz = 1e6;
+    const hw::SocketConfig cfg;
+    hw::SocketModel socket(cfg, 0);
+    FirmwareGovernor probe(socket, no_slew);
+    hw::PhaseDemand cool = hot_demand();
+    cool.cpu_activity = 0.4;
+    for (const hw::PhaseDemand& d : {hot_demand(), cool}) {
+      socket.set_demand(d);
+      for (double mhz = cfg.core_min_mhz + cfg.core_step_mhz;
+           mhz <= cfg.core_max_mhz; mhz += cfg.core_step_mhz) {
+        edges.push_back(reference_flip(probe, mhz));
+      }
+    }
+  }
+  std::uniform_real_distribution<double> watts(-50.0, 400.0);
+  for (int i = 0; i < 40; ++i) edges.push_back(watts(gen));
+
+  const std::size_t spans[] = {1, 10, 1000, std::size_t{1} << 30};
+  const double gains[] = {0.0, 0.5, 2.0, 7.0};
+  std::uniform_real_distribution<double> limits(1.0, 300.0);
+  std::size_t interior = 0;
+  for (int draw = 0; draw < 20'000; ++draw) {
+    msr::PowerLimit pl;
+    pl.long_term_w = limits(gen);
+    pl.short_term_w = limits(gen);
+    pl.long_term_enabled = (draw & 1) != 0;
+    pl.short_term_enabled = (draw & 2) != 0;
+    const double gain = gains[gen() % 4];
+    const std::size_t long_span = spans[gen() % 4];
+    const std::size_t short_span = spans[gen() % 4];
+    // Every other group of four (one per enable combination) takes an
+    // edge near one of the limits, where the sums that reach it are
+    // neither none nor all.
+    const double near = gen() % 2 == 0 ? pl.long_term_w : pl.short_term_w;
+    const double edge = (draw / 4) % 2 == 0 ? edges[gen() % edges.size()]
+                                            : near + watts(gen) / 20.0;
+    const SumThresholds t =
+        sum_thresholds(pl, gain, long_span, short_span, edge);
+    for (const std::int64_t q : {t.long_q, t.short_q}) {
+      if (q > 0 && q < std::numeric_limits<std::int64_t>::max()) ++interior;
+    }
+    for (const std::int64_t ls : probe_sums(t.long_q, long_span, gen)) {
+      for (const std::int64_t ss : probe_sums(t.short_q, short_span, gen)) {
+        const bool by_sums = ls <= t.long_q && ss <= t.short_q;
+        const bool by_allowance =
+            allowance_over_sums(pl, gain, ls, long_span, ss, short_span) >=
+            edge;
+        ASSERT_EQ(by_sums, by_allowance)
+            << "limits " << pl.long_term_w << "/" << pl.short_term_w
+            << " on " << pl.long_term_enabled << pl.short_term_enabled
+            << " gain " << gain << " spans " << long_span << "/"
+            << short_span << " edge " << edge << " sums " << ls << "/" << ss
+            << " thresholds " << t.long_q << "/" << t.short_q;
+      }
+    }
+  }
+  EXPECT_GT(interior, 4000u) << "too few thresholds inside the sum range";
 }
 
 }  // namespace

@@ -16,7 +16,9 @@
 #   6. tournament and fleet_scaling smokes (the fleet CLI loop is the
 #      tier-1 ShardWorkerCliTest.GridAndFleetShareTheVerbs);
 #   7. the perf-ledger smoke (perfbench/run.py --smoke: pinned digests
-#      of all three workloads through both passes);
+#      of all three workloads through both passes), then the ledger's
+#      full-size untraced digests of paper_grid and fleet_1024 at seeds 2
+#      and 3 against values pinned here;
 #   8. the sim_throughput perf gate and the grid_throughput gate;
 #   9. the symbol census (tools/symbol_census.py): no strong src/
 #      function that only tests reach, beyond its allowlist;
@@ -314,6 +316,29 @@ echo "== perf ledger smoke =="
 # own CMake package, here under the CI build directory.
 (cd "${repo_root}" &&
   CARGO_TARGET_DIR="${build_dir}/perfbench" python3 perfbench/run.py --smoke)
+# run.py pins seed 1 only.  The governor's exact integer window sums left
+# every byte where the double running sums had it, and these digests,
+# recorded before that change, keep that checked on two more seeds.
+ledger="${build_dir}/perfbench/perfbench/perfbench_ledger"
+seeds_dir="${build_dir}/ledger-seeds"
+rm -rf "${seeds_dir}"
+mkdir -p "${seeds_dir}"
+while read -r workload seed want; do
+  got="$("${ledger}" --workload "${workload}" --seed "${seed}" --trace 0 \
+      --work-dir "${seeds_dir}" < /dev/null 2> /dev/null | tail -n 1 |
+    python3 -c 'import json, sys; print(json.load(sys.stdin)["digest"])')"
+  [[ "${got}" == "${want}" ]] || {
+    echo "ledger seeds: ${workload} seed ${seed}: digest ${got}," \
+         "want ${want}" >&2
+    exit 1
+  }
+done <<'PINNED'
+paper_grid 2 c634e6cb82199d03
+paper_grid 3 73bde59cff4c74a3
+fleet_1024 2 58264678543531c5
+fleet_1024 3 59c830c5b5089209
+PINNED
+echo "ledger seeds: paper_grid and fleet_1024 digests hold at seeds 2 and 3"
 
 echo "== perf gate (sim_throughput, full run) =="
 # A real (non-smoke) run of the tracked throughput bench, gated on the
