@@ -1,13 +1,13 @@
 #include "common/json.h"
 
+#include <array>
 #include <bit>
-#include <cctype>
 #include <cerrno>
-#include <cinttypes>
+#include <charconv>
 #include <cstdlib>
+#include <iterator>
 #include <stdexcept>
-
-#include "common/string_util.h"
+#include <system_error>
 
 namespace dufp::json {
 
@@ -15,6 +15,25 @@ namespace {
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("json: " + what);
+}
+
+/// The decimal text of an integer, as "%" PRIu64 / "%" PRId64 print it.
+template <class Int>
+void append_int(Int v, std::string& out) {
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  out.append(buf, end);
+}
+
+/// The bit pattern of `v` as 16 lowercase hex digits, as "%016" PRIx64
+/// prints it.
+void append_hex(double v, std::string& out) {
+  char buf[16];
+  const auto end =
+      std::to_chars(buf, buf + sizeof buf, std::bit_cast<std::uint64_t>(v), 16)
+          .ptr;
+  out.append(sizeof buf - static_cast<std::size_t>(end - buf), '0');
+  out.append(buf, end);
 }
 
 }  // namespace
@@ -29,14 +48,14 @@ Value Value::make_bool(bool b) {
 Value Value::make_u64(std::uint64_t n) {
   Value v;
   v.kind_ = Kind::number;
-  v.scalar_ = strf("%" PRIu64, n);
+  append_int(n, v.scalar_);
   return v;
 }
 
 Value Value::make_i64(std::int64_t n) {
   Value v;
   v.kind_ = Kind::number;
-  v.scalar_ = strf("%" PRId64, n);
+  append_int(n, v.scalar_);
   return v;
 }
 
@@ -68,6 +87,13 @@ Value Value::make_object(Members members) {
   return v;
 }
 
+Value Value::make_raw(std::string json_text) {
+  Value v;
+  v.kind_ = Kind::raw;
+  v.scalar_ = std::move(json_text);
+  return v;
+}
+
 bool Value::as_bool() const {
   if (kind_ != Kind::boolean) fail("not a boolean");
   return bool_;
@@ -75,11 +101,10 @@ bool Value::as_bool() const {
 
 std::uint64_t Value::as_u64() const {
   if (kind_ != Kind::number) fail("not a number");
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(scalar_.c_str(), &end, 10);
-  if (errno != 0 || end != scalar_.c_str() + scalar_.size() ||
-      scalar_.empty() || scalar_[0] == '-') {
+  std::uint64_t n = 0;
+  const char* end = scalar_.data() + scalar_.size();
+  const auto [ptr, ec] = std::from_chars(scalar_.data(), end, n);
+  if (ec != std::errc() || ptr != end) {
     fail("number token '" + scalar_ + "' is not a u64");
   }
   return n;
@@ -87,11 +112,10 @@ std::uint64_t Value::as_u64() const {
 
 std::int64_t Value::as_i64() const {
   if (kind_ != Kind::number) fail("not a number");
-  errno = 0;
-  char* end = nullptr;
-  const long long n = std::strtoll(scalar_.c_str(), &end, 10);
-  if (errno != 0 || end != scalar_.c_str() + scalar_.size() ||
-      scalar_.empty()) {
+  std::int64_t n = 0;
+  const char* end = scalar_.data() + scalar_.size();
+  const auto [ptr, ec] = std::from_chars(scalar_.data(), end, n);
+  if (ec != std::errc() || ptr != end) {
     fail("number token '" + scalar_ + "' is not an i64");
   }
   return n;
@@ -150,56 +174,109 @@ void Value::push_back(Value v) {
 
 void escape_string(std::string_view s, std::string& out) {
   out += '"';
-  for (const char c : s) {
+  std::size_t run = 0;  // first byte not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strf("\\u%04x", c);
-        } else {
-          out += c;
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+        out.append(escape, sizeof escape);
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out += '"';
 }
 
-void Value::dump_to(std::string& out) const {
-  switch (kind_) {
-    case Kind::null: out += "null"; break;
-    case Kind::boolean: out += bool_ ? "true" : "false"; break;
-    case Kind::number: out += scalar_; break;
-    case Kind::string: escape_string(scalar_, out); break;
-    case Kind::array: {
-      out += '[';
-      bool first = true;
-      for (const auto& v : *items_) {
-        if (!first) out += ',';
-        first = false;
-        v.dump_to(out);
-      }
-      out += ']';
-      break;
-    }
-    case Kind::object: {
-      out += '{';
-      bool first = true;
-      for (const auto& [k, v] : *members_) {
-        if (!first) out += ',';
-        first = false;
-        escape_string(k, out);
-        out += ':';
-        v.dump_to(out);
-      }
-      out += '}';
-      break;
-    }
-  }
+// -- writer ------------------------------------------------------------------
+
+Writer& Writer::open(char bracket) {
+  separate();
+  out_ += bracket;
+  need_comma_ = false;
+  return *this;
 }
+
+Writer& Writer::close(char bracket) {
+  out_ += bracket;
+  need_comma_ = true;
+  return *this;
+}
+
+Writer& Writer::key(std::string_view k) {
+  separate();
+  escape_string(k, out_);
+  out_ += ':';
+  need_comma_ = false;
+  return *this;
+}
+
+Writer& Writer::u64(std::uint64_t v) {
+  separate();
+  append_int(v, out_);
+  need_comma_ = true;
+  return *this;
+}
+
+Writer& Writer::i64(std::int64_t v) {
+  separate();
+  append_int(v, out_);
+  need_comma_ = true;
+  return *this;
+}
+
+Writer& Writer::hex(double v) {
+  separate();
+  out_ += '"';
+  append_hex(v, out_);
+  out_ += '"';
+  need_comma_ = true;
+  return *this;
+}
+
+Writer& Writer::string(std::string_view s) {
+  separate();
+  escape_string(s, out_);
+  need_comma_ = true;
+  return *this;
+}
+
+Writer& Writer::raw(std::string_view json_text) {
+  separate();
+  out_ += json_text;
+  need_comma_ = true;
+  return *this;
+}
+
+Writer& Writer::value(const Value& v) {
+  switch (v.kind_) {
+    case Value::Kind::null: return null();
+    case Value::Kind::boolean: return boolean(v.bool_);
+    case Value::Kind::number:
+    case Value::Kind::raw: return raw(v.scalar_);
+    case Value::Kind::string: return string(v.scalar_);
+    case Value::Kind::array:
+      begin_array();
+      for (const Value& item : *v.items_) value(item);
+      return end_array();
+    case Value::Kind::object:
+      begin_object();
+      for (const auto& [k, item] : *v.members_) key(k).value(item);
+      return end_object();
+  }
+  return *this;
+}
+
+void Value::dump_to(std::string& out) const { Writer(out).value(*this); }
 
 std::string Value::dump() const {
   std::string out;
@@ -213,7 +290,11 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  /// `span` non-null reports the top-level member `span_key` (see the
+  /// three-argument parse()).
+  Parser(std::string_view text, std::string_view span_key,
+         std::string_view* span)
+      : text_(text), span_key_(span_key), span_(span) {}
 
   Value parse_document() {
     Value v = parse_value();
@@ -251,6 +332,16 @@ class Parser {
     return true;
   }
 
+  /// Opens an array or object; past kMaxDepth the recursion stops here
+  /// instead of running off the stack.
+  void enter(char bracket) {
+    if (depth_ == kMaxDepth) {
+      error("nesting deeper than " + std::to_string(kMaxDepth));
+    }
+    expect_char(bracket);
+    ++depth_;
+  }
+
   Value parse_value() {
     skip_ws();
     const char c = peek();
@@ -273,69 +364,81 @@ class Parser {
     error("unexpected character");
   }
 
+  // A container's members and items gather on the parser's stacks (a
+  // nested container's above its parent's) and move into a vector of
+  // their exact size when it closes: one allocation per container, none
+  // for growth.
   Value parse_object() {
-    expect_char('{');
-    Value obj = Value::make_object();
+    enter('{');
+    const std::size_t base = members_.size();
     skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return obj;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect_char(':');
-      obj.add(std::move(key), parse_value());
-      skip_ws();
-      const char c = peek();
-      if (c == ',') {
+    if (peek() != '}') {
+      while (true) {
+        skip_ws();
+        std::string key = parse_string();
+        skip_ws();
+        expect_char(':');
+        skip_ws();
+        const std::size_t start = pos_;
+        Value v = parse_value();
+        if (depth_ == 1 && span_ != nullptr && !span_found_ &&
+            key == span_key_) {
+          *span_ = text_.substr(start, pos_ - start);
+          span_found_ = true;
+        }
+        members_.emplace_back(std::move(key), std::move(v));
+        skip_ws();
+        const char c = peek();
+        if (c == '}') break;
+        if (c != ',') error("expected ',' or '}'");
         ++pos_;
-        continue;
       }
-      if (c == '}') {
-        ++pos_;
-        return obj;
-      }
-      error("expected ',' or '}'");
     }
+    ++pos_;
+    --depth_;
+    const auto first = members_.begin() + static_cast<std::ptrdiff_t>(base);
+    Members members(std::make_move_iterator(first),
+                    std::make_move_iterator(members_.end()));
+    members_.erase(first, members_.end());
+    return Value::make_object(std::move(members));
   }
 
   Value parse_array() {
-    expect_char('[');
-    Value arr = Value::make_array();
+    enter('[');
+    const std::size_t base = items_.size();
     skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return arr;
-    }
-    while (true) {
-      arr.push_back(parse_value());
-      skip_ws();
-      const char c = peek();
-      if (c == ',') {
+    if (peek() != ']') {
+      while (true) {
+        items_.push_back(parse_value());
+        skip_ws();
+        const char c = peek();
+        if (c == ']') break;
+        if (c != ',') error("expected ',' or ']'");
         ++pos_;
-        continue;
       }
-      if (c == ']') {
-        ++pos_;
-        return arr;
-      }
-      error("expected ',' or ']'");
     }
+    ++pos_;
+    --depth_;
+    const auto first = items_.begin() + static_cast<std::ptrdiff_t>(base);
+    Items items(std::make_move_iterator(first),
+                std::make_move_iterator(items_.end()));
+    items_.erase(first, items_.end());
+    return Value::make_array(std::move(items));
   }
 
   std::string parse_string() {
     expect_char('"');
     std::string out;
     while (true) {
-      if (pos_ >= text_.size()) error("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
+      // Everything up to the next quote or backslash is copied as is.
+      std::size_t end = pos_;
+      while (end < text_.size() && text_[end] != '"' && text_[end] != '\\') {
+        ++end;
       }
+      out.append(text_.data() + pos_, end - pos_);
+      pos_ = end;
+      if (pos_ >= text_.size()) error("unterminated string");
+      if (text_[pos_++] == '"') return out;
       if (pos_ >= text_.size()) error("unterminated escape");
       const char e = text_[pos_++];
       switch (e) {
@@ -381,9 +484,9 @@ class Parser {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
     while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+           ((text_[pos_] >= '0' && text_[pos_] <= '9') || text_[pos_] == '.' ||
+            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
+            text_[pos_] == '-')) {
       ++pos_;
     }
     if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
@@ -394,28 +497,46 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open around pos_
+  Members members_;  ///< the open objects' members so far
+  Items items_;      ///< the open arrays' items so far
+  std::string_view span_key_;
+  std::string_view* span_ = nullptr;
+  bool span_found_ = false;
 };
 
 }  // namespace
 
-Value parse(std::string_view text) { return Parser(text).parse_document(); }
+Value parse(std::string_view text) {
+  return Parser(text, {}, nullptr).parse_document();
+}
+
+Value parse(std::string_view text, std::string_view key,
+            std::string_view* span) {
+  *span = {};
+  return Parser(text, key, span).parse_document();
+}
 
 // -- bit-exact double transport ----------------------------------------------
 
-std::string double_to_hex(double v) {
-  const auto bits = std::bit_cast<std::uint64_t>(v);
-  return strf("%016" PRIx64, bits);
-}
-
 double hex_to_double(std::string_view hex) {
+  // Each digit's value, or -1: a table, where comparisons would branch
+  // on every digit of a pattern that is random by nature.
+  static constexpr auto kDigit = [] {
+    std::array<std::int8_t, 256> digit{};
+    digit.fill(-1);
+    for (int d = 0; d < 10; ++d) digit['0' + d] = static_cast<std::int8_t>(d);
+    for (int d = 0; d < 6; ++d) {
+      digit['a' + d] = digit['A' + d] = static_cast<std::int8_t>(10 + d);
+    }
+    return digit;
+  }();
   if (hex.size() != 16) fail("hex double must be 16 digits");
   std::uint64_t bits = 0;
   for (const char c : hex) {
-    bits <<= 4;
-    if (c >= '0' && c <= '9') bits |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') bits |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else if (c >= 'A' && c <= 'F') bits |= static_cast<std::uint64_t>(c - 'A' + 10);
-    else fail("bad hex digit in double");
+    const int d = kDigit[static_cast<unsigned char>(c)];
+    if (d < 0) fail("bad hex digit in double");
+    bits = bits << 4 | static_cast<std::uint64_t>(d);
   }
   return std::bit_cast<double>(bits);
 }

@@ -21,7 +21,6 @@ namespace {
 
 using json::Value;
 
-Value hex(double v) { return Value::make_string(json::double_to_hex(v)); }
 double unhex(const Value& v) { return json::hex_to_double(v.as_string()); }
 
 /// The time-weighted mean of an app's phase sequence: one PhaseSpec that
@@ -102,26 +101,28 @@ workloads::WorkloadProfile node_profile(const FleetSpec& spec,
 }  // namespace
 
 json::Value encode_node_result(const FleetNodeResult& result) {
-  Value o = Value::make_object();
-  Value epochs = Value::make_array();
+  std::string text;
+  json::Writer w(text);
+  w.begin_object().key("epochs").begin_array();
   for (const EpochRecord& e : result.epochs) {
-    Value rec = Value::make_object();
-    rec.add("alloc_w", hex(e.alloc_w));
-    rec.add("demand_w", hex(e.demand_w));
-    rec.add("intensity", hex(e.intensity));
-    rec.add("wall_seconds", hex(e.wall_seconds));
-    rec.add("pkg_energy_j", hex(e.pkg_energy_j));
-    rec.add("dram_energy_j", hex(e.dram_energy_j));
-    epochs.push_back(std::move(rec));
+    w.begin_object()
+        .key("alloc_w").hex(e.alloc_w)
+        .key("demand_w").hex(e.demand_w)
+        .key("intensity").hex(e.intensity)
+        .key("wall_seconds").hex(e.wall_seconds)
+        .key("pkg_energy_j").hex(e.pkg_energy_j)
+        .key("dram_energy_j").hex(e.dram_energy_j)
+        .end_object();
   }
-  o.add("epochs", std::move(epochs));
-  o.add("exec_seconds", hex(result.exec_seconds));
-  o.add("pkg_energy_j", hex(result.pkg_energy_j));
-  o.add("dram_energy_j", hex(result.dram_energy_j));
-  o.add("avg_speed", hex(result.avg_speed));
-  o.add("faults_injected", Value::make_u64(result.faults_injected));
-  o.add("degradations", Value::make_u64(result.degradations));
-  return o;
+  w.end_array()
+      .key("exec_seconds").hex(result.exec_seconds)
+      .key("pkg_energy_j").hex(result.pkg_energy_j)
+      .key("dram_energy_j").hex(result.dram_energy_j)
+      .key("avg_speed").hex(result.avg_speed)
+      .key("faults_injected").u64(result.faults_injected)
+      .key("degradations").u64(result.degradations)
+      .end_object();
+  return Value::make_raw(std::move(text));
 }
 
 FleetNodeResult decode_node_result(const json::Value& v) {

@@ -62,7 +62,8 @@ struct FleetNodeResult {
 };
 
 /// Bit-exact JSON codec for the fleet wire (doubles travel as IEEE-754
-/// hex, see harness/shard_codec.h for the convention).
+/// hex, see harness/shard_codec.h for the convention).  The encoder
+/// returns the record's text as a raw json::Value.
 json::Value encode_node_result(const FleetNodeResult& result);
 FleetNodeResult decode_node_result(const json::Value& v);
 

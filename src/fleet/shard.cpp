@@ -1,6 +1,5 @@
 #include "fleet/shard.h"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "common/string_util.h"
@@ -151,9 +150,7 @@ FleetOutputs finalize_fleet(const FleetSpec& spec,
   reg.gauge("dufp_fleet_total_energy_joules",
             "Package + DRAM energy over the whole fleet")
       .set(out.total_energy_j);
-  std::ostringstream prom;
-  telemetry::write_prometheus(reg.collect(), prom);
-  out.prometheus = prom.str();
+  telemetry::write_prometheus(reg.collect(), out.prometheus);
 
   return out;
 }

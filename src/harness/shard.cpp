@@ -1,7 +1,6 @@
 #include "harness/shard.h"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/string_util.h"
@@ -247,31 +246,20 @@ GridOutputs finalize_grid(const GridSpec& spec,
                           std::vector<RunResult> results) {
   GridOutputs out;
 
-  // Telemetry is a per-job artifact that aggregation drops — extract it
-  // before the results are consumed.  The merged exposition labels every
-  // sample with its job index and stable-sorts by metric name, so the
-  // bytes depend only on job identities, never on which shard ran what.
+  // Telemetry is a per-job artifact that aggregation drops — write the
+  // merge and take job 0's snapshot before the results are consumed.  The
+  // merged exposition labels every sample with its job index and orders
+  // samples by metric name, then job, so the bytes depend only on job
+  // identities, never on which shard ran what.
   if (spec.telemetry) {
-    if (!results.empty() && results[0].telemetry.has_value()) {
-      out.job0_telemetry = results[0].telemetry;
-    }
-    std::vector<telemetry::MetricSample> merged;
+    std::vector<telemetry::LabelledSamples> jobs;
     for (std::size_t j = 0; j < results.size(); ++j) {
       if (!results[j].telemetry.has_value()) continue;
-      // Moved, not copied: aggregation below reads no telemetry.
-      for (telemetry::MetricSample& m : results[j].telemetry->metrics) {
-        m.labels.emplace_back("job", std::to_string(j));
-        merged.push_back(std::move(m));
-      }
+      jobs.push_back({std::to_string(j), &results[j].telemetry->metrics});
     }
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const telemetry::MetricSample& a,
-                        const telemetry::MetricSample& b) {
-                       return a.name < b.name;
-                     });
-    std::ostringstream prom;
-    telemetry::write_prometheus(merged, prom);
-    out.merged_prometheus = prom.str();
+    telemetry::write_prometheus_merged(jobs, "job", out.merged_prometheus);
+    // Moved, not copied: aggregation below reads no telemetry.
+    if (!results.empty()) out.job0_telemetry = std::move(results[0].telemetry);
   }
 
   GridPlan gp = build_plan(spec);

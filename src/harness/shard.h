@@ -297,9 +297,9 @@ struct GridOutputs {
   /// surface the shard determinism suite compares.
   std::string evaluation_csv;
 
-  /// Job-labelled merge of every job's Prometheus exposition (samples
-  /// stable-sorted by metric name, job order within a name); empty when
-  /// the spec has telemetry off.
+  /// Job-labelled merge of every job's Prometheus exposition (samples in
+  /// metric-name order, job order within a name); empty when the spec has
+  /// telemetry off.
   std::string merged_prometheus;
 
   /// Job 0's full snapshot for telemetry::export_run.  Flight events and

@@ -12,23 +12,23 @@ namespace dufp::harness {
 
 namespace {
 
+using json::Items;
 using json::Value;
-
-Value hex(double v) { return Value::make_string(json::double_to_hex(v)); }
+using json::Writer;
 
 double unhex(const Value& v) { return json::hex_to_double(v.as_string()); }
 
-Value encode_health(const HealthTotals& h) {
-  Value o = Value::make_object();
-  o.add("actuation_retries", Value::make_u64(h.actuation_retries));
-  o.add("actuation_failures", Value::make_u64(h.actuation_failures));
-  o.add("sample_read_failures", Value::make_u64(h.sample_read_failures));
-  o.add("samples_rejected", Value::make_u64(h.samples_rejected));
-  o.add("degradations", Value::make_u64(h.degradations));
-  o.add("reengagements", Value::make_u64(h.reengagements));
-  o.add("intervals_degraded", Value::make_u64(h.intervals_degraded));
-  o.add("faults_injected", Value::make_u64(h.faults_injected));
-  return o;
+void write_health(Writer& w, const HealthTotals& h) {
+  w.begin_object()
+      .key("actuation_retries").u64(h.actuation_retries)
+      .key("actuation_failures").u64(h.actuation_failures)
+      .key("sample_read_failures").u64(h.sample_read_failures)
+      .key("samples_rejected").u64(h.samples_rejected)
+      .key("degradations").u64(h.degradations)
+      .key("reengagements").u64(h.reengagements)
+      .key("intervals_degraded").u64(h.intervals_degraded)
+      .key("faults_injected").u64(h.faults_injected)
+      .end_object();
 }
 
 HealthTotals decode_health(const Value& v) {
@@ -44,17 +44,17 @@ HealthTotals decode_health(const Value& v) {
   return h;
 }
 
-Value encode_agent_health(const core::AgentHealth& h) {
-  Value o = Value::make_object();
-  o.add("actuation_retries", Value::make_u64(h.actuation_retries));
-  o.add("actuation_failures", Value::make_u64(h.actuation_failures));
-  o.add("sample_read_failures", Value::make_u64(h.sample_read_failures));
-  o.add("samples_rejected", Value::make_u64(h.samples_rejected));
-  o.add("degradations", Value::make_u64(h.degradations));
-  o.add("reengage_failures", Value::make_u64(h.reengage_failures));
-  o.add("reengagements", Value::make_u64(h.reengagements));
-  o.add("intervals_degraded", Value::make_u64(h.intervals_degraded));
-  return o;
+void write_agent_health(Writer& w, const core::AgentHealth& h) {
+  w.begin_object()
+      .key("actuation_retries").u64(h.actuation_retries)
+      .key("actuation_failures").u64(h.actuation_failures)
+      .key("sample_read_failures").u64(h.sample_read_failures)
+      .key("samples_rejected").u64(h.samples_rejected)
+      .key("degradations").u64(h.degradations)
+      .key("reengage_failures").u64(h.reengage_failures)
+      .key("reengagements").u64(h.reengagements)
+      .key("intervals_degraded").u64(h.intervals_degraded)
+      .end_object();
 }
 
 core::AgentHealth decode_agent_health(const Value& v) {
@@ -70,22 +70,23 @@ core::AgentHealth decode_agent_health(const Value& v) {
   return h;
 }
 
-Value encode_agent_stats(const core::AgentStats& a) {
-  Value o = Value::make_object();
-  o.add("intervals", Value::make_u64(a.intervals));
-  o.add("uncore_decreases", Value::make_u64(a.uncore_decreases));
-  o.add("uncore_increases", Value::make_u64(a.uncore_increases));
-  o.add("uncore_resets", Value::make_u64(a.uncore_resets));
-  o.add("cap_decreases", Value::make_u64(a.cap_decreases));
-  o.add("cap_increases", Value::make_u64(a.cap_increases));
-  o.add("cap_resets", Value::make_u64(a.cap_resets));
-  o.add("cap_overshoot_resets", Value::make_u64(a.cap_overshoot_resets));
-  o.add("short_term_tightenings", Value::make_u64(a.short_term_tightenings));
-  o.add("uncore_reset_retries", Value::make_u64(a.uncore_reset_retries));
-  o.add("pstate_pins", Value::make_u64(a.pstate_pins));
-  o.add("pstate_releases", Value::make_u64(a.pstate_releases));
-  o.add("health", encode_agent_health(a.health));
-  return o;
+void write_agent_stats(Writer& w, const core::AgentStats& a) {
+  w.begin_object()
+      .key("intervals").u64(a.intervals)
+      .key("uncore_decreases").u64(a.uncore_decreases)
+      .key("uncore_increases").u64(a.uncore_increases)
+      .key("uncore_resets").u64(a.uncore_resets)
+      .key("cap_decreases").u64(a.cap_decreases)
+      .key("cap_increases").u64(a.cap_increases)
+      .key("cap_resets").u64(a.cap_resets)
+      .key("cap_overshoot_resets").u64(a.cap_overshoot_resets)
+      .key("short_term_tightenings").u64(a.short_term_tightenings)
+      .key("uncore_reset_retries").u64(a.uncore_reset_retries)
+      .key("pstate_pins").u64(a.pstate_pins)
+      .key("pstate_releases").u64(a.pstate_releases)
+      .key("health");
+  write_agent_health(w, a.health);
+  w.end_object();
 }
 
 core::AgentStats decode_agent_stats(const Value& v) {
@@ -128,11 +129,6 @@ using telemetry::MetricType;
 
 bool zero_bits(double v) { return std::bit_cast<std::uint64_t>(v) == 0; }
 
-double unhex_or_zero(const Value& o, std::string_view key) {
-  const Value* v = o.find(key);
-  return v != nullptr ? unhex(*v) : 0.0;
-}
-
 std::uint16_t decode_u16(const Value& v, const char* what) {
   const std::uint64_t x = v.as_u64();
   if (x > 0xffff) {
@@ -149,50 +145,59 @@ struct MetricFamily {
   std::string help;
 };
 
-void encode_metrics(const std::vector<MetricSample>& metrics, Value& out) {
+/// The "help" table and the "metrics" array.  Samples arrive sorted by
+/// name (MetricsRegistry::collect), so a family is almost always the
+/// previous sample's; the map finds the rest.
+void write_metrics(Writer& w, const std::vector<MetricSample>& metrics) {
   using Key = std::tuple<MetricType, std::string_view, std::string_view>;
   std::map<Key, std::uint64_t> index;
-  Value table = Value::make_array();
-  Value samples = Value::make_array();
-  for (const MetricSample& m : metrics) {
+  std::vector<std::uint64_t> family(metrics.size());
+  w.key("help").begin_array();
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    const MetricSample& m = metrics[i];
+    if (i > 0 && m.type == metrics[i - 1].type &&
+        m.name == metrics[i - 1].name && m.help == metrics[i - 1].help) {
+      family[i] = family[i - 1];
+      continue;
+    }
     const auto [it, fresh] =
         index.try_emplace(Key{m.type, m.name, m.help}, index.size());
     if (fresh) {
-      Value entry = Value::make_array();
-      entry.push_back(Value::make_i64(static_cast<int>(m.type)));
-      entry.push_back(Value::make_string(m.name));
-      entry.push_back(Value::make_string(m.help));
-      table.push_back(std::move(entry));
+      w.begin_array()
+          .i64(static_cast<int>(m.type))
+          .string(m.name)
+          .string(m.help)
+          .end_array();
     }
-    Value o = Value::make_object();
-    o.add("help", Value::make_u64(it->second));
+    family[i] = it->second;
+  }
+  w.end_array();
+
+  w.key("metrics").begin_array();
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    const MetricSample& m = metrics[i];
+    w.begin_object().key("help").u64(family[i]);
     if (!m.labels.empty()) {
-      Value labels = Value::make_array();
-      for (const auto& [k, val] : m.labels) {
-        labels.push_back(Value::make_string(k));
-        labels.push_back(Value::make_string(val));
-      }
-      o.add("labels", std::move(labels));
+      w.key("labels").begin_array();
+      for (const auto& [k, val] : m.labels) w.string(k).string(val);
+      w.end_array();
     }
-    if (!zero_bits(m.value)) o.add("value", hex(m.value));
+    if (!zero_bits(m.value)) w.key("value").hex(m.value);
     if (!m.bucket_bounds.empty()) {
-      Value bounds = Value::make_array();
-      for (const double b : m.bucket_bounds) bounds.push_back(hex(b));
-      o.add("bucket_bounds", std::move(bounds));
+      w.key("bucket_bounds").begin_array();
+      for (const double b : m.bucket_bounds) w.hex(b);
+      w.end_array();
     }
     if (!m.bucket_counts.empty()) {
-      Value counts = Value::make_array();
-      for (const std::uint64_t c : m.bucket_counts) {
-        counts.push_back(Value::make_u64(c));
-      }
-      o.add("bucket_counts", std::move(counts));
+      w.key("bucket_counts").begin_array();
+      for (const std::uint64_t c : m.bucket_counts) w.u64(c);
+      w.end_array();
     }
-    if (!zero_bits(m.sum)) o.add("sum", hex(m.sum));
-    if (m.count != 0) o.add("count", Value::make_u64(m.count));
-    samples.push_back(std::move(o));
+    if (!zero_bits(m.sum)) w.key("sum").hex(m.sum);
+    if (m.count != 0) w.key("count").u64(m.count);
+    w.end_object();
   }
-  out.add("help", std::move(table));
-  out.add("metrics", std::move(samples));
+  w.end_array();
 }
 
 std::vector<MetricFamily> decode_help(const Value& v) {
@@ -213,7 +218,30 @@ std::vector<MetricFamily> decode_help(const Value& v) {
 
 MetricSample decode_metric(const Value& v,
                            const std::vector<MetricFamily>& table) {
-  const std::uint64_t entry = v.at("help").as_u64();
+  // Samples are most of a record, so their members are read in one pass
+  // rather than one find() each; a repeated key keeps its first value,
+  // as find() would.
+  const Value* help = nullptr;
+  const Value* labels = nullptr;
+  const Value* value = nullptr;
+  const Value* bounds = nullptr;
+  const Value* counts = nullptr;
+  const Value* sum = nullptr;
+  const Value* count = nullptr;
+  if (v.is_object()) {
+    for (const auto& [key, field] : v.as_object()) {
+      const Value** slot = key == "help"            ? &help
+                           : key == "labels"        ? &labels
+                           : key == "value"         ? &value
+                           : key == "bucket_bounds" ? &bounds
+                           : key == "bucket_counts" ? &counts
+                           : key == "sum"           ? &sum
+                           : key == "count"         ? &count
+                                                    : nullptr;
+      if (slot != nullptr && *slot == nullptr) *slot = &field;
+    }
+  }
+  const std::uint64_t entry = (help != nullptr ? *help : v.at("help")).as_u64();
   if (entry >= table.size()) {
     malformed(strf("metric names help entry %llu, the record has %zu",
                    static_cast<unsigned long long>(entry), table.size()));
@@ -223,20 +251,23 @@ MetricSample decode_metric(const Value& v,
   m.type = family.type;
   m.name = family.name;
   m.help = family.help;
-  if (const Value* labels = v.find("labels")) {
+  if (labels != nullptr) {
     const auto& kv = labels->as_array();
     if (kv.size() % 2 != 0) malformed("odd-length label list");
+    m.labels.reserve(kv.size() / 2);
     for (std::size_t i = 0; i < kv.size(); i += 2) {
       m.labels.emplace_back(kv[i].as_string(), kv[i + 1].as_string());
     }
   }
-  m.value = unhex_or_zero(v, "value");
-  if (const Value* bounds = v.find("bucket_bounds")) {
+  if (value != nullptr) m.value = unhex(*value);
+  if (bounds != nullptr) {
+    m.bucket_bounds.reserve(bounds->as_array().size());
     for (const Value& b : bounds->as_array()) {
       m.bucket_bounds.push_back(unhex(b));
     }
   }
-  if (const Value* counts = v.find("bucket_counts")) {
+  if (counts != nullptr) {
+    m.bucket_counts.reserve(counts->as_array().size());
     for (const Value& c : counts->as_array()) {
       m.bucket_counts.push_back(c.as_u64());
     }
@@ -247,20 +278,24 @@ MetricSample decode_metric(const Value& v,
           ? m.bucket_counts.size() == m.bucket_bounds.size() + 1
           : m.bucket_counts.empty() && m.bucket_bounds.empty();
   if (!buckets_ok) malformed("bucket arrays do not fit the metric type");
-  m.sum = unhex_or_zero(v, "sum");
-  if (const Value* count = v.find("count")) m.count = count->as_u64();
+  if (sum != nullptr) m.sum = unhex(*sum);
+  if (count != nullptr) m.count = count->as_u64();
   return m;
 }
 
-Value encode_event(const telemetry::Event& e) {
-  Value o = Value::make_object();
-  o.add("t_us", Value::make_i64(e.t_us));
-  o.add("kind", Value::make_i64(static_cast<int>(e.kind)));
-  o.add("socket", Value::make_u64(e.socket));
-  o.add("code", Value::make_u64(e.code));
-  o.add("a", hex(e.a));
-  o.add("b", hex(e.b));
-  return o;
+void write_events(Writer& w, const std::vector<telemetry::Event>& events) {
+  w.begin_array();
+  for (const telemetry::Event& e : events) {
+    w.begin_object()
+        .key("t_us").i64(e.t_us)
+        .key("kind").i64(static_cast<int>(e.kind))
+        .key("socket").u64(e.socket)
+        .key("code").u64(e.code)
+        .key("a").hex(e.a)
+        .key("b").hex(e.b)
+        .end_object();
+  }
+  w.end_array();
 }
 
 telemetry::Event decode_event(const Value& v) {
@@ -278,42 +313,33 @@ telemetry::Event decode_event(const Value& v) {
   return e;
 }
 
-}  // namespace
-
-json::Value encode_snapshot(const telemetry::TelemetrySnapshot& snap) {
-  Value o = Value::make_object();
-  encode_metrics(snap.metrics, o);
+void write_snapshot(Writer& w, const telemetry::TelemetrySnapshot& snap) {
+  w.begin_object();
+  write_metrics(w, snap.metrics);
   if (!snap.events.empty()) {
-    Value events = Value::make_array();
-    for (const auto& per_socket : snap.events) {
-      Value arr = Value::make_array();
-      for (const auto& e : per_socket) arr.push_back(encode_event(e));
-      events.push_back(std::move(arr));
-    }
-    o.add("events", std::move(events));
+    w.key("events").begin_array();
+    for (const auto& per_socket : snap.events) write_events(w, per_socket);
+    w.end_array();
   }
   if (!snap.dumps.empty()) {
-    Value dumps = Value::make_array();
+    w.key("dumps").begin_array();
     for (const auto& d : snap.dumps) {
-      Value dump = Value::make_object();
-      dump.add("socket", Value::make_i64(d.socket));
-      dump.add("at_us", Value::make_i64(d.at_us));
-      Value arr = Value::make_array();
-      for (const auto& e : d.events) arr.push_back(encode_event(e));
-      dump.add("events", std::move(arr));
-      dumps.push_back(std::move(dump));
+      w.begin_object().key("socket").i64(d.socket).key("at_us").i64(d.at_us);
+      w.key("events");
+      write_events(w, d.events);
+      w.end_object();
     }
-    o.add("dumps", std::move(dumps));
+    w.end_array();
   }
-  return o;
+  w.end_object();
 }
 
-telemetry::TelemetrySnapshot decode_snapshot(const json::Value& v) {
+telemetry::TelemetrySnapshot decode_snapshot(const Value& v) {
   telemetry::TelemetrySnapshot snap;
   const std::vector<MetricFamily> table = decode_help(v.at("help"));
-  for (const Value& m : v.at("metrics").as_array()) {
-    snap.metrics.push_back(decode_metric(m, table));
-  }
+  const Items& metrics = v.at("metrics").as_array();
+  snap.metrics.reserve(metrics.size());
+  for (const Value& m : metrics) snap.metrics.push_back(decode_metric(m, table));
   if (const Value* events = v.find("events")) {
     for (const Value& per_socket : events->as_array()) {
       std::vector<telemetry::Event> socket_events;
@@ -345,52 +371,56 @@ telemetry::TelemetrySnapshot decode_snapshot(const json::Value& v) {
   return snap;
 }
 
+}  // namespace
+
 json::Value encode_run_result(const RunResult& result) {
-  Value o = Value::make_object();
-
-  Value summary = Value::make_object();
+  std::string text;
+  Writer w(text);
   const auto& s = result.summary;
-  summary.add("exec_seconds", hex(s.exec_seconds));
-  summary.add("pkg_energy_j", hex(s.pkg_energy_j));
-  summary.add("dram_energy_j", hex(s.dram_energy_j));
-  summary.add("avg_pkg_power_w", hex(s.avg_pkg_power_w));
-  summary.add("avg_dram_power_w", hex(s.avg_dram_power_w));
-  summary.add("total_gflop", hex(s.total_gflop));
-  summary.add("total_gbytes", hex(s.total_gbytes));
-  o.add("summary", std::move(summary));
+  w.begin_object()
+      .key("summary").begin_object()
+      .key("exec_seconds").hex(s.exec_seconds)
+      .key("pkg_energy_j").hex(s.pkg_energy_j)
+      .key("dram_energy_j").hex(s.dram_energy_j)
+      .key("avg_pkg_power_w").hex(s.avg_pkg_power_w)
+      .key("avg_dram_power_w").hex(s.avg_dram_power_w)
+      .key("total_gflop").hex(s.total_gflop)
+      .key("total_gbytes").hex(s.total_gbytes)
+      .end_object();
 
-  Value agents = Value::make_array();
-  for (const auto& a : result.agent_stats) {
-    agents.push_back(encode_agent_stats(a));
-  }
-  o.add("agent_stats", std::move(agents));
+  w.key("agent_stats").begin_array();
+  for (const auto& a : result.agent_stats) write_agent_stats(w, a);
+  w.end_array();
 
-  Value faults = Value::make_array();
+  w.key("fault_stats").begin_array();
   for (const auto& f : result.fault_stats) {
-    Value counts = Value::make_array();
-    for (const std::uint64_t c : f.injected) counts.push_back(Value::make_u64(c));
-    faults.push_back(std::move(counts));
+    w.begin_array();
+    for (const std::uint64_t c : f.injected) w.u64(c);
+    w.end_array();
   }
-  o.add("fault_stats", std::move(faults));
+  w.end_array();
 
-  o.add("health", encode_health(result.health));
+  w.key("health");
+  write_health(w, result.health);
 
   // std::map iterates key-sorted, so phase order is deterministic.
-  Value phases = Value::make_array();
+  w.key("phase_totals").begin_array();
   for (const auto& [name, t] : result.phase_totals) {
-    Value p = Value::make_object();
-    p.add("name", Value::make_string(name));
-    p.add("wall_seconds", hex(t.wall_seconds));
-    p.add("pkg_energy_j", hex(t.pkg_energy_j));
-    p.add("dram_energy_j", hex(t.dram_energy_j));
-    phases.push_back(std::move(p));
+    w.begin_object()
+        .key("name").string(name)
+        .key("wall_seconds").hex(t.wall_seconds)
+        .key("pkg_energy_j").hex(t.pkg_energy_j)
+        .key("dram_energy_j").hex(t.dram_energy_j)
+        .end_object();
   }
-  o.add("phase_totals", std::move(phases));
+  w.end_array();
 
   if (result.telemetry.has_value()) {
-    o.add("telemetry", encode_snapshot(*result.telemetry));
+    w.key("telemetry");
+    write_snapshot(w, *result.telemetry);
   }
-  return o;
+  w.end_object();
+  return Value::make_raw(std::move(text));
 }
 
 RunResult decode_run_result(const json::Value& v) {

@@ -9,8 +9,10 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/string_util.h"
 
@@ -258,16 +260,20 @@ struct EmitContext {
 void emit_records(const std::vector<std::size_t>& indices,
                   const std::vector<Value>& payloads, std::ostream& out,
                   EmitContext& ctx) {
+  std::string record;
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    Value line = Value::make_object();
-    line.add("job", Value::make_u64(indices[i]));
-    line.add("result", payloads[i]);
-    const std::string record = line.dump();
+    record.clear();
+    json::Writer(record)
+        .begin_object()
+        .key("job").u64(indices[i])
+        .key("result").value(payloads[i])
+        .end_object();
     if (ctx.claimer != nullptr) ctx.claimer->renew();
     if (ctx.chaos != nullptr) {
       ctx.chaos->maybe_kill(ctx.position, out, record);  // may not return
     }
-    out << record << '\n';
+    record += '\n';
+    out.write(record.data(), static_cast<std::streamsize>(record.size()));
     ++ctx.position;
   }
   out.flush();  // one chunk's results survive a later worker crash
@@ -307,15 +313,18 @@ void run_shard_wire(
   ctx.chaos = chaos.enabled() ? &chaos : nullptr;
   ctx.claimer = options.claimer;
 
-  Value header = Value::make_object();
-  header.add("format", Value::make_string(id.format));
-  header.add("version", Value::make_i64(kShardWireVersion));
-  header.add("spec_name", Value::make_string(id.spec_name));
-  header.add("spec_fingerprint", Value::make_string(id.fingerprint_hex));
-  header.add("shard", Value::make_i64(options.shard));
-  header.add("shards", Value::make_i64(options.shards));
-  header.add("job_count", Value::make_u64(jobs));
-  out << header.dump() << '\n';
+  std::string header;
+  json::Writer(header)
+      .begin_object()
+      .key("format").string(id.format)
+      .key("version").i64(kShardWireVersion)
+      .key("spec_name").string(id.spec_name)
+      .key("spec_fingerprint").string(id.fingerprint_hex)
+      .key("shard").i64(options.shard)
+      .key("shards").i64(options.shards)
+      .key("job_count").u64(jobs)
+      .end_object();
+  out << header << '\n';
   out.flush();  // the header survives even an immediate crash
 
   if (options.chunk_size > 0) {
@@ -410,10 +419,13 @@ WireGatherReport gather_wire(
   WireGatherReport report;
   report.job_count = jobs;
   report.have.assign(jobs, false);
-  // FNV-1a over each accepted record's canonical bytes: the duplicate
-  // guard.  A re-delivered record (reclaimed chunk, retried resume) must
-  // hash identically; a mismatch is a determinism violation in any mode.
-  std::vector<std::uint64_t> record_hash(jobs, 0);
+  // A hash of each accepted record's "result" bytes as read: the
+  // duplicate guard.  A re-delivered record (reclaimed chunk, retried
+  // resume) is the same bytes; any other bytes for a job, even the same
+  // value spaced differently, are a determinism violation in any mode.
+  // The hash never leaves this process, so it is the standard library's
+  // (8 bytes a step), not FNV-1a's byte-serial chain.
+  std::vector<std::size_t> record_hash(jobs, 0);
 
   for (const std::string& file : files) {
     std::ifstream in(file, std::ios::binary);
@@ -430,8 +442,9 @@ WireGatherReport gather_wire(
       ++line_no;
       if (text.empty()) continue;
       Value line;
+      std::string_view result_bytes;
       try {
-        line = json::parse(text);
+        line = json::parse(text, "result", &result_bytes);
       } catch (const std::exception& e) {
         // A truncated tail (torn record from a crashed worker) or a
         // corrupt middle line: in partial mode note it and keep
@@ -514,7 +527,7 @@ WireGatherReport gather_wire(
             {file, line_no, "record has no \"result\" field; skipped"});
         continue;
       }
-      const std::uint64_t hash = json::fnv1a(result->dump());
+      const std::size_t hash = std::hash<std::string_view>{}(result_bytes);
       if (report.have[job]) {
         if (record_hash[job] != hash) {
           // Never tolerated: two different results for one job breaks

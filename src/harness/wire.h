@@ -221,9 +221,11 @@ struct WireIdentity {
 
 /// Runs this worker's share of the jobs and streams the versioned JSONL
 /// (header line + one line per job) to `out`.  `run` executes a batch of
-/// job indices and returns one encoded payload per index, in order —
-/// everything else (static/dynamic assignment, resume filters, lease
-/// renewal, chaos injection, crash-safe flushing) lives here.
+/// job indices and returns one encoded payload per index, in order (the
+/// record encoders return their text as a raw json::Value, which is
+/// copied into the line verbatim) — everything else (static/dynamic
+/// assignment, resume filters, lease renewal, chaos injection,
+/// crash-safe flushing) lives here.
 void run_shard_wire(
     const WireIdentity& id, const ShardRunOptions& options,
     const std::function<std::vector<json::Value>(
@@ -238,7 +240,8 @@ struct GatherOptions {
   /// its jobs) — and report what is missing instead of throwing.
   /// Duplicates whose bytes *differ* still throw in every mode: two
   /// different results for one job is a determinism violation, never
-  /// damage.
+  /// damage.  The bytes compared are the "result" value's as read, so
+  /// the same value spaced differently counts as different.
   bool partial = false;
 };
 

@@ -1,6 +1,7 @@
 #include "telemetry/export.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -12,38 +13,11 @@ namespace dufp::telemetry {
 
 namespace {
 
-/// Deterministic number rendering shared by every exporter: integers
-/// print without a fractional part, everything else with 9 significant
-/// digits — stable across platforms for the golden tests.
+/// Deterministic number rendering shared by the stream exporters below.
 std::string format_number(double v) {
-  if (std::isfinite(v) && v == std::floor(v) &&
-      std::abs(v) < 9.007199254740992e15) {
-    return strf("%.0f", v);
-  }
-  return strf("%.9g", v);
-}
-
-void write_series_line(std::ostream& os, const std::string& name,
-                       const LabelSet& labels, const std::string& value,
-                       const char* extra_key = nullptr,
-                       const std::string& extra_value = {}) {
-  os << name;
-  const bool have_labels = !labels.empty() || extra_key != nullptr;
-  if (have_labels) {
-    os << '{';
-    bool first = true;
-    for (const auto& [k, v] : labels) {
-      if (!first) os << ',';
-      first = false;
-      os << k << "=\"" << prometheus_escape_label(v) << '"';
-    }
-    if (extra_key != nullptr) {
-      if (!first) os << ',';
-      os << extra_key << "=\"" << prometheus_escape_label(extra_value) << '"';
-    }
-    os << '}';
-  }
-  os << ' ' << value << '\n';
+  std::string out;
+  append_number(v, out);
+  return out;
 }
 
 /// All sockets' ring events merged into one non-decreasing time order.
@@ -96,42 +70,177 @@ std::string sanitize_prometheus_name(std::string_view name) {
   return out;
 }
 
-void write_prometheus(const std::vector<MetricSample>& metrics,
-                      std::ostream& os) {
-  const std::string* last_name = nullptr;
-  for (const MetricSample& m : metrics) {
-    const std::string name = sanitize_prometheus_name(m.name);
-    if (last_name == nullptr || *last_name != m.name) {
-      if (!m.help.empty()) {
-        // HELP text escaping: backslash and newline only (the format
-        // keeps double quotes verbatim here, unlike label values).
-        std::string help;
-        for (const char c : m.help) {
-          if (c == '\\') help += "\\\\";
-          else if (c == '\n') help += "\\n";
-          else help += c;
-        }
-        os << "# HELP " << name << ' ' << help << '\n';
-      }
-      os << "# TYPE " << name << ' ' << metric_type_name(m.type) << '\n';
-    }
-    last_name = &m.name;
+namespace {
 
+/// Writes series lines in the order given, with a family's `# HELP` /
+/// `# TYPE` header whenever the metric name differs from the previous
+/// sample's; the family's sanitized name is computed once, there, and a
+/// sample's labels once for all its series.
+class Exposition {
+ public:
+  explicit Exposition(std::string& out) : out_(out) {}
+
+  /// `m`'s series; `extra_key` non-empty adds that label after m's own.
+  void sample(const MetricSample& m, std::string_view extra_key,
+              std::string_view extra_value) {
+    if (last_name_ == nullptr || *last_name_ != m.name) header(m);
+    last_name_ = &m.name;
+    labels_.clear();
+    for (const auto& [k, v] : m.labels) add_label(k, v);
+    if (!extra_key.empty()) add_label(extra_key, extra_value);
     if (m.type == MetricType::histogram) {
       std::uint64_t cumulative = 0;
       for (std::size_t i = 0; i < m.bucket_counts.size(); ++i) {
         cumulative += m.bucket_counts[i];
-        const std::string le = i < m.bucket_bounds.size()
-                                   ? format_number(m.bucket_bounds[i])
-                                   : std::string("+Inf");
-        write_series_line(os, name + "_bucket", m.labels,
-                          std::to_string(cumulative), "le", le);
+        out_ += name_;
+        out_ += "_bucket{";
+        out_ += labels_;
+        out_ += labels_.empty() ? "le=\"" : ",le=\"";
+        if (i < m.bucket_bounds.size()) {
+          append_number(m.bucket_bounds[i], out_);
+        } else {
+          out_ += "+Inf";
+        }
+        out_ += "\"} ";
+        append_count(cumulative);
       }
-      write_series_line(os, name + "_sum", m.labels, format_number(m.sum));
-      write_series_line(os, name + "_count", m.labels,
-                        std::to_string(m.count));
+      open_series("_sum");
+      append_number(m.sum, out_);
+      out_ += '\n';
+      open_series("_count");
+      append_count(m.count);
     } else {
-      write_series_line(os, name, m.labels, format_number(m.value));
+      open_series({});
+      append_number(m.value, out_);
+      out_ += '\n';
+    }
+  }
+
+ private:
+  void header(const MetricSample& m) {
+    name_ = sanitize_prometheus_name(m.name);
+    if (!m.help.empty()) {
+      // HELP text escaping: backslash and newline only (the format keeps
+      // double quotes verbatim here, unlike label values).
+      out_ += "# HELP ";
+      out_ += name_;
+      out_ += ' ';
+      for (const char c : m.help) {
+        if (c == '\\') out_ += "\\\\";
+        else if (c == '\n') out_ += "\\n";
+        else out_ += c;
+      }
+      out_ += '\n';
+    }
+    out_ += "# TYPE ";
+    out_ += name_;
+    out_ += ' ';
+    out_ += metric_type_name(m.type);
+    out_ += '\n';
+  }
+
+  /// Appends `k="v"` to the sample's label list.
+  void add_label(std::string_view k, std::string_view v) {
+    if (!labels_.empty()) labels_ += ',';
+    labels_ += k;
+    labels_ += "=\"";
+    if (v.find_first_of("\\\"\n") == std::string_view::npos) {
+      labels_ += v;
+    } else {
+      labels_ += prometheus_escape_label(v);
+    }
+    labels_ += '"';
+  }
+
+  /// `<name><suffix>{<labels>} `, braces only around at least one label.
+  void open_series(std::string_view suffix) {
+    out_ += name_;
+    out_ += suffix;
+    if (!labels_.empty()) {
+      out_ += '{';
+      out_ += labels_;
+      out_ += '}';
+    }
+    out_ += ' ';
+  }
+
+  void append_count(std::uint64_t n) {
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof buf, n).ptr);
+    out_ += '\n';
+  }
+
+  std::string& out_;
+  const std::string* last_name_ = nullptr;
+  std::string name_;    ///< the current family's sanitized name
+  std::string labels_;  ///< the current sample's `k="v",...`
+};
+
+}  // namespace
+
+void append_number(double v, std::string& out) {
+  char buf[32];
+  char* end;
+  if (std::isfinite(v) && v == std::floor(v) &&
+      std::abs(v) < 9.007199254740992e15) {
+    // "%.0f" of an integral double is its integer, and "-0" for -0.0.
+    if (v == 0.0 && std::signbit(v)) {
+      out += "-0";
+      return;
+    }
+    end = std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(v))
+              .ptr;
+  } else {
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                        9)
+              .ptr;
+  }
+  out.append(buf, end);
+}
+
+void write_prometheus(const std::vector<MetricSample>& metrics,
+                      std::string& out) {
+  Exposition exposition(out);
+  for (const MetricSample& m : metrics) exposition.sample(m, {}, {});
+}
+
+void write_prometheus_merged(const std::vector<LabelledSamples>& parts,
+                             std::string_view label_key, std::string& out) {
+  // A min-heap of the parts' cursors on (name at the cursor, part index).
+  // Each pop writes one part's whole run of a name.  The part is sorted,
+  // so its next name is larger, and every later part's run of the same
+  // name pops before it: runs come out in name order, then part order.
+  struct Cursor {
+    const MetricSample* at;
+    const MetricSample* end;
+    std::size_t part;
+  };
+  const auto after = [](const Cursor& a, const Cursor& b) {
+    const int order = a.at->name.compare(b.at->name);
+    return order != 0 ? order > 0 : a.part > b.part;
+  };
+  std::vector<Cursor> heap;
+  heap.reserve(parts.size());
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    const std::vector<MetricSample>& samples = *parts[p].samples;
+    if (samples.empty()) continue;
+    heap.push_back({samples.data(), samples.data() + samples.size(), p});
+  }
+  std::make_heap(heap.begin(), heap.end(), after);
+  Exposition exposition(out);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    Cursor& c = heap.back();
+    const std::string& name = c.at->name;
+    const std::string& value = parts[c.part].label_value;
+    do {
+      exposition.sample(*c.at, label_key, value);
+      ++c.at;
+    } while (c.at != c.end && c.at->name == name);
+    if (c.at == c.end) {
+      heap.pop_back();
+    } else {
+      std::push_heap(heap.begin(), heap.end(), after);
     }
   }
 }
@@ -207,7 +316,9 @@ std::vector<std::string> export_run(const TelemetrySnapshot& snap,
   };
   {
     auto f = open(prefix + ".prom");
-    write_prometheus(snap.metrics, f);
+    std::string prom;
+    write_prometheus(snap.metrics, prom);
+    f << prom;
   }
   {
     auto f = open(prefix + ".trace.json");

@@ -16,10 +16,33 @@ namespace dufp::telemetry {
 
 // -- Prometheus text exposition (version 0.0.4) -----------------------------
 
-/// `# HELP` / `# TYPE` per metric name, one line per series; histograms
-/// expand to `_bucket{le=...}` (cumulative), `_sum`, `_count`.
+/// Appends the exposition of `metrics`: `# HELP` / `# TYPE` per metric
+/// name, one line per series; histograms expand to `_bucket{le=...}`
+/// (cumulative), `_sum`, `_count`.
 void write_prometheus(const std::vector<MetricSample>& metrics,
-                      std::ostream& os);
+                      std::string& out);
+
+/// One part of a merged exposition: a job's samples, sorted by name as
+/// MetricsRegistry::collect() returns them, and the value of the label
+/// that tells the job's series apart.
+struct LabelledSamples {
+  std::string label_value;
+  const std::vector<MetricSample>* samples = nullptr;
+};
+
+/// Appends one exposition of every part's samples, each series labelled
+/// `label_key`="<its part's label_value>" after its own labels (before a
+/// histogram's `le`).  Samples come out in name order, then part order,
+/// then each part's own order: what a stable sort by name of the parts'
+/// concatenation gives, as long as every part is sorted by name.  A k-way
+/// merge over the parts, so no sample is copied and nothing is sorted.
+void write_prometheus_merged(const std::vector<LabelledSamples>& parts,
+                             std::string_view label_key, std::string& out);
+
+/// Appends `v` as every exporter prints a number: an integral |v| < 2^53
+/// as printf's "%.0f" would (so -0.0 is "-0"), anything else as "%.9g"
+/// would, non-finite values included — the same bytes, by std::to_chars.
+void append_number(double v, std::string& out);
 
 /// Label-value escaping: backslash, double-quote and newline.
 std::string prometheus_escape_label(std::string_view value);

@@ -74,9 +74,9 @@ TEST(NodeRunTest, DeterministicAndBitExactThroughTheCodec) {
   const FleetNodeResult b = run_fleet_node(spec, 1, plan);
   const std::string a_bytes = encode_node_result(a).dump();
   EXPECT_EQ(a_bytes, encode_node_result(b).dump());
-  // decode(encode(x)) re-encodes to the same bytes: doubles travel as
-  // IEEE-754 hex, so nothing is lost to decimal formatting.
-  EXPECT_EQ(encode_node_result(decode_node_result(encode_node_result(a)))
+  // decode(parse(encode(x))) re-encodes to the same bytes: doubles
+  // travel as IEEE-754 hex, so nothing is lost to decimal formatting.
+  EXPECT_EQ(encode_node_result(decode_node_result(json::parse(a_bytes)))
                 .dump(),
             a_bytes);
 }

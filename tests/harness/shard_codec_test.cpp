@@ -76,9 +76,9 @@ std::string write_lines(const std::vector<std::string>& lines,
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 std::string prometheus(const telemetry::TelemetrySnapshot& snap) {
-  std::ostringstream os;
-  telemetry::write_prometheus(snap.metrics, os);
-  return os.str();
+  std::string prom;
+  telemetry::write_prometheus(snap.metrics, prom);
+  return prom;
 }
 
 /// A DUFP storm job run with flight data kept, plus the values a compact

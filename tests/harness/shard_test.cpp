@@ -76,7 +76,9 @@ std::string output_bytes(const GridOutputs& out) {
   bytes += out.merged_prometheus;
   bytes += '\x1f';
   if (out.job0_telemetry.has_value()) {
-    bytes += encode_snapshot(*out.job0_telemetry).dump();
+    RunResult job0;
+    job0.telemetry = out.job0_telemetry;
+    bytes += encode_run_result(job0).dump();
   }
   return bytes;
 }

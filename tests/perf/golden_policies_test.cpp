@@ -72,11 +72,12 @@ TEST_P(GoldenPoliciesTest, FaultStormTelemetryBytesMatchPreRedesignGolden) {
   cfg.telemetry.enabled = true;
   const auto res = harness::run_once(cfg);
   ASSERT_TRUE(res.telemetry.has_value());
+  std::string bytes;
+  telemetry::write_prometheus(res.telemetry->metrics, bytes);
   std::ostringstream out;
-  telemetry::write_prometheus(res.telemetry->metrics, out);
   telemetry::write_chrome_trace(*res.telemetry, out);
   telemetry::write_jsonl(*res.telemetry, out);
-  expect_matches_golden(out.str(),
+  expect_matches_golden(bytes + out.str(),
                         std::string("policy_") + p.tag + "_telemetry.txt");
 }
 

@@ -22,11 +22,12 @@ namespace {
 std::string telemetry_text(const harness::RunResult& res) {
   EXPECT_TRUE(res.telemetry.has_value());
   if (!res.telemetry.has_value()) return {};
+  std::string bytes;
+  telemetry::write_prometheus(res.telemetry->metrics, bytes);
   std::ostringstream out;
-  telemetry::write_prometheus(res.telemetry->metrics, out);
   telemetry::write_chrome_trace(*res.telemetry, out);
   telemetry::write_jsonl(*res.telemetry, out);
-  return out.str();
+  return bytes + out.str();
 }
 
 TEST(GoldenTraceTest, SerialTraceMatchesPreChangeGolden) {

@@ -188,8 +188,8 @@ inline std::string summary_text(const harness::RunResult& res) {
 inline std::string result_bytes(const harness::RunResult& res) {
   std::string out = summary_text(res);
   if (res.telemetry.has_value()) {
+    telemetry::write_prometheus(res.telemetry->metrics, out);
     std::ostringstream t;
-    telemetry::write_prometheus(res.telemetry->metrics, t);
     telemetry::write_chrome_trace(*res.telemetry, t);
     telemetry::write_jsonl(*res.telemetry, t);
     out += t.str();

@@ -9,10 +9,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/string_util.h"
 
 namespace dufp::telemetry {
 namespace {
@@ -98,9 +107,9 @@ void expect_matches_golden(const std::string& produced,
 }
 
 TEST(ExportGoldenTest, PrometheusExposition) {
-  std::ostringstream os;
-  write_prometheus(golden_snapshot().metrics, os);
-  expect_matches_golden(os.str(), "exposition.prom");
+  std::string prom;
+  write_prometheus(golden_snapshot().metrics, prom);
+  expect_matches_golden(prom, "exposition.prom");
 }
 
 TEST(ExportGoldenTest, ChromeTraceJson) {
@@ -116,11 +125,11 @@ TEST(ExportGoldenTest, Jsonl) {
 }
 
 TEST(ExportTest, PrometheusOutputIsDeterministic) {
-  std::ostringstream a;
-  std::ostringstream b;
+  std::string a;
+  std::string b;
   write_prometheus(golden_snapshot().metrics, a);
   write_prometheus(golden_snapshot().metrics, b);
-  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(a, b);
 }
 
 TEST(ExportTest, ChromeTraceTimestampsNonDecreasing) {
@@ -162,6 +171,104 @@ TEST(ExportTest, EveryMetricNameInGoldenSetIsValid) {
     // Already in the metric-name grammar: sanitizing changes nothing.
     EXPECT_EQ(sanitize_prometheus_name(m.name), m.name);
   }
+}
+
+/// The printf rendering append_number replaces, kept as the reference.
+std::string printf_number(double v) {
+  if (std::isfinite(v) && v == std::floor(v) &&
+      std::abs(v) < 9.007199254740992e15) {
+    return strf("%.0f", v);
+  }
+  return strf("%.9g", v);
+}
+
+TEST(ExportTest, NumbersMatchPrintfOverGeneratedDoubles) {
+  using limits = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e15, -1e15, 1e16, 123456789.0,
+      0.1, 1.0 / 3.0, 112.5, 2794.0, 1e-300, limits::min(),
+      limits::denorm_min(), -limits::denorm_min(), limits::max(),
+      limits::lowest(), limits::epsilon(), limits::infinity(),
+      -limits::infinity(), limits::quiet_NaN(), -limits::quiet_NaN(),
+      std::bit_cast<double>(std::uint64_t{0x7ff8000000000123}),
+      std::bit_cast<double>(std::uint64_t{0xfff0000000000001})};
+  // Integers around 2^53, where "%.0f" hands over to "%.9g".
+  for (double k = -4; k <= 4; ++k) {
+    values.push_back(9007199254740992.0 + 2 * k);
+    values.push_back(-9007199254740992.0 + 2 * k);
+    values.push_back(4503599627370496.0 + k);
+  }
+  Rng rng(53);
+  for (int i = 0; i < 50000; ++i) {
+    const std::uint64_t bits = rng.next_u64();
+    values.push_back(std::bit_cast<double>(bits));  // any class, any sign
+    values.push_back(std::bit_cast<double>(bits & 0x800fffffffffffffULL));
+    values.push_back(static_cast<double>(static_cast<std::int64_t>(bits) >>
+                                         (bits % 64)));
+    values.push_back(static_cast<double>(bits % 100000) / 1000.0);
+  }
+  for (const double v : values) {
+    std::string got;
+    append_number(v, got);
+    ASSERT_EQ(got, printf_number(v))
+        << "bits " << std::bit_cast<std::uint64_t>(v);
+  }
+}
+
+/// One job's collected samples: a counter and a histogram per socket,
+/// plus a family only some jobs have.
+std::vector<MetricSample> job_samples(int job, bool extra) {
+  MetricsRegistry reg;
+  for (int socket = 0; socket < 2; ++socket) {
+    const LabelSet labels = {{"socket", std::to_string(socket)},
+                             {"note", "q\"" + std::to_string(job)}};
+    Counter c;
+    reg.attach("dufp_b_total", "B.", labels, c);
+    c.inc(static_cast<std::uint64_t>(job * 10 + socket));
+    Histogram h = reg.histogram("dufp_a_watts", "A.", {0.5, 1.0}, labels);
+    h.observe(0.25 * job);
+  }
+  if (extra) reg.gauge("dufp_ab_extra", "Only some jobs.").set(-0.0);
+  return reg.collect();
+}
+
+TEST(ExportTest, MergedExpositionIsTheStableSortOfTheLabelledJobs) {
+  std::vector<std::vector<MetricSample>> jobs;
+  for (int j = 0; j < 5; ++j) jobs.push_back(job_samples(j, j % 2 == 1));
+  jobs.insert(jobs.begin() + 2, std::vector<MetricSample>{});  // no samples
+
+  // The reference: every sample labelled with its job, stable-sorted by
+  // name, written in one pass.
+  std::vector<MetricSample> labelled;
+  std::vector<LabelledSamples> parts;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    for (MetricSample m : jobs[j]) {
+      m.labels.emplace_back("job", std::to_string(j));
+      labelled.push_back(std::move(m));
+    }
+    parts.push_back({std::to_string(j), &jobs[j]});
+  }
+  std::stable_sort(labelled.begin(), labelled.end(),
+                   [](const MetricSample& a, const MetricSample& b) {
+                     return a.name < b.name;
+                   });
+  std::string want;
+  write_prometheus(labelled, want);
+
+  std::string got = "kept\n";
+  write_prometheus_merged(parts, "job", got);
+  EXPECT_EQ(got, "kept\n" + want);
+  // The job label follows a sample's own labels and precedes `le`; jobs
+  // are numbered by position, the empty one included.
+  EXPECT_NE(want.find("dufp_ab_extra{job=\"4\"} -0\n"), std::string::npos);
+  EXPECT_NE(want.find("dufp_a_watts_bucket{socket=\"1\",note=\"q\\\"4\","
+                      "job=\"5\",le=\"+Inf\"} 1\n"),
+            std::string::npos)
+      << want;
+
+  std::string none;
+  write_prometheus_merged({}, "job", none);
+  EXPECT_TRUE(none.empty());
 }
 
 }  // namespace

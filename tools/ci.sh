@@ -17,8 +17,9 @@
 #      tier-1 ShardWorkerCliTest.GridAndFleetShareTheVerbs);
 #   7. the perf-ledger smoke (perfbench/run.py --smoke: pinned digests
 #      of all three workloads through both passes), then the ledger's
-#      full-size untraced digests of paper_grid and fleet_1024 at seeds 2
-#      and 3 against values pinned here;
+#      full-size untraced digests against values pinned here: paper_grid
+#      and fleet_1024 at seeds 2 and 3, and policy_storm (its one fixed
+#      storm, through two shard files and a gather);
 #   8. the sim_throughput perf gate and the grid_throughput gate;
 #   9. the symbol census (tools/symbol_census.py): no strong src/
 #      function that only tests reach, beyond its allowlist;
@@ -318,7 +319,11 @@ echo "== perf ledger smoke =="
   CARGO_TARGET_DIR="${build_dir}/perfbench" python3 perfbench/run.py --smoke)
 # run.py pins seed 1 only.  The governor's exact integer window sums left
 # every byte where the double running sums had it, and these digests,
-# recorded before that change, keep that checked on two more seeds.
+# recorded before that change, keep that checked on two more seeds.  The
+# smoke runs the storm only at its tiny shape; the full-size storm is the
+# one run that writes, gathers and merges ~2 MB of telemetry records, so
+# its digest (run.py's pin) holds the shard codec and the merged
+# exposition here.
 ledger="${build_dir}/perfbench/perfbench/perfbench_ledger"
 seeds_dir="${build_dir}/ledger-seeds"
 rm -rf "${seeds_dir}"
@@ -337,8 +342,10 @@ paper_grid 2 c634e6cb82199d03
 paper_grid 3 73bde59cff4c74a3
 fleet_1024 2 58264678543531c5
 fleet_1024 3 59c830c5b5089209
+policy_storm 1 773ab1a965b9d615
 PINNED
-echo "ledger seeds: paper_grid and fleet_1024 digests hold at seeds 2 and 3"
+echo "ledger seeds: paper_grid and fleet_1024 digests hold at seeds 2 and 3," \
+     "policy_storm at full size"
 
 echo "== perf gate (sim_throughput, full run) =="
 # A real (non-smoke) run of the tracked throughput bench, gated on the
