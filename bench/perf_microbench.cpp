@@ -151,7 +151,7 @@ struct KernelRig {
   std::array<double, rapl::FirmwareGovernor::kFlipLanes> lanes{};
 };
 
-/// The tier-2 kernel's calm ticks alone: ns per calm tick of
+/// The calm-stretch kernel's calm ticks alone: ns per calm tick of
 /// FirmwareGovernor::calm_run on full windows under a binding cap.  The
 /// cap sits a sixth of the way from the 2.0 GHz state's power to the
 /// 2.1 GHz state's, so the governor settles at 2.0 GHz and every later
@@ -182,12 +182,12 @@ void BM_CalmRun(benchmark::State& state) {
 }
 BENCHMARK(BM_CalmRun)->UseManualTime();
 
-/// The tier-2 kernel under a dithering cap, flips included: the cap sits
-/// halfway between the 2.0 and 2.1 GHz states' powers, so the governor
-/// keeps flipping between them, and each iteration is one call of up to
-/// 4096 ticks that takes those flips from the governor's entries.  Only a flip
-/// into a state with no entry yet ends the call; it runs outside the
-/// timed region and fills the entry.
+/// The calm-stretch kernel under a dithering cap, flips included: the cap
+/// sits halfway between the 2.0 and 2.1 GHz states' powers, so the
+/// governor keeps flipping between them, and each iteration is one call of
+/// up to 4096 ticks that takes those flips from the governor's entries.
+/// Only a flip into a state with no entry yet ends the call; it runs
+/// outside the timed region and fills the entry.
 void BM_CalmRunFlipping(benchmark::State& state) {
   constexpr std::size_t kRun = 4096;
   KernelRig rig(0.5);
@@ -352,26 +352,9 @@ void BM_SimulatedSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedSecond)->Unit(benchmark::kMillisecond);
 
-// The event-leaping tradeoff, measured as a pair on the same warm rig:
-// leap_horizon() is the planner's per-decision cost ("how far can we
-// jump"), step() the exact per-tick cost a leap of N ticks amortizes —
-// one planner call plus N lane-add ticks replaces N full steps.  The
-// pair keeps the planner honest: it runs on every leap attempt, so it
-// must stay well under the step cost it saves.
-void BM_LeapHorizon(benchmark::State& state) {
-  const auto& prof = workloads::profile(workloads::AppId::cg);
-  hw::MachineConfig machine;
-  machine.sockets = 4;
-  sim::SimulationOptions opts;
-  opts.seed = 7;
-  sim::Simulation s(machine, prof, opts);
-  for (int i = 0; i < 50; ++i) s.step();  // windows filled, fixed point up
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(s.leap_horizon());
-  }
-}
-BENCHMARK(BM_LeapHorizon);
-
+// One exact tick of a warm 4-socket CG run: the cost a calm-stretch tick
+// avoids.  The perf ledger's per-tick figures are read against it
+// (perfbench/README.md, "Sanity anchors").
 void BM_PlainStep(benchmark::State& state) {
   const auto& prof = workloads::profile(workloads::AppId::cg);
   hw::MachineConfig machine;

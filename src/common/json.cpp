@@ -526,8 +526,10 @@ double hex_to_double(std::string_view hex) {
     std::array<std::int8_t, 256> digit{};
     digit.fill(-1);
     for (int d = 0; d < 10; ++d) digit['0' + d] = static_cast<std::int8_t>(d);
+    // Lower case only, as Writer::hex writes: an upper-case digit would
+    // decode to the same bits from other bytes.
     for (int d = 0; d < 6; ++d) {
-      digit['a' + d] = digit['A' + d] = static_cast<std::int8_t>(10 + d);
+      digit['a' + d] = static_cast<std::int8_t>(10 + d);
     }
     return digit;
   }();

@@ -167,7 +167,7 @@ void escape_string(std::string_view s, std::string& out);
 
 /// The double whose IEEE-754 bit pattern the 16 hex digits spell (what
 /// Writer::hex writes, without its quotes); throws std::runtime_error on
-/// malformed input (must be exactly 16 hex digits).
+/// malformed input (must be exactly 16 lowercase hex digits).
 double hex_to_double(std::string_view hex);
 
 // -- content fingerprinting --------------------------------------------------

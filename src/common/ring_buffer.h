@@ -153,9 +153,9 @@ inline double quanta_mean(std::int64_t sum_q, std::size_t size) {
 /// it depends only on the samples the window holds, never on the order
 /// they arrived in.
 ///
-/// Also tracks the length of the trailing run of identical samples so the
-/// simulation's event-leaping fast path can detect, in O(1), that adding
-/// the same value again is a complete no-op (see steady_under).
+/// Also tracks the length of the trailing run of identical samples, from
+/// which a Cursor knows, in O(1), when every slot holds one value
+/// (Cursor::uniform).
 class WindowedMean {
  public:
   explicit WindowedMean(std::size_t capacity) : ring_(capacity) {}
@@ -325,16 +325,8 @@ class WindowedMean {
   }
 
   /// Length of the trailing run of identical samples (capped at
-  /// capacity).  O(1) pre-gate for steady_under.
+  /// capacity).
   std::size_t run_length() const { return run_length_; }
-
-  /// True when add_quanta(q) — repeated any number of times — would leave
-  /// every observable of this window (mean, size, sum) unchanged: the
-  /// window is full and every stored sample is `q`, so each future add
-  /// evicts exactly what it inserts.
-  bool steady_under(std::int64_t q) const {
-    return ring_.full() && run_length_ >= ring_.capacity() && q == run_value_;
-  }
 
  private:
   /// Length of the trailing run of `q`: 0 unless the newest samples are q.

@@ -1,5 +1,7 @@
 #include "harness/shard_codec.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <map>
 #include <stdexcept>
@@ -17,6 +19,44 @@ using json::Value;
 using json::Writer;
 
 double unhex(const Value& v) { return json::hex_to_double(v.as_string()); }
+
+[[noreturn]] void malformed(const std::string& what) {
+  throw std::runtime_error("shard_codec: " + what);
+}
+
+/// The members of `v`, an object that may omit some of them: one slot per
+/// name in `names`, in that order, null where the member is absent.
+/// Every record comes from this codec's writer, which writes each member
+/// once and no other, so an unknown or repeated member is damage (a
+/// flipped bit in a key, say); read past, it would silently drop the
+/// value it carries.
+template <std::size_t N>
+std::array<const Value*, N> members(
+    const Value& v, const std::array<std::string_view, N>& names,
+    const char* what) {
+  std::array<const Value*, N> slots{};
+  for (const auto& [key, field] : v.as_object()) {
+    const auto it = std::find(names.begin(), names.end(), key);
+    if (it == names.end()) {
+      malformed(strf("%s: unknown member \"%s\"", what, key.c_str()));
+    }
+    const Value*& slot = slots[static_cast<std::size_t>(it - names.begin())];
+    if (slot != nullptr) {
+      malformed(strf("%s: repeated member \"%s\"", what, key.c_str()));
+    }
+    slot = &field;
+  }
+  return slots;
+}
+
+/// A slot members() filled for a member the object must carry.
+const Value& required(const Value* field, const char* name,
+                      const char* what) {
+  if (field == nullptr) {
+    malformed(strf("%s: missing member \"%s\"", what, name));
+  }
+  return *field;
+}
 
 void write_health(Writer& w, const HealthTotals& h) {
   w.begin_object()
@@ -123,10 +163,6 @@ core::AgentStats decode_agent_stats(const Value& v) {
 using telemetry::MetricSample;
 using telemetry::MetricType;
 
-[[noreturn]] void malformed(const std::string& what) {
-  throw std::runtime_error("shard_codec: " + what);
-}
-
 bool zero_bits(double v) { return std::bit_cast<std::uint64_t>(v) == 0; }
 
 std::uint16_t decode_u16(const Value& v, const char* what) {
@@ -216,32 +252,18 @@ std::vector<MetricFamily> decode_help(const Value& v) {
   return table;
 }
 
+constexpr std::array<std::string_view, 7> kMetricMembers = {
+    "help", "labels", "value", "bucket_bounds", "bucket_counts", "sum",
+    "count"};
+
 MetricSample decode_metric(const Value& v,
                            const std::vector<MetricFamily>& table) {
   // Samples are most of a record, so their members are read in one pass
-  // rather than one find() each; a repeated key keeps its first value,
-  // as find() would.
-  const Value* help = nullptr;
-  const Value* labels = nullptr;
-  const Value* value = nullptr;
-  const Value* bounds = nullptr;
-  const Value* counts = nullptr;
-  const Value* sum = nullptr;
-  const Value* count = nullptr;
-  if (v.is_object()) {
-    for (const auto& [key, field] : v.as_object()) {
-      const Value** slot = key == "help"            ? &help
-                           : key == "labels"        ? &labels
-                           : key == "value"         ? &value
-                           : key == "bucket_bounds" ? &bounds
-                           : key == "bucket_counts" ? &counts
-                           : key == "sum"           ? &sum
-                           : key == "count"         ? &count
-                                                    : nullptr;
-      if (slot != nullptr && *slot == nullptr) *slot = &field;
-    }
-  }
-  const std::uint64_t entry = (help != nullptr ? *help : v.at("help")).as_u64();
+  // rather than one find() each.
+  const auto [help, labels, value, bounds, counts, sum, count] =
+      members(v, kMetricMembers, "metric sample");
+  const std::uint64_t entry =
+      required(help, "help", "metric sample").as_u64();
   if (entry >= table.size()) {
     malformed(strf("metric names help entry %llu, the record has %zu",
                    static_cast<unsigned long long>(entry), table.size()));
@@ -334,13 +356,20 @@ void write_snapshot(Writer& w, const telemetry::TelemetrySnapshot& snap) {
   w.end_object();
 }
 
+constexpr std::array<std::string_view, 4> kSnapshotMembers = {
+    "help", "metrics", "events", "dumps"};
+
 telemetry::TelemetrySnapshot decode_snapshot(const Value& v) {
+  constexpr const char* kWhat = "telemetry snapshot";
+  const auto [help, metrics_member, events, dumps] =
+      members(v, kSnapshotMembers, kWhat);
   telemetry::TelemetrySnapshot snap;
-  const std::vector<MetricFamily> table = decode_help(v.at("help"));
-  const Items& metrics = v.at("metrics").as_array();
+  const std::vector<MetricFamily> table =
+      decode_help(required(help, "help", kWhat));
+  const Items& metrics = required(metrics_member, "metrics", kWhat).as_array();
   snap.metrics.reserve(metrics.size());
   for (const Value& m : metrics) snap.metrics.push_back(decode_metric(m, table));
-  if (const Value* events = v.find("events")) {
+  if (events != nullptr) {
     for (const Value& per_socket : events->as_array()) {
       std::vector<telemetry::Event> socket_events;
       for (const Value& e : per_socket.as_array()) {
@@ -349,7 +378,7 @@ telemetry::TelemetrySnapshot decode_snapshot(const Value& v) {
       snap.events.push_back(std::move(socket_events));
     }
   }
-  if (const Value* dumps = v.find("dumps")) {
+  if (dumps != nullptr) {
     // A run records one event ring per socket, so the rings name the
     // sockets a dump may come from.
     for (const Value& d : dumps->as_array()) {
@@ -423,9 +452,16 @@ json::Value encode_run_result(const RunResult& result) {
   return Value::make_raw(std::move(text));
 }
 
+constexpr std::array<std::string_view, 6> kRunResultMembers = {
+    "summary", "agent_stats", "fault_stats", "health", "phase_totals",
+    "telemetry"};
+
 RunResult decode_run_result(const json::Value& v) {
+  constexpr const char* kWhat = "run result";
+  const auto [summary_member, agent_stats, fault_stats, health, phase_totals,
+              telemetry] = members(v, kRunResultMembers, kWhat);
   RunResult r;
-  const Value& summary = v.at("summary");
+  const Value& summary = required(summary_member, "summary", kWhat);
   r.summary.exec_seconds = unhex(summary.at("exec_seconds"));
   r.summary.pkg_energy_j = unhex(summary.at("pkg_energy_j"));
   r.summary.dram_energy_j = unhex(summary.at("dram_energy_j"));
@@ -434,10 +470,12 @@ RunResult decode_run_result(const json::Value& v) {
   r.summary.total_gflop = unhex(summary.at("total_gflop"));
   r.summary.total_gbytes = unhex(summary.at("total_gbytes"));
 
-  for (const Value& a : v.at("agent_stats").as_array()) {
+  for (const Value& a :
+       required(agent_stats, "agent_stats", kWhat).as_array()) {
     r.agent_stats.push_back(decode_agent_stats(a));
   }
-  for (const Value& f : v.at("fault_stats").as_array()) {
+  for (const Value& f :
+       required(fault_stats, "fault_stats", kWhat).as_array()) {
     const auto& counts = f.as_array();
     faults::FaultStats fs;
     if (counts.size() != fs.injected.size()) {
@@ -448,17 +486,16 @@ RunResult decode_run_result(const json::Value& v) {
     }
     r.fault_stats.push_back(fs);
   }
-  r.health = decode_health(v.at("health"));
-  for (const Value& p : v.at("phase_totals").as_array()) {
+  r.health = decode_health(required(health, "health", kWhat));
+  for (const Value& p :
+       required(phase_totals, "phase_totals", kWhat).as_array()) {
     sim::PhaseTotals t;
     t.wall_seconds = unhex(p.at("wall_seconds"));
     t.pkg_energy_j = unhex(p.at("pkg_energy_j"));
     t.dram_energy_j = unhex(p.at("dram_energy_j"));
     r.phase_totals.emplace(p.at("name").as_string(), t);
   }
-  if (const Value* telem = v.find("telemetry")) {
-    r.telemetry = decode_snapshot(*telem);
-  }
+  if (telemetry != nullptr) r.telemetry = decode_snapshot(*telemetry);
   return r;
 }
 

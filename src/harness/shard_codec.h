@@ -14,8 +14,10 @@
 // raw json::Value, so no tree is built on the way out; the decoders read
 // the tree json::parse builds.  The decoder rejects any value it cannot
 // represent exactly (an out-of-range type, help index, event socket or
-// code, or dump socket; a malformed label list or hex double) with a
-// std::runtime_error, never truncating.
+// code, or dump socket; a malformed label list or hex double, upper-case
+// digits included) and any unknown or repeated member of an object with
+// optional ones (the run result, the telemetry snapshot, a metric
+// sample) with a std::runtime_error, never truncating or dropping.
 #pragma once
 
 #include "common/json.h"

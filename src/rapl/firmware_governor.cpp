@@ -373,12 +373,6 @@ double FirmwareGovernor::planned_from_allowance(double allowance_w) const {
   return socket_.quantize_core_mhz(target);
 }
 
-bool FirmwareGovernor::steady_state(double pkg_power_w) const {
-  const std::int64_t q = to_quanta(pkg_power_w);
-  return long_window_.steady_under(q) && short_window_.steady_under(q) &&
-         planned_pstate() == pstate_;
-}
-
 double FirmwareGovernor::lowest_allowance_reaching(std::size_t idx) const {
   // The P-state search clamps the allowance at zero, so its output is
   // constant for allowance <= 0 and monotone nondecreasing above.  It

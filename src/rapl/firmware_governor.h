@@ -122,29 +122,10 @@ class FirmwareGovernor {
     return pstate_mhz(socket_.config(), pstate_);
   }
 
-  /// True when the governor is at a bitwise fixed point under a constant
-  /// recorded package power of `pkg_power_w`: both averaging windows are
-  /// full of exactly that value's quanta, and re-running the control
-  /// decision would reproduce the currently applied frequency limit bit
-  /// for bit.  While this holds, a
-  /// tick()+record_power(pkg_power_w) cycle changes no observable
-  /// governor or socket state — the precondition the simulation's
-  /// event-leaping fast path relies on to skip the control loop entirely.
-  bool steady_state(double pkg_power_w) const;
-
-  /// O(1) pre-gate for steady_state: both windows consist entirely of one
-  /// value.  Cheap enough to poll every tick.
-  bool windows_uniform() const {
-    return long_window_.full() &&
-           long_window_.run_length() >= long_window_.capacity() &&
-           short_window_.full() &&
-           short_window_.run_length() >= short_window_.capacity();
-  }
-
-  /// The simulation engine's tier-2 kernel.  Runs up to `max_ticks` cycles
-  /// of tick() + record_power(v(p)), where v(p) is the recorded power of
-  /// the P-state p the tick applies, as fill_flip_entry filled it for the
-  /// socket's current state, and reports how many it ran.
+  /// The simulation engine's calm-stretch kernel.  Runs up to `max_ticks`
+  /// cycles of tick() + record_power(v(p)), where v(p) is the recorded
+  /// power of the P-state p the tick applies, as fill_flip_entry filled it
+  /// for the socket's current state, and reports how many it ran.
   ///
   /// A calm tick keeps the applied limit: its tick() would be a no-op
   /// write, so only its window pushes are observable, and the kernel

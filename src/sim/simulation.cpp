@@ -17,10 +17,6 @@ namespace {
 
 using hw::kSpeedBoundMargin;
 
-/// Below this gap the leap planner's fixed-point verification plus the
-/// gather/scatter costs about as much as just stepping the ticks.
-constexpr std::int64_t kMinLeapTicks = 4;
-
 /// Below this horizon the calm-stretch gather/scatter costs about as much
 /// as stepping the ticks exactly.
 constexpr std::int64_t kMinFastTicks = 4;
@@ -30,8 +26,8 @@ constexpr std::int64_t kMinFastTicks = 4;
 constexpr std::int64_t kUnboundedBudget =
     std::numeric_limits<std::int64_t>::max();
 
-/// Builds a trace row.  Shared by the exact stepper and the leap fast
-/// path so both construct rows from identical expressions — part of the
+/// Builds a trace row.  Shared by the exact stepper and the calm stretch
+/// so both construct rows from identical expressions — part of the
 /// byte-identity argument, not a convenience.
 void fill_tick_record(const hw::SocketInstant& inst, double pkg_avg_w,
                       const msr::PowerLimit& lim, TickRecord& record) {
@@ -87,7 +83,7 @@ Simulation::Simulation(
   }
   tick_records_.resize(static_cast<std::size_t>(n));
   // Leap lanes are sized once here so the steady-state paths (exact tick
-  // and leap alike) stay allocation-free.
+  // and stretch alike) stay allocation-free.
   leap_acc_.resize(static_cast<std::size_t>(n) * kLeapLanes, 0.0);
   leap_inc_.resize(static_cast<std::size_t>(n) * kLeapLanes, 0.0);
   lane_budget_.resize(static_cast<std::size_t>(n), 0);
@@ -306,68 +302,6 @@ std::int64_t Simulation::event_bound_ticks() const {
   return std::max<std::int64_t>(gap, 0);
 }
 
-std::int64_t Simulation::compute_leap_gap() const {
-  if (!options_.time_leap || !started_) return 0;
-  const int n = socket_count();
-
-  // O(1) pre-gate: a full leap needs both governor windows uniform on
-  // every socket.  Under an active cap that is rare (window contents
-  // drift), so this check keeps the planner's cost negligible on runs
-  // where the fixed point never forms — those are served by the tier-2
-  // calm-tick stretch instead.
-  for (int s = 0; s < n; ++s) {
-    if (!rapls_[static_cast<std::size_t>(s)]->governor().windows_uniform()) {
-      return 0;
-    }
-  }
-
-  std::int64_t gap = event_bound_ticks();
-  if (gap < kMinLeapTicks) return 0;
-  const double tick_s = options_.tick.seconds();
-
-  // Per-socket fixed-point verification + next-entry-boundary bound.
-  bool any_unfinished = false;
-  for (int s = 0; s < n; ++s) {
-    const auto si = static_cast<std::size_t>(s);
-    const auto& w = *workloads_[si];
-    const auto& sock = machine_.socket(s);
-
-    // The stepped tick would re-apply the current demand first; if that
-    // write would change anything (entry crossed into a different phase
-    // on the previous tick), the socket is not at a fixed point.
-    if (!(w.current_demand() == sock.demand())) return 0;
-    const hw::SocketInstant inst = sock.evaluate();
-
-    // The power the stepped tick would record: pkg_energy accumulates
-    // p * tick_s over the (single) segment and is divided back by tick_s.
-    // Same expression here so the window fixed-point check sees the exact
-    // bits record_power() would be fed.
-    const double recorded_w = (inst.pkg_power_w * tick_s) / tick_s;
-    if (!rapls_[si]->governor().steady_state(recorded_w)) return 0;
-
-    if (!w.finished()) {
-      any_unfinished = true;
-      if (!(inst.speed > 0.0)) return 0;
-      // Strictly-inside-the-entry bound: after G leapt ticks the entry's
-      // consumed time grows by G per-tick additions of c; the margin
-      // absorbs both the accumulated rounding of that sum and the
-      // remaining/speed division in the stepper's segment split, so every
-      // leapt tick stays a single full segment and the boundary tick is
-      // handled exactly.
-      const double c = inst.speed * tick_s;
-      const double safe =
-          std::floor((w.remaining_in_phase() - c) / (c * kSpeedBoundMargin)) -
-          1.0;
-      if (!(safe >= static_cast<double>(kMinLeapTicks))) return 0;
-      gap = std::min(gap, static_cast<std::int64_t>(safe));
-    }
-  }
-  // All workloads finished: the final tick(s) belong to the stepper, and
-  // run() has already returned anyway.
-  if (!any_unfinished) return 0;
-  return gap >= kMinLeapTicks ? gap : 0;
-}
-
 void Simulation::gather_socket_lanes(int s) {
   // One slab of kLeapLanes accumulator lanes per socket.  Lane order
   // matches SocketModel::accumulate / the phase-totals block /
@@ -425,10 +359,10 @@ double Simulation::gather_socket_increments(int s,
 
   // Cache the trace row: it is constant while the socket stays at this
   // instant (single-segment ticks at a fixed instant produce the same
-  // record every tick), and both fast paths re-gather whenever the
-  // instant can change and before a socket's first lane tick after a
-  // boundary tick.  Skipped when no sink is attached — the row is only
-  // ever read by trace_->on_tick.
+  // record every tick), and the stretch re-gathers whenever the instant
+  // can change and before a socket's first lane tick after a boundary
+  // tick.  Skipped when no sink is attached — the row is only ever read
+  // by trace_->on_tick.
   if (trace_ != nullptr) {
     fill_tick_record(inst, (inst.pkg_power_w * tick_s) / tick_s,
                      rapls_[si]->governor().limit(), tick_records_[si]);
@@ -461,46 +395,6 @@ void Simulation::scatter_socket_lanes(int s) {
     pt.dram_energy_j = acc[8];
     w.restore_progress(acc[10], acc[9]);
   }
-}
-
-void Simulation::execute_leap(std::int64_t gap) {
-  // Gather.  Every control-loop operation skipped inside the gap
-  // (governor decision, window pushes, demand rewrite) is a verified
-  // no-op at the fixed point compute_leap_gap established.
-  const int n = socket_count();
-  for (int s = 0; s < n; ++s) {
-    gather_socket_lanes(s);
-    gather_socket_increments(s, machine_.socket(s).evaluate());
-  }
-
-  // Per-chain FP addition order is preserved (each lane is an
-  // independent accumulator chain), so results are bit-identical to the
-  // same number of stepped ticks; across lanes the loop vectorizes.
-  double* __restrict acc = leap_acc_.data();
-  const double* __restrict inc = leap_inc_.data();
-  const std::size_t m = leap_acc_.size();
-  if (trace_ == nullptr) {
-    for (std::int64_t k = 0; k < gap; ++k) {
-      for (std::size_t j = 0; j < m; ++j) acc[j] += inc[j];
-    }
-    clock_.advance(SimDuration{gap * options_.tick.micros()});
-  } else {
-    // A sink observes every tick, so the clock advances tick-wise and the
-    // (constant) rows are emitted per tick, exactly as finish_tick would;
-    // periodics and the watchdog are bound-excluded.
-    for (std::int64_t k = 0; k < gap; ++k) {
-      for (std::size_t j = 0; j < m; ++j) acc[j] += inc[j];
-      const SimTime t = clock_.advance(options_.tick);
-      trace_->on_tick(t, tick_records_);
-    }
-  }
-
-  // Scatter the advanced accumulators back.
-  for (int s = 0; s < n; ++s) scatter_socket_lanes(s);
-
-  ++batch_stats_.leaps;
-  batch_stats_.leapt_ticks += gap;
-  batch_stats_.max_leap = std::max(batch_stats_.max_leap, gap);
 }
 
 std::int64_t Simulation::run_end_bound_ticks() const {
@@ -751,11 +645,6 @@ void Simulation::stretch_socket(int s, std::int64_t len) {
 }
 
 bool Simulation::advance_once() {
-  const std::int64_t gap = compute_leap_gap();
-  if (gap > 0) {
-    execute_leap(gap);
-    return true;  // a leap never finishes a workload
-  }
   if (fast_stretch()) return true;  // a stretch never finishes a workload
   return step();
 }

@@ -17,41 +17,34 @@
 // runs share a ThreadPool (harness::ExperimentPlan) or forked shard
 // processes.
 //
-// Event leaping (SimulationOptions::time_leap, see DESIGN.md §7b) runs
-// in two tiers.  Tier 1 — the full leap: when every socket sits at a
-// verified bitwise fixed point (governor windows uniform and sum-stable,
-// control decision reproducing itself, demand mid-phase), run() leaps
-// simulated time up to the next event — the minimum over the next
-// periodic deadline, each socket's next sequence-entry boundary, the
-// max_seconds watchdog — executing only the irreducible per-tick
-// floating-point accumulations over flat structure-of-arrays lanes.
-// Tier 2 — the calm-tick stretch: under an active power cap the governor
-// windows drift (old samples evict) even while the applied frequency
-// limit holds, so the fixed point rarely exists; the engine then runs up
-// to the next periodic deadline, the watchdog or the run end,
-// socket-major, in chunks of up to kStretchChunk ticks.  Per socket,
-// FirmwareGovernor::calm_run executes calm ticks with the window state
-// in registers (window sum updates and the cell membership test standing
-// in for the P-state search), and flip ticks — ones whose control
-// decision moves the limit — too: the governor keeps, per socket state
-// and P-state, the recorded power and the 11 lane increments, and logs
-// each flip it takes.  The lanes advance in locals, replayed segment by
-// segment along that log; a flip into a state with nothing kept yet
-// leaves the kernel once, runs in the lanes as tick(), evaluate(), fresh
-// increments, one addition and record_power(), and fills the governor's
-// entry.  Entry boundaries are per socket: a lane
-// budget keeps each socket's lane ticks strictly inside its current
-// entry, and a socket whose budget runs out takes a boundary tick through
-// integrate_socket_tick while the other sockets stay in their lanes.  A
-// per-tick bitmap of flip and boundary ticks rebuilds the tick-major
-// statistics afterwards.  A trace sink needs every socket's row at every
-// tick, so a traced run takes 1-tick chunks through the same loop; a run
-// with phase listeners runs each boundary tick as a 1-tick chunk, so
-// listeners see the stepper's clock and socket order.  Both tiers
-// perform the exact FP operations the stepped engine performs and skip
-// only work that is provably unobservable, so every output stays
-// byte-identical; event-dense stretches fall back to exact stepping
-// automatically.
+// Event leaping (SimulationOptions::time_leap, see DESIGN.md §7b): the
+// engine advances in calm-tick stretches where it can, and one exact tick
+// at a time everywhere else.  A stretch runs up to the next periodic
+// deadline, the watchdog or the run end, socket-major, in chunks of up
+// to kStretchChunk ticks.  Per socket, FirmwareGovernor::calm_run
+// executes calm ticks with the window state in registers (window sum
+// updates and the cell membership test standing in for the P-state
+// search; a socket whose windows hold one value throughout, the fixed
+// point of a run no cap binds, takes its tight uniform loop), and flip
+// ticks — ones whose control decision moves the limit — too: the
+// governor keeps, per socket state and P-state, the recorded power and
+// the 11 lane increments, and logs each flip it takes.  The lanes
+// advance in locals, replayed segment by segment along that log; a flip
+// into a state with nothing kept yet leaves the kernel once, runs in the
+// lanes as tick(), evaluate(), fresh increments, one addition and
+// record_power(), and fills the governor's entry.  Entry boundaries are
+// per socket: a lane budget keeps each socket's lane ticks strictly
+// inside its current entry, and a socket whose budget runs out takes a
+// boundary tick through integrate_socket_tick while the other sockets
+// stay in their lanes.  A per-tick bitmap of flip and boundary ticks
+// rebuilds the tick-major statistics afterwards.  A trace sink needs
+// every socket's row at every tick, so a traced run takes 1-tick chunks
+// through the same loop; a run with phase listeners runs each boundary
+// tick as a 1-tick chunk, so listeners see the stepper's clock and
+// socket order.  A stretch performs the exact FP operations the stepped
+// engine performs and skips only work that is provably unobservable, so
+// every output stays byte-identical; event-dense stretches fall back to
+// exact stepping automatically.
 #pragma once
 
 #include <cstddef>
@@ -87,11 +80,12 @@ struct SimulationOptions {
   /// against a controller bug stalling progress forever.
   double max_seconds = 3600.0;
 
-  /// Event-leaping fast path (on by default): run() skips the control
-  /// loop across provably event-free, fixed-point stretches and executes
-  /// only the per-tick accumulator additions.  Byte-identical to stepping
-  /// for every observable output — the knob exists for A/B identity tests
-  /// and perf diagnosis, not because the results differ.
+  /// Event-leaping fast path (on by default): run() advances event-free
+  /// stretches socket by socket, skipping the control loop on every tick
+  /// whose decision keeps the applied limit and executing only the
+  /// per-tick accumulator additions.  Byte-identical to stepping for
+  /// every observable output; off, every tick is an exact step, the
+  /// reference the identity tests compare against.
   bool time_leap = true;
 };
 
@@ -105,10 +99,12 @@ struct BatchStats {
   /// still reconciles leapt + stepped + batched against the run's ticks.
   std::int64_t batched_ticks = 0;
 
-  std::int64_t leaps = 0;          ///< event leaps executed
-  std::int64_t leapt_ticks = 0;    ///< ticks covered by those leaps
+  /// Runs of consecutive stretch ticks on which no socket flipped or
+  /// took a boundary tick.
+  std::int64_t leaps = 0;
+  std::int64_t leapt_ticks = 0;    ///< ticks covered by those runs
   std::int64_t stepped_ticks = 0;  ///< ticks through the exact stepper
-  std::int64_t max_leap = 0;       ///< largest single leap, in ticks
+  std::int64_t max_leap = 0;       ///< longest single run, in ticks
   /// Events the exact path handled: periodic-callback firings plus tick
   /// segment splits (sequence-entry boundaries landing inside a tick).
   std::int64_t events_fired = 0;
@@ -223,8 +219,8 @@ class Simulation {
   /// Runs to completion (advance_once() until false) and summarizes.
   RunSummary run();
 
-  /// One iteration of the run() loop: a full event leap, a calm-tick
-  /// stretch, or one exact tick — whichever the engine state selects.
+  /// One iteration of the run() loop: a calm-tick stretch when the
+  /// horizon allows one, else one exact tick.
   /// Returns false once every workload has finished (the final tick fully
   /// processed).  Calling advance_once() until false and then
   /// summarize() reproduces run() byte-for-byte; the perf ledger runs
@@ -240,12 +236,11 @@ class Simulation {
   /// How the engine spent its ticks so far (the leap/step split).
   const BatchStats& batch_stats() const { return batch_stats_; }
 
-  /// Number of ticks the engine could leap right now (0 when any socket
-  /// is off its fixed point, an event is imminent, or time_leap is off).
-  /// Diagnostic mirror of the internal next-event computation — the
-  /// microbench times it against a plain tick, and tests use it to
-  /// observe steadiness directly.
-  std::int64_t leap_horizon() const { return compute_leap_gap(); }
+  /// Always 0.  It counted the ticks the full leap, which is gone, could
+  /// cover next; it stays because the perf ledger (perfbench/ledger.cpp)
+  /// still calls it to classify its tier-1 spans.  A benchmark-only
+  /// change that drops the ledger's sim.tier1_leap rows removes it.
+  std::int64_t leap_horizon() const { return 0; }
 
  private:
   struct Periodic {
@@ -279,18 +274,12 @@ class Simulation {
   /// end within the next two ticks at the speed ceiling — and unbounded
   /// once the workload has finished and idles.
   std::int64_t lane_budget(int s, double consumed_in_current) const;
-  /// Event-leap planner: verifies every socket sits at a bitwise fixed
-  /// point and min-reduces the per-socket / global event bounds (next
-  /// periodic deadline, next sequence-entry boundary, max_seconds) over
-  /// flat arrays.  Returns the leapable tick count, or 0 when stepping is
-  /// required (off fixed point, event within kMinLeapTicks, leap off).
-  std::int64_t compute_leap_gap() const;
-  /// Tier-2 fast path: runs up to a horizon that only the periodics, the
-  /// watchdog and the run end bound, socket-major in chunks of at most
-  /// kStretchChunk ticks.  Per socket and chunk, stretch_socket
-  /// alternates FirmwareGovernor::calm_run (calm and flip ticks) with the
-  /// flip ticks it leaves to the lanes and exact boundary ticks, and
-  /// marks each flip or boundary tick in
+  /// The engine's one fast path, the calm-tick stretch: runs up to a
+  /// horizon that only the periodics, the watchdog and the run end bound,
+  /// socket-major in chunks of at most kStretchChunk ticks.  Per socket
+  /// and chunk, stretch_socket alternates FirmwareGovernor::calm_run (calm
+  /// and flip ticks) with the flip ticks it leaves to the lanes and exact
+  /// boundary ticks, and marks each flip or boundary tick in
   /// flip_bits_; the chunk's bitmap then rebuilds the tick-major
   /// statistics (a tick is leapt when no socket flipped or crossed on it,
   /// and consecutive leapt ticks are one leap, carried across chunk
@@ -315,10 +304,10 @@ class Simulation {
   /// sink, the trace row) of the state the kernel left are written back.
   void stretch_socket(int s, std::int64_t len);
   /// Loads socket `s`'s accumulator lanes from the socket model, phase
-  /// totals and workload progress into leap_acc_.  Shared by both leap
-  /// tiers, once per leap or stretch and after each boundary tick: a
-  /// stretch's flip ticks swap only the increments, because the
-  /// accumulators stay in stretch_socket's locals for the whole chunk.
+  /// totals and workload progress into leap_acc_: once per stretch and
+  /// after each boundary tick.  A stretch's flip ticks swap only the
+  /// increments, because the accumulators stay in stretch_socket's locals
+  /// for the whole chunk.
   void gather_socket_lanes(int s);
   /// Socket `s`'s per-tick lane increments at `inst` into leap_inc_ and
   /// the cached trace row; returns the recorded tick power.  The power and
@@ -330,12 +319,6 @@ class Simulation {
   /// Writes socket `s`'s advanced lanes back into the socket model,
   /// phase totals and workload progress.
   void scatter_socket_lanes(int s);
-  /// Executes a planned leap: gathers the per-socket accumulators into
-  /// structure-of-arrays lanes, applies the exact per-tick additions for
-  /// `gap` ticks in one vectorizable loop, scatters the results back and
-  /// advances the clock (emitting the constant trace rows when a sink is
-  /// attached).  Pre-sized members only — allocation-free.
-  void execute_leap(std::int64_t gap);
 
   SimulationOptions options_;
   Rng root_rng_;
@@ -357,9 +340,9 @@ class Simulation {
   /// Structure-of-arrays leap lanes, sized at construction
   /// (kLeapLanes doubles per socket, socket-major).  `acc` holds the
   /// gathered accumulator values, `inc` the per-tick increment of each
-  /// lane; the leap loop is then a single flat `acc[j] += inc[j]` pass
-  /// per tick over all sockets — vectorizable, allocation-free, and
-  /// executing exactly the additions the stepped engine would.
+  /// lane; stretch_socket runs one socket's slab in locals as
+  /// `acc[j] += inc[j]` per tick — allocation-free, and executing exactly
+  /// the additions the stepped engine would.
   static constexpr std::size_t kLeapLanes =
       rapl::FirmwareGovernor::kFlipLanes;
   std::vector<double> leap_acc_;

@@ -91,6 +91,8 @@ TEST(JsonTest, HexDoubleIsBitExact) {
   EXPECT_EQ(hex_digits(-0.0), "8000000000000000");
   EXPECT_THROW(hex_to_double("123"), std::runtime_error);
   EXPECT_THROW(hex_to_double("zzzzzzzzzzzzzzzz"), std::runtime_error);
+  // Writer::hex writes lower case only, so upper case is damage.
+  EXPECT_THROW(hex_to_double("3FF0000000000000"), std::runtime_error);
 }
 
 TEST(JsonTest, Fnv1aMatchesReferenceVectors) {

@@ -239,7 +239,6 @@ TEST(WindowedMeanTest, CursorCommitEqualsSingleAdds) {
       }
       bulk.commit(c);
       expect_same_window(bulk, ref);
-      EXPECT_EQ(bulk.steady_under(v), ref.steady_under(v)) << k;
       EXPECT_LE(bulk.run_length(), bulk.capacity());
       // The ring positions agree too: later single adds evict the same
       // samples from both.
@@ -299,7 +298,6 @@ TEST(WindowedMeanTest, CursorWithVaryingValuesEqualsSingleAdds) {
       }
       bulk.commit(c);
       expect_same_window(bulk, ref);
-      EXPECT_EQ(bulk.steady_under(run.back()), ref.steady_under(run.back()));
       for (const std::int64_t tail :
            {to_quanta(2.0), v, w, w, w, w, w, w, to_quanta(0.5)}) {
         bulk.add_quanta(tail);

@@ -237,6 +237,7 @@ RunResult hostile_base() {
   counter.help = "A counter";
   counter.labels = {{"socket", "0"}};
   counter.value = 3.0;
+  counter.sum = 2.0;  // the codec carries every member whatever the type
   snap.metrics.push_back(counter);
   telemetry::Event e;
   e.t_us = 200000;
@@ -283,6 +284,20 @@ const Mutation kMutations[] = {
      "event code 70000"},
     {"dump_socket_outside_run", "{\"socket\":1,\"at_us\"",
      "{\"socket\":2,\"at_us\"", "dump socket 2 outside the run's 2"},
+    // Writer::hex writes lower case only; the same bits from other bytes
+    // are damage.
+    {"upper_case_hex_digit", "\"a\":\"4057c00000000000\"",
+     "\"a\":\"4057C00000000000\"", "bad hex digit"},
+    // An optional member whose key a flip renamed would drop its value.
+    {"renamed_events", "\"events\":[[]", "\"eventr\":[[]",
+     "telemetry snapshot: unknown member \"eventr\""},
+    {"renamed_sum", "\"sum\":", "\"sun\":",
+     "metric sample: unknown member \"sun\""},
+    {"unknown_top_level_member", "{\"summary\":",
+     "{\"note\":0,\"summary\":", "run result: unknown member \"note\""},
+    {"repeated_member", "\"value\":\"4008000000000000\"",
+     "\"value\":\"4008000000000000\",\"value\":\"4010000000000000\"",
+     "metric sample: repeated member \"value\""},
 };
 
 void PrintTo(const Mutation& m, std::ostream* os) { *os << m.name; }

@@ -159,7 +159,7 @@ TEST_F(SocketModelTest, CoreMhzForPowerRespectsCurrentUncore) {
   EXPECT_GT(f_low_uncore, f_full);
 }
 
-// The engine's leap and stretch bounds (kSpeedBoundMargin) assume no
+// The engine's stretch bounds (kSpeedBoundMargin) assume no
 // operating point progresses faster than 1 / (sum of the demand weights).
 // Sweep every state the actuators can reach: each RAPL P-state limit,
 // each IA32_PERF_CTL request, each uncore window a 0x620 write can

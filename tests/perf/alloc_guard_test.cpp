@@ -90,10 +90,10 @@ TEST(AllocGuardTest, SteadyStateTickIsAllocationFree) {
 
 TEST(AllocGuardTest, LeapAndStretchPathsAreAllocationFree) {
   // Same guard over the event-leaping engine: run() dispatches between
-  // the full leap (execute_leap), the calm-tick stretch (fast_stretch)
-  // and the exact stepper, and none of them may touch the heap — the SoA
-  // lanes, the flip bitmap and the governor's cell-edge ways are all
-  // sized at construction.  An 85 W cap on every socket makes the
+  // its two paths, the calm-tick stretch (fast_stretch) and the exact
+  // stepper, and neither may touch the heap — the SoA lanes, the flip
+  // bitmap and the governor's cell-edge ways are all sized at
+  // construction.  An 85 W cap on every socket makes the
   // governors move their limits inside stretches, so the in-lane flip
   // ticks run under the guard too, and so do cold cell-edge builds: the
   // config's threshold table is built when the governor interns it, never

@@ -15,13 +15,20 @@
 // Compared: the %.17g summary with the per-phase totals, agent and
 // health counters, and the telemetry exports when telemetry is on.  The
 // leap-on run must also classify exactly the ticks the leap-off run
-// stepped.  A mismatch prints the whole drawn config.
+// stepped.  A traced draw also runs with a full-resolution trace sink,
+// leap-on and leap-off: the two trace CSVs must match byte for byte, and
+// the traced leap-on run (whose stretches take 1-tick chunks) must
+// produce the untraced run's bytes.  A mismatch prints the whole drawn
+// config.
 //
-// Tier-1 runs a fixed budget of draws.  The DISABLED_ twin runs a larger
-// budget; tools/ci.sh enables it with --gtest_also_run_disabled_tests.
+// Tier-1 runs a fixed budget of draws and traces those whose trace is
+// short (kTier1TraceRows), most of them synthetic workloads.  The
+// DISABLED_ twin runs a larger budget and traces every draw; tools/ci.sh
+// enables it with --gtest_also_run_disabled_tests.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -139,19 +146,24 @@ DrawnConfig draw_config(std::uint64_t seed, std::uint64_t index,
   return d;
 }
 
-/// Where two byte strings first differ, with a little context.
-std::string first_difference(const std::string& on, const std::string& off) {
+/// Where two byte strings first differ, with a little context.  `a` and
+/// `b` name the runs that produced `x` and `y`.
+std::string first_difference(const std::string& x, const std::string& y,
+                             const char* a = "leap on",
+                             const char* b = "leap off") {
   std::size_t i = 0;
-  while (i < on.size() && i < off.size() && on[i] == off[i]) ++i;
+  while (i < x.size() && i < y.size() && x[i] == y[i]) ++i;
   const std::size_t from = i > 80 ? i - 80 : 0;
-  return strf("first difference at byte %zu of %zu / %zu\n  leap on:  ...%s\n"
-              "  leap off: ...%s\n",
-              i, on.size(), off.size(), on.substr(from, 160).c_str(),
-              off.substr(from, 160).c_str());
+  return strf("first difference at byte %zu of %zu / %zu\n  %s: ...%s\n"
+              "  %s: ...%s\n",
+              i, x.size(), y.size(), a, x.substr(from, 160).c_str(), b,
+              y.substr(from, 160).c_str());
 }
 
-/// Runs one drawn config leap-on and leap-off and compares them.
-void expect_identical(const DrawnConfig& d) {
+/// Runs one drawn config leap-on and leap-off and compares them; also
+/// traced (see the header) when its trace holds at most `max_trace_rows`
+/// rows, one per socket and tick.
+void expect_identical(const DrawnConfig& d, std::int64_t max_trace_rows) {
   harness::RunConfig cfg = d.cfg;
   cfg.sim.time_leap = true;
   const harness::RunResult on = harness::run_once(cfg);
@@ -168,13 +180,30 @@ void expect_identical(const DrawnConfig& d) {
   EXPECT_TRUE(on_bytes == off_bytes)
       << "event leaping changed the bytes of a generated config\n"
       << first_difference(on_bytes, off_bytes) << d.text;
+  const std::int64_t trace_rows =
+      off.batch_stats.stepped_ticks * d.cfg.machine.sockets;
+  if (trace_rows > max_trace_rows) return;
+
+  harness::RunResult traced_on;
+  cfg.sim.time_leap = true;
+  const std::string on_csv = run_trace_csv(cfg, "on", 0, &traced_on);
+  cfg.sim.time_leap = false;
+  const std::string off_csv = run_trace_csv(cfg, "off");
+  EXPECT_TRUE(on_csv == off_csv)
+      << "event leaping changed the trace of a generated config\n"
+      << first_difference(on_csv, off_csv) << d.text;
+  const std::string traced_bytes = result_bytes(traced_on);
+  EXPECT_TRUE(traced_bytes == on_bytes)
+      << "a trace sink changed the bytes of a generated config\n"
+      << first_difference(traced_bytes, on_bytes, "traced", "untraced")
+      << d.text;
 }
 
 /// `count` draws of stream `seed`, starting at draw `first`.
 void run_draws(std::uint64_t seed, std::uint64_t first, std::uint64_t count,
-               bool phase_cap_storm) {
+               bool phase_cap_storm, std::int64_t max_trace_rows) {
   for (std::uint64_t i = first; i < first + count; ++i) {
-    expect_identical(draw_config(seed, i, phase_cap_storm));
+    expect_identical(draw_config(seed, i, phase_cap_storm), max_trace_rows);
     if (::testing::Test::HasFailure()) return;  // one printed config is enough
   }
 }
@@ -183,22 +212,29 @@ constexpr std::uint64_t kDrawSeed = 0x1ea9;
 constexpr std::uint64_t kStormSeed = 0x570a;
 constexpr std::uint64_t kTier1Draws = 60;
 constexpr std::uint64_t kTier1Storms = 12;
+/// A CSV trace row costs a few microseconds to write, so tier-1 traces
+/// only draws of at most this many rows: 29 of its 72, with 2% of the
+/// 10.6M rows tracing all of them would write.
+constexpr std::int64_t kTier1TraceRows = 25'000;
+constexpr std::int64_t kTraceAll = std::numeric_limits<std::int64_t>::max();
 
 TEST(GeneratedLeapIdentityTest, DrawnConfigsBytesIdentical) {
-  run_draws(kDrawSeed, 0, kTier1Draws, /*phase_cap_storm=*/false);
+  run_draws(kDrawSeed, 0, kTier1Draws, /*phase_cap_storm=*/false,
+            kTier1TraceRows);
 }
 
 TEST(GeneratedLeapIdentityTest, PhaseCapStormsBytesIdentical) {
-  run_draws(kStormSeed, 0, kTier1Storms, /*phase_cap_storm=*/true);
+  run_draws(kStormSeed, 0, kTier1Storms, /*phase_cap_storm=*/true,
+            kTier1TraceRows);
 }
 
 // The larger budget: the draws after the tier-1 ones, about ten times as
-// many.
+// many, every one traced.
 TEST(GeneratedLeapIdentityTest, DISABLED_LargerBudgetBytesIdentical) {
   run_draws(kDrawSeed, kTier1Draws, 10 * kTier1Draws,
-            /*phase_cap_storm=*/false);
+            /*phase_cap_storm=*/false, kTraceAll);
   run_draws(kStormSeed, kTier1Storms, 10 * kTier1Storms,
-            /*phase_cap_storm=*/true);
+            /*phase_cap_storm=*/true, kTraceAll);
 }
 
 }  // namespace

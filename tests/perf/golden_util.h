@@ -20,6 +20,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
@@ -233,19 +234,20 @@ inline std::string temp_path(const std::string& tag) {
 
 /// The run's full-resolution trace CSV.  `pool_threads` == 0 runs the
 /// config inline through run_once; otherwise it runs as one job of a
-/// pool that wide (see run_pooled).
+/// pool that wide (see run_pooled).  The traced run's result goes to
+/// `result` when it is given.
 inline std::string run_trace_csv(harness::RunConfig cfg,
                                  const std::string& tag,
-                                 int pool_threads = 0) {
+                                 int pool_threads = 0,
+                                 harness::RunResult* result = nullptr) {
   const std::string path = temp_path(tag + ".csv");
   {
     sim::CsvTraceSink sink(path, /*decimation=*/1);
     cfg.trace = &sink;
-    if (pool_threads == 0) {
-      harness::run_once(cfg);
-    } else {
-      run_pooled(cfg, pool_threads);
-    }
+    harness::RunResult res = pool_threads == 0
+                                 ? harness::run_once(cfg)
+                                 : run_pooled(cfg, pool_threads);
+    if (result != nullptr) *result = std::move(res);
   }
   return read_file(path);
 }

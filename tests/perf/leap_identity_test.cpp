@@ -11,8 +11,8 @@
 // The matrix mirrors the hot-path risk surface: plain reference run,
 // deterministic fault storm, replayed dense trace, and a whole fleet
 // node.  Two
-// adversarial shapes close it out: an event on *every* tick (the leap
-// planner must yield entirely to the exact stepper) and a non-1-ms tick
+// adversarial shapes close it out: an event on *every* tick (the calm
+// stretch must yield entirely to the exact stepper) and a non-1-ms tick
 // (periodic deadlines divide by tick_us — the off-by-one bait).
 #include <gtest/gtest.h>
 
@@ -165,9 +165,9 @@ void expect_same_summary(const sim::RunSummary& x, const sim::RunSummary& y) {
   EXPECT_EQ(x.total_gbytes, y.total_gbytes);
 }
 
-// An event fires on *every* tick: the leap planner and the calm-stretch
-// gate must both yield — every tick goes through the exact stepper — and
-// the outputs still match the leap-off engine bit for bit.
+// An event fires on *every* tick: the calm-stretch gate must yield —
+// every tick goes through the exact stepper — and the outputs still
+// match the leap-off engine bit for bit.
 TEST(LeapIdentityTest, EveryTickEventForcesExactPath) {
   const auto prof = tiny_profile();
   hw::MachineConfig m;
@@ -215,8 +215,8 @@ TEST(LeapIdentityTest, NonMillisecondTickPeriodicFiringsExact) {
       o.time_leap = leap;
       sim::Simulation s(m, prof, o);
       std::vector<std::int64_t> fire_us;
-      // 40 ms leaves a leap-eligible gap at both tick sizes (19 ticks at
-      // 2 ms, 7 at 5 ms — both above the 4-tick leap minimum).
+      // 40 ms leaves a stretch-eligible gap at both tick sizes (19 ticks
+      // at 2 ms, 7 at 5 ms — both above the 4-tick stretch minimum).
       s.schedule_periodic(SimTime::from_millis(40),
                           [&fire_us](SimTime t) {
                             fire_us.push_back(t.micros());

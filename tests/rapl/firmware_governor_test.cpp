@@ -200,7 +200,7 @@ TEST(GovernorWindowTest, FaultSizedLongWindowMatchesASmallReference) {
 }
 
 // ---------------------------------------------------------------------------
-// calm_run: the engine's tier-2 kernel against the per-tick reference.
+// calm_run: the engine's calm-stretch kernel against the per-tick reference.
 
 /// A socket and its governor, so two rigs can start from identical state.
 struct Rig {
@@ -251,7 +251,6 @@ void expect_same_governor(const FirmwareGovernor& a,
                           const FirmwareGovernor& b) {
   expect_same_window(a.long_window(), b.long_window());
   expect_same_window(a.short_window(), b.short_window());
-  EXPECT_EQ(a.windows_uniform(), b.windows_uniform());
   EXPECT_EQ(bits(a.current_limit_mhz()), bits(b.current_limit_mhz()));
 }
 
@@ -423,7 +422,10 @@ TEST(GovernorCalmRunTest, TopStateCellHasNoUpperEdge) {
   }
   ASSERT_EQ(a.gov.current_limit_mhz(), a.cfg.core_max_mhz);
   EXPECT_EQ(expect_calm_run_matches(a, b, 5000), 5000u);
-  EXPECT_TRUE(a.gov.windows_uniform());
+  EXPECT_EQ(a.gov.long_window().run_length(),
+            a.gov.long_window().capacity());
+  EXPECT_EQ(a.gov.short_window().run_length(),
+            a.gov.short_window().capacity());
   EXPECT_EQ(a.gov.calm_run(0, {}).ticks, 0u);
 }
 

@@ -191,9 +191,9 @@ TEST(SimulationTest, MaxSecondsGuardThrows) {
 }
 
 TEST(SimulationTest, TickAccountingInvariantWithLeapingEnabled) {
-  // With the event-leaping fast paths on (the default), every simulated
-  // tick is classified exactly once: covered by a leap / calm stretch or
-  // stepped exactly.
+  // With the event-leaping fast path on (the default), every simulated
+  // tick is classified exactly once: covered by a calm stretch or stepped
+  // exactly.
   hw::MachineConfig m;
   m.sockets = 4;
   SimulationOptions o = fast_options();
@@ -206,6 +206,31 @@ TEST(SimulationTest, TickAccountingInvariantWithLeapingEnabled) {
       static_cast<std::int64_t>(std::llround(sum.exec_seconds * 1000.0));
   EXPECT_EQ(bs.leapt_ticks + bs.stepped_ticks, total_ticks);
   EXPECT_GT(bs.leapt_ticks, 0) << "fast path never engaged";
+}
+
+TEST(SimulationTest, UncappedRunTakesOnlyStretchesAndSteps) {
+  // 4-socket EP under DUF, which moves the uncore clock and never caps:
+  // between the 200 ms control steps every socket's governor windows
+  // settle on one value, the bitwise fixed point a full leap once took
+  // (most of this run's ticks).  The engine has two paths, the calm
+  // stretch and the exact step: leap_horizon() reads 0 before every
+  // advance_once(), and the stretch carries the calm ticks.
+  harness::RunConfig cfg;
+  cfg.profile = &workloads::profile(workloads::AppId::ep);
+  cfg.machine.sockets = 4;
+  cfg.policy_name = "DUF";
+  cfg.seed = 3;
+  harness::PreparedRun run = harness::prepare_run(cfg);
+  Simulation& s = run.simulation();
+  std::int64_t calls = 0;
+  do {
+    ASSERT_EQ(s.leap_horizon(), 0) << "before call " << calls;
+    ++calls;
+  } while (s.advance_once());
+  const BatchStats& bs = s.batch_stats();
+  EXPECT_EQ(bs.leapt_ticks + bs.stepped_ticks,
+            s.now().micros() / cfg.sim.tick.micros());
+  EXPECT_GT(bs.leapt_ticks, 0) << "no tick ran in a stretch";
 }
 
 // batched_ticks outlived the socket-parallel engine only because the perf

@@ -350,11 +350,11 @@ echo "ledger seeds: paper_grid and fleet_1024 digests hold at seeds 2 and 3," \
 echo "== perf gate (sim_throughput, full run) =="
 # A real (non-smoke) run of the tracked throughput bench, gated on the
 # serial speedup over the pre-optimisation seed engine.  The tracked
-# number is ~14.6x (BENCH_sim_throughput.json — event-leaping engine
-# plus the untraced-run trace-row skip); the default floor of 9.0x
-# leaves ~40% noise margin so shared CI hosts don't flake, while still
-# catching any real hot-path regression (the pre-leaping engine
-# measured ~2.2x and would fail this gate).
+# number is ~50x (BENCH_sim_throughput.json; this gate has read 41-50x,
+# and a single ~3 ms run swings widely).  The default floor of 9.0x sits
+# far below it on purpose: it exists to catch a lost fast path (the
+# pre-leaping engine measured ~2.2x and would fail this gate), not to
+# track the number, so shared CI hosts don't flake.
 # Override per-host with DUFP_CI_MIN_SERIAL_SPEEDUP.
 perf_dir="${build_dir}/perf-out"
 rm -rf "${perf_dir}"
