@@ -8,8 +8,9 @@
 // hierarchical allocation plan; the wire/lease/salvage/resume/exit-code
 // contract is the same for both kinds.
 //
-// Subcommands (see tools/shard_run.sh for the orchestrated flow and
-// DESIGN.md § Sharded execution / § Failure model for the contract):
+// Subcommands (`supervise` is the one-machine flow; `serial` and `cmp`
+// cross-check its gather.  See DESIGN.md § Sharded execution / § Failure
+// model for the contract):
 //
 //   spec   [--reference [grid|fleet] | --spec FILE]
 //          Print the canonical spec JSON (+ fingerprint to stderr).

@@ -430,9 +430,15 @@ class Parser {
     expect_char('"');
     std::string out;
     while (true) {
-      // Everything up to the next quote or backslash is copied as is.
+      // Everything up to the next quote or backslash is copied as is,
+      // except a raw control character, which JSON allows only escaped
+      // (RFC 8259 §7; Writer always escapes them).
       std::size_t end = pos_;
       while (end < text_.size() && text_[end] != '"' && text_[end] != '\\') {
+        if (static_cast<unsigned char>(text_[end]) < 0x20) {
+          pos_ = end;
+          error("unescaped control character in string");
+        }
         ++end;
       }
       out.append(text_.data() + pos_, end - pos_);

@@ -4,11 +4,10 @@
 //
 // Mirrors the core::PolicyRegistry idiom exactly: a string-keyed
 // registry is the single authority on which allocators exist and what
-// they are called; every layer (FleetSpec validation, DUFP_FLEET_ALLOCATOR
-// parsing, the fleet_scaling bench, the budget tree itself) resolves
-// names here, so adding an allocator is one registration and zero switch
-// statements (see DESIGN.md, "Adding a fleet allocator in under 50
-// lines").
+// they are called; every layer (FleetSpec validation, the fleet_scaling
+// bench, the budget tree itself) resolves names here, so adding an
+// allocator is one registration and zero switch statements (see
+// DESIGN.md, "Adding a fleet allocator in under 50 lines").
 #pragma once
 
 #include <cstddef>

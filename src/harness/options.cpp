@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
@@ -13,8 +12,6 @@
 
 #include "common/string_util.h"
 #include "core/policy_registry.h"
-#include "fleet/allocator.h"
-#include "fleet/traffic.h"
 
 namespace dufp::harness {
 
@@ -129,58 +126,6 @@ void parse_policies(const char* name, std::vector<std::string>& out,
   if (ok) out = std::move(canonical);
 }
 
-void parse_nonneg_double(const char* name, double& out,
-                         std::vector<std::string>& problems) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return;
-  errno = 0;
-  char* end = nullptr;
-  const double d = std::strtod(v, &end);
-  if (end == v || *end != '\0') {
-    note(problems, name, v, "not a number");
-  } else if (errno == ERANGE || !(d >= 0.0) || !std::isfinite(d)) {
-    note(problems, name, v, "must be a finite number >= 0");
-  } else {
-    out = d;
-  }
-}
-
-/// DUFP_FLEET_ALLOCATOR: one fleet allocator, stored canonically.
-/// Unknown names list the registered ones, exactly like DUFP_POLICIES.
-void parse_fleet_allocator(const char* name, std::string& out,
-                           std::vector<std::string>& problems) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return;
-  const std::string token(trim(v));
-  if (token.empty()) {
-    note(problems, name, v, "must name an allocator");
-    return;
-  }
-  const auto& registry = fleet::FleetAllocatorRegistry::instance();
-  const auto* entry = registry.find(token);
-  if (entry == nullptr) {
-    note(problems, name, v,
-         "unknown fleet allocator \"" + token + "\" (known: " +
-             registry.known_names() + ")");
-    return;
-  }
-  out = entry->name;
-}
-
-void parse_traffic_profile(const char* name, std::string& out,
-                           std::vector<std::string>& problems) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return;
-  const std::string token(trim(v));
-  if (!fleet::TrafficModel::is_known(token)) {
-    note(problems, name, v,
-         "unknown traffic profile \"" + token + "\" (known: " +
-             fleet::TrafficModel::known_profiles() + ")");
-    return;
-  }
-  out = token;
-}
-
 }  // namespace
 
 BenchOptions BenchOptions::from_env() {
@@ -196,13 +141,6 @@ BenchOptions BenchOptions::from_env() {
   o.quiet = std::getenv("DUFP_QUIET") != nullptr;
   o.telemetry = std::getenv("DUFP_TELEMETRY") != nullptr;
   parse_policies("DUFP_POLICIES", o.policies, problems);
-  parse_int("DUFP_FLEET_RACKS", o.fleet_racks, 1, problems);
-  parse_int("DUFP_FLEET_NODES", o.fleet_nodes_per_rack, 1, problems);
-  parse_fleet_allocator("DUFP_FLEET_ALLOCATOR", o.fleet_allocator, problems);
-  parse_nonneg_double("DUFP_FLEET_BUDGET", o.fleet_budget_w, problems);
-  parse_traffic_profile("DUFP_FLEET_TRAFFIC", o.fleet_traffic_profile,
-                        problems);
-  parse_u64("DUFP_FLEET_TRAFFIC_SEED", o.fleet_traffic_seed, problems);
   if (const char* v = std::getenv("DUFP_OUT_DIR")) {
     if (v[0] == '\0') {
       note(problems, "DUFP_OUT_DIR", v, "must be non-empty");

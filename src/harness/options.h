@@ -25,21 +25,6 @@
 //                      exercising lease reclaim / salvage / resume
 //   DUFP_CHAOS_SEED=S  seed of the chaos kill-decision stream (default 0)
 //
-// Fleet benches (bench/fleet_scaling, src/fleet) add:
-//
-//   DUFP_FLEET_RACKS=N        racks in the budget tree (default 2)
-//   DUFP_FLEET_NODES=N        nodes per rack (default 2); sockets per
-//                             node come from DUFP_SOCKETS
-//   DUFP_FLEET_ALLOCATOR=A    fleet allocator registry name; unset =
-//                             the bench's default (fleet_scaling ranks
-//                             every registered allocator).  Unknown
-//                             names are configuration errors listing
-//                             the registered names, like DUFP_POLICIES.
-//   DUFP_FLEET_BUDGET=W       cluster-wide budget in watts, >= 0
-//                             (0 = derive max_cap x socket-count)
-//   DUFP_FLEET_TRAFFIC=P      traffic profile (diurnal, heavy-tail, flat)
-//   DUFP_FLEET_TRAFFIC_SEED=S traffic stream seed (default 1)
-//
 // Malformed values (non-numeric, trailing junk, out of range) are
 // configuration errors: from_env() throws std::invalid_argument naming
 // every bad variable rather than silently falling back to a default —
@@ -68,15 +53,6 @@ struct BenchOptions {
   std::vector<std::string> policies;
   double chaos_kill_rate = 0.0;     ///< DUFP_CHAOS, in [0, 1]
   std::uint64_t chaos_seed = 0;     ///< DUFP_CHAOS_SEED
-
-  int fleet_racks = 2;           ///< DUFP_FLEET_RACKS, >= 1
-  int fleet_nodes_per_rack = 2;  ///< DUFP_FLEET_NODES, >= 1
-  /// DUFP_FLEET_ALLOCATOR, canonical registry spelling; empty = caller's
-  /// default (fleet_scaling ranks every registered allocator).
-  std::string fleet_allocator;
-  double fleet_budget_w = 0.0;   ///< DUFP_FLEET_BUDGET, >= 0 (0 = derive)
-  std::string fleet_traffic_profile = "diurnal";  ///< DUFP_FLEET_TRAFFIC
-  std::uint64_t fleet_traffic_seed = 1;  ///< DUFP_FLEET_TRAFFIC_SEED
 
   /// Reads every knob from the environment.  Unset variables keep the
   /// defaults above; set-but-malformed variables throw

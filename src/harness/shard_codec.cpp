@@ -487,13 +487,21 @@ RunResult decode_run_result(const json::Value& v) {
     r.fault_stats.push_back(fs);
   }
   r.health = decode_health(required(health, "health", kWhat));
+  // The encoder writes the name-keyed map in order, so a name that does
+  // not sort after the one before it (repeated, or renamed by damage)
+  // would otherwise be dropped or re-sorted silently.
   for (const Value& p :
        required(phase_totals, "phase_totals", kWhat).as_array()) {
     sim::PhaseTotals t;
     t.wall_seconds = unhex(p.at("wall_seconds"));
     t.pkg_energy_j = unhex(p.at("pkg_energy_j"));
     t.dram_energy_j = unhex(p.at("dram_energy_j"));
-    r.phase_totals.emplace(p.at("name").as_string(), t);
+    const std::string& name = p.at("name").as_string();
+    if (!r.phase_totals.empty() && !(r.phase_totals.rbegin()->first < name)) {
+      malformed(strf("%s: phase \"%s\" does not sort after \"%s\"", kWhat,
+                     name.c_str(), r.phase_totals.rbegin()->first.c_str()));
+    }
+    r.phase_totals.emplace_hint(r.phase_totals.end(), name, t);
   }
   if (telemetry != nullptr) r.telemetry = decode_snapshot(*telemetry);
   return r;

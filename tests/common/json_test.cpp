@@ -47,6 +47,34 @@ TEST(JsonTest, StringEscapes) {
   EXPECT_EQ(parse(text).at("k").as_string(), "a\"b\\c\nd\te\x01");
 }
 
+// RFC 8259 §7: a byte below 0x20 may appear in a string only escaped.
+// Writer escapes every one, so a raw one in a value or a key is damage.
+TEST(JsonTest, RawControlCharactersInStringsAreRefused) {
+  for (int c = 0; c < 0x20; ++c) {
+    const std::string raw(1, static_cast<char>(c));
+    Value v = Value::make_object();
+    v.add("k", Value::make_string("a" + raw));
+    const std::string written = v.dump();
+    EXPECT_EQ(written.find(raw), std::string::npos) << "byte " << c;
+    EXPECT_EQ(parse(written).at("k").as_string(), "a" + raw) << "byte " << c;
+
+    for (const std::string& text :
+         {"{\"k\":\"a" + raw + "\"}", "{\"k" + raw + "\":\"a\"}"}) {
+      try {
+        parse(text);
+        ADD_FAILURE() << "raw byte " << c << " accepted in " << text;
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unescaped control character in string at offset"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // The bytes around the range still parse raw.
+  EXPECT_EQ(parse("\" \x7f\"").as_string(), " \x7f");
+}
+
 TEST(JsonTest, ParseErrorsCarryOffset) {
   try {
     parse(R"({"a":1,})");

@@ -1,5 +1,5 @@
-// The fleet determinism golden: serial, statically sharded and
-// dynamically claimed executions of the same FleetSpec must produce
+// The fleet determinism golden: serial, statically sharded, dynamically
+// claimed and supervised executions of the same FleetSpec must produce
 // byte-identical finalized outputs — with and without a fault storm —
 // and the operational surface (salvage, resume manifests, rack/node
 // attribution) must match the experiment grids' contract.
@@ -13,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "fleet/allocator.h"
 #include "fleet/spec.h"
+#include "harness/supervisor.h"
 
 namespace dufp::fleet {
 namespace {
@@ -109,6 +111,31 @@ TEST(FleetShardTest, DynamicChunkClaimingMatchesSerialBytes) {
   }
   const std::string dir = temp_dir("wire");
   expect_identical(serial, gather_and_finalize(spec, write_files(dir, blobs)));
+}
+
+TEST(FleetShardTest, EveryAllocatorSupervisedMatchesSerialBytes) {
+  // bench/fleet_scaling ranks every registered allocator from serial runs;
+  // here each one's reference fleet also runs on 2 forked workers under
+  // the supervisor, and the gather must give the serial bytes.
+  for (const std::string& name : FleetAllocatorRegistry::instance().names()) {
+    SCOPED_TRACE(name);
+    FleetSpec spec = FleetSpec::reference();
+    spec.allocator = name;
+    const FleetOutputs serial = run_fleet_serial(spec);
+    EXPECT_GT(serial.total_energy_j, 0.0);
+    EXPECT_GE(serial.violation_rate, 0.0);
+    EXPECT_LE(serial.violation_rate, 1.0);
+    EXPECT_GT(serial.jain_fairness, 0.0);
+    EXPECT_LE(serial.jain_fairness, 1.0);
+
+    harness::SupervisorOptions options;
+    options.out_dir = temp_dir(name);
+    options.workers = 2;
+    const harness::SupervisorReport report =
+        harness::supervise_shard_run(spec, options);
+    ASSERT_TRUE(report.all_chunks_done);
+    expect_identical(serial, gather_and_finalize(spec, report.output_files));
+  }
 }
 
 TEST(FleetShardTest, FaultStormStaysByteIdenticalAcrossSharding) {

@@ -81,11 +81,16 @@ TEST(FleetSpecTest, ValidateAggregatesEveryProblem) {
   EXPECT_GE(problems.size(), 7u) << joined;
   EXPECT_NE(joined.find("name is empty"), std::string::npos) << joined;
   EXPECT_NE(joined.find("racks must be >= 1"), std::string::npos) << joined;
-  EXPECT_NE(joined.find("unknown allocator \"wishful\""), std::string::npos)
-      << joined;
-  EXPECT_NE(joined.find("unknown traffic profile \"tidal\""),
+  EXPECT_NE(joined.find("unknown allocator \"wishful\" (known: "),
             std::string::npos)
       << joined;
+  for (const char* name : {"proportional", "fastcap", "static-equal"}) {
+    EXPECT_NE(joined.find(name), std::string::npos) << name << ": " << joined;
+  }
+  EXPECT_NE(joined.find("unknown traffic profile \"tidal\" (known: "),
+            std::string::npos)
+      << joined;
+  EXPECT_NE(joined.find("diurnal"), std::string::npos) << joined;
   EXPECT_NE(joined.find("unknown policy \"sasquatch\""), std::string::npos)
       << joined;
 }

@@ -28,12 +28,6 @@ class OptionsEnvTest : public ::testing::Test {
     unsetenv("DUFP_POLICIES");
     unsetenv("DUFP_CHAOS");
     unsetenv("DUFP_CHAOS_SEED");
-    unsetenv("DUFP_FLEET_RACKS");
-    unsetenv("DUFP_FLEET_NODES");
-    unsetenv("DUFP_FLEET_ALLOCATOR");
-    unsetenv("DUFP_FLEET_BUDGET");
-    unsetenv("DUFP_FLEET_TRAFFIC");
-    unsetenv("DUFP_FLEET_TRAFFIC_SEED");
   }
 
   static std::string error_of_from_env() {
@@ -194,71 +188,6 @@ TEST_F(OptionsEnvTest, PoliciesEmptyTokenAndEmptyListRejected) {
   setenv("DUFP_POLICIES", "", 1);
   EXPECT_NE(error_of_from_env().find("at least one policy"),
             std::string::npos);
-}
-
-TEST_F(OptionsEnvTest, FleetDefaultsWhenUnset) {
-  const auto o = BenchOptions::from_env();
-  EXPECT_EQ(o.fleet_racks, 2);
-  EXPECT_EQ(o.fleet_nodes_per_rack, 2);
-  EXPECT_TRUE(o.fleet_allocator.empty());  // empty = caller default
-  EXPECT_DOUBLE_EQ(o.fleet_budget_w, 0.0);
-  EXPECT_EQ(o.fleet_traffic_profile, "diurnal");
-  EXPECT_EQ(o.fleet_traffic_seed, 1u);
-}
-
-TEST_F(OptionsEnvTest, FleetKnobsParse) {
-  setenv("DUFP_FLEET_RACKS", "8", 1);
-  setenv("DUFP_FLEET_NODES", "16", 1);
-  setenv("DUFP_FLEET_ALLOCATOR", "fastcap", 1);
-  setenv("DUFP_FLEET_BUDGET", "96000", 1);
-  setenv("DUFP_FLEET_TRAFFIC", "heavy-tail", 1);
-  setenv("DUFP_FLEET_TRAFFIC_SEED", "42", 1);
-  const auto o = BenchOptions::from_env();
-  EXPECT_EQ(o.fleet_racks, 8);
-  EXPECT_EQ(o.fleet_nodes_per_rack, 16);
-  EXPECT_EQ(o.fleet_allocator, "fastcap");
-  EXPECT_DOUBLE_EQ(o.fleet_budget_w, 96000.0);
-  EXPECT_EQ(o.fleet_traffic_profile, "heavy-tail");
-  EXPECT_EQ(o.fleet_traffic_seed, 42u);
-}
-
-TEST_F(OptionsEnvTest, FleetAllocatorCanonicalizesAliasSpellings) {
-  setenv("DUFP_FLEET_ALLOCATOR", "  FAIR  ", 1);  // fastcap alias
-  EXPECT_EQ(BenchOptions::from_env().fleet_allocator, "fastcap");
-}
-
-TEST_F(OptionsEnvTest, FleetUnknownAllocatorListsRegisteredNames) {
-  setenv("DUFP_FLEET_ALLOCATOR", "wishful", 1);
-  const auto msg = error_of_from_env();
-  EXPECT_NE(msg.find("DUFP_FLEET_ALLOCATOR"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("unknown fleet allocator \"wishful\""),
-            std::string::npos)
-      << msg;
-  EXPECT_NE(msg.find("known:"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("proportional"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("fastcap"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("static-equal"), std::string::npos) << msg;
-}
-
-TEST_F(OptionsEnvTest, FleetUnknownTrafficListsKnownProfiles) {
-  setenv("DUFP_FLEET_TRAFFIC", "tidal", 1);
-  const auto msg = error_of_from_env();
-  EXPECT_NE(msg.find("DUFP_FLEET_TRAFFIC"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("unknown traffic profile \"tidal\""), std::string::npos)
-      << msg;
-  EXPECT_NE(msg.find("diurnal"), std::string::npos) << msg;
-}
-
-TEST_F(OptionsEnvTest, FleetProblemsAggregateWithTheOtherKnobs) {
-  setenv("DUFP_REPS", "zero", 1);
-  setenv("DUFP_FLEET_RACKS", "0", 1);
-  setenv("DUFP_FLEET_BUDGET", "-5", 1);
-  setenv("DUFP_FLEET_TRAFFIC_SEED", "-1", 1);
-  const auto msg = error_of_from_env();
-  EXPECT_NE(msg.find("DUFP_REPS"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("DUFP_FLEET_RACKS"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("DUFP_FLEET_BUDGET"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("DUFP_FLEET_TRAFFIC_SEED"), std::string::npos) << msg;
 }
 
 TEST_F(OptionsEnvTest, IntegerOverflowRejected) {

@@ -255,6 +255,8 @@ RunResult hostile_base() {
   dump.events = {fail_open};
   snap.dumps.push_back(dump);
   r.telemetry = snap;
+  r.phase_totals["compute"] = {0.25, 10.0, 2.0};
+  r.phase_totals["memory"] = {0.5, 15.0, 6.0};
   return r;
 }
 
@@ -298,6 +300,12 @@ const Mutation kMutations[] = {
     {"repeated_member", "\"value\":\"4008000000000000\"",
      "\"value\":\"4008000000000000\",\"value\":\"4010000000000000\"",
      "metric sample: repeated member \"value\""},
+    // phase_totals is written in name order; a repeated or renamed name
+    // would keep only one entry or re-sort the record.
+    {"repeated_phase", "\"name\":\"memory\"", "\"name\":\"compute\"",
+     "run result: phase \"compute\" does not sort after \"compute\""},
+    {"phase_out_of_order", "\"name\":\"memory\"", "\"name\":\"-emory\"",
+     "run result: phase \"-emory\" does not sort after \"compute\""},
 };
 
 void PrintTo(const Mutation& m, std::ostream* os) { *os << m.name; }

@@ -7,9 +7,12 @@
 // to the hot-path rework.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <sstream>
 
+#include "core/policy_registry.h"
 #include "golden_util.h"
+#include "harness/shard.h"
 #include "rapl/cell_cache.h"
 #include "telemetry/export.h"
 
@@ -130,6 +133,62 @@ TEST(MultiRunIdentityTest, CellStatsArePerRun) {
   const std::string want = summary_text(first);
   EXPECT_EQ(summary_text(repeat), want);
   EXPECT_EQ(summary_text(pooled), want);
+}
+
+// The same for a whole grid: EP x (baseline + every registered policy x
+// {5%, 10%}) x 5 repetitions, run in job order and on 2 pool workers
+// (the width the perf ledger's paper_grid runs at).  Each job's cell-edge
+// economics and flip counts are its own whichever worker ran it, and the
+// finalized bytes agree.  Summed, two ratios hold: a cold edge build
+// costs a few threshold probes (a closed-form build takes about four, a
+// seeded bisection took ~26), and at most a quarter of the flip ticks
+// leave the governor's calm-run kernel to fill a state's entry.
+TEST(MultiRunIdentityTest, GridCountsAndBytesIndependentOfPoolWidth) {
+  harness::GridSpec spec;
+  spec.name = "grid-smoke";
+  spec.apps = {workloads::AppId::ep};
+  spec.policies = core::PolicyRegistry::instance().names();
+  spec.tolerances = {0.05, 0.10};
+  spec.repetitions = 5;
+  spec.sockets = 4;
+  const harness::GridPlan gp = harness::build_plan(spec);
+  ASSERT_EQ(gp.plan.cell_count(), 1 + 2 * spec.policies.size());
+  std::vector<std::size_t> all(gp.plan.job_count());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+
+  std::vector<harness::RunResult> inline_results = gp.plan.run_jobs(all, 1);
+  std::vector<harness::RunResult> pooled = gp.plan.run_jobs(all, 2);
+  ASSERT_EQ(inline_results.size(), all.size());
+  ASSERT_EQ(pooled.size(), all.size());
+  rapl::CellStats cells;
+  std::int64_t flip_ticks = 0;
+  std::int64_t flip_fills = 0;
+  for (std::size_t j = 0; j < all.size(); ++j) {
+    const sim::BatchStats& want = inline_results[j].batch_stats;
+    const sim::BatchStats& got = pooled[j].batch_stats;
+    const std::string what = "job " + std::to_string(j);
+    expect_same_cell_stats(pooled[j].cell_stats, inline_results[j].cell_stats,
+                           what.c_str());
+    EXPECT_EQ(got.flip_ticks, want.flip_ticks) << what;
+    EXPECT_EQ(got.flip_fills, want.flip_fills) << what;
+    cells.add(inline_results[j].cell_stats);
+    flip_ticks += want.flip_ticks;
+    flip_fills += want.flip_fills;
+  }
+  ASSERT_GT(cells.cold_builds, 0u) << "no cell edge built: nothing to hold";
+  EXPECT_LE(cells.probes, 5 * cells.cold_builds)
+      << cells.probes << " probes over " << cells.cold_builds
+      << " cold edge builds";
+  ASSERT_GT(flip_ticks, 0) << "no flip tick: nothing to hold";
+  EXPECT_LE(4 * flip_fills, flip_ticks)
+      << flip_fills << " of " << flip_ticks << " flip ticks filled an entry";
+
+  const harness::GridOutputs want =
+      harness::finalize_grid(spec, std::move(inline_results));
+  const harness::GridOutputs got =
+      harness::finalize_grid(spec, std::move(pooled));
+  EXPECT_EQ(got.evaluation_csv, want.evaluation_csv);
+  EXPECT_EQ(got.merged_prometheus, want.merged_prometheus);
 }
 
 }  // namespace

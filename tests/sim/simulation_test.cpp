@@ -208,6 +208,27 @@ TEST(SimulationTest, TickAccountingInvariantWithLeapingEnabled) {
   EXPECT_GT(bs.leapt_ticks, 0) << "fast path never engaged";
 }
 
+TEST(SimulationTest, ReferenceRunKeepsTwoThirdsOfItsTicksInStretches) {
+  // The reference cell every figure pounds on: 4 sockets x NPB CG under
+  // DUFP at 10% tolerance, seed 1.  Between the 200 ms control steps
+  // most of its ticks are calm (30,857 of 43,479 when this was written);
+  // a fast path that stopped taking them would leave the run at the
+  // exact stepper's speed, so the share is held as a count.
+  harness::RunConfig cfg;
+  cfg.profile = &workloads::profile(workloads::AppId::cg);
+  cfg.machine.sockets = 4;
+  cfg.policy_name = "DUFP";
+  cfg.tolerated_slowdown = 0.10;
+  cfg.seed = 1;
+  const harness::RunResult r = harness::run_once(cfg);
+  const BatchStats& bs = r.batch_stats;
+  const std::int64_t ticks = bs.leapt_ticks + bs.stepped_ticks;
+  ASSERT_EQ(ticks, std::llround(r.summary.exec_seconds /
+                                cfg.sim.tick.seconds()));
+  EXPECT_GE(3 * bs.leapt_ticks, 2 * ticks)
+      << bs.leapt_ticks << " of " << ticks << " ticks ran in stretches";
+}
+
 TEST(SimulationTest, UncappedRunTakesOnlyStretchesAndSteps) {
   // 4-socket EP under DUF, which moves the uncore clock and never caps:
   // between the 200 ms control steps every socket's governor windows
